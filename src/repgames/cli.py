@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--C", default="2",
                      help="1-based coordinate list, e.g. '2' or '1,3'")
     ver.add_argument("--side", default="alice", choices=("alice", "bob"))
-    ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--out", default=None)
 
     run = sub.add_parser("run", help="run an experiment and emit reports")

@@ -1,10 +1,11 @@
 """Correlated sampling: shared-randomness rejection and embezzlement.
 
 The classical protocol lets two players holding nearby distributions accept
-a common sample from a shared stream without communication.  The quantum
-analogue aligns a large embezzlement state against each player's own
-description of a target state; everything is computed in Schmidt
-coefficient space so junk dimensions up to 2^20 stay cheap.
+a common sample from a shared stream without communication; one batched
+kernel runs many independent streams at once.  The quantum analogue aligns
+a large embezzlement state against each player's own description of a
+target state; everything is computed in Schmidt coefficient space so junk
+dimensions up to 2^20 stay cheap.
 """
 
 from __future__ import annotations
@@ -21,79 +22,65 @@ from .prob import FiniteDistribution
 
 MAX_EMBEZZLE_DIM = 2 ** 24
 GRID_FLOOR = 1e-12
+MAX_STREAM_CELLS = 2 ** 18     # (u, t) pairs held by one sampling pass
 
 
-class SharedRandomStream:
-    """Deterministic stream of (universe element, uniform real) pairs.
+def shared_stream_sample(p: np.ndarray, q: np.ndarray, m: int,
+                         rng: np.random.Generator,
+                         max_draws: int = 10_000) -> tuple:
+    """m independent runs of Holenstein's shared-stream rejection protocol.
 
-    The same (seed, stream_id) always yields the same stream; distinct
-    stream ids give independent streams for parallel runs.
+    Each run reads its own stream of pairs (u, t), u uniform over the
+    support and t uniform in [0, 1).  Alice accepts the first pair with
+    t < p[u], Bob the first with t < q[u]; they agree when both accept the
+    same pair.  Every pass draws a block of pairs for each run still open
+    and finds each side's first accepting pair with argmax, so its cost is
+    a few numpy calls whatever m is.  Runs that closed are dropped, and a
+    pass holds at most MAX_STREAM_CELLS pairs.
+
+    Returns (a, b, agreed, failed): the flat element each side accepted
+    (-1 where a side accepted nothing within max_draws) and the masks of
+    agreeing runs and of runs where either side ran out of draws.
     """
-
-    def __init__(self, seed: int, stream_id: int = 0, block: int = 256):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self.block = int(block)
-        self._rng = np.random.default_rng([self.seed, self.stream_id])
-
-    def draw_block(self, universe_size: int) -> tuple:
-        u = self._rng.integers(0, universe_size, size=self.block)
-        p = self._rng.random(self.block)
-        return u, p
-
-    def pairs(self, universe_size: int):
-        while True:
-            u, p = self.draw_block(universe_size)
-            yield from zip(u.tolist(), p.tolist())
-
-
-@dataclass(frozen=True)
-class CorrSampleResult:
-    a_index: int
-    b_index: int
-    a_element: tuple | None
-    b_element: tuple | None
-    agreed: bool
-    failed: bool
-    draws_used: int
+    if m < 1:
+        raise ValueError("correlated sampling needs at least one run")
+    if max_draws < 1:
+        raise ValueError("correlated sampling needs max_draws of at least 1")
+    laws = np.stack([np.asarray(p, dtype=np.float64).ravel(),
+                     np.asarray(q, dtype=np.float64).ravel()])
+    size = laws.shape[1]
+    # a side accepts a pair with probability sum(p) / size = 1 / size, so a
+    # block of two support sizes closes most runs in the first pass
+    block = max(16, 2 * size)
+    elem = np.full((2, m), -1, dtype=np.int64)   # accepted element per side
+    pos = np.full((2, m), -1, dtype=np.int64)    # its position in the stream
+    for lo in range(0, m, MAX_STREAM_CELLS):
+        rows = np.arange(lo, min(m, lo + MAX_STREAM_CELLS))
+        drawn = 0
+        while rows.size and drawn < max_draws:
+            width = min(block, max_draws - drawn,
+                        max(1, MAX_STREAM_CELLS // rows.size))
+            u = rng.integers(0, size, size=(rows.size, width))
+            t = rng.random((rows.size, width))
+            for side in (0, 1):
+                hits = t < laws[side][u]
+                first = hits.argmax(axis=1)
+                new = (pos[side, rows] < 0) & hits[np.arange(rows.size),
+                                                   first]
+                pos[side, rows[new]] = drawn + first[new]
+                elem[side, rows[new]] = u[new, first[new]]
+            drawn += width
+            rows = rows[(pos[:, rows] < 0).any(axis=0)]
+    failed = (pos < 0).any(axis=0)
+    agreed = ~failed & (pos[0] == pos[1])
+    return elem[0], elem[1], agreed, failed
 
 
 def _aligned_tables(p: FiniteDistribution, q: FiniteDistribution) -> tuple:
     if set(p.names) != set(q.names):
         raise ValueError("distributions must share the same variables")
     q = q.reordered(p.names)
-    return p.table.ravel(), q.table.ravel(), p.table.shape
-
-
-def classical_corr_sample(p: FiniteDistribution, q: FiniteDistribution,
-                          stream: SharedRandomStream,
-                          max_draws: int = 10_000) -> CorrSampleResult:
-    """One run of the shared-stream rejection protocol.
-
-    Each player accepts the first stream pair (u, t) with t at most their
-    own probability of u.  Agreement means both accepted the same draw.
-    Exhausting max_draws on either side gives an explicit failure result.
-    """
-    pt, qt, shape = _aligned_tables(p, q)
-    size = pt.size
-    a_idx = b_idx = -1
-    a_u = b_u = -1
-    used = 0
-    for u, t in stream.pairs(size):
-        if a_idx < 0 and t < pt[u]:
-            a_idx, a_u = used, int(u)
-        if b_idx < 0 and t < qt[u]:
-            b_idx, b_u = used, int(u)
-        used += 1
-        if (a_idx >= 0 and b_idx >= 0) or used >= max_draws:
-            break
-    failed = a_idx < 0 or b_idx < 0
-    elem = lambda flat: tuple(int(v) for v in np.unravel_index(flat, shape))
-    return CorrSampleResult(
-        a_idx, b_idx,
-        elem(a_u) if a_idx >= 0 else None,
-        elem(b_u) if b_idx >= 0 else None,
-        bool(a_idx >= 0 and a_idx == b_idx), bool(failed), used)
+    return p.table.ravel(), q.table.ravel()
 
 
 @dataclass
@@ -111,31 +98,13 @@ class CorrSampleStats:
 def corr_sample_experiment(p: FiniteDistribution, q: FiniteDistribution,
                            n_runs: int, seed: int,
                            max_draws: int = 10_000) -> CorrSampleStats:
-    """Vectorized batch of independent protocol runs (one stream per run)."""
-    pt, qt, _shape = _aligned_tables(p, q)
+    """Agreement and marginal statistics of n_runs independent runs."""
+    pt, qt = _aligned_tables(p, q)
     size = pt.size
-    rng = np.random.default_rng([int(seed)])
-    a_idx = np.full(n_runs, -1, dtype=np.int64)
-    b_idx = np.full(n_runs, -1, dtype=np.int64)
-    a_u = np.full(n_runs, -1, dtype=np.int64)
-    b_u = np.full(n_runs, -1, dtype=np.int64)
-    open_mask = np.ones(n_runs, dtype=bool)
-    for t in range(max_draws):
-        if not open_mask.any():
-            break
-        u = rng.integers(0, size, size=n_runs)
-        pr = rng.random(n_runs)
-        hit_a = open_mask & (a_idx < 0) & (pr < pt[u])
-        hit_b = open_mask & (b_idx < 0) & (pr < qt[u])
-        a_idx[hit_a] = t
-        a_u[hit_a] = u[hit_a]
-        b_idx[hit_b] = t
-        b_u[hit_b] = u[hit_b]
-        open_mask &= (a_idx < 0) | (b_idx < 0)
-    ok = (a_idx >= 0) & (b_idx >= 0)
-    agree = ok & (a_idx == b_idx)
-    counts_a = np.bincount(a_u[a_idx >= 0], minlength=size).astype(float)
-    counts_b = np.bincount(b_u[b_idx >= 0], minlength=size).astype(float)
+    a, b, agreed, failed = shared_stream_sample(
+        pt, qt, n_runs, np.random.default_rng([int(seed)]), max_draws)
+    counts_a = np.bincount(a[a >= 0], minlength=size).astype(float)
+    counts_b = np.bincount(b[b >= 0], minlength=size).astype(float)
     tot_a = counts_a.sum()
     tot_b = counts_b.sum()
     tv_a = 0.5 * float(np.abs(counts_a / tot_a - pt).sum()) if tot_a else 1.0
@@ -143,8 +112,8 @@ def corr_sample_experiment(p: FiniteDistribution, q: FiniteDistribution,
     keep = pt > 0
     pval = float(stats.chisquare(counts_a[keep],
                                  tot_a * pt[keep] / pt[keep].sum()).pvalue)
-    return CorrSampleStats(n_runs, float(agree.sum()) / n_runs,
-                           1.0 - float(ok.sum()) / n_runs, tv_a, tv_b, pval,
+    return CorrSampleStats(n_runs, float(agreed.mean()),
+                           float(failed.mean()), tv_a, tv_b, pval,
                            counts_a, counts_b)
 
 
@@ -278,10 +247,11 @@ def qcs_isometry(own_state: np.ndarray, d_prime: int,
     s_grid = _grid_round(s, alpha)
     junk = embezzlement(d_prime).coefficients
     tau = np.multiply.outer(s_grid, junk).ravel()
-    slots = np.arange(d * d_prime, dtype=np.int64)
-    order = np.lexsort((slots % d_prime, slots // d_prime, -tau))
+    # slot k * d_prime + l is tau's flat index, so a stable sort breaks
+    # ties by (k, l)
+    order = np.argsort(-tau, kind="stable")
     return AlignmentIsometry(d, int(d_prime), float(alpha),
-                             order.astype(np.int64), u, vh.T,
+                             order.astype(np.int64, copy=False), u, vh.T,
                              s.copy(), s_grid)
 
 

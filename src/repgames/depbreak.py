@@ -283,6 +283,20 @@ def dep_state(s_op: np.ndarray, t_op: np.ndarray, psi: np.ndarray) -> tuple:
     return (out / math.sqrt(weight)).reshape(-1), weight
 
 
+def pure_born_table(state: np.ndarray, fa: np.ndarray,
+                    fb: np.ndarray) -> np.ndarray:
+    """Joint answer table <state| F_a (x) G_b |state> of two POVM families.
+
+    state is a vector on C^d (x) C^d with Alice's index first; fa and fb
+    are (k, d, d) operator stacks.
+    """
+    d = fa.shape[-1]
+    m = state.reshape(d, d)
+    inner = m.conj().T @ fa @ m
+    return (inner.reshape(fa.shape[0], -1)
+            @ fb.reshape(fb.shape[0], -1).T).real
+
+
 @dataclass
 class UsefulnessReport:
     coords: tuple
@@ -561,10 +575,7 @@ class DepBreakComputer:
                         "alice", i, {**omega, x_names_at(i): x_i}, a_c)
                     fb = self.fine_family(
                         "bob", i, {**omega, y_names_at(i): y_i}, b_c)
-                    mstate = state.reshape(self.d, self.d)
-                    inner = np.einsum("ij,ajk,kl->ail", mstate.conj().T, fa,
-                                      mstate)
-                    born = np.einsum("ail,bil->ab", inner, fb).real
+                    born = pure_born_table(state, fa, fb)
                     res = float(np.abs(born[:ka, :kb] - table).max())
                     null = float(abs(born[ka, :].sum())
                                  + abs(born[:ka, kb].sum()))

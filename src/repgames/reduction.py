@@ -13,13 +13,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .corrsamp import qcs_error_against, qcs_execute, qcs_isometry
-from .depbreak import DepBreakComputer, choose_C, x_names_at, y_names_at
+from .corrsamp import (qcs_error_against, qcs_execute, qcs_isometry,
+                       shared_stream_sample)
+from .depbreak import (DepBreakComputer, choose_C, pure_born_table,
+                       x_names_at, y_names_at)
 from .games import Game, a_names, b_names, win_set
 from .prob import ZeroProbabilityEvent
 from .strategy import EntangledStrategy
@@ -49,8 +52,9 @@ class ReductionConfig:
             raise ValueError("unknown classical sampling mode")
         if self.mode_quantum not in QUANTUM_MODES:
             raise ValueError("unknown quantum preparation mode")
-        if self.mode_classical == "holenstein" and self.trials < 1:
-            raise ValueError("Monte Carlo modes need at least one trial")
+        if self.is_sampled and (self.trials < 1 or self.max_draws < 1):
+            raise ValueError(
+                "Monte Carlo modes need at least one trial and one draw")
 
     @property
     def is_sampled(self) -> bool:
@@ -67,19 +71,6 @@ class ReductionConfig:
             "trials": self.trials if self.is_sampled else 0,
             "max_draws": self.max_draws,
         }
-
-
-@dataclass
-class TrialOutcome:
-    coord: int
-    r_alice: dict
-    r_bob: dict
-    x: int
-    y: int
-    agreed: bool
-    failed: bool
-    answer_a: int | None
-    answer_b: int | None
 
 
 @dataclass
@@ -119,9 +110,9 @@ class ReductionReport:
 class SingleShotStrategy:
     """One-round strategy simulating coordinate i of the repeated game.
 
-    Exposes exact per-context win probabilities plus a trial sampler; the
-    classical mode controls how the dependency-breaking value is drawn
-    and the quantum mode controls how the shared state is prepared.
+    Exposes exact per-context win probabilities plus a batched sampler of
+    r pairs; the classical mode controls how the dependency-breaking value
+    is drawn and the quantum mode controls how the shared state is prepared.
     """
 
     def __init__(self, cfg: ReductionConfig):
@@ -190,20 +181,16 @@ class SingleShotStrategy:
 
     # ---- per-context evaluation ------------------------------------------
 
-    def _fine_ops(self, i: int, r: dict, x: int, y: int) -> tuple:
-        omega, a_c, b_c = self.computer._split_r(i, r)
+    def _fine_ops(self, i: int, r_a: dict, r_b: dict, x: int,
+                  y: int) -> tuple:
+        """Alice's fine family from her r_a, Bob's from his r_b."""
+        omega_a, a_c, _ = self.computer._split_r(i, r_a)
+        omega_b, _, b_c = self.computer._split_r(i, r_b)
         fa = self.computer.fine_family(
-            "alice", i, {**omega, x_names_at(i): x}, a_c)
+            "alice", i, {**omega_a, x_names_at(i): x}, a_c)
         fb = self.computer.fine_family(
-            "bob", i, {**omega, y_names_at(i): y}, b_c)
+            "bob", i, {**omega_b, y_names_at(i): y}, b_c)
         return fa, fb
-
-    def _born_table(self, state: np.ndarray, fa: np.ndarray,
-                    fb: np.ndarray) -> np.ndarray:
-        d = fa.shape[-1]
-        m = state.reshape(d, d)
-        inner = np.einsum("ij,ajk,kl->ail", m.conj().T, fa, m)
-        return np.einsum("ail,bil->ab", inner, fb).real
 
     def _born_table_mixed(self, rho: np.ndarray, fa: np.ndarray,
                           fb: np.ndarray) -> np.ndarray:
@@ -215,116 +202,59 @@ class SingleShotStrategy:
                     np.trace(np.kron(fa[a], fb[b]) @ rho)))
         return out
 
-    def context_win(self, i: int, r_a: dict, r_b: dict, x: int,
+    def context_win(self, i: int, ra: int, rb: int, x: int,
                     y: int) -> tuple:
-        """(win probability, embezzlement error, valid) for one context."""
-        key = (i, self.r_to_flat(i, r_a), self.r_to_flat(i, r_b), x, y)
+        """(win probability, embezzlement error, valid) for one context.
+
+        ra and rb are flat indices of Alice's and Bob's r values.
+        """
+        key = (i, ra, rb, x, y)
         if key in self._win_cache:
             return self._win_cache[key]
+        out = self._context_win(i, self.flat_to_r(i, ra),
+                                self.flat_to_r(i, rb), x, y)
+        self._win_cache[key] = out
+        return out
+
+    def _context_win(self, i: int, r_a: dict, r_b: dict, x: int,
+                     y: int) -> tuple:
         ref_state, _w = self.computer.state_for(i, r_a, x, y)
         if ref_state is None:
-            out = (0.0, 0.0, False)
-            self._win_cache[key] = out
-            return out
-        fa, fb = self._fine_ops(i, r_a, x, y)
-        if r_b != r_a:
-            _fa_b, fb = self._fine_ops(i, r_b, x, y)
+            return 0.0, 0.0, False
+        fa, fb = self._fine_ops(i, r_a, r_b, x, y)
         err = 0.0
         if self.cfg.mode_quantum == "embezzle":
             state_a, _ = self.computer.state_variants(i, r_a, x, y)["x"]
             state_b, _ = self.computer.state_variants(i, r_b, x, y)["y"]
             if state_a is None or state_b is None:
-                out = (0.0, 0.0, False)
-                self._win_cache[key] = out
-                return out
+                return 0.0, 0.0, False
             iso_a = qcs_isometry(state_a, self.cfg.dprime, self.cfg.alpha)
             iso_b = qcs_isometry(state_b, self.cfg.dprime, self.cfg.alpha)
             res = qcs_execute(iso_a, iso_b, self.computer.d)
             err = qcs_error_against(iso_a, iso_b, ref_state)
             table = self._born_table_mixed(res.produced_target, fa, fb)
         else:
-            table = self._born_table(ref_state, fa, fb)
+            table = pure_born_table(ref_state, fa, fb)
         pairs = self._win_pairs[(x, y)]
         p = float(np.clip(sum(table[a, b] for a, b in pairs), 0.0, 1.0))
-        out = (p, float(err), True)
-        self._win_cache[key] = out
-        return out
-
-    def answer_distribution(self, i: int, r_a: dict, r_b: dict, x: int,
-                            y: int) -> np.ndarray:
-        """Joint answer law including the trailing null outcomes."""
-        ref_state, _w = self.computer.state_for(i, r_a, x, y)
-        if ref_state is None:
-            raise ZeroProbabilityEvent("context has no conditional state")
-        fa, fb = self._fine_ops(i, r_a, x, y)
-        if r_b != r_a:
-            _fa_b, fb = self._fine_ops(i, r_b, x, y)
-        if self.cfg.mode_quantum == "embezzle":
-            state_a, _ = self.computer.state_variants(i, r_a, x, y)["x"]
-            state_b, _ = self.computer.state_variants(i, r_b, x, y)["y"]
-            if state_a is None or state_b is None:
-                raise ZeroProbabilityEvent("context has no belief state")
-            iso_a = qcs_isometry(state_a, self.cfg.dprime, self.cfg.alpha)
-            iso_b = qcs_isometry(state_b, self.cfg.dprime, self.cfg.alpha)
-            res = qcs_execute(iso_a, iso_b, self.computer.d)
-            return np.clip(self._born_table_mixed(
-                res.produced_target, fa, fb), 0.0, 1.0)
-        return np.clip(self._born_table(ref_state, fa, fb), 0.0, 1.0)
+        return p, float(err), True
 
     # ---- trial protocol ----------------------------------------------------
 
-    def sample_r_pair(self, i: int, x: int, y: int,
+    def sample_r_pair(self, i: int, x: int, y: int, m: int,
                       rng: np.random.Generator) -> tuple:
-        """(r_a flat, r_b flat, agreed, failed) under the classical mode."""
-        if self.cfg.mode_classical == "exact_conditional":
-            law = self.law(i, "joint", x, y)
-            if law is None:
-                return -1, -1, False, True
-            flat = int(rng.choice(law.size, p=law))
-            return flat, flat, True, False
+        """m shared-stream draws of (r_a, r_b) for the question pair (x, y).
+
+        Alice samples from her law of r given x, Bob from his given y.
+        Returns flat (r_a, r_b) arrays with agreed and failed masks; every
+        run fails when either side's law does not exist.
+        """
         pa = self.law(i, "alice", x=x)
         pb = self.law(i, "bob", y=y)
         if pa is None or pb is None:
-            return -1, -1, False, True
-        a_idx = b_idx = -1
-        a_u = b_u = -1
-        for t in range(self.cfg.max_draws):
-            u = int(rng.integers(pa.size))
-            pr = float(rng.random())
-            if a_idx < 0 and pr < pa[u]:
-                a_idx, a_u = t, u
-            if b_idx < 0 and pr < pb[u]:
-                b_idx, b_u = t, u
-            if a_idx >= 0 and b_idx >= 0:
-                break
-        if a_idx < 0 or b_idx < 0:
-            return -1, -1, False, True
-        return a_u, b_u, a_idx == b_idx, False
-
-    def play(self, x: int, y: int, rng: np.random.Generator) -> TrialOutcome:
-        """Run the full protocol once, sampling actual answers."""
-        i = self.free[int(rng.integers(len(self.free)))]
-        ra_flat, rb_flat, agreed, failed = self.sample_r_pair(i, x, y, rng)
-        if failed:
-            return TrialOutcome(i, {}, {}, x, y, False, True, None, None)
-        r_a = self.flat_to_r(i, ra_flat)
-        r_b = self.flat_to_r(i, rb_flat)
-        try:
-            table = self.answer_distribution(i, r_a, r_b, x, y)
-        except ZeroProbabilityEvent:
-            return TrialOutcome(i, r_a, r_b, x, y, agreed, True, None, None)
-        flat = table.ravel()
-        total = flat.sum()
-        if total <= 0.0:
-            return TrialOutcome(i, r_a, r_b, x, y, agreed, True, None, None)
-        pick = int(rng.choice(flat.size, p=flat / total))
-        a, b = np.unravel_index(pick, table.shape)
-        return TrialOutcome(i, r_a, r_b, x, y, agreed, failed,
-                            int(a), int(b))
-
-
-def build_single_shot(cfg: ReductionConfig) -> SingleShotStrategy:
-    return SingleShotStrategy(cfg)
+            ra, rb = np.full((2, m), -1, dtype=np.int64)
+            return ra, rb, np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+        return shared_stream_sample(pa, pb, m, rng, self.cfg.max_draws)
 
 
 def _reference_win(shot: SingleShotStrategy, i: int) -> float:
@@ -350,10 +280,9 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
                 invalid_mass += w_q
                 invalid_count += 1
                 continue
-            for flat in np.flatnonzero(law > 1e-14):
-                r = shot.flat_to_r(i, int(flat))
+            for flat in np.flatnonzero(law > 1e-14).tolist():
                 w = w_q * float(law[flat])
-                p, err, valid = shot.context_win(i, r, r, x, y)
+                p, err, valid = shot.context_win(i, flat, flat, x, y)
                 if not valid:
                     invalid_mass += w
                     invalid_count += 1
@@ -362,7 +291,7 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
                 err_acc += w * min(err, 1.0)
                 if shot.cfg.mode_quantum == "oracle_state":
                     table = shot.cond.given(
-                        {**r, x_names_at(i): x,
+                        {**shot.flat_to_r(i, flat), x_names_at(i): x,
                          y_names_at(i): y}).marginal(
                         (a_names(shot.cfg.n)[i],
                          b_names(shot.cfg.n)[i])).table
@@ -374,37 +303,48 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
 
 def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
                         rng: np.random.Generator) -> dict:
-    """Monte Carlo estimate for one coordinate with per-trial exact wins."""
+    """Monte Carlo estimate for one coordinate with per-trial exact wins.
+
+    Trials are drawn one question-pair group at a time, and each distinct
+    context is evaluated once.
+    """
     g = shot.cfg.game
     mu_flat = np.asarray(g.mu, dtype=float).ravel()
     qs = rng.choice(mu_flat.size, size=trials, p=mu_flat / mu_flat.sum())
+    ra = np.empty(trials, dtype=np.int64)
+    rb = np.empty(trials, dtype=np.int64)
+    agreed = np.empty(trials, dtype=bool)
+    failed = np.empty(trials, dtype=bool)
+    for q in np.unique(qs):
+        rows = np.flatnonzero(qs == q)
+        x, y = divmod(int(q), g.y_size)
+        ra[rows], rb[rows], agreed[rows], failed[rows] = shot.sample_r_pair(
+            i, x, y, rows.size, rng)
+    ok = np.flatnonzero(~failed)
     wins = np.zeros(trials)
     errs = np.zeros(trials)
-    fails = 0
-    disagrees = 0
     invalid = 0
-    for t in range(trials):
-        x, y = np.unravel_index(int(qs[t]), (g.x_size, g.y_size))
-        ra, rb, agreed, failed = shot.sample_r_pair(i, int(x), int(y), rng)
-        if failed:
-            fails += 1
-            continue
-        if not agreed:
-            disagrees += 1
-        r_a = shot.flat_to_r(i, ra)
-        r_b = shot.flat_to_r(i, rb)
-        p, err, valid = shot.context_win(i, r_a, r_b, int(x), int(y))
-        if not valid:
-            invalid += 1
-            continue
-        wins[t] = p
-        errs[t] = min(err, 1.0)
+    if ok.size:
+        r_size = math.prod(shot.r_dims(i)[1])
+        keys, inverse = np.unique(
+            (qs[ok] * r_size + ra[ok]) * r_size + rb[ok], return_inverse=True)
+        outs = []
+        for key in keys.tolist():
+            q, r_pair = divmod(key, r_size * r_size)
+            outs.append(shot.context_win(i, *divmod(r_pair, r_size),
+                                         *divmod(q, g.y_size)))
+        p, err, valid = (np.array(col) for col in zip(*outs))
+        # an invalid context reports p = err = 0, so it scores as a loss
+        wins[ok] = p[inverse]
+        errs[ok] = np.minimum(err, 1.0)[inverse]
+        invalid = int(ok.size - valid[inverse].sum())
     p_tilde = float(wins.mean())
     stderr = float(wins.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.5
     return {"p_tilde": p_tilde, "stderr": stderr, "trials": trials,
-            "failures": fails, "disagreements": disagrees,
-            "invalid": invalid, "avg_err": float(errs.mean()),
-            "max_err": float(errs.max())}
+            "failures": int(failed.sum()),
+            "disagreements": int((~failed & ~agreed).sum()),
+            "invalid": invalid,
+            "avg_err": float(errs.mean()), "max_err": float(errs.max())}
 
 
 def run_reduction(cfg: ReductionConfig) -> ReductionReport:
@@ -414,7 +354,7 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
     holenstein mode runs seeded Monte Carlo trials.  Either way the
     reference values come from the brute-force conditional table.
     """
-    shot = build_single_shot(cfg)
+    shot = SingleShotStrategy(cfg)
     rng = np.random.default_rng([int(cfg.seed)])
     per = []
     failures = disagreements = invalid = 0

@@ -122,6 +122,20 @@ def test_run_corrsamp_rejects_unreachable_tv(capsys):
     assert "tv" in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--max-draws"])
+def test_run_corrsamp_refuses_empty_runs(capsys, flag):
+    code, out, err = run_cli(capsys, "run", "corrsamp", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "matcore", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_run_reduction_writes_reports(tmp_path, capsys):
     out_base = tmp_path / "report"
     code, out, _err = run_cli(capsys, "run", "reduction", "--strategy",

@@ -3,9 +3,9 @@ import pytest
 
 from repgames import matcore
 from repgames.corrsamp import (AlignmentIsometry, EmbezzlementVector,
-                               SharedRandomStream, classical_corr_sample,
                                corr_sample_experiment, embezzlement,
-                               qcs_error_against, qcs_execute, qcs_isometry)
+                               qcs_error_against, qcs_execute, qcs_isometry,
+                               shared_stream_sample)
 from repgames.prob import FiniteDistribution, tv_distance
 
 
@@ -16,45 +16,81 @@ def biased_pair(tv):
             FiniteDistribution(("u",), shifted))
 
 
+def sample(p, q, m, seed, max_draws=10_000):
+    return shared_stream_sample(p, q, m, np.random.default_rng(seed),
+                                max_draws)
+
+
 def test_shared_stream_reproducible():
-    s1 = SharedRandomStream(5, stream_id=2)
-    s2 = SharedRandomStream(5, stream_id=2)
-    u1, p1 = s1.draw_block(8)
-    u2, p2 = s2.draw_block(8)
-    assert np.array_equal(u1, u2) and np.array_equal(p1, p2)
-    s3 = SharedRandomStream(5, stream_id=3)
-    u3, _p3 = s3.draw_block(8)
-    assert not np.array_equal(u1, u3)
+    p, q = np.full(4, 0.25), np.array([0.1, 0.4, 0.25, 0.25])
+    first = sample(p, q, 64, seed=5)
+    again = sample(p, q, 64, seed=5)
+    assert all(np.array_equal(u, v) for u, v in zip(first, again))
+    other = sample(p, q, 64, seed=6)
+    assert not np.array_equal(first[0], other[0])
 
 
 def test_identical_distributions_always_agree():
-    p, _ = biased_pair(0.0)
-    for run in range(50):
-        res = classical_corr_sample(p, p, SharedRandomStream(1, run))
-        assert res.agreed and not res.failed
-        assert res.a_element == res.b_element
-        assert res.a_index == res.b_index
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    a, b, agreed, failed = sample(p, p, 500, seed=1)
+    assert agreed.all() and not failed.any()
+    assert np.array_equal(a, b)
 
 
 def test_corr_sample_requires_matching_variables():
     p = FiniteDistribution(("u",), np.full(4, 0.25))
     q = FiniteDistribution(("v",), np.full(4, 0.25))
     with pytest.raises(ValueError):
-        classical_corr_sample(p, q, SharedRandomStream(0))
+        corr_sample_experiment(p, q, 10, seed=0)
 
 
 def test_corr_sample_axis_order_irrelevant():
     table = np.array([[0.3, 0.2], [0.1, 0.4]])
     p = FiniteDistribution(("u", "v"), table)
     q = p.reordered(("v", "u"))
-    res = classical_corr_sample(p, q, SharedRandomStream(3))
-    assert res.agreed
+    stats = corr_sample_experiment(p, q, 500, seed=3)
+    assert stats.agree_rate == 1.0
+    assert np.array_equal(stats.counts_a, stats.counts_b)
 
 
 def test_corr_sample_failure_on_draw_budget():
-    p, q = biased_pair(0.1)
-    res = classical_corr_sample(p, q, SharedRandomStream(0), max_draws=1)
-    assert res.failed or res.draws_used <= 1
+    # with a single draw both sides accept it with probability
+    # sum(min(p, q)) / 4, and every other run fails
+    p, q = np.full(4, 0.25), np.array([0.15, 0.35, 0.25, 0.25])
+    m = 2000
+    a, b, agreed, failed = sample(p, q, m, seed=0, max_draws=1)
+    assert np.array_equal(failed, (a < 0) | (b < 0))
+    want = 1.0 - np.minimum(p, q).sum() / 4
+    assert abs(failed.mean() - want) <= 5.0 * np.sqrt(want * (1 - want) / m)
+    assert not (agreed & failed).any()
+    assert np.array_equal(a[agreed], b[agreed])
+
+
+@pytest.mark.parametrize("m, max_draws", [(0, 10), (10, 0)])
+def test_shared_stream_refuses_empty_runs(m, max_draws):
+    p = np.full(4, 0.25)
+    with pytest.raises(ValueError):
+        sample(p, p, m, seed=0, max_draws=max_draws)
+    pd = FiniteDistribution(("u",), p)
+    with pytest.raises(ValueError):
+        corr_sample_experiment(pd, pd, m, seed=0, max_draws=max_draws)
+
+
+def test_shared_stream_marginals_and_disagreement_rate():
+    p = np.array([0.05, 0.15, 0.3, 0.5, 0.0])
+    q = np.array([0.2, 0.2, 0.2, 0.2, 0.2])
+    m = 40_000
+    a, b, agreed, failed = sample(p, q, m, seed=11)
+    assert not failed.any()
+    for got, law in ((a, p), (b, q)):
+        freq = np.bincount(got, minlength=p.size) / m
+        sigma = np.sqrt(law * (1.0 - law) / m)
+        assert np.all(np.abs(freq - law) <= 5.0 * sigma + 1e-12)
+    # one pair is accepted by both sides with weight min(p, q) and by
+    # either side with weight max(p, q)
+    want = 1.0 - np.minimum(p, q).sum() / np.maximum(p, q).sum()
+    sigma = np.sqrt(want * (1.0 - want) / m)
+    assert abs((1.0 - agreed.mean()) - want) <= 5.0 * sigma
 
 
 def test_experiment_identical_laws_full_agreement():
@@ -157,6 +193,20 @@ def test_qcs_isometry_reconstruction_identity():
 def test_qcs_isometry_perm_is_permutation():
     iso = qcs_isometry(qcs_state(7), 128)
     assert sorted(iso.perm.tolist()) == list(range(4 * 128))
+
+
+def test_qcs_isometry_perm_matches_lexsort_tie_order():
+    # a maximally entangled target has two equal Schmidt coefficients, so
+    # slots (0, l) and (1, l) tie for every junk index l
+    psi = np.eye(2).reshape(-1) / np.sqrt(2.0)
+    dp = 64
+    iso = qcs_isometry(psi, dp)
+    tau = np.multiply.outer(iso.coeffs_grid,
+                            embezzlement(dp).coefficients).ravel()
+    assert np.unique(tau).size < tau.size
+    slots = np.arange(2 * dp)
+    want = np.lexsort((slots % dp, slots // dp, -tau))
+    assert np.array_equal(iso.perm, want)
 
 
 def test_qcs_grid_rounding_tolerance():

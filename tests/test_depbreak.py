@@ -4,7 +4,7 @@ import pytest
 from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
                                choose_C, dep_state, extended_joint, fine_povm,
-                               skew_distances)
+                               pure_born_table, skew_distances)
 from repgames.games import always_win, chsh, win_set
 from repgames.prob import ZeroProbabilityEvent, tv_distance
 from repgames.strategy import born_joint, strategy_fixture
@@ -183,6 +183,18 @@ def test_fine_povm_matches_pinv_conjugation_when_well_conditioned():
     oracle = fine_povm_oracle(s_op, parts)
     assert fam.shape == (k + 1, d, d)
     assert np.abs(fam[:k] - oracle).max() < 1e-9
+
+
+def test_pure_born_table_matches_kron_expectation():
+    rng = np.random.default_rng(8)
+    d = 4
+    psi = matcore.random_pure(d * d, rng=rng)
+    fa = np.stack([matcore.random_psd(d, rng=rng) for _ in range(3)])
+    fb = np.stack([matcore.random_psd(d, rng=rng) for _ in range(2)])
+    want = np.array([[np.vdot(psi, np.kron(a, b) @ psi).real for b in fb]
+                     for a in fa])
+    assert np.allclose(pure_born_table(psi, fa, fb), want, rtol=0.0,
+                       atol=1e-12)
 
 
 def test_fine_povm_family_properties():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repgames.games import chsh, win_set
-from repgames.reduction import (ReductionConfig, build_single_shot,
+from repgames import reduction
+from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 main_bound_compare, report_to_csv,
                                 report_to_json, run_reduction)
 from repgames.strategy import born_joint, strategy_fixture
@@ -28,6 +29,8 @@ def test_config_rejects_unknown_modes():
         make_config(mode_quantum="teleport")
     with pytest.raises(ValueError):
         make_config(mode_classical="holenstein", trials=0)
+    with pytest.raises(ValueError):
+        make_config(mode_classical="holenstein", max_draws=0)
 
 
 def test_exact_mode_matches_conditional_target_product_fixture():
@@ -66,7 +69,7 @@ def test_reference_equals_brute_force_conditional():
 
 def test_auto_holdout_selection():
     cfg = make_config(strategy="tsirelson", C="auto")
-    shot = build_single_shot(cfg)
+    shot = SingleShotStrategy(cfg)
     assert shot.C == ()   # conditioning is inert for a product strategy
     report = run_reduction(cfg)
     assert report.config["C"] == []
@@ -92,6 +95,40 @@ def test_holenstein_mode_tracks_exact_value():
     assert abs(sampled.avg_p_tilde - exact.avg_p_tilde) < 0.05
     assert sampled.stderr > 0.0
     assert sampled.failures == 0
+
+
+def test_holenstein_within_budget_of_exact_printing():
+    exact = run_reduction(make_config(strategy="printing", C=(1,)))
+    for seed in range(5):
+        sampled = run_reduction(make_config(
+            strategy="printing", C=(1,), mode_classical="holenstein",
+            trials=3000, seed=seed))
+        assert sampled.failures == 0
+        assert (abs(sampled.avg_p_tilde - exact.avg_p_tilde)
+                <= sampled.error_budget)
+
+
+def test_sampled_coordinate_evaluates_each_context_once(monkeypatch):
+    shot = SingleShotStrategy(make_config(strategy="printing", n=3, C=(0,),
+                                          mode_classical="holenstein"))
+    calls = []
+    real = shot.context_win
+
+    def counting(i, ra, rb, x, y):
+        calls.append((i, ra, rb, x, y))
+        return real(i, ra, rb, x, y)
+
+    monkeypatch.setattr(shot, "context_win", counting)
+    stats = reduction._sampled_coordinate(shot, 1, 2000,
+                                          np.random.default_rng(3))
+    assert stats["failures"] == 0
+    assert stats["disagreements"] > 0
+    assert len(calls) == len(set(calls))
+    assert len(calls) < 2000
+    # context keys are flat r indices of the coordinate's r variables
+    for i, ra, rb, _x, _y in calls:
+        assert shot.r_to_flat(i, shot.flat_to_r(i, ra)) == ra
+        assert shot.r_to_flat(i, shot.flat_to_r(i, rb)) == rb
 
 
 def test_holenstein_disagreements_counted_identical_laws():
