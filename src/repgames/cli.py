@@ -131,15 +131,10 @@ def cmd_verify(args) -> int:
               "C": args.C}
     checks = []
     if args.suite == "matcore":
-        checks = [suites.sweep_ando(args.trials, args.seed),
-                  suites.sweep_powers_stormer(args.trials, args.seed),
-                  suites.sweep_pure_state_bound(args.trials, args.seed)]
+        checks = suites.run_matrix_suite(args.trials, args.seed)
     elif args.suite == "entropy":
-        checks = [suites.sweep_fuchs_van_de_graaf(args.trials, args.seed),
-                  suites.sweep_pinsker(args.trials, args.seed),
-                  suites.sweep_min_entropy(args.trials, args.seed),
-                  suites.sweep_raz(min(args.trials, 500), args.seed),
-                  suites.sweep_chain_rule(args.trials, args.seed)]
+        checks = suites.run_entropy_suite(args.trials, args.seed,
+                                          min(args.trials, 500))
     elif args.suite == "all":
         checks = suites.run_all(args.trials, args.seed,
                                 min(args.trials, 500))

@@ -8,22 +8,25 @@ conditioned on partial information, the conditional bipartite states with
 their weights, and the distance and mutual-information diagnostics that
 certify the construction on explicit strategies.
 
-Assignments of the auxiliary variables are passed as {name: value} dicts
-using the same variable names as the joint tables ("d2", "m2", "x3", ...).
+The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
+is one finite variable: it is passed as a flat index into that coordinate's
+`ContextTable`.  Pointer constraints of the operator families are
+{name: value} dicts using the same variable names as the joint tables
+("d2", "m2", "x3", ...).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
 from .games import Game, a_names, b_names, win_set, x_names, y_names
 from .infotheory import CQState, cq_mutual_information
-from .prob import (MAX_TABLE_ENTRIES, FiniteDistribution, Kernel,
+from .prob import (MAX_TABLE_ENTRIES, ZERO_MASS, FiniteDistribution, Kernel,
                    ZeroProbabilityEvent, product_extend)
 from .strategy import EntangledStrategy, born_joint, symmetrize
 
@@ -304,7 +307,6 @@ class UsefulnessReport:
     skipped: int
     max_residual: float
     max_null_mass: float
-    rows: list = field(default_factory=list, repr=False)
 
     def ok(self, atol: float = 1e-8) -> bool:
         return self.max_residual <= atol and self.max_null_mass <= atol
@@ -316,7 +318,6 @@ class WeightReport:
     contexts: int
     max_abs_error: float
     max_sum_error: float
-    rows: list = field(default_factory=list, repr=False)
 
     def ok(self, atol: float = 1e-8) -> bool:
         return self.max_abs_error <= atol and self.max_sum_error <= atol
@@ -331,7 +332,6 @@ class SampleabilityReport:
     per_coord: dict
     skipped_mass: float
     max_triangle_slack: float
-    rows: list = field(default_factory=list, repr=False)
 
 
 @dataclass(frozen=True)
@@ -342,6 +342,52 @@ class XiRazReport:
     tight_bound: float
     ok: bool
     per_coord: tuple
+
+
+@dataclass(frozen=True)
+class ContextTable:
+    """Law of one free coordinate's dependency-breaking value r.
+
+    r = (omega, a_C, b_C) is indexed flat over the variables `names` with
+    sizes `sizes`: omega (the other free coordinates' pointers, then the
+    held questions x_C and y_C), then the held answers a_C and b_C, with
+    `held` = |C|.  joint[r, x_i, y_i, a_i, b_i] is the extended table's
+    marginal, and held_won[r] marks the contexts that win every held round.
+    """
+    names: tuple
+    sizes: tuple
+    held: int
+    joint: np.ndarray
+    held_won: np.ndarray
+
+    def split(self, flat: int) -> tuple:
+        """(omega as a {name: value} dict, a_C, b_C) of a flat r."""
+        vals = tuple(int(v) for v in np.unravel_index(flat, self.sizes))
+        k = len(vals) - 2 * self.held
+        return (dict(zip(self.names[:k], vals[:k])),
+                vals[k:k + self.held], vals[k + self.held:])
+
+    def law(self, x: int | None = None,
+            y: int | None = None) -> np.ndarray | None:
+        """Flat law of r given that every held round is won and, when set,
+        x_i = x and y_i = y.
+
+        Returns None when that evidence has conditional mass at most
+        ZERO_MASS, the cut `FiniteDistribution.given` makes; raises
+        ZeroProbabilityEvent when the held rounds are never all won.
+        """
+        won = self.joint.sum(axis=(3, 4)) * self.held_won[:, None, None]
+        total = float(won.sum())
+        if total <= ZERO_MASS:
+            raise ZeroProbabilityEvent("holdout rounds are never all won")
+        won = won / total
+        if x is not None:
+            won = won[:, x:x + 1]
+        if y is not None:
+            won = won[:, :, y:y + 1]
+        p = won.sum(axis=(1, 2))
+        mass = float(p.sum())
+        return p / mass if mass > ZERO_MASS else None
 
 
 class DepBreakComputer:
@@ -377,6 +423,8 @@ class DepBreakComputer:
                     "bob": (rho_b + rho_b.conj().T) / 2}
         self._coarse_cache = {}
         self._aligned_cache = {}
+        self._fine_cache = {}
+        self._contexts = {}
         self._held_sums = {"alice": self._sum_ops("alice", self.C),
                            "bob": self._sum_ops("bob", self.C)}
         self._fine_sums = {}
@@ -398,23 +446,22 @@ class DepBreakComputer:
         names.extend(b_names(self.n)[c] for c in self.C)
         return tuple(names)
 
-    def _support(self, names: tuple):
-        """Assignments of the named variables with positive probability."""
-        if not names:
-            yield {}, 1.0
-            return
-        marg = self.qext.marginal(names) if all(
-            n_ in self.qext.names for n_ in names) else self.ext.marginal(names)
-        table = marg.table
-        for idx in np.argwhere(table > SUPPORT_MASS):
-            yield dict(zip(names, (int(v) for v in idx))), float(table[tuple(idx)])
-
-    def r_support(self, i: int):
-        names = self.r_names(i)
-        marg = self.ext.marginal(names)
-        for idx in np.argwhere(marg.table > SUPPORT_MASS):
-            yield dict(zip(names, (int(v) for v in idx))), float(
-                marg.table[tuple(idx)])
+    def contexts(self, i: int) -> ContextTable:
+        """The context table of free coordinate i, built once."""
+        if i not in self._contexts:
+            names = self.r_names(i)
+            marg = self.ext.marginal(names + (
+                x_names_at(i), y_names_at(i), a_names(self.n)[i],
+                b_names(self.n)[i]))
+            sizes = marg.sizes[:len(names)]
+            # the held variables are r's trailing axes, grouped by kind
+            held = win_set(self.game, self.n, self.C)
+            perm = [4 * t + v for v in range(4) for t in range(len(self.C))]
+            won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
+            self._contexts[i] = ContextTable(
+                names, sizes, len(self.C),
+                marg.table.reshape((-1,) + marg.sizes[len(names):]), won)
+        return self._contexts[i]
 
     # ---- measurement operators ------------------------------------------
 
@@ -448,6 +495,12 @@ class DepBreakComputer:
         else:
             yield tuple(fixed[nm] for nm in names), 1.0
 
+    def _question_average(self, side: str, sums: dict,
+                          constraints: dict) -> np.ndarray:
+        """Per-question operators averaged over the side's question law."""
+        return sum(w * sums[q]
+                   for q, w in self._question_support(side, constraints))
+
     def coarse_family(self, side: str, constraints: dict) -> np.ndarray:
         """Held-round answer POVM averaged over the unknown questions.
 
@@ -456,13 +509,8 @@ class DepBreakComputer:
         """
         key = (side, tuple(sorted(constraints.items())))
         if key not in self._coarse_cache:
-            sums = self._held_sums[side]
-            shape = (self.game.a_size if side == "alice"
-                     else self.game.b_size,) * len(self.C) + (self.d, self.d)
-            out = np.zeros(shape, dtype=np.complex128)
-            for q, w in self._question_support(side, constraints):
-                out += w * sums[q]
-            self._coarse_cache[key] = out
+            self._coarse_cache[key] = self._question_average(
+                side, self._held_sums[side], constraints)
         return self._coarse_cache[key]
 
     def fine_coarse_family(self, side: str, i: int,
@@ -471,15 +519,11 @@ class DepBreakComputer:
 
         Output axes: held coordinates in ascending order, then round i.
         """
-        sums = self._fine_sum_ops(side, i)
+        out = self._question_average(side, self._fine_sum_ops(side, i),
+                                     constraints)
         kept = tuple(sorted(self.C + (i,)))
-        k = self.game.a_size if side == "alice" else self.game.b_size
-        out = np.zeros((k,) * len(kept) + (self.d, self.d), dtype=np.complex128)
-        for q, w in self._question_support(side, constraints):
-            out += w * sums[q]
         perm = [kept.index(c) for c in self.C] + [kept.index(i)]
-        out = np.transpose(out, perm + [len(kept), len(kept) + 1])
-        return out
+        return np.transpose(out, perm + [len(kept), len(kept) + 1])
 
     def aligned(self, side: str, constraints: dict, held) -> tuple:
         """Aligned factor (S, U) for one held-answer value in one context."""
@@ -494,35 +538,42 @@ class DepBreakComputer:
     def fine_family(self, side: str, i: int, constraints: dict,
                     held) -> np.ndarray:
         held = tuple(int(v) for v in held)
-        s_op, _ = self.aligned(side, constraints, held)
-        fam = self.fine_coarse_family(side, i, constraints)
-        return fine_povm(s_op, fam[held])
+        key = (side, i, tuple(sorted(constraints.items())), held)
+        if key not in self._fine_cache:
+            s_op, _ = self.aligned(side, constraints, held)
+            fam = self.fine_coarse_family(side, i, constraints)
+            self._fine_cache[key] = fine_povm(s_op, fam[held])
+        return self._fine_cache[key]
+
+    def fine_families(self, i: int, r_a: int, r_b: int, x_i: int,
+                      y_i: int) -> tuple:
+        """Alice's fine family from her flat r_a, Bob's from his r_b."""
+        table = self.contexts(i)
+        omega_a, a_c, _ = table.split(r_a)
+        omega_b, _, b_c = table.split(r_b)
+        return (self.fine_family(
+                    "alice", i, {**omega_a, x_names_at(i): x_i}, a_c),
+                self.fine_family(
+                    "bob", i, {**omega_b, y_names_at(i): y_i}, b_c))
 
     # ---- states ----------------------------------------------------------
 
-    def _split_r(self, i: int, r: dict) -> tuple:
-        omega = {k: v for k, v in r.items()
-                 if not (k.startswith("a") or k.startswith("b"))}
-        a_c = tuple(r[a_names(self.n)[c]] for c in self.C)
-        b_c = tuple(r[b_names(self.n)[c]] for c in self.C)
-        return omega, a_c, b_c
-
-    def state_for(self, i: int, r: dict, x_i: int, y_i: int) -> tuple:
-        """Dependency-breaking state and weight for (r, x_i, y_i)."""
-        omega, a_c, b_c = self._split_r(i, r)
+    def state_for(self, i: int, r: int, x_i: int, y_i: int) -> tuple:
+        """Dependency-breaking state and weight for (flat r, x_i, y_i)."""
+        omega, a_c, b_c = self.contexts(i).split(r)
         s_op, _ = self.aligned("alice", {**omega, x_names_at(i): x_i}, a_c)
         t_op, _ = self.aligned("bob", {**omega, y_names_at(i): y_i}, b_c)
         return dep_state(s_op, t_op, self.strategy.psi)
 
-    def state_variants(self, i: int, r: dict, x_i: int, y_i: int) -> dict:
+    def state_variants(self, i: int, r: int, x_i: int, y_i: int) -> dict:
         """The target state plus the two one-sided approximations.
 
         "xy": both players pin their own question of round i.
         "x":  round i's pointer set to Alice's question; Bob averages y_i.
         "y":  round i's pointer set to Bob's question; Alice averages x_i.
-        Values are (state, weight) pairs.
+        Values are (state, weight) pairs; r is a flat index.
         """
-        omega, a_c, b_c = self._split_r(i, r)
+        omega, a_c, b_c = self.contexts(i).split(r)
         own_x = {**omega, x_names_at(i): x_i}
         own_y = {**omega, y_names_at(i): y_i}
         via_x = {**omega, d_name(i): ALICE, m_name(i): x_i}
@@ -544,127 +595,94 @@ class DepBreakComputer:
                 if self.game.mu[x, y] > 0.0:
                     yield x, y
 
-    def usefulness_check(self, coords=None, atol: float = 1e-8,
-                         keep_rows: bool = False) -> UsefulnessReport:
+    def usefulness_check(self, coords=None) -> UsefulnessReport:
         """Compare fine-measurement statistics on the conditional states
-        against the answer distribution of the extended table."""
+        against the answer distribution of the extended table.
+
+        Contexts r of probability at most SUPPORT_MASS are not visited; a
+        visited (r, x_i, y_i) with no state or with mass at most ZERO_MASS
+        counts as skipped.
+        """
         coords = tuple(coords) if coords is not None else self.free
-        an, bn = a_names(self.n), b_names(self.n)
         ka, kb = self.game.a_size, self.game.b_size
         max_res = 0.0
         max_null = 0.0
         contexts = 0
         skipped = 0
-        rows = []
         for i in coords:
-            for r, _pr in self.r_support(i):
-                omega, a_c, b_c = self._split_r(i, r)
+            joint = self.contexts(i).joint
+            support = joint.sum(axis=(1, 2, 3, 4)) > SUPPORT_MASS
+            for r in np.flatnonzero(support).tolist():
                 for x_i, y_i in self._question_pairs():
-                    state, weight = self.state_for(i, r, x_i, y_i)
-                    if state is None:
+                    state, _weight = self.state_for(i, r, x_i, y_i)
+                    cell = joint[r, x_i, y_i]
+                    mass = float(cell.sum())
+                    if state is None or mass <= ZERO_MASS:
                         skipped += 1
                         continue
-                    try:
-                        cond = self.ext.given(
-                            {**r, x_names_at(i): x_i, y_names_at(i): y_i})
-                    except ZeroProbabilityEvent:
-                        skipped += 1
-                        continue
-                    table = cond.marginal((an[i], bn[i])).table
-                    fa = self.fine_family(
-                        "alice", i, {**omega, x_names_at(i): x_i}, a_c)
-                    fb = self.fine_family(
-                        "bob", i, {**omega, y_names_at(i): y_i}, b_c)
+                    fa, fb = self.fine_families(i, r, r, x_i, y_i)
                     born = pure_born_table(state, fa, fb)
-                    res = float(np.abs(born[:ka, :kb] - table).max())
+                    res = float(np.abs(born[:ka, :kb] - cell / mass).max())
                     null = float(abs(born[ka, :].sum())
                                  + abs(born[:ka, kb].sum()))
                     max_res = max(max_res, res)
                     max_null = max(max_null, null)
                     contexts += 1
-                    if keep_rows:
-                        rows.append({
-                            "i": i,
-                            "omega": _format_assign(omega),
-                            "a_c": ",".join(str(v) for v in a_c),
-                            "b_c": ",".join(str(v) for v in b_c),
-                            "x_i": x_i, "y_i": y_i,
-                            "weight": weight, "residual": res})
-        return UsefulnessReport(coords, contexts, skipped, max_res, max_null,
-                                rows)
+        return UsefulnessReport(coords, contexts, skipped, max_res, max_null)
 
-    def weight_check(self, coords=None, keep_rows: bool = False) -> WeightReport:
+    def weight_check(self, coords=None) -> WeightReport:
         """Compare every state weight against the table conditional, and
         check the weights over held answers sum to one per context."""
         coords = tuple(coords) if coords is not None else self.free
-        an, bn = a_names(self.n), b_names(self.n)
-        held_a = tuple(an[c] for c in self.C)
-        held_b = tuple(bn[c] for c in self.C)
+        n_a = self.game.a_size ** len(self.C)
+        n_b = self.game.b_size ** len(self.C)
         max_err = 0.0
         max_sum = 0.0
         contexts = 0
-        rows = []
         for i in coords:
-            names = self.omega_names(i)
-            for omega, _pw in self._support(names):
+            full = self.contexts(i).joint
+            # axes: omega, a_C, b_C, x_i, y_i, a_i, b_i
+            joint = full.reshape((-1, n_a, n_b) + full.shape[1:])
+            support = joint.sum(axis=(1, 2, 3, 4, 5, 6)) > SUPPORT_MASS
+            for omega in np.flatnonzero(support).tolist():
                 for x_i, y_i in self._question_pairs():
-                    try:
-                        cond = self.ext.given(
-                            {**omega, x_names_at(i): x_i, y_names_at(i): y_i})
-                    except ZeroProbabilityEvent:
+                    cell = joint[omega, :, :, x_i, y_i]
+                    mass = float(cell.sum())
+                    if mass <= ZERO_MASS:
                         continue
-                    table = cond.marginal(held_a + held_b).table
+                    held = (cell.sum(axis=(2, 3)) / mass).ravel().tolist()
                     total = 0.0
-                    for a_c in itertools.product(range(self.game.a_size),
-                                                 repeat=len(self.C)):
-                        for b_c in itertools.product(range(self.game.b_size),
-                                                     repeat=len(self.C)):
-                            r = dict(omega)
-                            r.update(zip(held_a, a_c))
-                            r.update(zip(held_b, b_c))
-                            _st, w = self.state_for(i, r, x_i, y_i)
-                            err = abs(w - float(table[a_c + b_c]))
-                            max_err = max(max_err, err)
-                            total += w
-                            if keep_rows:
-                                rows.append({
-                                    "i": i, "omega": _format_assign(omega),
-                                    "a_c": ",".join(map(str, a_c)),
-                                    "b_c": ",".join(map(str, b_c)),
-                                    "x_i": x_i, "y_i": y_i,
-                                    "weight": w, "residual": err})
+                    for r, want in enumerate(held, start=omega * n_a * n_b):
+                        _st, w = self.state_for(i, r, x_i, y_i)
+                        max_err = max(max_err, abs(w - want))
+                        total += w
                     max_sum = max(max_sum, abs(total - 1.0))
                     contexts += 1
-        return WeightReport(coords, contexts, max_err, max_sum, rows)
+        return WeightReport(coords, contexts, max_err, max_sum)
 
-    def sampleability_distances(self, coords=None,
-                                keep_rows: bool = False) -> SampleabilityReport:
+    def sampleability_distances(self, coords=None) -> SampleabilityReport:
         """Average Euclidean distances between the target states and their
-        one-sided approximations, weighted by the conditioned context law."""
+        one-sided approximations, weighted by the conditioned context law
+        mu(x_i, y_i) P(r | x_i, y_i, every held round won).  As in the
+        exact reduction, r of conditional probability at most SUPPORT_MASS
+        is left out."""
         coords = tuple(coords) if coords is not None else self.free
-        event = win_set(self.game, self.n, self.C)
-        cond = self.ext.condition(event)
         per = {}
-        rows = []
         skipped_mass = 0.0
         max_tri = 0.0
         for i in coords:
-            names = self.r_names(i)
+            table = self.contexts(i)
             acc = np.zeros(3)
             mass = 0.0
             for x_i, y_i in self._question_pairs():
                 w_q = float(self.game.mu[x_i, y_i])
-                try:
-                    ctx = cond.given({x_names_at(i): x_i,
-                                      y_names_at(i): y_i})
-                except ZeroProbabilityEvent:
+                law = table.law(x_i, y_i)
+                if law is None:
                     skipped_mass += w_q
                     continue
-                marg = ctx.marginal(names)
-                for idx in np.argwhere(marg.table > SUPPORT_MASS):
-                    w = w_q * float(marg.table[tuple(idx)])
-                    assign = dict(zip(names, (int(v) for v in idx)))
-                    variants = self.state_variants(i, assign, x_i, y_i)
+                for r in np.flatnonzero(law > SUPPORT_MASS).tolist():
+                    w = w_q * float(law[r])
+                    variants = self.state_variants(i, r, x_i, y_i)
                     if any(v[0] is None for v in variants.values()):
                         skipped_mass += w
                         continue
@@ -676,19 +694,13 @@ class DepBreakComputer:
                     max_tri = max(max_tri, d_x - d_a - d_b)
                     acc += w * np.array([d_a, d_b, d_x])
                     mass += w
-                    if keep_rows:
-                        rows.append({"i": i, "omega": _format_assign(assign),
-                                     "x_i": x_i, "y_i": y_i, "weight": w,
-                                     "d_alice": d_a, "d_bob": d_b,
-                                     "d_cross": d_x})
             if mass <= 0.0:
                 raise ZeroProbabilityEvent(
                     "no context with positive weight survives conditioning")
             per[i] = tuple(acc / mass)
         avg = np.mean([per[i] for i in coords], axis=0)
         return SampleabilityReport(coords, float(avg[0]), float(avg[1]),
-                                   float(avg[2]), per, skipped_mass, max_tri,
-                                   rows)
+                                   float(avg[2]), per, skipped_mass, max_tri)
 
     def xi_raz_check(self, side: str = "alice",
                      tol: float = 1e-6) -> XiRazReport:
@@ -714,7 +726,10 @@ class DepBreakComputer:
         tight = len(self.C) * math.log2(k) / m
 
         per_terms = {i: 0.0 for i in self.free}
-        for omega, p_omega in self._support(omega_full):
+        omega_marg = self.qext.marginal(omega_full).table
+        for idx in np.argwhere(omega_marg > SUPPORT_MASS):
+            omega = dict(zip(omega_full, (int(v) for v in idx)))
+            p_omega = float(omega_marg[tuple(idx)])
             cond = self.qext.given(omega)
             remaining = [nm for nm in own_names if nm in cond.names]
             if remaining:
@@ -768,6 +783,3 @@ class DepBreakComputer:
     def skew_report(self) -> SkewReport:
         return skew_distances(self.ext, self.game, self.n, self.C)
 
-
-def _format_assign(assign: dict) -> str:
-    return ",".join(f"{k}={assign[k]}" for k in sorted(assign))

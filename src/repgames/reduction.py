@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .corrsamp import (qcs_error_against, qcs_execute, qcs_isometry,
                        shared_stream_sample)
-from .depbreak import (DepBreakComputer, choose_C, pure_born_table,
-                       x_names_at, y_names_at)
-from .games import Game, a_names, b_names, win_set
-from .prob import ZeroProbabilityEvent
+from .depbreak import (SUPPORT_MASS, DepBreakComputer, choose_C,
+                       pure_born_table)
+from .games import Game, win_set
+from .prob import ZERO_MASS, ZeroProbabilityEvent
 from .strategy import EntangledStrategy
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
@@ -128,9 +128,9 @@ class SingleShotStrategy:
         self.computer = DepBreakComputer(g, n, cfg.strategy, c_set)
         self.C = self.computer.C
         self.free = self.computer.free
-        self.cond = self.computer.ext.condition(win_set(g, n, self.C))
         self.p_win_c = float(self.computer.ext.prob(win_set(g, n, self.C)))
-        self._r_dims = {}
+        if self.p_win_c <= ZERO_MASS:
+            raise ZeroProbabilityEvent("holdout rounds are never all won")
         self._law_cache = {}
         self._win_cache = {}
         win = np.asarray(g.predicate, dtype=float)
@@ -141,21 +141,19 @@ class SingleShotStrategy:
     # ---- dependency-breaking value bookkeeping ---------------------------
 
     def r_dims(self, i: int) -> tuple:
-        if i not in self._r_dims:
-            names = self.computer.r_names(i)
-            marg = self.cond.marginal(names)
-            self._r_dims[i] = (names, tuple(marg.sizes))
-        return self._r_dims[i]
+        table = self.computer.contexts(i)
+        return table.names, table.sizes
 
-    def r_to_flat(self, i: int, r: dict) -> int:
+    def r_to_flat(self, i: int, r: tuple) -> int:
+        """Flat index of r given as flat_to_r returns it."""
+        omega, a_c, b_c = r
         names, sizes = self.r_dims(i)
         return int(np.ravel_multi_index(
-            tuple(r[nm] for nm in names), sizes))
+            tuple(omega[nm] for nm in names[:len(omega)]) + a_c + b_c, sizes))
 
-    def flat_to_r(self, i: int, flat: int) -> dict:
-        names, sizes = self.r_dims(i)
-        return dict(zip(names, (int(v) for v in
-                                np.unravel_index(flat, sizes))))
+    def flat_to_r(self, i: int, flat: int) -> tuple:
+        """(omega, a_C, b_C) of a flat r index."""
+        return self.computer.contexts(i).split(flat)
 
     def law(self, i: int, kind: str, x: int | None = None,
             y: int | None = None) -> np.ndarray | None:
@@ -166,31 +164,12 @@ class SingleShotStrategy:
         """
         key = (i, kind, x, y)
         if key not in self._law_cache:
-            names, _sizes = self.r_dims(i)
-            evidence = {}
-            if kind in ("joint", "alice"):
-                evidence[x_names_at(i)] = int(x)
-            if kind in ("joint", "bob"):
-                evidence[y_names_at(i)] = int(y)
-            try:
-                table = self.cond.given(evidence).marginal(names).table
-                self._law_cache[key] = table.ravel().copy()
-            except ZeroProbabilityEvent:
-                self._law_cache[key] = None
+            self._law_cache[key] = self.computer.contexts(i).law(
+                x if kind in ("joint", "alice") else None,
+                y if kind in ("joint", "bob") else None)
         return self._law_cache[key]
 
     # ---- per-context evaluation ------------------------------------------
-
-    def _fine_ops(self, i: int, r_a: dict, r_b: dict, x: int,
-                  y: int) -> tuple:
-        """Alice's fine family from her r_a, Bob's from his r_b."""
-        omega_a, a_c, _ = self.computer._split_r(i, r_a)
-        omega_b, _, b_c = self.computer._split_r(i, r_b)
-        fa = self.computer.fine_family(
-            "alice", i, {**omega_a, x_names_at(i): x}, a_c)
-        fb = self.computer.fine_family(
-            "bob", i, {**omega_b, y_names_at(i): y}, b_c)
-        return fa, fb
 
     def _born_table_mixed(self, rho: np.ndarray, fa: np.ndarray,
                           fb: np.ndarray) -> np.ndarray:
@@ -211,17 +190,16 @@ class SingleShotStrategy:
         key = (i, ra, rb, x, y)
         if key in self._win_cache:
             return self._win_cache[key]
-        out = self._context_win(i, self.flat_to_r(i, ra),
-                                self.flat_to_r(i, rb), x, y)
+        out = self._context_win(i, ra, rb, x, y)
         self._win_cache[key] = out
         return out
 
-    def _context_win(self, i: int, r_a: dict, r_b: dict, x: int,
+    def _context_win(self, i: int, r_a: int, r_b: int, x: int,
                      y: int) -> tuple:
         ref_state, _w = self.computer.state_for(i, r_a, x, y)
         if ref_state is None:
             return 0.0, 0.0, False
-        fa, fb = self._fine_ops(i, r_a, r_b, x, y)
+        fa, fb = self.computer.fine_families(i, r_a, r_b, x, y)
         err = 0.0
         if self.cfg.mode_quantum == "embezzle":
             state_a, _ = self.computer.state_variants(i, r_a, x, y)["x"]
@@ -258,13 +236,20 @@ class SingleShotStrategy:
 
 
 def _reference_win(shot: SingleShotStrategy, i: int) -> float:
-    g, n = shot.cfg.game, shot.cfg.n
-    return float(shot.cond.prob(win_set(g, n, (i,))))
+    """P(win round i | every held round won), from the context table."""
+    table = shot.computer.contexts(i)
+    won = table.joint[table.held_won]
+    return float((won * shot.cfg.game.predicate).sum() / won.sum())
 
 
 def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
-    """Closed-form P-tilde for one coordinate plus error accounting."""
+    """Closed-form P-tilde for one coordinate plus error accounting.
+
+    Contexts are weighted by mu(x, y) P(r | x, y, every held round won);
+    r of conditional probability at most SUPPORT_MASS is left out.
+    """
     g = shot.cfg.game
+    joint = shot.computer.contexts(i).joint
     p_tilde = 0.0
     err_acc = 0.0
     crosscheck = 0.0
@@ -280,7 +265,7 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
                 invalid_mass += w_q
                 invalid_count += 1
                 continue
-            for flat in np.flatnonzero(law > 1e-14).tolist():
+            for flat in np.flatnonzero(law > SUPPORT_MASS).tolist():
                 w = w_q * float(law[flat])
                 p, err, valid = shot.context_win(i, flat, flat, x, y)
                 if not valid:
@@ -290,13 +275,9 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
                 p_tilde += w * p
                 err_acc += w * min(err, 1.0)
                 if shot.cfg.mode_quantum == "oracle_state":
-                    table = shot.cond.given(
-                        {**shot.flat_to_r(i, flat), x_names_at(i): x,
-                         y_names_at(i): y}).marginal(
-                        (a_names(shot.cfg.n)[i],
-                         b_names(shot.cfg.n)[i])).table
-                    brute = float(sum(table[a, b]
-                                      for a, b in shot._win_pairs[(x, y)]))
+                    cell = joint[flat, x, y]
+                    brute = float((cell * g.predicate[x, y]).sum()
+                                  / cell.sum())
                     crosscheck = max(crosscheck, abs(p - brute))
     return p_tilde, err_acc, crosscheck, invalid_mass, invalid_count
 

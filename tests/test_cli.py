@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from repgames import suites
 from repgames.cli import main
 
 
@@ -18,7 +19,7 @@ def test_verify_matcore_suite(capsys):
     payload = json.loads(out)
     assert payload["passed"]
     names = [c["name"] for c in payload["checks"]]
-    assert len(names) == 3
+    assert names == [c.name for c in suites.run_matrix_suite(1, 0)]
     assert all(c["violations"] == 0 for c in payload["checks"])
 
 
@@ -27,7 +28,8 @@ def test_verify_entropy_suite(capsys):
                               "--trials", "20")
     assert code == 0
     payload = json.loads(out)
-    assert len(payload["checks"]) == 5
+    assert ([c["name"] for c in payload["checks"]]
+            == [c.name for c in suites.run_entropy_suite(1, 0, 1)])
     assert payload["passed"]
 
 
@@ -209,7 +211,7 @@ def test_verify_out_writes_files(tmp_path, capsys):
     assert payload["passed"]
     lines = (tmp_path / "suite.csv").read_text().strip().splitlines()
     assert lines[0] == "name,trials,violations,max_slack,details"
-    assert len(lines) == 4
+    assert len(lines) == 1 + len(payload["checks"])
 
 
 def test_run_mode_shorthand_sets_both_modes(capsys):

@@ -5,9 +5,12 @@ from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
                                choose_C, dep_state, extended_joint, fine_povm,
                                pure_born_table, skew_distances)
-from repgames.games import always_win, chsh, win_set
-from repgames.prob import ZeroProbabilityEvent, tv_distance
-from repgames.strategy import born_joint, strategy_fixture
+from repgames.games import always_win, asym3, chsh, win_set
+from repgames.prob import ZERO_MASS, ZeroProbabilityEvent, tv_distance
+from repgames.reduction import (ReductionConfig, SingleShotStrategy,
+                                run_reduction)
+from repgames.strategy import (DeterministicStrategy, as_entangled, born_joint,
+                               strategy_fixture)
 
 PRINTING_ITEM2 = 0.04099582234676859
 PRINTING_DELTA = 2.2522279662062052
@@ -318,20 +321,20 @@ def test_state_weights_match_brute_force_conditionals(printing_computer):
     of the held answers read off the extended table."""
     comp = printing_computer
     ext = comp.ext
+    table = comp.contexts(0)
+    support = table.joint.sum(axis=(1, 2, 3, 4)) > 1e-12
     checked = 0
-    for r, _pr in comp.r_support(0):
-        omega = {k: v for k, v in r.items()
-                 if not (k.startswith("a") or k.startswith("b"))}
+    for r in np.flatnonzero(support).tolist():
+        omega, (a2,), (b2,) = table.split(r)
         for x_i in range(2):
             for y_i in range(2):
                 try:
                     cond = ext.given({**omega, "x1": x_i, "y1": y_i})
                 except ZeroProbabilityEvent:
                     continue
-                table = cond.marginal(("a2", "b2")).table
+                held = cond.marginal(("a2", "b2")).table
                 _st, w = comp.state_for(0, r, x_i, y_i)
-                expect = float(table[r["a2"], r["b2"]])
-                assert abs(w - expect) < 1e-8
+                assert abs(w - float(held[a2, b2])) < 1e-8
                 checked += 1
     assert checked > 0
 
@@ -369,3 +372,98 @@ def test_usefulness_check_tsirelson_exact():
     assert rep.max_residual <= 1e-10
     wrep = comp.weight_check()
     assert wrep.max_abs_error <= 1e-10
+
+
+def asym3_config():
+    """asym3 (three questions, non-uniform mu) at n=2, C=(1,), played by
+    answer functions that read both rounds' questions."""
+    g = asym3()
+    rng = np.random.default_rng(11)
+    det = DeterministicStrategy(2, rng.integers(0, 2, size=(3, 3, 2)),
+                                rng.integers(0, 2, size=(3, 3, 2)))
+    return ReductionConfig(game=g, n=2, strategy=as_entangled(det, g), C=(1,))
+
+
+def printing_config(C):
+    return ReductionConfig(game=chsh(), n=3,
+                           strategy=strategy_fixture("printing", 3), C=C)
+
+
+@pytest.mark.parametrize("make_config", [
+    pytest.param(lambda: printing_config((1,)), id="printing-C1"),
+    pytest.param(lambda: printing_config((0, 1)), id="printing-C01"),
+    pytest.param(asym3_config, id="asym3-C1")])
+def test_context_table_matches_per_context_conditionals(make_config):
+    """The context table against conditioning the extended table on each
+    context, the per-context path the checks used before the table."""
+    cfg = make_config()
+    shot = SingleShotStrategy(cfg)
+    comp = shot.computer
+    g, n, ext = cfg.game, cfg.n, comp.ext
+    cond = ext.condition(win_set(g, n, comp.C))
+    pairs = [(x, y) for x in range(g.x_size) for y in range(g.y_size)
+             if g.mu[x, y] > 0.0]
+    for i in comp.free:
+        table = comp.contexts(i)
+        round_i = (f"x{i + 1}", f"y{i + 1}", f"a{i + 1}", f"b{i + 1}")
+        for r in range(table.joint.shape[0]):
+            assign = dict(zip(table.names, (int(v) for v in
+                                            np.unravel_index(r, table.sizes))))
+            assert table.split(r) == (
+                {k: v for k, v in assign.items() if k[0] not in "ab"},
+                tuple(assign[f"a{c + 1}"] for c in comp.C),
+                tuple(assign[f"b{c + 1}"] for c in comp.C))
+            assert shot.r_to_flat(i, shot.flat_to_r(i, r)) == r
+            for x, y in pairs:
+                cell = table.joint[r, x, y]
+                try:
+                    want = ext.given({**assign, round_i[0]: x,
+                                      round_i[1]: y}).marginal(round_i[2:])
+                except ZeroProbabilityEvent:
+                    assert cell.sum() <= ZERO_MASS
+                    continue
+                assert np.abs(cell / cell.sum() - want.table).max() < 1e-12
+        for kind in ("joint", "alice", "bob"):
+            for x, y in pairs:
+                evidence = {}
+                if kind in ("joint", "alice"):
+                    evidence[round_i[0]] = x
+                if kind in ("joint", "bob"):
+                    evidence[round_i[1]] = y
+                got = shot.law(i, kind, x, y)
+                try:
+                    want = cond.given(evidence).marginal(table.names)
+                except ZeroProbabilityEvent:
+                    assert got is None
+                    continue
+                assert np.abs(got - want.table.ravel()).max() < 1e-12
+
+
+def test_checks_and_exact_reduction_on_asym3():
+    cfg = asym3_config()
+    comp = DepBreakComputer(cfg.game, cfg.n, cfg.strategy, cfg.C)
+    use = comp.usefulness_check()
+    assert use.contexts > 0 and use.ok()
+    wts = comp.weight_check()
+    assert wts.contexts > 0 and wts.ok()
+    samp = comp.sampleability_distances()
+    assert samp.max_triangle_slack <= 1e-9
+    rep = run_reduction(cfg)
+    assert rep.invalid_contexts == 0
+    assert rep.max_context_crosscheck <= 1e-8
+    # conditioning on round 2 skews round 1's questions here, so p_tilde
+    # is the mu-weighted conditional win and differs from p_ref
+    g = cfg.game
+    cond = born_joint(g, 2, cfg.strategy).condition(win_set(g, 2, (1,)))
+    want = sum(g.mu[x, y] * float((cond.given({"x1": x, "y1": y}).marginal(
+        ("a1", "b1")).table * g.predicate[x, y]).sum())
+        for x in range(3) for y in range(3))
+    assert abs(rep.avg_p_tilde - want) < 1e-12
+    assert abs(rep.avg_p_ref - cond.prob(win_set(g, 2, (0,)))) < 1e-12
+
+
+def test_fine_family_is_built_once_per_key(printing_computer):
+    comp = printing_computer
+    first = comp.fine_family("alice", 0, {"x1": 1, "x2": 0, "y2": 1}, (0,))
+    again = comp.fine_family("alice", 0, {"y2": 1, "x2": 0, "x1": 1}, [0])
+    assert again is first
