@@ -35,6 +35,12 @@ class UsageError(ValueError):
     pass
 
 
+def _require_positive(flag: str, value: int) -> None:
+    """Refuse a count below one: a run over no items would pass vacuously."""
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _load_game(spec: str) -> Game:
     if spec in GAME_FIXTURES:
         return fixture(spec)
@@ -45,6 +51,7 @@ def _load_game(spec: str) -> Game:
 
 
 def _load_strategy(spec: str, n: int) -> EntangledStrategy:
+    _require_positive("--n", n)
     if spec in STRATEGY_FIXTURES:
         return strategy_fixture(spec, n)
     path = Path(spec)
@@ -126,6 +133,7 @@ def _suite_payload(name: str, config: dict, checks: list) -> dict:
 def cmd_verify(args) -> int:
     from .infotheory import CheckResult
 
+    _require_positive("--trials", args.trials)
     config = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
               "game": args.game, "strategy": args.strategy, "n": args.n,
               "C": args.C}
@@ -190,6 +198,9 @@ def cmd_verify(args) -> int:
 
 
 def _run_values(args) -> int:
+    _require_positive("--n", args.n)
+    _require_positive("--d", args.d)
+    _require_positive("--seeds", args.seeds)
     g = _load_game(args.game)
     rows = []
     entries = []

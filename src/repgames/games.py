@@ -87,7 +87,9 @@ def validate_game(g: Game) -> GameReport:
     rep = GameReport(ok=True)
     if min(g.x_size, g.y_size, g.a_size, g.b_size) < 1:
         rep.errors.append("alphabet sizes must be positive")
-    if float(g.mu.min(initial=0.0)) < -1e-12:
+    if not np.isfinite(g.mu).all():
+        rep.errors.append("mu has NaN or infinite weights")
+    elif float(g.mu.min(initial=0.0)) < -1e-12:
         rep.errors.append(f"mu has negative weight {g.mu.min():.3e}")
     total = float(g.mu.sum())
     if abs(total - 1.0) > 1e-12:
@@ -207,7 +209,10 @@ def save_game(g: Game, path) -> None:
 
 def _parse_weight(tok: str) -> float:
     if "/" in tok:
-        return float(Fraction(tok))
+        try:
+            return float(Fraction(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"weight {tok!r} divides by zero") from None
     return float(tok)
 
 
@@ -228,4 +233,8 @@ def load_game(path) -> Game:
                         dtype=bool).reshape(xs, ys, as_, bs)
     except KeyError as e:
         raise ValueError(f"game file missing field {e.args[0]!r}") from None
-    return Game(xs, ys, as_, bs, mu, pred, name=fields.get("name", "custom"))
+    g = Game(xs, ys, as_, bs, mu, pred, name=fields.get("name", "custom"))
+    errors = validate_game(g).errors
+    if errors:
+        raise ValueError(f"invalid game file: {errors[0]}")
+    return g

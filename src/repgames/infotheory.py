@@ -19,9 +19,7 @@ LOG2_E = float(np.log2(np.e))
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -Tr rho log2 rho of a density matrix, in bits."""
-    matcore.check_density(rho)
-    w, _ = matcore.eigh_desc(np.asarray(rho, dtype=np.complex128), "density matrix")
-    w = np.clip(w, 0.0, None)
+    _, w, _ = matcore.density_spectrum(rho)
     pos = w[w > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
@@ -44,32 +42,34 @@ def classical_relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
     return float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum())
 
 
+def _support(ws: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues counted in sigma's support."""
+    return ws > SUPPORT_TOL * max(float(ws.max()), 1e-300)
+
+
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy D(rho || sigma) in bits.
 
     Returns +inf when rho has weight outside sigma's support (eigenvalue
     tolerance SUPPORT_TOL relative to sigma's largest eigenvalue).
+    Only rho's spectrum and sigma's eigenspaces enter, so the plain LAPACK
+    decompositions of the density check serve.
     """
-    matcore.check_density(rho)
-    matcore.check_density(sigma)
-    rho = np.asarray(rho, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    wr, vr = matcore.eigh_desc(rho, "rho")
-    ws, vs = matcore.eigh_desc(sigma, "sigma")
-    wr = np.clip(wr, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    scale = max(float(ws.max()), 1e-300)
-    kernel = vs[:, ws <= SUPPORT_TOL * scale]
-    if kernel.shape[1] > 0:
-        leak = float(np.linalg.norm(kernel.conj().T @ (rho @ kernel), ord="fro"))
-        overlap = float(np.real(np.einsum("ij,jk,ki->", kernel.conj().T, rho, kernel)))
-        if overlap > SUPPORT_TOL or leak > SUPPORT_TOL:
+    rho, wr, _ = matcore.density_spectrum(rho)
+    _, ws, vs = matcore.density_spectrum(sigma, vectors=True)
+    ws = np.maximum(ws, 0.0)
+    keep = _support(ws)
+    rho_vs = rho @ vs
+    if not keep.all():
+        block = vs[:, ~keep].conj().T @ rho_vs[:, ~keep]
+        if (float(np.real(np.trace(block))) > SUPPORT_TOL
+                or float(np.linalg.norm(block)) > SUPPORT_TOL):
             return float("inf")
-    pos_r = wr > 0.0
-    h_rho = float(-(wr[pos_r] * np.log2(wr[pos_r])).sum())
-    keep = ws > SUPPORT_TOL * scale
-    log_sigma = (vs[:, keep] * np.log2(ws[keep])) @ vs[:, keep].conj().T
-    cross = float(np.real(np.trace(rho @ log_sigma)))
+    pos = wr[wr > 0.0]
+    h_rho = float(-(pos * np.log2(pos)).sum())
+    # Tr(rho log2 sigma) from the diagonal of rho in sigma's eigenbasis
+    diag = np.real((vs.conj() * rho_vs).sum(axis=0))
+    cross = float(np.log2(ws[keep]) @ diag[keep])
     return -h_rho - cross
 
 
@@ -80,23 +80,18 @@ def relative_min_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma^(-1/2) rho sigma^(-1/2) on sigma's support; +inf when rho leaks
     outside that support.
     """
-    matcore.check_density(rho)
-    matcore.check_density(sigma)
-    rho = np.asarray(rho, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    ws, vs = matcore.eigh_desc(sigma, "sigma")
-    ws = np.clip(ws, 0.0, None)
-    scale = max(float(ws.max()), 1e-300)
-    keep = ws > SUPPORT_TOL * scale
-    kernel = vs[:, ~keep]
-    if kernel.shape[1] > 0:
-        overlap = float(np.real(np.einsum("ij,jk,ki->", kernel.conj().T, rho, kernel)))
-        if overlap > SUPPORT_TOL:
+    rho = matcore.check_density(rho)
+    _, ws, vs = matcore.density_spectrum(sigma, vectors=True)
+    ws = np.maximum(ws, 0.0)
+    keep = _support(ws)
+    if not keep.all():
+        kernel = vs[:, ~keep]
+        if float(np.real(np.trace(kernel.conj().T @ rho @ kernel))) > SUPPORT_TOL:
             return float("inf")
-    inv_sqrt = (vs[:, keep] * (1.0 / np.sqrt(ws[keep]))) @ vs[:, keep].conj().T
-    mid = inv_sqrt @ rho @ inv_sqrt
-    w, _ = matcore.eigh_desc((mid + mid.conj().T) / 2, "weighted rho")
-    top = max(float(w[0]), 0.0)
+    # same nonzero spectrum as sigma^(-1/2) rho sigma^(-1/2)
+    half = vs[:, keep] / np.sqrt(ws[keep])
+    mid = half.conj().T @ rho @ half
+    top = max(float(np.linalg.eigvalsh((mid + mid.conj().T) / 2)[-1]), 0.0)
     if top == 0.0:
         return float("-inf")
     return float(np.log2(top))

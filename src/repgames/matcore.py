@@ -5,7 +5,9 @@ are safe to call from parallel workers.  Spectral decompositions follow a fixed
 convention -- values in descending order, exact ties broken by lexicographic
 comparison of the phase-normalized vectors, first nonzero component of every
 vector made real positive -- so identical inputs produce identical outputs
-across runs and platforms with the same BLAS.
+across runs and platforms with the same BLAS.  The convention is applied with
+whole-array operations: a tie-break is searched for only among exactly equal
+values, and the result is bit-identical to applying it one column at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ _PHASE_ATOL = 1e-12
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex128 ndarray, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
 
@@ -45,21 +47,29 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(as_complex_matrix(m), compute_uv=False).sum())
 
 
-def _lex_key(col: np.ndarray) -> tuple:
-    # interleaved (re, im, re, im, ...) rounded to 12 decimals
-    flat = np.ascontiguousarray(col, dtype=np.complex128).view(np.float64)
-    return tuple(np.round(flat, 12))
+def _pivots(vecs: np.ndarray) -> list:
+    """First entry above _PHASE_ATOL of every column, as numpy scalars.
+
+    The columns are unit vectors, so each has such an entry.
+    """
+    if vecs.shape[0] == 0:
+        return []
+    first = (np.abs(vecs) > _PHASE_ATOL).argmax(axis=0)
+    return list(vecs[first, np.arange(vecs.shape[1])])
 
 
-def _phase_normalize_columns(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_ATOL)
-        if nz.size:
-            piv = col[nz[0]]
-            out[:, k] = col * (abs(piv) / piv)
-    return out
+def _canonical_order(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Indices sorting w descending, exact ties by the rounded columns.
+
+    The tie-break key of a column is its interleaved (re, im, re, im, ...)
+    entries rounded to 12 decimals, compared lexicographically; it is only
+    built when two values are exactly equal.
+    """
+    values = w.tolist()
+    if len(set(values)) == len(values):
+        return np.argsort(-w, kind="stable")
+    keys = np.round(np.ascontiguousarray(vecs.T).view(np.float64), 12)
+    return np.lexsort(tuple(keys[:, ::-1].T) + (-w,))
 
 
 def eigh_desc(h, name: str = "matrix", atol: float = HERMITIAN_ATOL):
@@ -72,9 +82,10 @@ def eigh_desc(h, name: str = "matrix", atol: float = HERMITIAN_ATOL):
     if not is_hermitian(h, atol):
         raise ValueError(f"{name} is not Hermitian within {atol:g}")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    v = _phase_normalize_columns(v)
-    order = sorted(range(len(w)), key=lambda k: (-w[k], _lex_key(v[:, k])))
-    order = np.asarray(order)
+    # one scalar division per column, as the convention defines the factor:
+    # numpy's vectorized complex division can differ from it in the last bit
+    v = v * np.array([abs(p) / p for p in _pivots(v)], dtype=np.complex128)
+    order = _canonical_order(w, v)
     return w[order], v[:, order]
 
 
@@ -86,21 +97,12 @@ def svd_canonical(m):
     """
     m = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(m)
-    u = u.copy()
-    vh = vh.copy()
     r = len(s)
-    for k in range(min(r, u.shape[1])):
-        col = u[:, k]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_ATOL)
-        if nz.size:
-            piv = col[nz[0]]
-            ph = piv / abs(piv)
-            u[:, k] = col / ph
-            if k < vh.shape[0]:
-                vh[k, :] = vh[k, :] * ph
-    order = sorted(range(r), key=lambda k: (-s[k], _lex_key(u[:, k])))
-    if order != list(range(r)):
-        order = np.asarray(order)
+    ph = np.array([p / abs(p) for p in _pivots(u[:, :r])], dtype=np.complex128)
+    u[:, :r] = u[:, :r] / ph
+    vh[:r, :] = vh[:r, :] * ph[:, None]
+    order = _canonical_order(s, u[:, :r])
+    if np.any(order != np.arange(r)):
         s = s[order]
         u[:, :r] = u[:, :r][:, order]
         vh[:r, :] = vh[:r, :][order, :]
@@ -202,21 +204,39 @@ def check_pure(psi, atol: float = 1e-9) -> np.ndarray:
     return psi
 
 
-def check_density(rho, herm_atol: float = 1e-10, eig_floor: float = PSD_EIG_FLOOR,
-                  trace_atol: float = 1e-9) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD up to clamping, unit trace)."""
+def density_spectrum(rho, vectors: bool = False, herm_atol: float = 1e-10,
+                     eig_floor: float = PSD_EIG_FLOOR, trace_atol: float = 1e-9):
+    """Validate a density matrix and keep the spectrum the check computed.
+
+    Returns (rho, w, v): rho as a complex matrix, w its eigenvalues in
+    ascending order, v the matching eigenvectors when `vectors` is true and
+    None otherwise.  The decomposition is the plain LAPACK one, with no
+    canonical phase or tie order; it suits quantities that depend on the
+    spectrum and the eigenspaces only.
+    """
     rho = as_complex_matrix(rho, "rho")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if float(np.abs(rho - rho.conj().T).max(initial=0.0)) > herm_atol:
+    rho_h = rho.conj().T
+    if float(np.abs(rho - rho_h).max(initial=0.0)) > herm_atol:
         raise ValueError(f"density matrix not Hermitian within {herm_atol:g}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.size and w.min() < eig_floor:
-        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below {eig_floor:g}")
-    tr = float(np.real(np.trace(rho)))
+    h = (rho + rho_h) / 2
+    if vectors:
+        w, v = np.linalg.eigh(h)
+    else:
+        w, v = np.linalg.eigvalsh(h), None
+    if w.size and w[0] < eig_floor:
+        raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} below {eig_floor:g}")
+    tr = float(rho.trace().real)
     if abs(tr - 1.0) > trace_atol:
         raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {trace_atol:g}")
-    return rho
+    return rho, w, v
+
+
+def check_density(rho, herm_atol: float = 1e-10, eig_floor: float = PSD_EIG_FLOOR,
+                  trace_atol: float = 1e-9) -> np.ndarray:
+    """Validate a density matrix (Hermitian, PSD up to clamping, unit trace)."""
+    return density_spectrum(rho, False, herm_atol, eig_floor, trace_atol)[0]
 
 
 def trace_distance(rho, sigma) -> float:

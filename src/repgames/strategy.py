@@ -307,6 +307,18 @@ def _parse_complex_block(tokens, d: int) -> np.ndarray:
     return (vals[0::2] + 1j * vals[1::2]).reshape(d, d)
 
 
+def _index_tuple(token: str, n: int, size: int, line: str) -> tuple:
+    """Comma list of n indices in 0..size-1, as on a povm line."""
+    try:
+        idx = tuple(int(v) for v in token.split(","))
+    except ValueError:
+        idx = ()
+    if len(idx) != n or not all(0 <= v < size for v in idx):
+        raise ValueError(f"povm line {line!r}: {token!r} is not {n} "
+                         f"comma-separated indices in 0..{size - 1}")
+    return idx
+
+
 def load_strategy(path) -> EntangledStrategy:
     head = {}
     psi = None
@@ -333,10 +345,20 @@ def load_strategy(path) -> EntangledStrategy:
     state = vals[0::2] + 1j * vals[1::2]
 
     blocks = {"alice": {}, "bob": {}}
+    alphabets = {"alice": (sizes["x_size"], sizes["a_size"]),
+                 "bob": (sizes["y_size"], sizes["b_size"])}
     for parts in povm_lines:
-        side, qs, as_ = parts[0], parts[1], parts[2]
-        q = tuple(int(v) for v in qs.split(","))
-        a = tuple(int(v) for v in as_.split(","))
+        line = " ".join(["povm"] + parts[:3])
+        if len(parts) < 3:
+            raise ValueError(f"povm line {line!r} needs a side, a question "
+                             "tuple and an answer tuple")
+        side = parts[0]
+        if side not in blocks:
+            raise ValueError(f"povm line {line!r} names side {side!r}, "
+                             "not alice or bob")
+        q_size, a_size = alphabets[side]
+        q = _index_tuple(parts[1], n, q_size, line)
+        a = _index_tuple(parts[2], n, a_size, line)
         blocks[side].setdefault(q, {})[a] = _parse_complex_block(parts[3:], d)
 
     def fam(side, q_size, a_size):

@@ -236,3 +236,47 @@ def test_missing_game_file(capsys):
                               "--game", "/nonexistent/game.txt")
     assert code == 2
     assert "unknown game" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "all", "--trials", "0"),
+    ("verify", "--suite", "matcore", "--trials", "-1"),
+    ("run", "values", "--n", "0"),
+    ("run", "values", "--d", "0"),
+    ("run", "values", "--seeds", "0"),
+    ("run", "reduction", "--n", "-1"),
+], ids=" ".join)
+def test_zero_work_runs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("usage error: --") and "must be at least 1" in err
+
+
+def test_invalid_game_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "game.txt"
+    path.write_text("x_size 2\ny_size 2\na_size 2\nb_size 2\n"
+                    "mu 1.5 -0.5 0 0\n"
+                    "predicate " + " ".join(["1"] * 16) + "\n")
+    code, _out, err = run_cli(capsys, "run", "values", "--game", str(path),
+                              "--n", "1")
+    assert code == 2
+    assert err.splitlines() == [
+        "config error: invalid game file: mu has negative weight -5.000e-01"]
+
+
+@pytest.mark.parametrize("bad", ["povm carol 0 0", "povm alice 0"])
+def test_malformed_povm_line_exits_2(tmp_path, capsys, bad):
+    from repgames.strategy import save_strategy, strategy_fixture
+
+    path = tmp_path / "strategy.txt"
+    save_strategy(strategy_fixture("tsirelson", 1), path)
+    lines = path.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("povm"))
+    lines[first] = bad
+    path.write_text("\n".join(lines) + "\n")
+    code, _out, err = run_cli(capsys, "run", "reduction", "--strategy",
+                              str(path), "--n", "1", "--C", "none")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert f"povm line {bad!r}" in err

@@ -133,3 +133,35 @@ def test_game_arrays_frozen():
 def test_always_win_predicate():
     g = always_win()
     assert np.all(g.predicate)
+
+
+def _write_game(path, mu, x_size=2, y_size=2):
+    pred = " ".join("1" for _ in range(x_size * y_size * 4))
+    path.write_text(f"x_size {x_size}\ny_size {y_size}\na_size 2\nb_size 2\n"
+                    f"mu {mu}\npredicate {pred}\n")
+    return path
+
+
+@pytest.mark.parametrize("mu,message", [
+    ("1.5 -0.5 0 0", "mu has negative weight"),
+    ("0.5 0.5 0.5 0.5", "mu sums to 2.0"),
+    ("nan 0.5 0.25 0.25", "mu has NaN or infinite weights"),
+    ("1/0 0 0 0", "divides by zero"),
+])
+def test_load_game_refuses_invalid_mu(tmp_path, mu, message):
+    with pytest.raises(ValueError, match=message):
+        load_game(_write_game(tmp_path / "game.txt", mu))
+
+
+def test_load_game_keeps_warnings_as_warnings(tmp_path):
+    # question x=1 never asked: a warning of validate_game, not an error
+    g = load_game(_write_game(tmp_path / "game.txt", "1/2 1/2 0 0"))
+    rep = validate_game(g)
+    assert rep.ok and rep.warnings == ["question x=1 has zero probability"]
+
+
+@pytest.mark.parametrize("name", ["chsh", "always_win", "asym3"])
+def test_builtin_games_load_back(tmp_path, name):
+    path = tmp_path / f"{name}.txt"
+    save_game(fixture(name), path)
+    assert np.array_equal(load_game(path).predicate, fixture(name).predicate)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repgames import matcore
 from repgames.infotheory import (CQState, chain_rule_check,
@@ -179,3 +180,100 @@ def test_chain_rule_check_infinite_sides_agree():
     cq_q = CQState(np.array([1.0, 0.0]), np.stack([one, one]))
     lhs, rhs, holds = chain_rule_check(cq_p, cq_q)
     assert np.isinf(lhs) and np.isinf(rhs) and holds
+
+
+# ---------------------------------------------------------------------------
+# the divergence kernels against an independent scipy computation
+
+LN2 = float(np.log(2.0))
+
+
+def _seeded_pairs(count=30):
+    rng = np.random.default_rng(77)
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        yield (matcore.random_density(d, rng=rng),
+               matcore.random_density(d, rng=rng))
+
+
+def _scipy_entropy(rho):
+    w = scipy.linalg.eigvalsh(rho)
+    w = w[w > 0.0]
+    return float(-(w * np.log2(w)).sum())
+
+
+def _scipy_relative_entropy(rho, sigma):
+    gap = scipy.linalg.logm(rho) - scipy.linalg.logm(sigma)
+    return float(np.real(np.trace(rho @ gap))) / LN2
+
+
+def _scipy_min_entropy(rho, sigma):
+    inv_sqrt = np.linalg.inv(scipy.linalg.sqrtm(sigma))
+    mid = inv_sqrt @ rho @ inv_sqrt
+    top = scipy.linalg.eigvalsh((mid + mid.conj().T) / 2)[-1]
+    return float(np.log2(top))
+
+
+def test_divergences_agree_with_scipy():
+    for rho, sigma in _seeded_pairs():
+        assert abs(von_neumann_entropy(rho) - _scipy_entropy(rho)) < 1e-12
+        assert abs(relative_entropy(rho, sigma)
+                   - _scipy_relative_entropy(rho, sigma)) < 1e-12
+        assert abs(relative_min_entropy(rho, sigma)
+                   - _scipy_min_entropy(rho, sigma)) < 1e-12
+
+
+def test_divergences_on_a_shared_support_agree_with_scipy():
+    # rho and sigma live on a 2-dimensional subspace of C^5; the kernels
+    # must drop sigma's null space and give the 2x2 values
+    rng = np.random.default_rng(78)
+    iso = matcore.random_unitary(5, rng)[:, :2]
+    for _ in range(10):
+        r2 = matcore.random_density(2, rng=rng)
+        s2 = matcore.random_density(2, rng=rng)
+        rho = iso @ r2 @ iso.conj().T
+        sigma = iso @ s2 @ iso.conj().T
+        assert abs(von_neumann_entropy(rho) - _scipy_entropy(r2)) < 1e-12
+        assert abs(relative_entropy(rho, sigma)
+                   - _scipy_relative_entropy(r2, s2)) < 1e-12
+        assert abs(relative_min_entropy(rho, sigma)
+                   - _scipy_min_entropy(r2, s2)) < 1e-12
+
+
+def test_divergences_infinite_when_rho_leaves_the_support():
+    rng = np.random.default_rng(79)
+    for _ in range(5):
+        u = matcore.random_unitary(4, rng)
+        sigma = (u[:, :2] * np.array([0.3, 0.7])) @ u[:, :2].conj().T
+        rho = matcore.random_density(4, rng=rng)
+        assert relative_entropy(rho, sigma) == float("inf")
+        assert relative_min_entropy(rho, sigma) == float("inf")
+        # inside the support both stay finite
+        inside = (u[:, :2] * np.array([0.6, 0.4])) @ u[:, :2].conj().T
+        assert np.isfinite(relative_entropy(inside, sigma))
+        assert np.isfinite(relative_min_entropy(inside, sigma))
+
+
+BAD_DENSITIES = [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]),
+     r"^density matrix not Hermitian within 1e-10$"),
+    (np.diag([1.5, -0.5]),
+     r"^density matrix has eigenvalue -5\.000e-01 below -1e-09$"),
+    (np.diag([0.7, 0.7]),
+     r"^density matrix trace 1\.4 differs from 1 by more than 1e-09$"),
+]
+
+
+@pytest.mark.parametrize("bad,message", BAD_DENSITIES,
+                         ids=["non-hermitian", "negative", "trace"])
+def test_divergences_refuse_bad_densities(bad, message):
+    good = np.eye(2) / 2
+    with pytest.raises(ValueError, match=message):
+        matcore.check_density(bad)
+    with pytest.raises(ValueError, match=message):
+        von_neumann_entropy(bad)
+    for f in (relative_entropy, relative_min_entropy):
+        with pytest.raises(ValueError, match=message):
+            f(bad, good)
+        with pytest.raises(ValueError, match=message):
+            f(good, bad)

@@ -173,3 +173,140 @@ def test_norms_agree_with_numpy():
     assert abs(matcore.frobenius(m) - np.linalg.norm(m)) < 1e-12
     s = np.linalg.svd(m, compute_uv=False)
     assert abs(matcore.trace_norm(m) - s.sum()) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the canonical convention against its column-at-a-time definition
+
+def _lex_key(col):
+    # interleaved (re, im, re, im, ...) rounded to 12 decimals
+    flat = np.ascontiguousarray(col, dtype=np.complex128).view(np.float64)
+    return tuple(np.round(flat, 12))
+
+
+def _oracle_eigh_desc(h):
+    h = np.asarray(h, dtype=np.complex128)
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    v = v.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > matcore._PHASE_ATOL)
+        if nz.size:
+            piv = col[nz[0]]
+            v[:, k] = col * (abs(piv) / piv)
+    order = sorted(range(len(w)), key=lambda k: (-w[k], _lex_key(v[:, k])))
+    order = np.asarray(order, dtype=int)
+    return w[order], v[:, order]
+
+
+def _oracle_svd_canonical(m):
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
+    u = u.copy()
+    vh = vh.copy()
+    r = len(s)
+    for k in range(min(r, u.shape[1])):
+        col = u[:, k]
+        nz = np.flatnonzero(np.abs(col) > matcore._PHASE_ATOL)
+        if nz.size:
+            piv = col[nz[0]]
+            ph = piv / abs(piv)
+            u[:, k] = col / ph
+            if k < vh.shape[0]:
+                vh[k, :] = vh[k, :] * ph
+    order = sorted(range(r), key=lambda k: (-s[k], _lex_key(u[:, k])))
+    if order != list(range(r)):
+        order = np.asarray(order)
+        s = s[order]
+        u[:, :r] = u[:, :r][:, order]
+        vh[:r, :] = vh[:r, :][order, :]
+    return u, s, vh
+
+
+def _degenerate_blocks(d, rng):
+    """Haar rotation of a spectrum made of 2-fold degenerate pairs."""
+    u = matcore.random_unitary(d, rng)
+    w = np.repeat(rng.random((d + 1) // 2), 2)[:d]
+    h = (u * w) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+def _convention_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for d in range(1, 13):
+        cases.append((f"density-{d}", matcore.random_density(d, rng=rng)))
+        rank = int(rng.integers(1, d + 1))
+        cases.append((f"rank{rank}-{d}",
+                      matcore.random_density(d, rank=rank, rng=rng)))
+        cases.append((f"identity-{d}", np.eye(d)))
+        cases.append((f"mixed-{d}", np.eye(d) / d))
+        cases.append((f"zero-{d}", np.zeros((d, d))))
+        cases.append((f"degenerate-{d}", _degenerate_blocks(d, rng)))
+    for d in range(3, 13):
+        # half the eigenvectors orthogonal to the first basis vector: their
+        # first entry is rounding noise below _PHASE_ATOL, so their pivot
+        # is a complex entry further down
+        g = matcore.random_matrix(d, rng)
+        g[0, :d // 2] = 0.0
+        q, _ = np.linalg.qr(g)
+        h = (q * rng.random(d)) @ q.conj().T
+        cases.append((f"first-entry-zero-{d}", (h + h.conj().T) / 2))
+    # first column entry below the phase tolerance: the pivot is the second
+    h = np.diag([3.0, 2.0, 1.0]).astype(complex)
+    rot = np.array([[1.0, 0.0, 0.0],
+                    [0.0, 0.6, 0.8j],
+                    [0.0, 0.8j, 0.6]])
+    h = rot @ h @ rot.conj().T
+    h[0, 1:] = h[1:, 0] = 1e-14
+    cases.append(("small-first-entry", (h + h.conj().T) / 2))
+    return cases
+
+
+CASES = _convention_cases()
+
+
+@pytest.mark.parametrize("name,h", CASES, ids=[c[0] for c in CASES])
+def test_eigh_desc_matches_column_oracle(name, h):
+    w, v = matcore.eigh_desc(h)
+    w_ref, v_ref = _oracle_eigh_desc(h)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("name,h", CASES, ids=[c[0] for c in CASES])
+def test_svd_canonical_matches_column_oracle(name, h):
+    rng = np.random.default_rng(len(name))
+    for m in (h, h + 1j * matcore.random_matrix(h.shape[0], rng) * 0.1):
+        got = matcore.svd_canonical(m)
+        ref = _oracle_svd_canonical(m)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_svd_canonical_matches_oracle_on_rectangles():
+    rng = np.random.default_rng(2025)
+    for rows, cols in ((2, 5), (5, 2), (1, 4), (4, 1), (3, 3)):
+        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        for a, b in zip(matcore.svd_canonical(m), _oracle_svd_canonical(m)):
+            assert np.array_equal(a, b)
+        ties = np.zeros((rows, cols), dtype=complex)
+        for a, b in zip(matcore.svd_canonical(ties), _oracle_svd_canonical(ties)):
+            assert np.array_equal(a, b)
+
+
+def test_small_first_entry_case_uses_a_later_pivot():
+    _, h = CASES[-1]
+    _, v = matcore.eigh_desc(h)
+    assert np.any(np.abs(v[0]) <= matcore._PHASE_ATOL)
+    for col in v.T:
+        lead = col[np.flatnonzero(np.abs(col) > matcore._PHASE_ATOL)[0]]
+        assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+def test_density_spectrum_returns_the_checked_spectrum():
+    rho = matcore.random_density(5, rank=3, rng=np.random.default_rng(14))
+    same, w, v = matcore.density_spectrum(rho)
+    assert np.array_equal(same, rho) and v is None
+    assert np.allclose(w, np.linalg.eigvalsh(rho), atol=1e-14)
+    _, w2, v2 = matcore.density_spectrum(rho, vectors=True)
+    assert np.allclose((v2 * w2) @ v2.conj().T, rho, atol=1e-12)

@@ -203,3 +203,26 @@ def test_save_load_roundtrip(tmp_path):
 def test_fixture_unknown_name():
     with pytest.raises(ValueError):
         strategy_fixture("bogus", 2)
+
+
+def _strategy_lines(tmp_path):
+    path = tmp_path / "strategy.txt"
+    save_strategy(strategy_fixture("tsirelson", 1), path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("povm carol 0 0 {block}", r"povm line 'povm carol 0 0' names side 'carol'"),
+    ("povm alice 0", r"povm line 'povm alice 0' needs a side"),
+    ("povm alice 0 5 {block}", r"'5' is not 1 comma-separated indices in 0\.\.1"),
+    ("povm bob 0,0 0 {block}", r"'0,0' is not 1 comma-separated indices"),
+    ("povm bob x 0 {block}", r"'x' is not 1 comma-separated indices"),
+])
+def test_load_strategy_refuses_malformed_povm_lines(tmp_path, bad, message):
+    path, lines = _strategy_lines(tmp_path)
+    first = next(k for k, line in enumerate(lines) if line.startswith("povm"))
+    block = " ".join(lines[first].split()[4:])
+    lines[first] = bad.format(block=block)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_strategy(path)
