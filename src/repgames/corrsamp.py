@@ -4,8 +4,10 @@ The classical protocol lets two players holding nearby distributions accept
 a common sample from a shared stream without communication; one batched
 kernel runs many independent streams at once.  The quantum analogue aligns
 a large embezzlement state against each player's own description of a
-target state; everything is computed in Schmidt coefficient space so junk
-dimensions up to 2^20 stay cheap.
+target state (van Dam and Hayden).  The outcome is read from one table of
+the shared state's slots, indexed by where Alice sends each slot, by
+weighted sums with no dense vector and no sort, so junk dimensions up to
+2^20 stay cheap.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class CorrSampleStats:
     fail_rate: float
     tv_a: float
     tv_b: float
-    chi2_pvalue_a: float
+    chi2_pvalue_a: float | None     # None when side A accepted nothing
     counts_a: np.ndarray = field(repr=False, default=None)
     counts_b: np.ndarray = field(repr=False, default=None)
 
@@ -110,8 +112,8 @@ def corr_sample_experiment(p: FiniteDistribution, q: FiniteDistribution,
     tv_a = 0.5 * float(np.abs(counts_a / tot_a - pt).sum()) if tot_a else 1.0
     tv_b = 0.5 * float(np.abs(counts_b / tot_b - qt).sum()) if tot_b else 1.0
     keep = pt > 0
-    pval = float(stats.chisquare(counts_a[keep],
-                                 tot_a * pt[keep] / pt[keep].sum()).pvalue)
+    pval = None if not tot_a else float(stats.chisquare(
+        counts_a[keep], tot_a * pt[keep] / pt[keep].sum()).pvalue)
     return CorrSampleStats(n_runs, float(agreed.mean()),
                            float(failed.mean()), tv_a, tv_b, pval,
                            counts_a, counts_b)
@@ -239,8 +241,8 @@ def qcs_isometry(own_state: np.ndarray, d_prime: int,
         raise ValueError("state must be normalized")
     if d * d_prime > MAX_EMBEZZLE_DIM:
         raise ValueError("d * d_prime exceeds the structural cap")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("alpha must be a positive finite number")
     u, s, vh = matcore.svd_canonical(own_state.reshape(d, d))
     s = np.clip(s, 0.0, None)
     u, vh = _canonical_degenerate_blocks(u, s, vh)
@@ -262,86 +264,81 @@ class QCSResult:
     overlap: float
 
 
+def _slot_table(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry) -> tuple:
+    """Bob's destination and the coefficient of each slot, by Alice's.
+
+    Slot j of the shared state goes to (k_a, l_a) = divmod(iso_a.perm[j],
+    d') on Alice's side and to (k_b, l_b) on Bob's.  Entry [k_a, l_a] of
+    the (d, d') arrays k_b, l_b, vals describes the slot Alice sends there.
+    """
+    d, dp = iso_a.d, iso_a.d_prime
+    if (d, dp) != (iso_b.d, iso_b.d_prime):
+        raise ValueError("isometry dimensions do not match")
+    src = np.empty(d * dp, dtype=np.int64)
+    src[iso_a.perm] = np.arange(d * dp)
+    k_b, l_b = np.divmod(iso_b.perm[src].reshape(d, dp), dp)
+    vals = embezzlement(d * dp).coefficients[src].reshape(d, dp)
+    return k_b, l_b, vals
+
+
+def _junk_overlap(table: tuple, g: np.ndarray) -> float:
+    """Re sum(vals * junk[l_a] * g[k_a, k_b]) over the slots with l_b == l_a.
+
+    The overlap with a target paired with a fresh junk embezzlement state;
+    g holds the target's conjugated amplitudes in the players' bases.
+    """
+    k_b, l_b, vals = table
+    d, dp = vals.shape
+    w = vals * embezzlement(dp).coefficients
+    w *= l_b == np.arange(dp)
+    return float(np.sum(w * g.real[np.arange(d)[:, None], k_b]))
+
+
 def qcs_error_against(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
                       target_state: np.ndarray) -> float:
     """Distance between the produced vector and an explicit target state.
 
     The target is any normalized bipartite state on the two d-dimensional
     factors; it is paired with a fresh junk embezzlement state.  Computed
-    from coefficients only, no dense product vector.
+    from the slot table, no dense product vector.
     """
-    d, dp = iso_a.d, iso_a.d_prime
-    if (d, dp) != (iso_b.d, iso_b.d_prime):
-        raise ValueError("isometry dimensions do not match")
+    table = _slot_table(iso_a, iso_b)
+    d = iso_a.d
     tgt = np.asarray(target_state, dtype=np.complex128).reshape(d, d)
-    big = embezzlement(d * dp).coefficients
-    junk = embezzlement(dp).coefficients
-    k_a, l_a = iso_a.perm // dp, iso_a.perm % dp
-    k_b, l_b = iso_b.perm // dp, iso_b.perm % dp
-    same = l_a == l_b
     g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
-    overlap = np.sum(big[same] * junk[l_a[same]]
-                     * g[k_a[same], k_b[same]])
-    return math.sqrt(max(0.0, 2.0 - 2.0 * float(np.real(overlap))))
-
-
-def _class_keys(perm: np.ndarray, other_perm: np.ndarray, d: int,
-                d_prime: int, coeffs: np.ndarray) -> list:
-    """Split slot assignments into target-pair classes with junk keys."""
-    k_a, l_a = perm // d_prime, perm % d_prime
-    k_b, l_b = other_perm // d_prime, other_perm % d_prime
-    pos = k_a * d + k_b
-    key = l_a.astype(np.int64) * d_prime + l_b.astype(np.int64)
-    classes = []
-    for p in range(d * d):
-        sel = pos == p
-        keys = key[sel]
-        vals = coeffs[sel]
-        srt = np.argsort(keys)
-        classes.append((keys[srt], vals[srt]))
-    return classes
+    return math.sqrt(max(0.0, 2.0 - 2.0 * _junk_overlap(table, g)))
 
 
 def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
                 target_dim: int) -> QCSResult:
     """Outcome of both alignment isometries acting on the shared state.
 
-    Works entirely on coefficients: the reduced state on the two target
-    factors is accumulated by matching junk-index keys between slot
-    classes, then rotated by the players' local bases.  err is the
-    Euclidean distance between the full produced vector and iso_a's
-    target state paired with a fresh junk embezzlement state.
+    Tracing out the junk registers pairs two slots of the slot table when
+    they share Alice's column l_a and Bob's l_b, so block (p, q) of the
+    reduced state is one bincount over the d' columns at (k_b[p], k_b[q])
+    with weights vals[p] * vals[q] where l_b[p] == l_b[q]; it is then
+    rotated by the players' local bases.  err is the Euclidean distance of
+    the full produced vector from iso_a's target state paired with a fresh
+    junk embezzlement state, overlap their inner product.
     """
-    d, dp = iso_a.d, iso_a.d_prime
-    if (d, dp) != (iso_b.d, iso_b.d_prime) or d != target_dim:
+    if iso_a.d != target_dim:
         raise ValueError("isometry dimensions do not match")
-    big = embezzlement(d * dp).coefficients
-    junk = embezzlement(dp).coefficients
-    k_a, l_a = iso_a.perm // dp, iso_a.perm % dp
-    k_b, l_b = iso_b.perm // dp, iso_b.perm % dp
-
-    same = l_a == l_b
+    table = _slot_table(iso_a, iso_b)
+    k_b, l_b, vals = table
+    d = iso_a.d
     cross = iso_a.rot_right.conj().T @ iso_b.rot_right
-    overlap = np.sum(big[same] * iso_a.coeffs_exact[k_a[same]]
-                     * junk[l_a[same]] * cross[k_a[same], k_b[same]])
-    err = math.sqrt(max(0.0, 2.0 - 2.0 * float(np.real(overlap))))
+    overlap = _junk_overlap(table, iso_a.coeffs_exact[:, None] * cross)
+    err = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
 
-    classes = _class_keys(iso_a.perm, iso_b.perm, d, dp, big)
-    rho = np.zeros((d * d, d * d))
-    for p in range(d * d):
-        keys_p, vals_p = classes[p]
-        for q in range(p, d * d):
-            keys_q, vals_q = classes[q]
-            if keys_p.size == 0 or keys_q.size == 0:
-                continue
-            idx = np.searchsorted(keys_q, keys_p)
-            idx_ok = idx < keys_q.size
-            match = np.zeros(keys_p.size, dtype=bool)
-            match[idx_ok] = keys_q[idx[idx_ok]] == keys_p[idx_ok]
-            val = float(np.sum(vals_p[match] * vals_q[idx[match]]))
-            rho[p, q] = val
-            rho[q, p] = val
+    rho = np.zeros((d, d, d, d))
+    for p in range(d):
+        for q in range(p, d):
+            w = vals[p] * vals[q] * (l_b[p] == l_b[q])
+            block = np.bincount(k_b[p] * d + k_b[q], weights=w,
+                                minlength=d * d).reshape(d, d)
+            rho[p, :, q, :] = block
+            rho[q, :, p, :] = block.T
     k = np.kron(iso_a.rot_left, iso_b.rot_right)
-    produced = k @ rho.astype(np.complex128) @ k.conj().T
+    produced = k @ rho.reshape(k.shape) @ k.conj().T
     produced = (produced + produced.conj().T) / 2
-    return QCSResult(produced, err, float(np.real(overlap)))
+    return QCSResult(produced, err, overlap)

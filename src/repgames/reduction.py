@@ -55,6 +55,8 @@ class ReductionConfig:
         if self.is_sampled and (self.trials < 1 or self.max_draws < 1):
             raise ValueError(
                 "Monte Carlo modes need at least one trial and one draw")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("alpha must be a positive finite number")
 
     @property
     def is_sampled(self) -> bool:

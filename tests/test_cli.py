@@ -132,6 +132,25 @@ def test_run_corrsamp_refuses_empty_runs(capsys, flag):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_run_corrsamp_all_fail_report_is_strict_json(capsys, recwarn):
+    code, out, err = run_cli(capsys, "run", "corrsamp", "--trials", "1",
+                             "--max-draws", "1")
+    assert code == 0 and err == ""
+    assert len(recwarn) == 0
+    res = json.loads(out, parse_constant=pytest.fail)["results"]
+    assert res["fail_rate"] == 1.0
+    assert res["chi2_pvalue_a"] is None
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_run_reduction_refuses_bad_alpha(capsys, alpha):
+    code, out, err = run_cli(capsys, "run", "reduction", "--mode",
+                             "embezzle", "--n", "1", f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "alpha" in err
+
+
 def test_verify_has_no_workers_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "matcore", "--workers", "2"])

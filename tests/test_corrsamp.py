@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from repgames import matcore
-from repgames.corrsamp import (AlignmentIsometry, EmbezzlementVector,
+from repgames.corrsamp import (GRID_FLOOR, AlignmentIsometry,
+                               EmbezzlementVector,
                                corr_sample_experiment, embezzlement,
                                qcs_error_against, qcs_execute, qcs_isometry,
                                shared_stream_sample)
@@ -173,8 +176,9 @@ def test_qcs_isometry_validation():
     psi = qcs_state(0)
     with pytest.raises(ValueError):
         qcs_isometry(psi * 2.0, 64)
-    with pytest.raises(ValueError):
-        qcs_isometry(psi, 64, alpha=0.0)
+    for alpha in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            qcs_isometry(psi, 64, alpha=alpha)
     with pytest.raises(ValueError):
         qcs_isometry(np.ones(3) / np.sqrt(3), 64)
     with pytest.raises(ValueError):
@@ -269,9 +273,117 @@ def test_qcs_robust_to_tiny_perturbations():
 def test_qcs_dimension_mismatch_rejected():
     iso_a = qcs_isometry(qcs_state(0), 64)
     iso_b = qcs_isometry(qcs_state(0), 128)
+    iso_c = qcs_isometry(qcs_state(0, d=2), 64)
     with pytest.raises(ValueError):
         qcs_execute(iso_a, iso_b, 4)
     with pytest.raises(ValueError):
         qcs_execute(iso_a, iso_a, 3)
     with pytest.raises(ValueError):
+        qcs_execute(iso_a, iso_c, 4)
+    with pytest.raises(ValueError):
         qcs_error_against(iso_a, iso_b, qcs_state(0))
+    with pytest.raises(ValueError):
+        qcs_error_against(iso_c, iso_a, qcs_state(0, d=2))
+
+
+def class_match_oracle(iso_a, iso_b):
+    """(produced_target, err, overlap) by matching junk keys between classes.
+
+    The slots are split into d^2 classes by their target pair (k_a, k_b),
+    each keyed by its junk pair (l_a, l_b) and sorted; two slots meet in
+    the reduced state when their keys are equal, found by searchsorted.
+    """
+    d, dp = iso_a.d, iso_a.d_prime
+    big = embezzlement(d * dp).coefficients
+    junk = embezzlement(dp).coefficients
+    k_a, l_a = iso_a.perm // dp, iso_a.perm % dp
+    k_b, l_b = iso_b.perm // dp, iso_b.perm % dp
+    same = l_a == l_b
+    cross = iso_a.rot_right.conj().T @ iso_b.rot_right
+    overlap = float(np.real(np.sum(big[same] * iso_a.coeffs_exact[k_a[same]]
+                                   * junk[l_a[same]]
+                                   * cross[k_a[same], k_b[same]])))
+    err = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+    pos = k_a * d + k_b
+    key = l_a * dp + l_b
+    classes = []
+    for p in range(d * d):
+        keys, vals = key[pos == p], big[pos == p]
+        srt = np.argsort(keys)
+        classes.append((keys[srt], vals[srt]))
+    rho = np.zeros((d * d, d * d))
+    for p in range(d * d):
+        keys_p, vals_p = classes[p]
+        for q in range(p, d * d):
+            keys_q, vals_q = classes[q]
+            if keys_p.size == 0 or keys_q.size == 0:
+                continue
+            idx = np.searchsorted(keys_q, keys_p)
+            ok = idx < keys_q.size
+            match = np.zeros(keys_p.size, dtype=bool)
+            match[ok] = keys_q[idx[ok]] == keys_p[ok]
+            rho[p, q] = rho[q, p] = np.sum(vals_p[match]
+                                           * vals_q[idx[match]])
+    k = np.kron(iso_a.rot_left, iso_b.rot_right)
+    produced = k @ rho @ k.conj().T
+    return (produced + produced.conj().T) / 2, err, overlap
+
+
+def dense_oracle(iso_a, iso_b, target_state):
+    """(produced_target, err, overlap) from the full produced vector.
+
+    Builds sum_j c_j |k_a l_a>|k_b l_b> with Alice's rot_left and Bob's
+    rot_right applied to the target registers, traces out both junk
+    registers, and compares the vector with target_state paired with a
+    fresh junk embezzlement state.
+    """
+    d, dp = iso_a.d, iso_a.d_prime
+    vec = np.zeros((d, dp, d, dp), dtype=np.complex128)
+    vec[iso_a.perm // dp, iso_a.perm % dp,
+        iso_b.perm // dp, iso_b.perm % dp] = embezzlement(d * dp).coefficients
+    vec = np.einsum("ik,jm,kamb->iajb", iso_a.rot_left, iso_b.rot_right, vec)
+    flat = vec.transpose(0, 2, 1, 3).reshape(d * d, dp * dp)
+    target = np.zeros_like(vec)
+    idx = np.arange(dp)
+    target[:, idx, :, idx] = (np.asarray(target_state).reshape(d, d)
+                              * embezzlement(dp).coefficients[:, None, None])
+    return (flat @ flat.conj().T, float(np.linalg.norm(vec - target)),
+            float(np.real(np.vdot(target, vec))))
+
+
+def assert_err_close(got, want):
+    # err = sqrt(2 - 2 overlap): where err is near zero a one-ulp change of
+    # overlap moves it by 1.5e-8, so there only err^2 is well conditioned
+    assert abs(got ** 2 - want ** 2) <= 1e-12
+    if want >= 1e-3:
+        assert abs(got - want) <= 1e-12
+
+
+def oracle_cases(d):
+    psi = qcs_state(d, d=d)
+    other = qcs_state(d + 100, d=d)
+    product = np.zeros((d, d))
+    product[0, 0] = 1.0
+    return {"equal": (psi, psi), "different": (psi, other),
+            "max_entangled": (np.eye(d).ravel() / np.sqrt(d),) * 2,
+            "product": (product.ravel(), other)}
+
+
+@pytest.mark.parametrize("dp", [1, 8, 64])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_qcs_slot_table_matches_oracles(d, dp):
+    for name, (psi_a, psi_b) in oracle_cases(d).items():
+        iso_a = qcs_isometry(psi_a, dp)
+        iso_b = iso_a if psi_b is psi_a else qcs_isometry(psi_b, dp)
+        if name == "product" and d > 1:
+            assert np.all(iso_a.coeffs_exact[1:] < GRID_FLOOR)
+        res = qcs_execute(iso_a, iso_b, d)
+        for rho, err, overlap in (class_match_oracle(iso_a, iso_b),
+                                  dense_oracle(iso_a, iso_b, psi_a)):
+            assert np.max(np.abs(res.produced_target - rho)) <= 1e-12, name
+            assert abs(res.overlap - overlap) <= 1e-12, name
+            assert_err_close(res.err, err)
+        assert_err_close(qcs_error_against(iso_a, iso_b, psi_a), res.err)
+        # an explicit target other than Alice's own description
+        _rho, err_b, _ov = dense_oracle(iso_a, iso_b, psi_b)
+        assert_err_close(qcs_error_against(iso_a, iso_b, psi_b), err_b)

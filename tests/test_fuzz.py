@@ -8,6 +8,7 @@ in a few seconds.
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -68,8 +69,16 @@ def mutated_text(draw, base: list):
     return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
+def _refuse_constant(name: str):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
 def _run(argv: list) -> tuple:
-    """Exit code and stderr of main; argparse refuses by SystemExit(2)."""
+    """Exit code and stderr of main; argparse refuses by SystemExit(2).
+
+    A run that completes prints its report, which must be strict JSON:
+    NaN or Infinity in it fails the example.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -78,6 +87,8 @@ def _run(argv: list) -> tuple:
             code = exc.code
             assert code == 2, f"argparse exit {code!r} for {argv}"
     assert code in (0, 1, 2), f"exit {code!r} for {argv}"
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
     return code, err.getvalue()
 
 
@@ -128,7 +139,8 @@ FLAGS = {
     "--mode": st.sampled_from(["exact", "holenstein", "embezzle", "bogus"]),
     "--max-draws": COUNTS,
     "--dprime": st.sampled_from(["-1", "0", "1", "2", "4"]),
-    "--alpha": st.sampled_from(["0", "-1", "0.01", "0.5", "x"]),
+    "--alpha": st.sampled_from(["0", "-1", "0.01", "0.5", "x", "nan",
+                                "inf"]),
     "--d": SMALL,
     "--seeds": SMALL,
     "--workers": SMALL,

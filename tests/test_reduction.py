@@ -31,6 +31,9 @@ def test_config_rejects_unknown_modes():
         make_config(mode_classical="holenstein", trials=0)
     with pytest.raises(ValueError):
         make_config(mode_classical="holenstein", max_draws=0)
+    for alpha in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            make_config(mode_quantum="embezzle", alpha=alpha)
 
 
 def test_exact_mode_matches_conditional_target_product_fixture():
