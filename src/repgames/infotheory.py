@@ -2,7 +2,9 @@
 
 All quantities are reported in bits.  Relative entropies are +inf when the
 support condition fails; support membership uses an eigenvalue tolerance
-because the inputs are floating-point density matrices.
+because the inputs are floating-point density matrices.  As in `matcore`,
+the kernels take `(..., d, d)` stacks of densities (`(..., k)` stacks of
+weights) and answer per entry; a single state gives Python scalars.
 """
 
 from __future__ import annotations
@@ -12,142 +14,145 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
+from .matcore import collapse, dagger
 
 SUPPORT_TOL = 1e-10
-LOG2_E = float(np.log2(np.e))
+STATE_WEIGHT = 1e-15    # conditional states with more weight are validated and read
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the positive entries of each row of w."""
+    pos = np.where(w > 0.0, w, 1.0)
+    return -(pos * np.log2(pos)).sum(-1)
+
+
+def von_neumann_entropy(rho: np.ndarray):
     """Entropy -Tr rho log2 rho of a density matrix, in bits."""
-    _, w, _ = matcore.density_spectrum(rho)
-    pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return collapse(_entropy(matcore.density_spectrum(rho)[1]))
 
 
-def classical_relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
+def classical_relative_entropy(p: np.ndarray, q: np.ndarray):
     """D(p || q) in bits for probability vectors; +inf off q's support."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
+    p, q = (np.asarray(x, dtype=np.float64) for x in (p, q))
     if p.shape != q.shape:
         raise ValueError("distributions must have the same length")
     if np.any(p < -1e-12) or np.any(q < -1e-12):
         raise ValueError("negative probability mass")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
+    if np.abs(np.stack([p.sum(-1), q.sum(-1)]) - 1.0).max(initial=0.0) > 1e-9:
         raise ValueError("distributions must be normalized")
-    p = np.clip(p, 0.0, None)
-    q = np.clip(q, 0.0, None)
+    p, q = np.clip(p, 0.0, None), np.clip(q, 0.0, None)
     mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return float("inf")
-    return float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum())
+    off = (mask & (q == 0.0)).any(-1)
+    p1, q1 = np.where(mask, p, 1.0), np.where(mask & (q > 0.0), q, 1.0)
+    return collapse(np.where(off, np.inf, (p * (np.log2(p1) - np.log2(q1))).sum(-1)))
 
 
-def _support(ws: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues counted in sigma's support."""
-    return ws > SUPPORT_TOL * max(float(ws.max()), 1e-300)
+def _validated_pair(rho, sigma):
+    """(rho, rho's spectrum, sigma's clamped spectrum, its support mask, its
+    eigenvectors), both densities validated."""
+    rho, wr, _ = matcore.density_spectrum(rho)
+    _, ws, vs = matcore.density_spectrum(sigma, vectors=True)
+    ws = np.maximum(ws, 0.0)
+    keep = ws > SUPPORT_TOL * np.maximum(ws.max(-1, keepdims=True), 1e-300)
+    return rho, wr, ws, keep, vs
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
     """Quantum relative entropy D(rho || sigma) in bits.
 
     Returns +inf when rho has weight outside sigma's support (eigenvalue
     tolerance SUPPORT_TOL relative to sigma's largest eigenvalue).
     Only rho's spectrum and sigma's eigenspaces enter, so the plain LAPACK
-    decompositions of the density check serve.
+    decompositions of the density check serve.  Stacks broadcast, so one
+    sigma serves a stack of rho.
     """
-    rho, wr, _ = matcore.density_spectrum(rho)
-    _, ws, vs = matcore.density_spectrum(sigma, vectors=True)
-    ws = np.maximum(ws, 0.0)
-    keep = _support(ws)
+    rho, wr, ws, keep, vs = _validated_pair(rho, sigma)
     rho_vs = rho @ vs
-    if not keep.all():
-        block = vs[:, ~keep].conj().T @ rho_vs[:, ~keep]
-        if (float(np.real(np.trace(block))) > SUPPORT_TOL
-                or float(np.linalg.norm(block)) > SUPPORT_TOL):
-            return float("inf")
-    pos = wr[wr > 0.0]
-    h_rho = float(-(pos * np.log2(pos)).sum())
+    # the block of rho on sigma's kernel, in sigma's eigenbasis
+    out = ~keep[..., :, None] & ~keep[..., None, :]
+    block = np.where(out, dagger(vs) @ rho_vs, 0.0)
+    leak = ((np.trace(block, axis1=-2, axis2=-1).real > SUPPORT_TOL)
+            | (np.linalg.norm(block, axis=(-2, -1)) > SUPPORT_TOL))
     # Tr(rho log2 sigma) from the diagonal of rho in sigma's eigenbasis
-    diag = np.real((vs.conj() * rho_vs).sum(axis=0))
-    cross = float(np.log2(ws[keep]) @ diag[keep])
-    return -h_rho - cross
+    diag = np.real((vs.conj() * rho_vs).sum(axis=-2))
+    cross = (np.log2(np.where(keep, ws, 1.0)) * diag).sum(-1)
+    return collapse(np.where(leak, np.inf, -_entropy(wr) - cross))
 
 
-def relative_min_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_min_entropy(rho: np.ndarray, sigma: np.ndarray):
     """D_inf(rho || sigma) = log2 of the least t with rho <= t sigma.
 
     Computed as log2 of the largest eigenvalue of
     sigma^(-1/2) rho sigma^(-1/2) on sigma's support; +inf when rho leaks
     outside that support.
     """
-    rho = matcore.check_density(rho)
-    _, ws, vs = matcore.density_spectrum(sigma, vectors=True)
-    ws = np.maximum(ws, 0.0)
-    keep = _support(ws)
-    if not keep.all():
-        kernel = vs[:, ~keep]
-        if float(np.real(np.trace(kernel.conj().T @ rho @ kernel))) > SUPPORT_TOL:
-            return float("inf")
-    # same nonzero spectrum as sigma^(-1/2) rho sigma^(-1/2)
-    half = vs[:, keep] / np.sqrt(ws[keep])
-    mid = half.conj().T @ rho @ half
-    top = max(float(np.linalg.eigvalsh((mid + mid.conj().T) / 2)[-1]), 0.0)
-    if top == 0.0:
-        return float("-inf")
-    return float(np.log2(top))
+    rho, _, ws, keep, vs = _validated_pair(rho, sigma)
+    diag = np.real((vs.conj() * (rho @ vs)).sum(axis=-2))
+    leak = np.where(keep, 0.0, diag).sum(-1) > SUPPORT_TOL
+    # same nonzero spectrum as sigma^(-1/2) rho sigma^(-1/2); the columns
+    # off sigma's support are zero and add zero eigenvalues
+    half = np.where(keep[..., None, :],
+                    vs / np.sqrt(np.where(keep, ws, 1.0))[..., None, :], 0.0)
+    mid = dagger(half) @ rho @ half
+    top = np.maximum(np.linalg.eigvalsh((mid + dagger(mid)) / 2)[..., -1], 0.0)
+    log_top = np.where(top > 0.0, np.log2(np.where(top > 0.0, top, 1.0)), -np.inf)
+    return collapse(np.where(leak, np.inf, log_top))
 
 
 @dataclass(frozen=True)
 class CQState:
-    """Classical-quantum state: weights p_z with conditional states rho_z."""
+    """Classical-quantum state: weights p_z with conditional states rho_z.
+
+    probs is (..., k) and states (..., k, d, d), a stack for leading axes.
+    The states with weight above STATE_WEIGHT, the ones the kernels read,
+    are validated in one call.
+    """
 
     probs: np.ndarray
-    states: np.ndarray        # shape (k, d, d)
+    states: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
         st = np.asarray(self.states, dtype=np.complex128)
-        if p.ndim != 1 or st.ndim != 3 or st.shape[0] != p.shape[0]:
+        if p.ndim < 1 or st.ndim != p.ndim + 2 or st.shape[:-2] != p.shape:
             raise ValueError("probs must be (k,), states (k, d, d)")
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= -1e-12) and np.abs(p.sum(-1) - 1.0).max() <= 1e-9):
             raise ValueError("weights must form a distribution")
-        for z in range(st.shape[0]):
-            if p[z] > 1e-12:
-                matcore.check_density(st[z])
+        matcore.check_density(st[p > STATE_WEIGHT])
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
         object.__setattr__(self, "states", st)
 
     @property
     def k(self) -> int:
-        return int(self.probs.shape[0])
+        return int(self.probs.shape[-1])
 
     @property
     def d(self) -> int:
-        return int(self.states.shape[1])
+        return int(self.states.shape[-1])
 
     def density(self) -> np.ndarray:
         """Joint block-diagonal density on the classical (x) quantum space."""
-        k, d = self.k, self.d
-        out = np.zeros((k * d, k * d), dtype=np.complex128)
+        k, d, lead = self.k, self.d, self.probs.shape[:-1]
+        out = np.zeros(lead + (k, d, k, d), dtype=np.complex128)
         for z in range(k):
-            if self.probs[z] > 0.0:
-                out[z * d:(z + 1) * d, z * d:(z + 1) * d] = self.probs[z] * self.states[z]
-        return out
+            out[..., z, :, z, :] = self.probs[..., z, None, None] * self.states[..., z, :, :]
+        return out.reshape(lead + (k * d, k * d))
 
     def quantum_marginal(self) -> np.ndarray:
-        avg = np.tensordot(self.probs, self.states, axes=(0, 0))
-        return (avg + avg.conj().T) / 2
+        lead, d = self.probs.shape[:-1], self.d
+        # one (1, k) @ (k, d*d) product per state, the sum np.tensordot takes
+        avg = self.probs[..., None, :] @ self.states.reshape(lead + (self.k, d * d))
+        avg = avg.reshape(lead + (d, d))
+        return (avg + dagger(avg)) / 2
 
 
-def cq_mutual_information(cq: CQState) -> float:
+def cq_mutual_information(cq: CQState):
     """I(Z ; Q) of a cq state, the Holevo quantity, in bits."""
-    avg = cq.quantum_marginal()
-    h_avg = von_neumann_entropy(avg)
-    inner = 0.0
-    for z in range(cq.k):
-        if cq.probs[z] > 1e-15:
-            inner += cq.probs[z] * von_neumann_entropy(cq.states[z])
-    return max(0.0, h_avg - inner)
+    live = cq.probs > STATE_WEIGHT
+    h_z = np.zeros(cq.probs.shape)
+    h_z[live] = von_neumann_entropy(cq.states[live])
+    inner = (cq.probs * h_z).sum(-1)
+    return collapse(np.maximum(0.0, von_neumann_entropy(cq.quantum_marginal()) - inner))
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -181,23 +186,22 @@ class CheckResult:
 
 def _coordinate_cq(cq: CQState, shape: tuple, axis: int) -> CQState:
     """Collapse a multi-coordinate cq state onto one classical coordinate."""
-    k = int(np.prod(shape))
-    if cq.k != k:
+    if cq.k != int(np.prod(shape)):
         raise ValueError("classical shape does not match the state")
-    probs = cq.probs.reshape(shape)
-    d = cq.d
-    states = cq.states.reshape(shape + (d, d))
-    other = tuple(ax for ax in range(len(shape)) if ax != axis)
+    lead, d = cq.probs.shape[:-1], cq.d
+    probs = cq.probs.reshape(lead + shape)
+    states = cq.states.reshape(lead + shape + (d, d))
+    other = tuple(len(lead) + ax for ax in range(len(shape)) if ax != axis)
     p_i = probs.sum(axis=other)
-    blocks = np.zeros((shape[axis], d, d), dtype=np.complex128)
-    weighted = probs[..., None, None] * states
-    summed = weighted.sum(axis=other)
-    for v in range(shape[axis]):
-        if p_i[v] > 1e-15:
-            blocks[v] = summed[v] / p_i[v]
-        else:
-            blocks[v] = np.eye(d) / d
-    return CQState(p_i, blocks)
+    summed = (probs[..., None, None] * states).sum(axis=other)
+    live = (p_i > STATE_WEIGHT)[..., None, None]
+    scale = np.where(live, p_i[..., None, None], 1.0)
+    return CQState(p_i, np.where(live, summed / scale, np.eye(d) / d))
+
+
+def _weighted_terms(probs, terms, read) -> np.ndarray:
+    """sum_z probs_z terms_z over the entries in `read`, per cq state."""
+    return (probs * np.where(read, terms, 0.0)).sum(-1)
 
 
 def raz_lemma_check(cq: CQState, shape: tuple, sigma_parts,
@@ -208,27 +212,26 @@ def raz_lemma_check(cq: CQState, shape: tuple, sigma_parts,
     quantum on one register.  The reference is a product distribution over
     the coordinates (sigma_parts, one vector per coordinate) tensored with
     one reference state sigma_a.  Returns (lhs, rhs, holds) with
-    lhs = sum_i I(X_i ; A) and rhs the joint relative entropy.
+    lhs = sum_i I(X_i ; A) and rhs the joint relative entropy.  For a stack
+    of cq states, sigma_parts and sigma_a share its leading axes.
     """
     shape = tuple(int(v) for v in shape)
-    lhs = 0.0
-    for axis in range(len(shape)):
-        lhs += cq_mutual_information(_coordinate_cq(cq, shape, axis))
-    q_joint = np.ones(1)
+    lhs = sum(cq_mutual_information(_coordinate_cq(cq, shape, axis))
+              for axis in range(len(shape)))
+    q_joint = np.ones(cq.probs.shape[:-1] + (1,))
     for part in sigma_parts:
-        q_joint = np.multiply.outer(q_joint, np.asarray(part, dtype=float))
-    q_flat = q_joint.ravel()
-    rhs = classical_relative_entropy(cq.probs, q_flat)
-    if not np.isinf(rhs):
-        for z in range(cq.k):
-            if cq.probs[z] > 1e-15:
-                term = relative_entropy(cq.states[z], sigma_a)
-                if np.isinf(term):
-                    rhs = float("inf")
-                    break
-                rhs += cq.probs[z] * term
-    holds = bool(np.isinf(rhs) or lhs <= rhs + atol)
-    return float(lhs), float(rhs), holds
+        part = np.asarray(part, dtype=float)
+        q_joint = (q_joint[..., :, None] * part[..., None, :]).reshape(
+            q_joint.shape[:-1] + (-1,))
+    rhs = np.asarray(classical_relative_entropy(cq.probs, q_joint))
+    # sigma_a is decomposed once per cq state; unread states are swapped for
+    # sigma_a itself, whose divergence from sigma_a is finite
+    sigma = np.asarray(sigma_a, dtype=np.complex128)[..., None, :, :]
+    read = (cq.probs > STATE_WEIGHT) & np.isfinite(rhs)[..., None]
+    rho = np.where(read[..., None, None], cq.states, sigma)
+    rhs = rhs + _weighted_terms(cq.probs, relative_entropy(rho, sigma), read)
+    holds = np.isinf(rhs) | (lhs <= rhs + atol)
+    return collapse(np.asarray(lhs, dtype=float)), collapse(rhs), collapse(holds)
 
 
 def chain_rule_check(cq_prime: CQState, cq: CQState,
@@ -241,18 +244,15 @@ def chain_rule_check(cq_prime: CQState, cq: CQState,
     label laws to the expected conditional divergence under the first
     state's labels.  Two infinities count as agreement.
     """
-    if cq_prime.k != cq.k or cq_prime.d != cq.d:
+    if cq_prime.probs.shape != cq.probs.shape or cq_prime.d != cq.d:
         raise ValueError("states must share classical and quantum shapes")
-    lhs = relative_entropy(cq_prime.density(), cq.density())
-    rhs = classical_relative_entropy(cq_prime.probs, cq.probs)
-    if not np.isinf(rhs):
-        for z in range(cq.k):
-            if cq_prime.probs[z] > 1e-15:
-                term = relative_entropy(cq_prime.states[z], cq.states[z])
-                if np.isinf(term):
-                    rhs = float("inf")
-                    break
-                rhs += cq_prime.probs[z] * term
-    if np.isinf(lhs) or np.isinf(rhs):
-        return lhs, rhs, bool(np.isinf(lhs) == np.isinf(rhs))
-    return lhs, rhs, bool(abs(lhs - rhs) <= atol)
+    lhs = np.asarray(relative_entropy(cq_prime.density(), cq.density()))
+    rhs = np.asarray(classical_relative_entropy(cq_prime.probs, cq.probs))
+    read = (cq_prime.probs > STATE_WEIGHT) & np.isfinite(rhs)[..., None]
+    terms = np.zeros(read.shape)
+    terms[read] = relative_entropy(cq_prime.states[read], cq.states[read])
+    rhs = rhs + _weighted_terms(cq_prime.probs, terms, read)
+    both = np.isfinite(lhs) & np.isfinite(rhs)
+    gap = np.abs(np.where(both, lhs, 0.0) - np.where(both, rhs, 0.0))
+    holds = np.where(both, gap <= atol, np.isinf(lhs) == np.isinf(rhs))
+    return collapse(lhs), collapse(rhs), collapse(holds)

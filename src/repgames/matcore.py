@@ -1,13 +1,15 @@
 """Dense complex linear algebra kernels with deterministic conventions.
 
 All functions operate on plain numpy arrays (complex128) and are pure, so they
-are safe to call from parallel workers.  Spectral decompositions follow a fixed
-convention -- values in descending order, exact ties broken by lexicographic
-comparison of the phase-normalized vectors, first nonzero component of every
-vector made real positive -- so identical inputs produce identical outputs
-across runs and platforms with the same BLAS.  The convention is applied with
-whole-array operations: a tie-break is searched for only among exactly equal
-values, and the result is bit-identical to applying it one column at a time.
+are safe to call from parallel workers.  The density and spectral kernels take
+a `(..., d, d)` stack and answer per matrix with one LAPACK call; a 2-D input
+is a stack of one, whose scalar results are Python floats.  Spectral
+decompositions follow a fixed convention -- values in descending order, exact
+ties broken by lexicographic comparison of the phase-normalized vectors, first
+nonzero component of every vector made real positive -- so identical inputs
+produce identical outputs across runs and platforms with the same BLAS.  The
+convention is applied with whole-array operations and is bit-identical to
+applying it one column at a time.
 """
 
 from __future__ import annotations
@@ -31,49 +33,55 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def dagger(m) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def collapse(x):
+    """A 0-d result as a Python scalar; a stack's results as the array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
+    """True when m (every matrix of a stack) is square and Hermitian within atol."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return float(np.abs(m - m.conj().T).max(initial=0.0)) <= atol
+    return float(np.abs(m - dagger(m)).max(initial=0.0)) <= atol
 
 
 def frobenius(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def trace_norm(m) -> float:
+def trace_norm(m):
     """Sum of singular values."""
-    return float(np.linalg.svd(as_complex_matrix(m), compute_uv=False).sum())
+    return collapse(np.linalg.svd(as_complex_matrix(m), compute_uv=False).sum(-1))
 
 
-def _pivots(vecs: np.ndarray) -> list:
-    """First entry above _PHASE_ATOL of every column, as numpy scalars.
-
-    The columns are unit vectors, so each has such an entry.
-    """
-    if vecs.shape[0] == 0:
-        return []
-    first = (np.abs(vecs) > _PHASE_ATOL).argmax(axis=0)
-    return list(vecs[first, np.arange(vecs.shape[1])])
+def _pivots(vecs: np.ndarray) -> np.ndarray:
+    """First entry above _PHASE_ATOL of every (unit) column of an (n, d, k) stack."""
+    if vecs.shape[1] == 0:
+        return np.ones(vecs.shape[::2], dtype=np.complex128)
+    first = (np.abs(vecs) > _PHASE_ATOL).argmax(axis=1)
+    return vecs[np.arange(len(vecs))[:, None], first, np.arange(vecs.shape[2])]
 
 
-def _canonical_order(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Indices sorting w descending, exact ties by the rounded columns.
-
-    The tie-break key of a column is its interleaved (re, im, re, im, ...)
-    entries rounded to 12 decimals, compared lexicographically; it is only
-    built when two values are exactly equal.
-    """
-    values = w.tolist()
-    if len(set(values)) == len(values):
-        return np.argsort(-w, kind="stable")
-    keys = np.round(np.ascontiguousarray(vecs.T).view(np.float64), 12)
-    return np.lexsort(tuple(keys[:, ::-1].T) + (-w,))
+def _tie_orders(w: np.ndarray, vecs: np.ndarray) -> list:
+    """(i, order) for each row i of an (n, k) w with two equal values: order
+    sorts w[i] descending, exact ties by the columns of vecs[i] (interleaved
+    (re, im, ...) entries rounded to 12 decimals, compared lexicographically)."""
+    out = []
+    for i, row in enumerate(w.tolist()):
+        if len(set(row)) < len(row):
+            keys = np.round(np.ascontiguousarray(vecs[i].T).view(np.float64), 12)
+            out.append((i, np.lexsort(np.concatenate([keys.T[::-1], -w[i][None]]))))
+    return out
 
 
 def eigh_desc(h, name: str = "matrix", atol: float = HERMITIAN_ATOL):
-    """Eigendecomposition of a Hermitian matrix in the canonical order.
+    """Eigendecomposition of a Hermitian matrix (or stack) in the canonical order.
 
     Returns (values, vectors) with values descending; exact value ties are
     ordered by lexicographic comparison of the phase-normalized vectors.
@@ -81,12 +89,17 @@ def eigh_desc(h, name: str = "matrix", atol: float = HERMITIAN_ATOL):
     h = as_complex_matrix(h, name)
     if not is_hermitian(h, atol):
         raise ValueError(f"{name} is not Hermitian within {atol:g}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    shape, n = v.shape, math.prod(v.shape[:-2])
+    w, v = w.reshape(n, shape[-1]), v.reshape((n,) + shape[-2:])
     # one scalar division per column, as the convention defines the factor:
     # numpy's vectorized complex division can differ from it in the last bit
-    v = v * np.array([abs(p) / p for p in _pivots(v)], dtype=np.complex128)
-    order = _canonical_order(w, v)
-    return w[order], v[:, order]
+    phases = np.array([abs(p) / p for p in _pivots(v).ravel()], dtype=np.complex128)
+    v = v * phases.reshape(n, 1, shape[-1])
+    w, v = w[:, ::-1].copy(), v[:, :, ::-1].copy()   # LAPACK's order is ascending
+    for i, order in _tie_orders(w, v):
+        w[i], v[i] = w[i].take(order), v[i].take(order, axis=1)
+    return w.reshape(shape[:-1]), v.reshape(shape)
 
 
 def svd_canonical(m):
@@ -98,11 +111,10 @@ def svd_canonical(m):
     m = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(m)
     r = len(s)
-    ph = np.array([p / abs(p) for p in _pivots(u[:, :r])], dtype=np.complex128)
+    ph = np.array([p / abs(p) for p in _pivots(u[None, :, :r])[0]], dtype=np.complex128)
     u[:, :r] = u[:, :r] / ph
     vh[:r, :] = vh[:r, :] * ph[:, None]
-    order = _canonical_order(s, u[:, :r])
-    if np.any(order != np.arange(r)):
+    for _, order in _tie_orders(s[None], u[None, :, :r]):
         s = s[order]
         u[:, :r] = u[:, :r][:, order]
         vh[:r, :] = vh[:r, :][order, :]
@@ -134,10 +146,10 @@ def partial_trace(m, dims: tuple[int, int], side: str = "right") -> np.ndarray:
 def mat_sqrt(p, name: str = "operator") -> np.ndarray:
     """PSD square root of a PSD Hermitian matrix (tiny negative eigenvalues clamped)."""
     w, v = eigh_desc(p, name)
-    if w.size and w[-1] < PSD_EIG_FLOOR:
-        raise ValueError(f"{name} has eigenvalue {w[-1]:.3e} below {PSD_EIG_FLOOR:g}")
-    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (r + r.conj().T) / 2
+    if np.count_nonzero(w < PSD_EIG_FLOOR):
+        raise ValueError(f"{name} has eigenvalue {w.min():.3e} below {PSD_EIG_FLOOR:g}")
+    r = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
+    return (r + dagger(r)) / 2
 
 
 def pinv(m, rtol: float = PINV_RTOL) -> np.ndarray:
@@ -167,10 +179,6 @@ class SchmidtDecomposition:
     coefficients: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        m = (self.left_basis * self.coefficients) @ self.right_basis.T
-        return m.reshape(-1)
 
 
 def schmidt(psi, dims: tuple[int, int] | None = None) -> SchmidtDecomposition:
@@ -206,18 +214,17 @@ def check_pure(psi, atol: float = 1e-9) -> np.ndarray:
 
 def density_spectrum(rho, vectors: bool = False, herm_atol: float = 1e-10,
                      eig_floor: float = PSD_EIG_FLOOR, trace_atol: float = 1e-9):
-    """Validate a density matrix and keep the spectrum the check computed.
+    """Validate a density matrix (or stack) and keep the spectrum the check computed.
 
-    Returns (rho, w, v): rho as a complex matrix, w its eigenvalues in
-    ascending order, v the matching eigenvectors when `vectors` is true and
-    None otherwise.  The decomposition is the plain LAPACK one, with no
-    canonical phase or tie order; it suits quantities that depend on the
-    spectrum and the eigenspaces only.
+    Returns (rho, w, v): rho as a complex array, w each matrix's eigenvalues
+    ascending, v the eigenvectors when `vectors` is true and None otherwise.
+    The decomposition is the plain LAPACK one, with no canonical phase or tie
+    order.  A stack is refused with the message of its worst matrix.
     """
     rho = as_complex_matrix(rho, "rho")
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    rho_h = rho.conj().T
+    rho_h = dagger(rho)
     if float(np.abs(rho - rho_h).max(initial=0.0)) > herm_atol:
         raise ValueError(f"density matrix not Hermitian within {herm_atol:g}")
     h = (rho + rho_h) / 2
@@ -225,10 +232,11 @@ def density_spectrum(rho, vectors: bool = False, herm_atol: float = 1e-10,
         w, v = np.linalg.eigh(h)
     else:
         w, v = np.linalg.eigvalsh(h), None
-    if w.size and w[0] < eig_floor:
-        raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} below {eig_floor:g}")
-    tr = float(rho.trace().real)
-    if abs(tr - 1.0) > trace_atol:
+    if np.count_nonzero(w < eig_floor):
+        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below {eig_floor:g}")
+    tr = rho.trace(axis1=-2, axis2=-1).real.ravel()
+    if np.count_nonzero(np.abs(tr - 1.0) > trace_atol):
+        tr = float(tr[np.abs(tr - 1.0).argmax()])
         raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {trace_atol:g}")
     return rho, w, v
 
@@ -239,24 +247,24 @@ def check_density(rho, herm_atol: float = 1e-10, eig_floor: float = PSD_EIG_FLOO
     return density_spectrum(rho, False, herm_atol, eig_floor, trace_atol)[0]
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho, sigma):
     """(1/2) trace norm of the difference of two Hermitian operators."""
     d = as_complex_matrix(rho) - as_complex_matrix(sigma)
     if not is_hermitian(d, 1e-8):
         raise ValueError("trace_distance expects Hermitian operands")
-    w = np.linalg.eigvalsh((d + d.conj().T) / 2)
-    return float(np.clip(0.5 * np.abs(w).sum(), 0.0, 1.0))
+    w = np.linalg.eigvalsh((d + dagger(d)) / 2)
+    return collapse(np.clip(0.5 * np.abs(w).sum(-1), 0.0, 1.0))
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma):
     """Trace norm of sqrt(rho) sqrt(sigma)."""
     a = mat_sqrt(rho, "rho")
     b = mat_sqrt(sigma, "sigma")
-    return float(np.clip(trace_norm(a @ b), 0.0, 1.0))
+    return collapse(np.clip(trace_norm(a @ b), 0.0, 1.0))
 
 
 @dataclass(frozen=True)
-class StateMetrics:
+class StateMetrics:         # arrays, one entry per pair, for stacks
     trace_distance: float
     fidelity: float
 
@@ -273,43 +281,48 @@ def symmetric_purification(rho) -> np.ndarray:
     """Purification sum_k sqrt(lambda_k) |v_k>|v_k> in rho's canonical eigenbasis."""
     rho = check_density(rho)
     w, v = eigh_desc(rho, "rho", atol=1e-8)
-    m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    psi = m.reshape(-1)
-    return psi / np.linalg.norm(psi)
+    m = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.swapaxes(-1, -2)
+    return _unit(m.reshape(m.shape[:-2] + (-1,)))
 
 
 # ---------------------------------------------------------------------------
-# seeded random instances (used by the property sweeps and tests)
+# seeded random instances (used by the property sweeps and tests); `count`
+# draws a stack in one call, a different stream from `count` single draws
 
-def random_unitary(d: int, rng=None) -> np.ndarray:
+def random_unitary(d: int, rng=None, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitary."""
+    q, r = np.linalg.qr(_gaussian((d, d), count, rng) / math.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _unit(psi: np.ndarray) -> np.ndarray:
+    """Each vector over its norm, summed as np.linalg.norm sums one vector."""
+    sq = (psi.real[..., None, :] @ psi.real[..., :, None]
+          + psi.imag[..., None, :] @ psi.imag[..., :, None])
+    return psi / np.sqrt(sq[..., 0])
+
+
+def _gaussian(shape: tuple, count, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    shape = shape if count is None else (count,) + shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_pure(dim: int, rng=None) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return psi / np.linalg.norm(psi)
+def random_pure(dim: int, rng=None, count: int | None = None) -> np.ndarray:
+    return _unit(_gaussian((dim,), count, rng))
 
 
-def random_density(d: int, rank: int | None = None, rng=None) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    rank = d if rank is None else rank
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return rho / np.real(np.trace(rho))
+def random_density(d: int, rank: int | None = None, rng=None, count: int | None = None):
+    g = _gaussian((d, d if rank is None else rank), count, rng)
+    rho = g @ dagger(g)
+    return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
 
-def random_psd(d: int, scale: float = 1.0, rng=None) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (g @ g.conj().T) / d
+def random_psd(d: int, scale: float = 1.0, rng=None, count: int | None = None):
+    g = random_matrix(d, rng, count)
+    return scale * (g @ dagger(g)) / d
 
 
-def random_matrix(d: int, rng=None) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def random_matrix(d: int, rng=None, count: int | None = None) -> np.ndarray:
+    return _gaussian((d, d), count, rng)

@@ -204,10 +204,6 @@ class Kernel:
     defined: np.ndarray
 
     @property
-    def given_sizes(self) -> tuple:
-        return self.table.shape[: len(self.given_names)]
-
-    @property
     def new_sizes(self) -> tuple:
         return self.table.shape[len(self.given_names):]
 

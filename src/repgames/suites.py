@@ -2,10 +2,14 @@
 
 Each sweep draws seeded random instances, checks one inequality or
 identity at its stated slack, and reports a CheckResult.  A nonzero
-violation count in any result is a correctness failure, not noise.
+violation count in any result is a correctness failure, not noise.  Trials
+are drawn grouped by dimension (by (k, d) for the cq sweeps); each group is
+one stack for the kernels, checked with whole-array operations.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -22,10 +26,46 @@ PINSKER_ATOL = 1e-9
 MIN_ENTROPY_ATOL = 1e-9
 RAZ_ATOL = 1e-8
 CHAIN_ATOL = 1e-8
+GROUP_CHUNK = 1024      # trials per stack, so a sweep's memory does not grow with its trials
 
 
-def _rng_for(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(tag)])
+def _draw(seed: int, tag: int, trials: int, ranges, check) -> list:
+    """Join the outputs of check(rng, n, *combo) over the groups of trials.
+
+    Each trial draws a combination of the ranges uniformly; the n trials of
+    a combination are one group (split into stacks of at most GROUP_CHUNK),
+    and check returns arrays of n entries.
+    """
+    if trials < 1:
+        raise ValueError(f"a sweep needs at least one trial, got {trials}")
+    rng = np.random.default_rng([int(seed), int(tag)])
+    combos = list(itertools.product(*ranges))
+    counts = rng.multinomial(trials, [1.0 / len(combos)] * len(combos))
+    outs = [check(rng, min(GROUP_CHUNK, int(n) - start), *c)
+            for c, n in zip(combos, counts) for start in range(0, n, GROUP_CHUNK)]
+    return [np.concatenate(parts) for parts in zip(*outs)]
+
+
+def _result(name: str, trials: int, slack, bad, details: str = "") -> CheckResult:
+    """Violations are the `bad` trials; max_slack ignores NaN slacks."""
+    return CheckResult(name, trials, int(np.count_nonzero(bad)),
+                       float(np.fmax.reduce(slack)), details)
+
+
+def _finite_gap(a, b) -> np.ndarray:
+    """a - b where both are finite, NaN (left out of max_slack) elsewhere."""
+    both = np.isfinite(a) & np.isfinite(b)
+    return np.where(both, np.where(both, a, 0.0) - np.where(both, b, 0.0), np.nan)
+
+
+def _densities(rng, n: int, d: int) -> list:
+    """Two stacks of n random densities on C^d."""
+    return [matcore.random_density(d, rng=rng, count=n) for _ in range(2)]
+
+
+def _transposed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y transposed in the eigenbasis v (one basis per matrix of the stack)."""
+    return v @ (matcore.dagger(v) @ y @ v).swapaxes(-1, -2) @ matcore.dagger(v)
 
 
 def sweep_ando(trials: int = 1000, seed: int = 0,
@@ -36,84 +76,54 @@ def sweep_ando(trials: int = 1000, seed: int = 0,
     equals Tr(X sqrt(rho) Y_t sqrt(rho)) with the transpose taken in the
     eigenbasis of rho.
     """
-    rng = _rng_for(seed, 1)
-    worst = 0.0
-    violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        rho = matcore.random_density(d, rng=rng)
-        psi = matcore.symmetric_purification(rho)
-        x = matcore.random_matrix(d, rng)
-        y = matcore.random_matrix(d, rng)
-        lhs = complex(psi.conj() @ (np.kron(x, y) @ psi))
-        w, v = matcore.eigh_desc(rho, "density matrix")
-        y_t = v @ (v.conj().T @ y @ v).T @ v.conj().T
+    def check(rng, n, d):
+        rho = matcore.random_density(d, rng=rng, count=n)
+        psi = matcore.symmetric_purification(rho).reshape(n, d, d)
+        x = matcore.random_matrix(d, rng, count=n)
+        y = matcore.random_matrix(d, rng, count=n)
+        # <psi| X (x) Y |psi> with psi = vec(M): (X (x) Y) vec(M) = vec(X M Y^T)
+        lhs = (psi.conj() * (x @ psi @ y.swapaxes(-1, -2))).sum((-2, -1))
+        _, v = matcore.eigh_desc(rho, "density matrix")
         sq = matcore.mat_sqrt(rho, "density matrix")
-        rhs = complex(np.trace(x @ sq @ y_t @ sq))
-        slack = abs(lhs - rhs)
-        worst = max(worst, slack)
-        if slack > ANDO_ATOL:
-            violations += 1
-    return CheckResult("ando_identity", trials, violations, worst)
+        rhs = np.trace(x @ sq @ _transposed(v, y) @ sq, axis1=-2, axis2=-1)
+        return (np.abs(lhs - rhs),)
+    (slack,) = _draw(seed, 1, trials, [range(2, dim_max + 1)], check)
+    return _result("ando_identity", trials, slack, slack > ANDO_ATOL)
 
 
 def sweep_powers_stormer(trials: int = 1000, seed: int = 0,
                          dim_max: int = 8) -> CheckResult:
     """Frobenius gap of square roots against the trace gap of squares."""
-    rng = _rng_for(seed, 2)
-    worst = -np.inf
-    violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        a = matcore.random_psd(d, rng=rng)
-        b = matcore.random_psd(d, rng=rng)
-        lhs = float(matcore.frobenius(a - b)) ** 2
-        rhs = float(matcore.trace_norm(a @ a - b @ b))
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + POWERS_ATOL:
-            violations += 1
-    return CheckResult("powers_stormer", trials, violations, float(worst))
+    def check(rng, n, d):
+        a, b = (matcore.random_psd(d, rng=rng, count=n) for _ in range(2))
+        return np.linalg.norm(a - b, axis=(-2, -1)) ** 2, matcore.trace_norm(a @ a - b @ b)
+    lhs, rhs = _draw(seed, 2, trials, [range(2, dim_max + 1)], check)
+    return _result("powers_stormer", trials, lhs - rhs, lhs > rhs + POWERS_ATOL)
 
 
 def sweep_fuchs_van_de_graaf(trials: int = 1000, seed: int = 0,
                              dim_max: int = 8) -> CheckResult:
     """Both fidelity bounds on the trace distance."""
-    rng = _rng_for(seed, 3)
-    worst = -np.inf
-    violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        rho = matcore.random_density(d, rng=rng)
-        sigma = matcore.random_density(d, rng=rng)
-        m = matcore.metrics(rho, sigma)
-        low = 1.0 - m.fidelity
-        high = float(np.sqrt(max(0.0, 1.0 - m.fidelity ** 2)))
-        slack = max(low - m.trace_distance, m.trace_distance - high)
-        worst = max(worst, slack)
-        if slack > FVG_ATOL:
-            violations += 1
-    return CheckResult("fuchs_van_de_graaf", trials, violations,
-                       float(worst))
+    def check(rng, n, d):
+        m = matcore.metrics(*_densities(rng, n, d))
+        high = np.sqrt(np.maximum(0.0, 1.0 - m.fidelity ** 2))
+        return (np.maximum(1.0 - m.fidelity - m.trace_distance,
+                           m.trace_distance - high),)
+    (slack,) = _draw(seed, 3, trials, [range(2, dim_max + 1)], check)
+    return _result("fuchs_van_de_graaf", trials, slack, slack > FVG_ATOL)
 
 
 def sweep_pure_state_bound(trials: int = 1000, seed: int = 0,
                            dim_max: int = 8) -> CheckResult:
     """Trace norm of a pure-state difference against the vector gap."""
-    rng = _rng_for(seed, 4)
-    worst = -np.inf
-    violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        v = matcore.random_pure(d, rng)
-        w = matcore.random_pure(d, rng)
-        lhs = float(matcore.trace_norm(np.outer(v, v.conj())
-                                       - np.outer(w, w.conj())))
-        rhs = 2.0 * float(np.linalg.norm(v - w))
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + PURE_ATOL:
-            violations += 1
-    return CheckResult("pure_state_trace_bound", trials, violations,
-                       float(worst))
+    def check(rng, n, d):
+        v, w = (matcore.random_pure(d, rng, count=n) for _ in range(2))
+        proj = (v[:, :, None] * v.conj()[:, None, :]
+                - w[:, :, None] * w.conj()[:, None, :])
+        return matcore.trace_norm(proj), 2.0 * np.linalg.norm(v - w, axis=-1)
+    lhs, rhs = _draw(seed, 4, trials, [range(2, dim_max + 1)], check)
+    return _result("pure_state_trace_bound", trials, lhs - rhs,
+                   lhs > rhs + PURE_ATOL)
 
 
 def sweep_pinsker(trials: int = 1000, seed: int = 0,
@@ -123,92 +133,59 @@ def sweep_pinsker(trials: int = 1000, seed: int = 0,
     The nat-convention margin (relative entropy in nats minus the same
     quadratic term) is tracked in the details string.
     """
-    rng = _rng_for(seed, 5)
-    worst = -np.inf
-    nat_margin = np.inf
-    violations = 0
-    ln2 = float(np.log(2.0))
-    for _ in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        rho = matcore.random_density(d, rng=rng)
-        sigma = matcore.random_density(d, rng=rng)
-        rel = relative_entropy(rho, sigma)
-        l1 = 2.0 * float(matcore.trace_distance(rho, sigma))
-        quad = 0.5 * l1 * l1
-        worst = max(worst, quad - rel)
-        nat_margin = min(nat_margin, rel * ln2 - quad)
-        if quad > rel + PINSKER_ATOL:
-            violations += 1
-    return CheckResult("pinsker", trials, violations, float(worst),
-                       details=f"min_nat_margin={nat_margin:.6e}")
+    def check(rng, n, d):
+        rho, sigma = _densities(rng, n, d)
+        l1 = 2.0 * matcore.trace_distance(rho, sigma)
+        return relative_entropy(rho, sigma), 0.5 * l1 * l1
+    rel, quad = _draw(seed, 5, trials, [range(2, dim_max + 1)], check)
+    nat_margin = float(np.min(rel * np.log(2.0) - quad))
+    return _result("pinsker", trials, quad - rel, quad > rel + PINSKER_ATOL,
+                   details=f"min_nat_margin={nat_margin:.6e}")
 
 
 def sweep_min_entropy(trials: int = 1000, seed: int = 0,
                       dim_max: int = 8) -> CheckResult:
     """Relative min-entropy dominates the relative entropy."""
-    rng = _rng_for(seed, 6)
-    worst = -np.inf
-    violations = 0
-    for _ in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        rho = matcore.random_density(d, rng=rng)
-        sigma = matcore.random_density(d, rng=rng)
-        s_inf = relative_min_entropy(rho, sigma)
-        s_rel = relative_entropy(rho, sigma)
-        worst = max(worst, s_rel - s_inf)
-        if s_inf + MIN_ENTROPY_ATOL < s_rel:
-            violations += 1
-    return CheckResult("min_entropy_dominates", trials, violations,
-                       float(worst))
+    def check(rng, n, d):
+        rho, sigma = _densities(rng, n, d)
+        return relative_min_entropy(rho, sigma), relative_entropy(rho, sigma)
+    s_inf, s_rel = _draw(seed, 6, trials, [range(2, dim_max + 1)], check)
+    return _result("min_entropy_dominates", trials, _finite_gap(s_rel, s_inf),
+                   s_inf + MIN_ENTROPY_ATOL < s_rel)
 
 
-def _random_cq(k: int, d: int, rng: np.random.Generator) -> CQState:
-    probs = rng.random(k) + 0.05
-    probs /= probs.sum()
-    states = np.stack([matcore.random_density(d, rng=rng) for _ in range(k)])
-    return CQState(probs, states)
+def _weights(rng, n: int, size: int) -> np.ndarray:
+    """n random probability vectors of the given size, no entry near zero."""
+    q = rng.random((n, size)) + 0.05
+    return q / q.sum(-1, keepdims=True)
+
+
+def _random_cq(n: int, k: int, d: int, rng: np.random.Generator) -> CQState:
+    """A stack of n cq states with k labels on C^d."""
+    probs = _weights(rng, n, k)
+    return CQState(probs, matcore.random_density(d, rng=rng, count=n * k).reshape(n, k, d, d))
 
 
 def sweep_raz(trials: int = 500, seed: int = 0) -> CheckResult:
     """Per-coordinate information sum against the product divergence."""
-    rng = _rng_for(seed, 7)
-    worst = -np.inf
-    violations = 0
-    for _ in range(trials):
-        s1 = int(rng.integers(2, 4))
-        s2 = int(rng.integers(2, 4))
-        d = int(rng.integers(2, 5))
-        cq = _random_cq(s1 * s2, d, rng)
-        parts = []
-        for size in (s1, s2):
-            q = rng.random(size) + 0.05
-            parts.append(q / q.sum())
-        sigma_a = matcore.random_density(d, rng=rng)
-        lhs, rhs, holds = raz_lemma_check(cq, (s1, s2), parts, sigma_a,
-                                          RAZ_ATOL)
-        if np.isfinite(rhs):
-            worst = max(worst, lhs - rhs)
-        if not holds:
-            violations += 1
-    return CheckResult("raz_lemma", trials, violations, float(worst))
+    def check(rng, n, s1, s2, d):
+        cq = _random_cq(n, s1 * s2, d, rng)
+        parts = [_weights(rng, n, s1), _weights(rng, n, s2)]
+        sigma_a = matcore.random_density(d, rng=rng, count=n)
+        lhs, rhs, holds = raz_lemma_check(cq, (s1, s2), parts, sigma_a, RAZ_ATOL)
+        return _finite_gap(lhs, rhs), ~holds
+    slack, bad = _draw(seed, 7, trials, [range(2, 4), range(2, 4), range(2, 5)], check)
+    return _result("raz_lemma", trials, slack, bad)
 
 
 def sweep_chain_rule(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Decomposition of the cq relative entropy into two stages."""
-    rng = _rng_for(seed, 8)
-    worst = -np.inf
-    violations = 0
-    for _ in range(trials):
-        k = int(rng.integers(2, 5))
-        d = int(rng.integers(2, 4))
-        cq_prime = _random_cq(k, d, rng)
-        cq = _random_cq(k, d, rng)
+    def check(rng, n, k, d):
+        cq_prime, cq = _random_cq(n, k, d, rng), _random_cq(n, k, d, rng)
         lhs, rhs, holds = chain_rule_check(cq_prime, cq, CHAIN_ATOL)
-        if np.isfinite(lhs) and np.isfinite(rhs):
-            worst = max(worst, abs(lhs - rhs))
-        if not holds:
-            violations += 1
-    return CheckResult("chain_rule", trials, violations, float(worst))
+        return np.abs(_finite_gap(lhs, rhs)), ~holds
+    slack, bad = _draw(seed, 8, trials, [range(2, 5), range(2, 4)], check)
+    return _result("chain_rule", trials, slack, bad)
 
 
 SWEEPS = {

@@ -23,13 +23,6 @@ MAX_STRATEGY_PAIRS = 100_000_000
 MAX_PREDICATE_TABLE = 10_000_000
 
 
-def _pack(t, size: int) -> int:
-    v = 0
-    for c in t:
-        v = v * size + int(c)
-    return v
-
-
 def classical_value(g: Game, n: int) -> float:
     """Exact optimum over deterministic strategies of the n-fold game."""
     qx, qy = g.x_size ** n, g.y_size ** n

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from repgames import matcore
-from repgames.infotheory import (CQState, chain_rule_check,
+from repgames.infotheory import (STATE_WEIGHT, CQState, chain_rule_check,
                                  classical_relative_entropy,
                                  cq_mutual_information, mutual_information,
                                  raz_lemma_check, relative_entropy,
@@ -89,6 +89,43 @@ def test_cq_state_validation():
         CQState(np.array([0.7, 0.7]), np.stack([np.eye(2) / 2] * 2))
     with pytest.raises(ValueError):
         CQState(np.array([0.5, 0.5]), np.stack([np.eye(2)] * 2))
+
+
+def test_cq_state_validates_every_state_the_kernels_read():
+    # a state of weight 5e-13 (above STATE_WEIGHT, below 1e-12) is read by
+    # the kernels, so a bad one must be refused at construction
+    bad = np.diag([2.0, -1.0]).astype(complex)
+    probs = np.array([1.0 - 5e-13, 5e-13])
+    with pytest.raises(ValueError) as err:
+        CQState(probs, np.stack([np.eye(2) / 2, bad]))
+    assert str(err.value) == "density matrix has eigenvalue -1.000e+00 below -1e-09"
+    with pytest.raises(ValueError, match="^weights must form a distribution$"):
+        CQState(np.array([np.nan, 1.0]), np.stack([np.eye(2) / 2] * 2))
+    # a state with weight at or below STATE_WEIGHT is never read
+    light = CQState(np.array([1.0, STATE_WEIGHT]), np.stack([np.eye(2) / 2, bad]))
+    assert abs(cq_mutual_information(light)) < 1e-12
+
+
+def test_cq_kernels_take_stacks_of_states():
+    rng = np.random.default_rng(6)
+    probs = rng.random((5, 4)) + 0.05
+    probs /= probs.sum(-1, keepdims=True)
+    states = matcore.random_density(3, rng=rng, count=20).reshape(5, 4, 3, 3)
+    others = matcore.random_density(3, rng=rng, count=20).reshape(5, 4, 3, 3)
+    sigma_a = matcore.random_density(3, rng=rng, count=5)
+    parts = [np.full((5, 2), 0.5), np.full((5, 2), 0.5)]
+    stack, other = CQState(probs, states), CQState(probs[::-1], others)
+    mi = cq_mutual_information(stack)
+    raz = raz_lemma_check(stack, (2, 2), parts, sigma_a)
+    chain = chain_rule_check(stack, other)
+    for j in range(5):
+        one = CQState(probs[j], states[j])
+        assert abs(mi[j] - cq_mutual_information(one)) < 1e-14
+        single = raz_lemma_check(one, (2, 2), [p[j] for p in parts], sigma_a[j])
+        assert np.allclose([r[j] for r in raz], single, atol=1e-14, rtol=0.0)
+        single = chain_rule_check(one, CQState(probs[::-1][j], others[j]))
+        assert np.allclose([r[j] for r in chain], single, atol=1e-14, rtol=0.0)
+    assert raz[2].all() and chain[2].all()
 
 
 def test_cq_mutual_information_classical_copy():
