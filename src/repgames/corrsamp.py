@@ -262,6 +262,7 @@ class QCSResult:
     produced_target: np.ndarray
     err: float
     overlap: float
+    ref_err: float | None = None
 
 
 def _slot_table(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry) -> tuple:
@@ -294,23 +295,8 @@ def _junk_overlap(table: tuple, g: np.ndarray) -> float:
     return float(np.sum(w * g.real[np.arange(d)[:, None], k_b]))
 
 
-def qcs_error_against(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
-                      target_state: np.ndarray) -> float:
-    """Distance between the produced vector and an explicit target state.
-
-    The target is any normalized bipartite state on the two d-dimensional
-    factors; it is paired with a fresh junk embezzlement state.  Computed
-    from the slot table, no dense product vector.
-    """
-    table = _slot_table(iso_a, iso_b)
-    d = iso_a.d
-    tgt = np.asarray(target_state, dtype=np.complex128).reshape(d, d)
-    g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
-    return math.sqrt(max(0.0, 2.0 - 2.0 * _junk_overlap(table, g)))
-
-
 def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
-                target_dim: int) -> QCSResult:
+                target_dim: int, reference: np.ndarray | None = None) -> QCSResult:
     """Outcome of both alignment isometries acting on the shared state.
 
     Tracing out the junk registers pairs two slots of the slot table when
@@ -319,7 +305,10 @@ def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
     with weights vals[p] * vals[q] where l_b[p] == l_b[q]; it is then
     rotated by the players' local bases.  err is the Euclidean distance of
     the full produced vector from iso_a's target state paired with a fresh
-    junk embezzlement state, overlap their inner product.
+    junk embezzlement state, overlap their inner product.  When a
+    reference state (any normalized bipartite state on the two
+    d-dimensional factors) is given, ref_err is the same distance with the
+    reference in place of iso_a's target, read from the same slot table.
     """
     if iso_a.d != target_dim:
         raise ValueError("isometry dimensions do not match")
@@ -329,6 +318,11 @@ def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
     cross = iso_a.rot_right.conj().T @ iso_b.rot_right
     overlap = _junk_overlap(table, iso_a.coeffs_exact[:, None] * cross)
     err = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+    ref_err = None
+    if reference is not None:
+        tgt = np.asarray(reference, dtype=np.complex128).reshape(d, d)
+        g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
+        ref_err = math.sqrt(max(0.0, 2.0 - 2.0 * _junk_overlap(table, g)))
 
     rho = np.zeros((d, d, d, d))
     for p in range(d):
@@ -341,4 +335,4 @@ def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
     k = np.kron(iso_a.rot_left, iso_b.rot_right)
     produced = k @ rho.reshape(k.shape) @ k.conj().T
     produced = (produced + produced.conj().T) / 2
-    return QCSResult(produced, err, overlap)
+    return QCSResult(produced, err, overlap, ref_err)

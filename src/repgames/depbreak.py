@@ -10,9 +10,12 @@ certify the construction on explicit strategies.
 
 The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
 is one finite variable: it is passed as a flat index into that coordinate's
-`ContextTable`.  Pointer constraints of the operator families are
-{name: value} dicts using the same variable names as the joint tables
-("d2", "m2", "x3", ...).
+`ContextTable`.  Every aligned factor and fine POVM of a free coordinate is
+built once, as a stack over its contexts, and the walks index those stacks
+with flat arrays of contexts; the kernels take `(..., d, d)` stacks, a 2-D
+input being a stack of one.  Pointer constraints of the one-assignment
+operator families are {name: value} dicts using the same variable names as
+the joint tables ("d2", "m2", "x3", ...).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ BOB = 1
 
 ZERO_WEIGHT = 1e-12
 SUPPORT_MASS = 1e-12
+CONTEXT_CHUNK = 512     # contexts whose operators one stacked step gathers
 
 
 def d_name(j: int) -> str:
@@ -220,7 +224,8 @@ def skew_distances(ext: FiniteDistribution, g: Game, n: int, C) -> SkewReport:
 def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
     """Factor S = U A^(1/2) with U unitary chosen so S sqrt(rho) is PSD.
 
-    Returns (S, U).  S-dagger-S recovers the coarse operator exactly, and
+    coarse is one operator or a `(..., d, d)` stack of them; returns (S, U)
+    of the same shape.  S-dagger-S recovers the coarse operator exactly, and
     the PSD alignment makes states built from S comparable across contexts
     without a floating phase.
     """
@@ -232,72 +237,91 @@ def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
 
 def fine_povm(s_op: np.ndarray, fine_coarse: np.ndarray,
               support_tol: float = 1e-12) -> np.ndarray:
-    """Answer measurements for the target round from one aligned factor.
+    """Answer measurements for the target round from aligned factors.
 
-    fine_coarse has shape (k, d, d) and sums to the coarse operator that
-    produced s_op.  Returns (k + 1, d, d): the k conjugated elements plus a
-    reserved null outcome completing the family to the identity.
+    s_op is one factor `(d, d)` or a `(..., d, d)` stack; fine_coarse has
+    shape `(..., k, d, d)` and sums, per factor, to the coarse operator that
+    produced it.  Returns `(..., k + 1, d, d)`: the k conjugated elements
+    plus a reserved null outcome completing each family to the identity.
 
     The conjugation by the inverse factor is evaluated in the eigenbasis of
     the coarse operator: each element is dominated there, so dividing entry
     (j, l) by sqrt(w_j w_l) keeps every intermediate bounded by one and the
     result stays accurate even when the coarse operator is ill conditioned.
+    Eigenvalues at most support_tol times a matrix's largest are outside its
+    support; a per-matrix keep mask zeroes their columns.
     """
-    k, d = fine_coarse.shape[0], fine_coarse.shape[-1]
-    coarse = fine_coarse.sum(axis=0)
-    coarse = (coarse + coarse.conj().T) / 2
-    w, v = np.linalg.eigh(coarse)
-    cutoff = support_tol * max(float(w[-1]), 0.0)
+    k, d = fine_coarse.shape[-3], fine_coarse.shape[-1]
+    coarse = fine_coarse.sum(axis=-3)
+    w, v = np.linalg.eigh((coarse + matcore.dagger(coarse)) / 2)
+    cutoff = support_tol * np.maximum(w[..., -1:], 0.0)
     keep = w > cutoff
-    out = np.zeros((k + 1, d, d), dtype=np.complex128)
-    if not keep.any():
-        out[k] = np.eye(d)
-        return out
-    vs = v[:, keep]
-    inv_sqrt = 1.0 / np.sqrt(w[keep])
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    vs = v * keep[..., None, :]
     # s_op restricted to the support equals an isometry times sqrt(coarse);
     # renormalizing its image columns and polishing recovers that isometry
-    # without ever forming an explicit inverse.
-    q = s_op @ (vs * inv_sqrt)
-    uu, _, vv = np.linalg.svd(q, full_matrices=False)
-    q = uu @ vv
-    scale = np.outer(inv_sqrt, inv_sqrt)
-    for a in range(k):
-        g = vs.conj().T @ fine_coarse[a] @ vs
-        e = q @ (g * scale) @ q.conj().T
-        out[a] = (e + e.conj().T) / 2
-    out[k] = np.eye(d) - out[:k].sum(axis=0)
-    out[k] = (out[k] + out[k].conj().T) / 2
-    return out
+    # without ever forming an explicit inverse.  The masked columns are
+    # zero, so they only complete the polished factor and meet zero rows
+    # of the scaled elements.
+    uu, _, vv = np.linalg.svd(s_op @ (vs * inv_sqrt[..., None, :]))
+    q = (uu @ vv)[..., None, :, :]
+    scale = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    vs = vs[..., None, :, :]
+    g = matcore.dagger(vs) @ fine_coarse @ vs
+    e = q @ (g * scale[..., None, :, :]) @ matcore.dagger(q)
+    e = (e + matcore.dagger(e)) / 2
+    null = np.eye(d) - e.sum(axis=-3)
+    null = (null + matcore.dagger(null)) / 2
+    return np.concatenate([e, null[..., None, :, :]], axis=-3)
 
 
 def dep_state(s_op: np.ndarray, t_op: np.ndarray, psi: np.ndarray) -> tuple:
     """Conditional bipartite state (S (x) T) psi with its weight.
 
-    Returns (state_vector, weight); the state is None when the weight is
-    at most ZERO_WEIGHT, marking the context absent.
+    For one pair of `(d, d)` factors returns (state_vector, weight); the
+    state is None when the weight is at most ZERO_WEIGHT, marking the
+    context absent.  For `(..., d, d)` stacks returns (states, weights) of
+    shapes `(..., d * d)` and `(...)`, an absent context's row all zero.
     """
-    d = s_op.shape[0]
-    m = psi.reshape(d, -1)
-    out = s_op @ m @ t_op.T
-    weight = float(np.linalg.norm(out) ** 2)
-    if weight <= ZERO_WEIGHT:
-        return None, weight
-    return (out / math.sqrt(weight)).reshape(-1), weight
+    d = s_op.shape[-1]
+    out = (s_op @ psi.reshape(d, d) @ np.swapaxes(t_op, -1, -2))
+    out = out.reshape(out.shape[:-2] + (d * d,))
+    weight = (out.real[..., None, :] @ out.real[..., :, None]
+              + out.imag[..., None, :] @ out.imag[..., :, None])[..., 0, 0]
+    present = weight > ZERO_WEIGHT
+    if out.ndim == 1:
+        return (out / math.sqrt(weight) if present else None), float(weight)
+    norm = np.sqrt(np.where(present, weight, 1.0))
+    return np.where(present[..., None], out / norm[..., None], 0.0), weight
 
 
 def pure_born_table(state: np.ndarray, fa: np.ndarray,
                     fb: np.ndarray) -> np.ndarray:
     """Joint answer table <state| F_a (x) G_b |state> of two POVM families.
 
-    state is a vector on C^d (x) C^d with Alice's index first; fa and fb
-    are (k, d, d) operator stacks.
+    state is a vector on C^d (x) C^d with Alice's index first, or a
+    `(..., d * d)` stack; fa and fb are `(..., k, d, d)` operator stacks.
+    Returns `(..., ka, kb)`.
     """
     d = fa.shape[-1]
-    m = state.reshape(d, d)
-    inner = m.conj().T @ fa @ m
-    return (inner.reshape(fa.shape[0], -1)
-            @ fb.reshape(fb.shape[0], -1).T).real
+    m = state.reshape(state.shape[:-1] + (1, d, d))
+    inner = matcore.dagger(m) @ fa @ m
+    lead = inner.shape[:-3]
+    return (inner.reshape(lead + (fa.shape[-3], d * d))
+            @ np.swapaxes(fb.reshape(lead + (fb.shape[-3], d * d)), -1, -2)).real
+
+
+@dataclass(frozen=True)
+class SideOperators:
+    """One side's operators for one free coordinate, as stacks over contexts.
+
+    Indexed [omega, q, held] with omega the flat index of the coordinate's
+    `omega_names`, q the side's own round-i question and held the flat
+    index of its held answers: own[omega, q, held] is the aligned factor,
+    and fine[omega, q, held] the `(k + 1, d, d)` fine POVM built from it.
+    """
+    own: np.ndarray
+    fine: np.ndarray
 
 
 @dataclass
@@ -390,6 +414,41 @@ class ContextTable:
         return p / mass if mass > ZERO_MASS else None
 
 
+def chunks(total: int, per_row: int = 1) -> list:
+    """Slices covering range(total) rows, each row holding per_row
+    contexts, so that a slice gathers at most CONTEXT_CHUNK contexts (and
+    at least one row)."""
+    step = max(1, CONTEXT_CHUNK // per_row)
+    return [slice(lo, min(total, lo + step)) for lo in range(0, total, step)]
+
+
+def conditioned_contexts(g: Game, table: ContextTable) -> tuple:
+    """The contexts a conditioned walk visits, with their weights.
+
+    For each (x, y) with mu(x, y) > 0, in row-major order, the flat r of
+    P(r | x, y, every held round won) above SUPPORT_MASS, weighted by
+    mu(x, y) times that probability.  Returns flat arrays (r, x, y, weight)
+    plus the mu mass and the number of question pairs whose law does not
+    exist (`ContextTable.law` returns None).
+    """
+    parts = []
+    lost_mass, lost_pairs = 0.0, 0
+    for x, y in np.argwhere(g.mu > 0.0).tolist():
+        w_q = float(g.mu[x, y])
+        law = table.law(x, y)
+        if law is None:
+            lost_mass += w_q
+            lost_pairs += 1
+            continue
+        r = np.flatnonzero(law > SUPPORT_MASS)
+        parts.append((r, np.full(r.size, x), np.full(r.size, y), w_q * law[r]))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0), lost_mass, lost_pairs
+    r, x, y, w = (np.concatenate(col) for col in zip(*parts))
+    return r, x, y, w, lost_mass, lost_pairs
+
+
 class DepBreakComputer:
     """Builds and checks every object tied to one (game, strategy, C) triple.
 
@@ -421,13 +480,10 @@ class DepBreakComputer:
         rho_b = np.conj(m.conj().T @ m)
         self.rho = {"alice": (rho_a + rho_a.conj().T) / 2,
                     "bob": (rho_b + rho_b.conj().T) / 2}
-        self._coarse_cache = {}
-        self._aligned_cache = {}
-        self._fine_cache = {}
         self._contexts = {}
-        self._held_sums = {"alice": self._sum_ops("alice", self.C),
-                           "bob": self._sum_ops("bob", self.C)}
-        self._fine_sums = {}
+        self._op_tensors = {}
+        self._operators = {}
+        self._via = {}
 
     # ---- variable bookkeeping -------------------------------------------
 
@@ -465,41 +521,109 @@ class DepBreakComputer:
 
     # ---- measurement operators ------------------------------------------
 
-    def _sum_ops(self, side: str, kept) -> dict:
-        """Per-question operators summed over answers outside kept coords."""
-        fam = self.strategy.alice if side == "alice" else self.strategy.bob
-        drop = tuple(j for j in range(self.n) if j not in kept)
-        return {q: fam.ops[q].sum(axis=drop) if drop else fam.ops[q]
-                for q in fam.ops}
+    def _op_tensor(self, side: str, kept: tuple) -> np.ndarray:
+        """The side's POVMs summed over answers outside the kept coordinates,
+        stacked over flat own-question tuples: (Q^n, answers of kept..., d, d)."""
+        key = (side, kept)
+        if key not in self._op_tensors:
+            fam = self.strategy.alice if side == "alice" else self.strategy.bob
+            drop = tuple(j for j in range(self.n) if j not in kept)
+            self._op_tensors[key] = np.stack([
+                fam.ops[q].sum(axis=drop) if drop else fam.ops[q]
+                for q in itertools.product(range(fam.question_size),
+                                           repeat=self.n)])
+        return self._op_tensors[key]
 
-    def _fine_sum_ops(self, side: str, i: int) -> dict:
-        key = (side, i)
-        if key not in self._fine_sums:
-            self._fine_sums[key] = self._sum_ops(
-                side, tuple(sorted(self.C + (i,))))
-        return self._fine_sums[key]
+    def _question_law(self, side: str, names: tuple, rows=None) -> tuple:
+        """P(own questions | names) for every assignment of names.
 
-    def _question_support(self, side: str, constraints: dict):
-        """Full own-question tuples and weights given pointer constraints."""
-        names = x_names(self.n) if side == "alice" else y_names(self.n)
-        cond = self.qext.given(constraints)
-        remaining = [nm for nm in names if nm in cond.names]
-        fixed = {nm: constraints[nm] for nm in names if nm in constraints}
-        if remaining:
-            marg = cond.marginal(tuple(remaining))
-            for idx in np.argwhere(marg.table > SUPPORT_MASS):
-                assign = dict(fixed)
-                assign.update(zip(remaining, (int(v) for v in idx)))
-                q = tuple(assign[nm] for nm in names)
-                yield q, float(marg.table[tuple(idx)])
-        else:
-            yield tuple(fixed[nm] for nm in names), 1.0
+        Returns (law, cols, mass) for the flat assignments of names (all of
+        them, or those listed in rows): law[k, t] is the conditional weight
+        of the t-th value of the side's questions outside names, cols[k, t]
+        the flat own-question tuple it completes, and mass[k] the
+        assignment's probability.  Weights at most SUPPORT_MASS are cut to
+        zero; an assignment of mass at most ZERO_MASS gets zero weights.
+        Each assignment's weights are summed with the same numpy calls as
+        `FiniteDistribution.given` followed by `marginal`, so they are the
+        bits the per-context construction reads.
+        """
+        qext = self.qext
+        own = x_names(self.n) if side == "alice" else y_names(self.n)
+        rest = tuple(nm for nm in own if nm not in names)
+        sizes = tuple(qext.size_of(nm) for nm in names)
+        rows = (np.arange(math.prod(sizes)) if rows is None
+                else np.asarray(rows).ravel())
+        axes = [qext.axis(nm) for nm in names]
+        left = [nm for nm in qext.names if nm not in names]
+        drop = tuple(k for k, nm in enumerate(left) if nm not in rest)
+        summed = [nm for nm in left if nm in rest]
+        perm = [summed.index(nm) for nm in rest]
+        fixed = np.unravel_index(rows, sizes)
+        law = np.zeros((rows.size, math.prod(qext.size_of(nm) for nm in rest)))
+        mass = np.zeros(rows.size)
+        index = [slice(None)] * len(qext.names)
+        for k, vals in enumerate(zip(*(f.tolist() for f in fixed))):
+            for ax, v in zip(axes, vals):
+                index[ax] = v
+            sub = qext.table[tuple(index)]
+            mass[k] = float(sub.sum())
+            if mass[k] <= ZERO_MASS:
+                continue
+            if rest:
+                cond = np.clip(sub / mass[k], 0.0, None)
+                law[k] = np.transpose(cond.sum(axis=drop), perm).ravel()
+            else:
+                law[k] = 1.0
+        law[law <= SUPPORT_MASS] = 0.0
+        # each (assignment, rest value) names one full own-question tuple
+        size = qext.size_of(own[0])
+        free = np.unravel_index(np.arange(law.shape[1]), tuple(
+            qext.size_of(nm) for nm in rest)) if rest else ()
+        digits = [fixed[names.index(nm)][:, None] if nm in names
+                  else free[rest.index(nm)][None, :] for nm in own]
+        cols = np.ravel_multi_index(np.broadcast_arrays(*digits),
+                                    (size,) * self.n)
+        return law, cols, mass
 
-    def _question_average(self, side: str, sums: dict,
-                          constraints: dict) -> np.ndarray:
-        """Per-question operators averaged over the side's question law."""
-        return sum(w * sums[q]
-                   for q, w in self._question_support(side, constraints))
+    @staticmethod
+    def _average(law: np.ndarray, cols: np.ndarray,
+                 ops: np.ndarray) -> np.ndarray:
+        """sum_t law[:, t] ops[cols[:, t]], accumulated in t order as the
+        per-context sum over the question support adds its terms (a cut
+        weight adds an exact zero): (N, answers..., d, d)."""
+        shape = (law.shape[0],) + (1,) * (ops.ndim - 1)
+        acc = law[:, 0].reshape(shape) * ops[cols[:, 0]]
+        for t in range(1, law.shape[1]):
+            acc = acc + law[:, t].reshape(shape) * ops[cols[:, t]]
+        return acc
+
+    def _averaged(self, side: str, kept: tuple, names: tuple,
+                  rows=None) -> tuple:
+        """Per-question operators averaged over the side's question law for
+        every assignment of names (or those in rows):
+        ((N, answers of kept..., d, d), mass)."""
+        law, cols, mass = self._question_law(side, names, rows)
+        return self._average(law, cols, self._op_tensor(side, kept)), mass
+
+    def _one_assignment(self, side: str, kept: tuple,
+                        constraints: dict) -> np.ndarray:
+        names = tuple(constraints)
+        sizes = tuple(self.qext.size_of(nm) for nm in names)
+        row = np.ravel_multi_index(
+            tuple(int(constraints[nm]) for nm in names), sizes)
+        ops, mass = self._averaged(side, kept, names, [row])
+        if mass[0] <= ZERO_MASS:
+            raise ZeroProbabilityEvent(
+                f"assignment {dict(constraints)} has mass {mass[0]:.3e}")
+        return ops[0]
+
+    def _with_round_last(self, i: int, ops: np.ndarray) -> np.ndarray:
+        """Answer axes of sorted(C + (i,)) reordered: held, then round i."""
+        kept = tuple(sorted(self.C + (i,)))
+        lead = ops.ndim - len(kept) - 2
+        perm = [lead + kept.index(c) for c in self.C] + [lead + kept.index(i)]
+        return np.transpose(ops, list(range(lead)) + perm
+                            + [ops.ndim - 2, ops.ndim - 1])
 
     def coarse_family(self, side: str, constraints: dict) -> np.ndarray:
         """Held-round answer POVM averaged over the unknown questions.
@@ -507,11 +631,7 @@ class DepBreakComputer:
         constraints pins pointer variables plus optionally one question of
         the given side; the result has one leading axis per held coordinate.
         """
-        key = (side, tuple(sorted(constraints.items())))
-        if key not in self._coarse_cache:
-            self._coarse_cache[key] = self._question_average(
-                side, self._held_sums[side], constraints)
-        return self._coarse_cache[key]
+        return self._one_assignment(side, self.C, constraints)
 
     def fine_coarse_family(self, side: str, i: int,
                            constraints: dict) -> np.ndarray:
@@ -519,81 +639,120 @@ class DepBreakComputer:
 
         Output axes: held coordinates in ascending order, then round i.
         """
-        out = self._question_average(side, self._fine_sum_ops(side, i),
-                                     constraints)
-        kept = tuple(sorted(self.C + (i,)))
-        perm = [kept.index(c) for c in self.C] + [kept.index(i)]
-        return np.transpose(out, perm + [len(kept), len(kept) + 1])
+        return self._with_round_last(i, self._one_assignment(
+            side, tuple(sorted(self.C + (i,))), constraints))
 
     def aligned(self, side: str, constraints: dict, held) -> tuple:
         """Aligned factor (S, U) for one held-answer value in one context."""
         held = tuple(int(v) for v in held)
-        key = (side, tuple(sorted(constraints.items())), held)
-        if key not in self._aligned_cache:
-            family = self.coarse_family(side, constraints)
-            self._aligned_cache[key] = aligned_operators(
-                family[held], self.rho[side])
-        return self._aligned_cache[key]
+        return aligned_operators(self.coarse_family(side, constraints)[held],
+                                 self.rho[side])
 
     def fine_family(self, side: str, i: int, constraints: dict,
                     held) -> np.ndarray:
         held = tuple(int(v) for v in held)
-        key = (side, i, tuple(sorted(constraints.items())), held)
-        if key not in self._fine_cache:
-            s_op, _ = self.aligned(side, constraints, held)
-            fam = self.fine_coarse_family(side, i, constraints)
-            self._fine_cache[key] = fine_povm(s_op, fam[held])
-        return self._fine_cache[key]
+        s_op, _ = self.aligned(side, constraints, held)
+        return fine_povm(s_op, self.fine_coarse_family(
+            side, i, constraints)[held])
 
-    def fine_families(self, i: int, r_a: int, r_b: int, x_i: int,
-                      y_i: int) -> tuple:
-        """Alice's fine family from her flat r_a, Bob's from his r_b."""
-        table = self.contexts(i)
-        omega_a, a_c, _ = table.split(r_a)
-        omega_b, _, b_c = table.split(r_b)
-        return (self.fine_family(
-                    "alice", i, {**omega_a, x_names_at(i): x_i}, a_c),
-                self.fine_family(
-                    "bob", i, {**omega_b, y_names_at(i): y_i}, b_c))
+    def operators(self, i: int) -> dict:
+        """The aligned factors and fine POVMs of free coordinate i, per
+        side, built once as stacks over the coordinate's contexts."""
+        if i not in self._operators:
+            self._operators[i] = {side: self._side_operators(side, i)
+                                  for side in ("alice", "bob")}
+        return self._operators[i]
+
+    def _side_operators(self, side: str, i: int) -> SideOperators:
+        omega = self.omega_names(i)
+        own_q, k = ((x_names_at(i), self.game.a_size) if side == "alice"
+                    else (y_names_at(i), self.game.b_size))
+        n_omega, d = math.prod(self.qext.size_of(nm) for nm in omega), self.d
+        law, cols, _ = self._question_law(side, omega + (own_q,))
+        coarse = self._average(law, cols, self._op_tensor(side, self.C))
+        fine = self._with_round_last(i, self._average(
+            law, cols, self._op_tensor(side, tuple(sorted(self.C + (i,))))))
+        s_own, _ = aligned_operators(coarse.reshape(-1, d, d), self.rho[side])
+        fam = fine_povm(s_own, fine.reshape(-1, k, d, d))
+        n_held = k ** len(self.C)
+        return SideOperators(s_own.reshape(n_omega, -1, n_held, d, d),
+                             fam.reshape(n_omega, -1, n_held, k + 1, d, d))
+
+    def via_factors(self, i: int) -> dict:
+        """Per side, the aligned factors of free coordinate i when round i's
+        pointer names the other player, built once: [omega, m, held] is the
+        factor for that player's question m."""
+        if i not in self._via:
+            omega = self.omega_names(i)
+            n_omega = math.prod(self.qext.size_of(nm) for nm in omega)
+            m_size = self.qext.size_of(m_name(i))
+            out = {}
+            for side, other in (("alice", BOB), ("bob", ALICE)):
+                rows = ((np.arange(n_omega)[:, None] * 2 + other) * m_size
+                        + np.arange(m_size)).ravel()
+                coarse, _ = self._averaged(
+                    side, self.C, omega + (d_name(i), m_name(i)), rows)
+                s_via, _ = aligned_operators(
+                    coarse.reshape(-1, self.d, self.d), self.rho[side])
+                out[side] = s_via.reshape(n_omega, m_size, -1, self.d, self.d)
+            self._via[i] = out
+        return self._via[i]
+
+    def _context_parts(self, r) -> tuple:
+        """(omega, a_C, b_C) flat indices of flat r (an int or an array)."""
+        n_b = self.game.b_size ** len(self.C)
+        n_ab = self.game.a_size ** len(self.C) * n_b
+        omega, held = divmod(r, n_ab)
+        a_c, b_c = divmod(held, n_b)
+        return omega, a_c, b_c
+
+    def fine_families(self, i: int, r_a, r_b, x_i, y_i) -> tuple:
+        """Alice's fine family from her flat r_a, Bob's from his r_b.
+
+        Arguments are ints or broadcastable arrays of contexts; arrays give
+        `(..., k + 1, d, d)` stacks.
+        """
+        ops = self.operators(i)
+        w_a, a_c, _ = self._context_parts(r_a)
+        w_b, _, b_c = self._context_parts(r_b)
+        return ops["alice"].fine[w_a, x_i, a_c], ops["bob"].fine[w_b, y_i, b_c]
 
     # ---- states ----------------------------------------------------------
 
-    def state_for(self, i: int, r: int, x_i: int, y_i: int) -> tuple:
-        """Dependency-breaking state and weight for (flat r, x_i, y_i)."""
-        omega, a_c, b_c = self.contexts(i).split(r)
-        s_op, _ = self.aligned("alice", {**omega, x_names_at(i): x_i}, a_c)
-        t_op, _ = self.aligned("bob", {**omega, y_names_at(i): y_i}, b_c)
-        return dep_state(s_op, t_op, self.strategy.psi)
+    def state_for(self, i: int, r, x_i, y_i) -> tuple:
+        """Dependency-breaking state and weight for (flat r, x_i, y_i);
+        arrays of contexts give `dep_state`'s stacked form."""
+        ops = self.operators(i)
+        omega, a_c, b_c = self._context_parts(r)
+        return dep_state(ops["alice"].own[omega, x_i, a_c],
+                         ops["bob"].own[omega, y_i, b_c], self.strategy.psi)
 
-    def state_variants(self, i: int, r: int, x_i: int, y_i: int) -> dict:
+    def state_variants(self, i: int, r, x_i, y_i) -> dict:
         """The target state plus the two one-sided approximations.
 
         "xy": both players pin their own question of round i.
         "x":  round i's pointer set to Alice's question; Bob averages y_i.
         "y":  round i's pointer set to Bob's question; Alice averages x_i.
-        Values are (state, weight) pairs; r is a flat index.
+        Values are (state, weight) pairs, stacked for arrays of contexts;
+        r is a flat index.
         """
-        omega, a_c, b_c = self.contexts(i).split(r)
-        own_x = {**omega, x_names_at(i): x_i}
-        own_y = {**omega, y_names_at(i): y_i}
-        via_x = {**omega, d_name(i): ALICE, m_name(i): x_i}
-        via_y = {**omega, d_name(i): BOB, m_name(i): y_i}
-        s_own, _ = self.aligned("alice", own_x, a_c)
-        t_own, _ = self.aligned("bob", own_y, b_c)
-        s_avg, _ = self.aligned("alice", via_y, a_c)
-        t_avg, _ = self.aligned("bob", via_x, b_c)
+        ops, via = self.operators(i), self.via_factors(i)
+        omega, a_c, b_c = self._context_parts(r)
+        s_own = ops["alice"].own[omega, x_i, a_c]
+        t_own = ops["bob"].own[omega, y_i, b_c]
         psi = self.strategy.psi
         return {"xy": dep_state(s_own, t_own, psi),
-                "x": dep_state(s_own, t_avg, psi),
-                "y": dep_state(s_avg, t_own, psi)}
+                "x": dep_state(s_own, via["bob"][omega, x_i, b_c], psi),
+                "y": dep_state(via["alice"][omega, y_i, a_c], t_own, psi)}
 
     # ---- checks ----------------------------------------------------------
 
-    def _question_pairs(self):
-        for x in range(self.game.x_size):
-            for y in range(self.game.y_size):
-                if self.game.mu[x, y] > 0.0:
-                    yield x, y
+    def _contexts_by_pair(self, rows: np.ndarray) -> tuple:
+        """Every (row, x, y) for row in rows and (x, y) with mu(x, y) > 0,
+        row by row and the pairs row-major, as three flat arrays."""
+        pairs = np.argwhere(self.game.mu > 0.0)
+        return (np.repeat(rows, len(pairs)), np.tile(pairs[:, 0], rows.size),
+                np.tile(pairs[:, 1], rows.size))
 
     def usefulness_check(self, coords=None) -> UsefulnessReport:
         """Compare fine-measurement statistics on the conditional states
@@ -612,22 +771,26 @@ class DepBreakComputer:
         for i in coords:
             joint = self.contexts(i).joint
             support = joint.sum(axis=(1, 2, 3, 4)) > SUPPORT_MASS
-            for r in np.flatnonzero(support).tolist():
-                for x_i, y_i in self._question_pairs():
-                    state, _weight = self.state_for(i, r, x_i, y_i)
-                    cell = joint[r, x_i, y_i]
-                    mass = float(cell.sum())
-                    if state is None or mass <= ZERO_MASS:
-                        skipped += 1
-                        continue
-                    fa, fb = self.fine_families(i, r, r, x_i, y_i)
-                    born = pure_born_table(state, fa, fb)
-                    res = float(np.abs(born[:ka, :kb] - cell / mass).max())
-                    null = float(abs(born[ka, :].sum())
-                                 + abs(born[:ka, kb].sum()))
-                    max_res = max(max_res, res)
-                    max_null = max(max_null, null)
-                    contexts += 1
+            r, x, y = self._contexts_by_pair(np.flatnonzero(support))
+            for part in chunks(r.size):
+                rc, xc, yc = r[part], x[part], y[part]
+                cell = joint[rc, xc, yc]
+                mass = cell.sum(axis=(1, 2))
+                states, weights = self.state_for(i, rc, xc, yc)
+                ok = (weights > ZERO_WEIGHT) & (mass > ZERO_MASS)
+                skipped += int(ok.size - ok.sum())
+                if not ok.any():
+                    continue
+                rc, xc, yc = rc[ok], xc[ok], yc[ok]
+                fa, fb = self.fine_families(i, rc, rc, xc, yc)
+                born = pure_born_table(states[ok], fa, fb)
+                res = np.abs(born[:, :ka, :kb]
+                             - cell[ok] / mass[ok, None, None])
+                null = (np.abs(born[:, ka, :].sum(axis=1))
+                        + np.abs(born[:, :ka, kb].sum(axis=1)))
+                max_res = max(max_res, float(res.max()))
+                max_null = max(max_null, float(null.max()))
+                contexts += int(ok.sum())
         return UsefulnessReport(coords, contexts, skipped, max_res, max_null)
 
     def weight_check(self, coords=None) -> WeightReport:
@@ -644,20 +807,20 @@ class DepBreakComputer:
             # axes: omega, a_C, b_C, x_i, y_i, a_i, b_i
             joint = full.reshape((-1, n_a, n_b) + full.shape[1:])
             support = joint.sum(axis=(1, 2, 3, 4, 5, 6)) > SUPPORT_MASS
-            for omega in np.flatnonzero(support).tolist():
-                for x_i, y_i in self._question_pairs():
-                    cell = joint[omega, :, :, x_i, y_i]
-                    mass = float(cell.sum())
-                    if mass <= ZERO_MASS:
-                        continue
-                    held = (cell.sum(axis=(2, 3)) / mass).ravel().tolist()
-                    total = 0.0
-                    for r, want in enumerate(held, start=omega * n_a * n_b):
-                        _st, w = self.state_for(i, r, x_i, y_i)
-                        max_err = max(max_err, abs(w - want))
-                        total += w
-                    max_sum = max(max_sum, abs(total - 1.0))
-                    contexts += 1
+            omega, x, y = self._contexts_by_pair(np.flatnonzero(support))
+            cell = joint[omega, :, :, x, y]       # (N, a_C, b_C, a_i, b_i)
+            mass = cell.sum(axis=(1, 2, 3, 4))
+            ok = mass > ZERO_MASS
+            omega, x, y, cell, mass = omega[ok], x[ok], y[ok], cell[ok], mass[ok]
+            held = cell.sum(axis=(3, 4)).reshape(len(mass), -1) / mass[:, None]
+            r = omega[:, None] * (n_a * n_b) + np.arange(n_a * n_b)
+            for part in chunks(len(mass), n_a * n_b):
+                _st, w = self.state_for(i, r[part], x[part, None],
+                                        y[part, None])
+                max_err = max(max_err, float(np.abs(w - held[part]).max()))
+                max_sum = max(max_sum,
+                              float(np.abs(w.sum(axis=1) - 1.0).max()))
+            contexts += int(ok.sum())
         return WeightReport(coords, contexts, max_err, max_sum)
 
     def sampleability_distances(self, coords=None) -> SampleabilityReport:
@@ -671,29 +834,27 @@ class DepBreakComputer:
         skipped_mass = 0.0
         max_tri = 0.0
         for i in coords:
-            table = self.contexts(i)
+            r, x, y, w, lost, _ = conditioned_contexts(self.game,
+                                                       self.contexts(i))
+            skipped_mass += lost
             acc = np.zeros(3)
             mass = 0.0
-            for x_i, y_i in self._question_pairs():
-                w_q = float(self.game.mu[x_i, y_i])
-                law = table.law(x_i, y_i)
-                if law is None:
-                    skipped_mass += w_q
-                    continue
-                for r in np.flatnonzero(law > SUPPORT_MASS).tolist():
-                    w = w_q * float(law[r])
-                    variants = self.state_variants(i, r, x_i, y_i)
-                    if any(v[0] is None for v in variants.values()):
-                        skipped_mass += w
-                        continue
-                    s_xy, s_x, s_y = (variants["xy"][0], variants["x"][0],
-                                      variants["y"][0])
-                    d_a = float(np.linalg.norm(s_xy - s_y))
-                    d_b = float(np.linalg.norm(s_xy - s_x))
-                    d_x = float(np.linalg.norm(s_x - s_y))
-                    max_tri = max(max_tri, d_x - d_a - d_b)
-                    acc += w * np.array([d_a, d_b, d_x])
-                    mass += w
+            for part in chunks(r.size):
+                variants = self.state_variants(i, r[part], x[part], y[part])
+                present = np.logical_and.reduce(
+                    [v[1] > ZERO_WEIGHT for v in variants.values()])
+                wp = w[part]
+                skipped_mass += float(wp[~present].sum())
+                s_xy, s_x, s_y = (variants[k][0][present]
+                                  for k in ("xy", "x", "y"))
+                dist = np.stack([np.linalg.norm(s_xy - s_y, axis=1),
+                                 np.linalg.norm(s_xy - s_x, axis=1),
+                                 np.linalg.norm(s_x - s_y, axis=1)], axis=1)
+                if dist.size:
+                    max_tri = max(max_tri, float(
+                        (dist[:, 2] - dist[:, 0] - dist[:, 1]).max()))
+                acc += wp[present] @ dist
+                mass += float(wp[present].sum())
             if mass <= 0.0:
                 raise ZeroProbabilityEvent(
                     "no context with positive weight survives conditioning")
@@ -713,7 +874,9 @@ class DepBreakComputer:
         own_names = x_names(self.n) if side == "alice" else y_names(self.n)
         own_at = x_names_at if side == "alice" else y_names_at
         k = g.a_size if side == "alice" else g.b_size
-        held = self._held_sums[side]
+        size = g.x_size if side == "alice" else g.y_size
+        held = self._op_tensor(side, self.C)
+        held = held.reshape((size,) * self.n + held.shape[1:])
         m_psi = self.strategy.psi_matrix
         omega_full = self.omega_names(None)
         event = win_set(g, self.n, self.C)

@@ -9,16 +9,14 @@ materialized as a standalone object.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .prob import Event, FiniteDistribution, MAX_TABLE_ENTRIES
+from .prob import Event, MAX_TABLE_ENTRIES
 
-MAX_TUPLE_ENUM = 1_000_000
 
 
 def x_names(n: int) -> tuple:
@@ -59,21 +57,6 @@ class Game:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "predicate", pred)
 
-    @property
-    def answer_bits(self) -> float:
-        """log2 of the joint answer alphabet size."""
-        return math.log2(self.a_size * self.b_size)
-
-    def mu_dist(self, n: int = 1) -> FiniteDistribution:
-        """Product question distribution over x1..xn, y1..yn."""
-        t = np.array(1.0)
-        for _ in range(n):
-            t = np.multiply.outer(t, self.mu)
-        # axes currently interleaved (x1, y1, x2, y2, ...): regroup
-        perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-        t = np.transpose(t, perm) if n > 1 else t
-        return FiniteDistribution(x_names(n) + y_names(n), t, normalize=False)
-
 
 @dataclass
 class GameReport:
@@ -104,19 +87,6 @@ def validate_game(g: Game) -> GameReport:
         rep.warnings.append("predicate is identically false")
     rep.ok = not rep.errors
     return rep
-
-
-def enumerate_tuples(g: Game, n: int):
-    """Yield (x_tuple, y_tuple, weight) over the n-fold question space."""
-    count = (g.x_size * g.y_size) ** n
-    if count > MAX_TUPLE_ENUM:
-        raise ValueError(f"{count} question tuples exceeds the {MAX_TUPLE_ENUM} cap")
-    for xt in itertools.product(range(g.x_size), repeat=n):
-        for yt in itertools.product(range(g.y_size), repeat=n):
-            w = 1.0
-            for i in range(n):
-                w *= g.mu[xt[i], yt[i]]
-            yield xt, yt, w
 
 
 def win_set(g: Game, n: int, coords) -> Event:

@@ -36,6 +36,8 @@ def classical_relative_entropy(p: np.ndarray, q: np.ndarray):
     p, q = (np.asarray(x, dtype=np.float64) for x in (p, q))
     if p.shape != q.shape:
         raise ValueError("distributions must have the same length")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("distributions must have finite weights")
     if np.any(p < -1e-12) or np.any(q < -1e-12):
         raise ValueError("negative probability mass")
     if np.abs(np.stack([p.sum(-1), q.sum(-1)]) - 1.0).max(initial=0.0) > 1e-9:
@@ -153,22 +155,6 @@ def cq_mutual_information(cq: CQState):
     h_z[live] = von_neumann_entropy(cq.states[live])
     inner = (cq.probs * h_z).sum(-1)
     return collapse(np.maximum(0.0, von_neumann_entropy(cq.quantum_marginal()) - inner))
-
-
-def mutual_information(joint: np.ndarray) -> float:
-    """I(X ; Y) in bits from a joint probability table with two axes."""
-    pxy = np.asarray(joint, dtype=np.float64)
-    if pxy.ndim != 2:
-        raise ValueError("joint table must have exactly two axes")
-    if np.any(pxy < -1e-12) or abs(pxy.sum() - 1.0) > 1e-9:
-        raise ValueError("joint table must be a normalized distribution")
-    pxy = np.clip(pxy, 0.0, None)
-    px = pxy.sum(axis=1)
-    py = pxy.sum(axis=0)
-    mask = pxy > 0.0
-    ref = np.outer(px, py)
-    total = float((pxy[mask] * (np.log2(pxy[mask]) - np.log2(ref[mask]))).sum())
-    return max(0.0, total)
 
 
 @dataclass(frozen=True)

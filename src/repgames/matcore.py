@@ -103,22 +103,26 @@ def eigh_desc(h, name: str = "matrix", atol: float = HERMITIAN_ATOL):
 
 
 def svd_canonical(m):
-    """SVD with the deterministic phase and tie-break convention.
+    """SVD of a matrix (or stack) with the deterministic phase and tie-break convention.
 
     Returns (u, s, vh) with m = u @ diag(s) @ vh, s descending, first nonzero
     entry of each left vector real positive.
     """
     m = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(m)
-    r = len(s)
-    ph = np.array([p / abs(p) for p in _pivots(u[None, :, :r])[0]], dtype=np.complex128)
-    u[:, :r] = u[:, :r] / ph
-    vh[:r, :] = vh[:r, :] * ph[:, None]
-    for _, order in _tie_orders(s[None], u[None, :, :r]):
-        s = s[order]
-        u[:, :r] = u[:, :r][:, order]
-        vh[:r, :] = vh[:r, :][order, :]
-    return u, s, vh
+    r, n = s.shape[-1], math.prod(s.shape[:-1])
+    ushape, vshape = u.shape, vh.shape
+    u, s, vh = u.reshape((n,) + ushape[-2:]), s.reshape(n, r), vh.reshape((n,) + vshape[-2:])
+    # one scalar division per column, as in eigh_desc
+    ph = np.array([p / abs(p) for p in _pivots(u[:, :, :r]).ravel()],
+                  dtype=np.complex128).reshape(n, r)
+    u[:, :, :r] = u[:, :, :r] / ph[:, None, :]
+    vh[:, :r, :] = vh[:, :r, :] * ph[:, :, None]
+    for i, order in _tie_orders(s, u[:, :, :r]):
+        s[i] = s[i][order]
+        u[i, :, :r] = u[i, :, :r][:, order]
+        vh[i, :r, :] = vh[i, :r, :][order, :]
+    return u.reshape(ushape), s.reshape(ushape[:-2] + (r,)), vh.reshape(vshape)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -126,26 +130,16 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
 
 
-def partial_trace(m, dims: tuple[int, int], side: str = "right") -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^(da*db).
-
-    `side` names the factor that is traced out; the result acts on the other.
-    """
-    da, db = dims
-    m = as_complex_matrix(m)
-    if m.shape != (da * db, da * db):
-        raise ValueError(f"expected a {da * db}x{da * db} matrix, got {m.shape}")
-    t = m.reshape(da, db, da, db)
-    if side == "right":
-        return np.einsum("ijkj->ik", t)
-    if side == "left":
-        return np.einsum("ijil->jl", t)
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def mat_sqrt(p, name: str = "operator") -> np.ndarray:
-    """PSD square root of a PSD Hermitian matrix (tiny negative eigenvalues clamped)."""
-    w, v = eigh_desc(p, name)
+    """PSD square root of a PSD Hermitian matrix or stack (tiny negative eigenvalues clamped).
+
+    The root does not depend on the eigenbasis, so the plain LAPACK
+    decomposition serves; no canonical phase or tie order is applied.
+    """
+    p = as_complex_matrix(p, name)
+    if not is_hermitian(p):
+        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_ATOL:g}")
+    w, v = np.linalg.eigh((p + dagger(p)) / 2)
     if np.count_nonzero(w < PSD_EIG_FLOOR):
         raise ValueError(f"{name} has eigenvalue {w.min():.3e} below {PSD_EIG_FLOOR:g}")
     r = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
@@ -158,18 +152,20 @@ def pinv(m, rtol: float = PINV_RTOL) -> np.ndarray:
 
 
 def polar_psd_factor(m) -> np.ndarray:
-    """Unitary u such that u @ m is positive semidefinite.
+    """Unitary u such that u @ m is positive semidefinite, for a matrix or stack.
 
     From the singular value decomposition m = w s v+, the factor is v w+,
-    which carries m onto v s v+.  Deterministic given m; on the null space the
-    factor is completed by the decomposition's remaining (canonicalized)
-    vectors.
+    which carries m onto v s v+.  The factor sums v_k w_k+ over singular
+    pairs, so it does not depend on their phases or on their order within
+    ties: the plain LAPACK decomposition gives the factor of the canonical
+    one.  On the null space the factor is completed by the decomposition's
+    remaining vectors, deterministically given m.
     """
     m = as_complex_matrix(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("square matrix required")
-    u, _, vh = svd_canonical(m)
-    return vh.conj().T @ u.conj().T
+    u, _, vh = np.linalg.svd(m)
+    return dagger(vh) @ dagger(u)
 
 
 @dataclass(frozen=True)
@@ -288,13 +284,6 @@ def symmetric_purification(rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # seeded random instances (used by the property sweeps and tests); `count`
 # draws a stack in one call, a different stream from `count` single draws
-
-def random_unitary(d: int, rng=None, count: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary."""
-    q, r = np.linalg.qr(_gaussian((d, d), count, rng) / math.sqrt(2))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-
 
 def _unit(psi: np.ndarray) -> np.ndarray:
     """Each vector over its norm, summed as np.linalg.norm sums one vector."""

@@ -61,17 +61,6 @@ class Event:
         mask[idx] = True
         return cls(names, shp, mask)
 
-    def intersect(self, other: "Event") -> "Event":
-        names = self.names + tuple(n for n in other.names if n not in self.names)
-        size_of = dict(zip(self.names, self.sizes)) | dict(zip(other.names, other.sizes))
-        for n, s in zip(other.names, other.sizes):
-            if n in self.names and size_of[n] != s:
-                raise ValueError(f"size mismatch for {n}")
-        sizes = tuple(size_of[n] for n in names)
-        a = _expand_to(self.mask, self.names, names, sizes)
-        b = _expand_to(other.mask, other.names, names, sizes)
-        return Event(names, sizes, np.broadcast_to(a & b, sizes).copy())
-
 
 class FiniteDistribution:
     """Joint distribution over named finite variables as a dense table."""

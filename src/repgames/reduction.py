@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .corrsamp import (qcs_error_against, qcs_execute, qcs_isometry,
-                       shared_stream_sample)
-from .depbreak import (SUPPORT_MASS, DepBreakComputer, choose_C,
-                       pure_born_table)
+from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
+from .depbreak import (ZERO_WEIGHT, DepBreakComputer, choose_C, chunks,
+                       conditioned_contexts, pure_born_table)
 from .games import Game, win_set
 from .prob import ZERO_MASS, ZeroProbabilityEvent
 from .strategy import EntangledStrategy
@@ -135,10 +134,6 @@ class SingleShotStrategy:
             raise ZeroProbabilityEvent("holdout rounds are never all won")
         self._law_cache = {}
         self._win_cache = {}
-        win = np.asarray(g.predicate, dtype=float)
-        self._win_pairs = {
-            (x, y): np.argwhere(win[x, y] > 0.0)
-            for x in range(g.x_size) for y in range(g.y_size)}
 
     # ---- dependency-breaking value bookkeeping ---------------------------
 
@@ -187,37 +182,60 @@ class SingleShotStrategy:
                     y: int) -> tuple:
         """(win probability, embezzlement error, valid) for one context.
 
-        ra and rb are flat indices of Alice's and Bob's r values.
+        ra and rb are flat indices of Alice's and Bob's r values; a context
+        is evaluated once, by `context_wins` on a stack of one.
         """
         key = (i, ra, rb, x, y)
-        if key in self._win_cache:
-            return self._win_cache[key]
-        out = self._context_win(i, ra, rb, x, y)
-        self._win_cache[key] = out
-        return out
+        if key not in self._win_cache:
+            p, err, valid = self.context_wins(i, *(np.array([v]) for v in
+                                                   (ra, rb, x, y)))
+            self._win_cache[key] = (float(p[0]), float(err[0]),
+                                    bool(valid[0]))
+        return self._win_cache[key]
 
-    def _context_win(self, i: int, r_a: int, r_b: int, x: int,
-                     y: int) -> tuple:
-        ref_state, _w = self.computer.state_for(i, r_a, x, y)
-        if ref_state is None:
-            return 0.0, 0.0, False
-        fa, fb = self.computer.fine_families(i, r_a, r_b, x, y)
-        err = 0.0
-        if self.cfg.mode_quantum == "embezzle":
-            state_a, _ = self.computer.state_variants(i, r_a, x, y)["x"]
-            state_b, _ = self.computer.state_variants(i, r_b, x, y)["y"]
-            if state_a is None or state_b is None:
-                return 0.0, 0.0, False
-            iso_a = qcs_isometry(state_a, self.cfg.dprime, self.cfg.alpha)
-            iso_b = qcs_isometry(state_b, self.cfg.dprime, self.cfg.alpha)
-            res = qcs_execute(iso_a, iso_b, self.computer.d)
-            err = qcs_error_against(iso_a, iso_b, ref_state)
-            table = self._born_table_mixed(res.produced_target, fa, fb)
-        else:
-            table = pure_born_table(ref_state, fa, fb)
-        pairs = self._win_pairs[(x, y)]
-        p = float(np.clip(sum(table[a, b] for a, b in pairs), 0.0, 1.0))
-        return p, float(err), True
+    def context_wins(self, i: int, r_a: np.ndarray, r_b: np.ndarray,
+                     x: np.ndarray, y: np.ndarray) -> tuple:
+        """(win probability, embezzlement error, valid) arrays for the
+        contexts (r_a[k], r_b[k], x[k], y[k]) of coordinate i.
+
+        The reference state comes from r_a, Alice's fine family from r_a
+        and Bob's from r_b; they are read from the coordinate's operator
+        stacks a chunk of contexts at a time.  An invalid context (no
+        reference state, or no one-sided state to embezzle) reports
+        p = err = 0.
+        """
+        g, comp = self.cfg.game, self.computer
+        p = np.zeros(r_a.size)
+        err = np.zeros(r_a.size)
+        valid = np.zeros(r_a.size, dtype=bool)
+        for part in chunks(r_a.size):
+            ra, rb, xs, ys = r_a[part], r_b[part], x[part], y[part]
+            ref, weight = comp.state_for(i, ra, xs, ys)
+            ok = weight > ZERO_WEIGHT
+            fa, fb = comp.fine_families(i, ra, rb, xs, ys)
+            errs = np.zeros(ok.size)
+            if self.cfg.mode_quantum == "embezzle":
+                state_a, w_a = comp.state_variants(i, ra, xs, ys)["x"]
+                state_b, w_b = comp.state_variants(i, rb, xs, ys)["y"]
+                ok &= (w_a > ZERO_WEIGHT) & (w_b > ZERO_WEIGHT)
+                tables = np.zeros(fa.shape[:2] + fb.shape[1:2])
+                for k in np.flatnonzero(ok).tolist():
+                    iso_a = qcs_isometry(state_a[k], self.cfg.dprime,
+                                         self.cfg.alpha)
+                    iso_b = qcs_isometry(state_b[k], self.cfg.dprime,
+                                         self.cfg.alpha)
+                    res = qcs_execute(iso_a, iso_b, comp.d, ref[k])
+                    errs[k] = res.ref_err
+                    tables[k] = self._born_table_mixed(res.produced_target,
+                                                       fa[k], fb[k])
+            else:
+                tables = pure_born_table(ref, fa, fb)
+            won = tables[:, :g.a_size, :g.b_size] * g.predicate[xs, ys]
+            p[part] = np.where(ok, np.clip(won.sum(axis=(1, 2)), 0.0, 1.0),
+                               0.0)
+            err[part] = np.where(ok, errs, 0.0)
+            valid[part] = ok
+        return p, err, valid
 
     # ---- trial protocol ----------------------------------------------------
 
@@ -251,36 +269,20 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
     r of conditional probability at most SUPPORT_MASS is left out.
     """
     g = shot.cfg.game
-    joint = shot.computer.contexts(i).joint
-    p_tilde = 0.0
-    err_acc = 0.0
+    table = shot.computer.contexts(i)
+    r, x, y, w, invalid_mass, invalid_count = conditioned_contexts(g, table)
+    p, err, valid = shot.context_wins(i, r, r, x, y)
+    invalid_mass += float(w[~valid].sum())
+    invalid_count += int(valid.size - valid.sum())
+    r, x, y, w, p, err = (v[valid] for v in (r, x, y, w, p, err))
+    p_tilde = float(w @ p)
+    err_acc = float(w @ np.minimum(err, 1.0))
     crosscheck = 0.0
-    invalid_mass = 0.0
-    invalid_count = 0
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            w_q = float(g.mu[x, y])
-            if w_q <= 0.0:
-                continue
-            law = shot.law(i, "joint", x, y)
-            if law is None:
-                invalid_mass += w_q
-                invalid_count += 1
-                continue
-            for flat in np.flatnonzero(law > SUPPORT_MASS).tolist():
-                w = w_q * float(law[flat])
-                p, err, valid = shot.context_win(i, flat, flat, x, y)
-                if not valid:
-                    invalid_mass += w
-                    invalid_count += 1
-                    continue
-                p_tilde += w * p
-                err_acc += w * min(err, 1.0)
-                if shot.cfg.mode_quantum == "oracle_state":
-                    cell = joint[flat, x, y]
-                    brute = float((cell * g.predicate[x, y]).sum()
-                                  / cell.sum())
-                    crosscheck = max(crosscheck, abs(p - brute))
+    if shot.cfg.mode_quantum == "oracle_state" and p.size:
+        cell = table.joint[r, x, y]
+        brute = ((cell * g.predicate[x, y]).sum(axis=(1, 2))
+                 / cell.sum(axis=(1, 2)))
+        crosscheck = float(np.abs(p - brute).max())
     return p_tilde, err_acc, crosscheck, invalid_mass, invalid_count
 
 

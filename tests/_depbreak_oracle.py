@@ -1,0 +1,275 @@
+"""The per-context dependency-breaking computation, kept as a test oracle.
+
+`DepBreakComputer` builds every operator of a free coordinate once, as a
+stack over its contexts.  This module is the construction it replaced: one
+context at a time, the question law read with `FiniteDistribution.given`
+and `marginal`, the coarse operators summed in Python, every factor from
+2-D kernels with the canonical spectral convention, and dict caches keyed
+by the pointer constraints.  The walks below repeat the checks and the
+exact reduction over contexts with plain loops.
+"""
+
+import math
+
+import numpy as np
+
+from repgames import matcore
+from repgames.depbreak import (ALICE, BOB, SUPPORT_MASS, ZERO_WEIGHT, d_name,
+                               m_name, x_names_at, y_names_at)
+from repgames.games import x_names, y_names
+from repgames.prob import ZERO_MASS
+
+
+def mat_sqrt(p):
+    """Square root in the canonical eigenbasis (tiny negatives clamped)."""
+    w, v = matcore.eigh_desc(p)
+    r = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return (r + r.conj().T) / 2
+
+
+def aligned_operators(coarse, rho):
+    a_half = mat_sqrt(coarse)
+    u, _, vh = matcore.svd_canonical(a_half @ mat_sqrt(rho))
+    u = vh.conj().T @ u.conj().T
+    return u @ a_half, u
+
+
+def fine_povm(s_op, fine_coarse, support_tol=1e-12):
+    """Conjugated answer elements on the kept columns of the coarse
+    operator's eigenbasis, plus the null outcome."""
+    k, d = fine_coarse.shape[0], fine_coarse.shape[-1]
+    coarse = fine_coarse.sum(axis=0)
+    coarse = (coarse + coarse.conj().T) / 2
+    w, v = np.linalg.eigh(coarse)
+    keep = w > support_tol * max(float(w[-1]), 0.0)
+    out = np.zeros((k + 1, d, d), dtype=np.complex128)
+    if not keep.any():
+        out[k] = np.eye(d)
+        return out
+    vs = v[:, keep]
+    inv_sqrt = 1.0 / np.sqrt(w[keep])
+    uu, _, vv = np.linalg.svd(s_op @ (vs * inv_sqrt), full_matrices=False)
+    q = uu @ vv
+    scale = np.outer(inv_sqrt, inv_sqrt)
+    for a in range(k):
+        e = q @ ((vs.conj().T @ fine_coarse[a] @ vs) * scale) @ q.conj().T
+        out[a] = (e + e.conj().T) / 2
+    out[k] = np.eye(d) - out[:k].sum(axis=0)
+    out[k] = (out[k] + out[k].conj().T) / 2
+    return out
+
+
+def dep_state(s_op, t_op, psi):
+    d = s_op.shape[0]
+    out = s_op @ psi.reshape(d, -1) @ t_op.T
+    weight = float(np.linalg.norm(out) ** 2)
+    if weight <= ZERO_WEIGHT:
+        return None, weight
+    return (out / math.sqrt(weight)).reshape(-1), weight
+
+
+def pure_born_table(state, fa, fb):
+    d = fa.shape[-1]
+    m = state.reshape(d, d)
+    return np.array([[float(np.real(np.trace(m.conj().T @ a @ m @ b.T)))
+                      for b in fb] for a in fa])
+
+
+class PerContext:
+    """The per-context operators and walks of one `DepBreakComputer`."""
+
+    def __init__(self, comp):
+        self.comp = comp
+        self.g, self.n, self.C = comp.game, comp.n, comp.C
+        self._cache = {}
+
+    def _support(self, side, constraints):
+        names = x_names(self.n) if side == "alice" else y_names(self.n)
+        cond = self.comp.qext.given(constraints)
+        remaining = [nm for nm in names if nm in cond.names]
+        fixed = {nm: constraints[nm] for nm in names if nm in constraints}
+        if not remaining:
+            yield tuple(fixed[nm] for nm in names), 1.0
+            return
+        marg = cond.marginal(tuple(remaining))
+        for idx in np.argwhere(marg.table > SUPPORT_MASS):
+            assign = dict(fixed)
+            assign.update(zip(remaining, (int(v) for v in idx)))
+            yield (tuple(assign[nm] for nm in names),
+                   float(marg.table[tuple(idx)]))
+
+    def _sums(self, side, kept):
+        fam = self.comp.strategy.alice if side == "alice" \
+            else self.comp.strategy.bob
+        drop = tuple(j for j in range(self.n) if j not in kept)
+        return {q: fam.ops[q].sum(axis=drop) if drop else fam.ops[q]
+                for q in fam.ops}
+
+    def coarse(self, side, constraints, i=None):
+        """Held (and, for i, round-i) answer operators averaged over the
+        side's question law; round i's axis last."""
+        kept = self.C if i is None else tuple(sorted(self.C + (i,)))
+        key = ("coarse", side, kept, tuple(sorted(constraints.items())))
+        if key not in self._cache:
+            sums = self._sums(side, kept)
+            out = sum(w * sums[q] for q, w in self._support(side, constraints))
+            if i is not None:
+                perm = [kept.index(c) for c in self.C] + [kept.index(i)]
+                out = np.transpose(out, perm + [len(kept), len(kept) + 1])
+            self._cache[key] = out
+        return self._cache[key]
+
+    def aligned(self, side, constraints, held):
+        key = ("aligned", side, tuple(sorted(constraints.items())), held)
+        if key not in self._cache:
+            self._cache[key] = aligned_operators(
+                self.coarse(side, constraints)[held], self.comp.rho[side])[0]
+        return self._cache[key]
+
+    def fine(self, side, i, constraints, held):
+        key = ("fine", side, i, tuple(sorted(constraints.items())), held)
+        if key not in self._cache:
+            self._cache[key] = fine_povm(
+                self.aligned(side, constraints, held),
+                self.coarse(side, constraints, i)[held])
+        return self._cache[key]
+
+    def split(self, i, r):
+        return self.comp.contexts(i).split(r)
+
+    def state_for(self, i, r, x, y):
+        omega, a_c, b_c = self.split(i, r)
+        s = self.aligned("alice", {**omega, x_names_at(i): x}, a_c)
+        t = self.aligned("bob", {**omega, y_names_at(i): y}, b_c)
+        return dep_state(s, t, self.comp.strategy.psi)
+
+    def state_variants(self, i, r, x, y):
+        omega, a_c, b_c = self.split(i, r)
+        s_own = self.aligned("alice", {**omega, x_names_at(i): x}, a_c)
+        t_own = self.aligned("bob", {**omega, y_names_at(i): y}, b_c)
+        s_avg = self.aligned("alice", {**omega, d_name(i): BOB,
+                                       m_name(i): y}, a_c)
+        t_avg = self.aligned("bob", {**omega, d_name(i): ALICE,
+                                     m_name(i): x}, b_c)
+        psi = self.comp.strategy.psi
+        return {"xy": dep_state(s_own, t_own, psi),
+                "x": dep_state(s_own, t_avg, psi),
+                "y": dep_state(s_avg, t_own, psi)}
+
+    def fine_families(self, i, r_a, r_b, x, y):
+        omega_a, a_c, _ = self.split(i, r_a)
+        omega_b, _, b_c = self.split(i, r_b)
+        return (self.fine("alice", i, {**omega_a, x_names_at(i): x}, a_c),
+                self.fine("bob", i, {**omega_b, y_names_at(i): y}, b_c))
+
+    def pairs(self):
+        return [(x, y) for x in range(self.g.x_size)
+                for y in range(self.g.y_size) if self.g.mu[x, y] > 0.0]
+
+    # ---- walks -------------------------------------------------------------
+
+    def usefulness(self):
+        ka, kb = self.g.a_size, self.g.b_size
+        max_res = max_null = 0.0
+        contexts = skipped = 0
+        for i in self.comp.free:
+            joint = self.comp.contexts(i).joint
+            support = joint.sum(axis=(1, 2, 3, 4)) > SUPPORT_MASS
+            for r in np.flatnonzero(support).tolist():
+                for x, y in self.pairs():
+                    state, _w = self.state_for(i, r, x, y)
+                    cell = joint[r, x, y]
+                    mass = float(cell.sum())
+                    if state is None or mass <= ZERO_MASS:
+                        skipped += 1
+                        continue
+                    born = pure_born_table(state,
+                                           *self.fine_families(i, r, r, x, y))
+                    max_res = max(max_res, float(np.abs(
+                        born[:ka, :kb] - cell / mass).max()))
+                    max_null = max(max_null, float(
+                        abs(born[ka, :].sum()) + abs(born[:ka, kb].sum())))
+                    contexts += 1
+        return contexts, skipped, max_res, max_null
+
+    def weights(self):
+        n_a = self.g.a_size ** len(self.C)
+        n_b = self.g.b_size ** len(self.C)
+        max_err = max_sum = 0.0
+        contexts = 0
+        for i in self.comp.free:
+            full = self.comp.contexts(i).joint
+            joint = full.reshape((-1, n_a, n_b) + full.shape[1:])
+            support = joint.sum(axis=(1, 2, 3, 4, 5, 6)) > SUPPORT_MASS
+            for omega in np.flatnonzero(support).tolist():
+                for x, y in self.pairs():
+                    cell = joint[omega, :, :, x, y]
+                    mass = float(cell.sum())
+                    if mass <= ZERO_MASS:
+                        continue
+                    held = (cell.sum(axis=(2, 3)) / mass).ravel().tolist()
+                    total = 0.0
+                    for r, want in enumerate(held, start=omega * n_a * n_b):
+                        w = self.state_for(i, r, x, y)[1]
+                        max_err = max(max_err, abs(w - want))
+                        total += w
+                    max_sum = max(max_sum, abs(total - 1.0))
+                    contexts += 1
+        return contexts, max_err, max_sum
+
+    def _conditioned(self, i):
+        """(r, x, y, weight) of the conditioned walks, and the lost mu mass
+        and count of question pairs with no law."""
+        table = self.comp.contexts(i)
+        out, lost, count = [], 0.0, 0
+        for x, y in self.pairs():
+            law = table.law(x, y)
+            if law is None:
+                lost += float(self.g.mu[x, y])
+                count += 1
+                continue
+            for r in np.flatnonzero(law > SUPPORT_MASS).tolist():
+                out.append((r, x, y, float(self.g.mu[x, y]) * float(law[r])))
+        return out, lost, count
+
+    def sampleability(self):
+        per, skipped, max_tri = {}, 0.0, 0.0
+        for i in self.comp.free:
+            contexts, lost, _ = self._conditioned(i)
+            skipped += lost
+            acc, mass = np.zeros(3), 0.0
+            for r, x, y, w in contexts:
+                v = self.state_variants(i, r, x, y)
+                if any(s is None for s, _w in v.values()):
+                    skipped += w
+                    continue
+                s_xy, s_x, s_y = v["xy"][0], v["x"][0], v["y"][0]
+                dist = np.array([np.linalg.norm(s_xy - s_y),
+                                 np.linalg.norm(s_xy - s_x),
+                                 np.linalg.norm(s_x - s_y)])
+                max_tri = max(max_tri, dist[2] - dist[0] - dist[1])
+                acc += w * dist
+                mass += w
+            per[i] = acc / mass
+        return per, skipped, max_tri
+
+    def exact_coordinate(self, i):
+        """(p_tilde, crosscheck, invalid mass, invalid count) of the exact
+        oracle-state reduction on coordinate i."""
+        joint = self.comp.contexts(i).joint
+        contexts, invalid_mass, invalid = self._conditioned(i)
+        p_tilde = crosscheck = 0.0
+        for r, x, y, w in contexts:
+            state, _w = self.state_for(i, r, x, y)
+            if state is None:
+                invalid_mass += w
+                invalid += 1
+                continue
+            table = pure_born_table(state, *self.fine_families(i, r, r, x, y))
+            p = float(np.clip(sum(table[a, b] for a, b in np.argwhere(
+                self.g.predicate[x, y])), 0.0, 1.0))
+            p_tilde += w * p
+            cell = joint[r, x, y]
+            crosscheck = max(crosscheck, abs(p - float(
+                (cell * self.g.predicate[x, y]).sum() / cell.sum())))
+        return p_tilde, crosscheck, invalid_mass, invalid

@@ -1,0 +1,103 @@
+"""Test-only generators and oracles that the package itself does not need."""
+
+import itertools
+import math
+
+import numpy as np
+
+from repgames import values
+from repgames.games import x_names, y_names
+from repgames.prob import Event, FiniteDistribution, _expand_to
+from repgames.strategy import EntangledStrategy, POVMFamily
+
+
+def random_unitary(d: int, rng=None, count: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary (a stack of `count` when given), drawn from
+    the same Gaussian stream as `matcore.random_matrix`."""
+    rng = np.random.default_rng(rng)
+    shape = (d, d) if count is None else (count, d, d)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, r = np.linalg.qr(g / math.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def partial_trace(m, dims: tuple, side: str = "right") -> np.ndarray:
+    """Trace out one tensor factor of an operator on C^(da*db).
+
+    `side` names the factor that is traced out; the result acts on the other.
+    """
+    da, db = dims
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape != (da * db, da * db):
+        raise ValueError(f"expected a {da * db}x{da * db} matrix, got {m.shape}")
+    t = m.reshape(da, db, da, db)
+    if side == "right":
+        return np.einsum("ijkj->ik", t)
+    if side == "left":
+        return np.einsum("ijil->jl", t)
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def answer_bits(g) -> float:
+    """log2 of one round's joint answer alphabet size."""
+    return math.log2(g.a_size * g.b_size)
+
+
+def mu_dist(g, n: int = 1):
+    """Product question distribution over x1..xn, y1..yn."""
+    t = np.array(1.0)
+    for _ in range(n):
+        t = np.multiply.outer(t, g.mu)
+    # axes currently interleaved (x1, y1, x2, y2, ...): regroup
+    perm = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    t = np.transpose(t, perm) if n > 1 else t
+    return FiniteDistribution(x_names(n) + y_names(n), t, normalize=False)
+
+
+def enumerate_tuples(g, n: int):
+    """Yield (x_tuple, y_tuple, weight) over the n-fold question space."""
+    for xt in itertools.product(range(g.x_size), repeat=n):
+        for yt in itertools.product(range(g.y_size), repeat=n):
+            w = 1.0
+            for i in range(n):
+                w *= g.mu[xt[i], yt[i]]
+            yield xt, yt, w
+
+
+def intersect(e1: Event, e2: Event) -> Event:
+    """The event that both e1 and e2 hold, over the union of their names."""
+    names = e1.names + tuple(n for n in e2.names if n not in e1.names)
+    size_of = dict(zip(e1.names, e1.sizes)) | dict(zip(e2.names, e2.sizes))
+    for n, s in zip(e2.names, e2.sizes):
+        if n in e1.names and size_of[n] != s:
+            raise ValueError(f"size mismatch for {n}")
+    sizes = tuple(size_of[n] for n in names)
+    a = _expand_to(e1.mask, e1.names, names, sizes)
+    b = _expand_to(e2.mask, e2.names, names, sizes)
+    return Event(names, sizes, np.broadcast_to(a & b, sizes).copy())
+
+
+def random_strategy(game, n: int, d: int, rng) -> EntangledStrategy:
+    """Seeded n-round strategy of local dimension d for `game`.
+
+    Every question tuple gets its own `values._random_povm` over the answer
+    tuples, so answers may read the whole question tuple, and the shared
+    state has distinct random Schmidt coefficients in random local bases,
+    so it is not maximally entangled.
+    """
+    rng = np.random.default_rng(rng)
+
+    def family(q_size, a_size):
+        ops = {q: np.stack(values._random_povm(d, a_size ** n, rng)).reshape(
+                   (a_size,) * n + (d, d))
+               for q in itertools.product(range(q_size), repeat=n)}
+        return POVMFamily(n, q_size, a_size, d, ops)
+
+    alice = family(game.x_size, game.a_size)
+    bob = family(game.y_size, game.b_size)
+    coeffs = np.sort(0.2 + rng.random(d))[::-1]
+    coeffs /= np.linalg.norm(coeffs)
+    u, v = random_unitary(d, rng), random_unitary(d, rng)
+    psi = ((u * coeffs) @ v.T).reshape(-1)
+    return EntangledStrategy(d, n, psi, alice, bob, name="random")

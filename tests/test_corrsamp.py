@@ -5,11 +5,21 @@ import pytest
 
 from repgames import matcore
 from repgames.corrsamp import (GRID_FLOOR, AlignmentIsometry,
-                               EmbezzlementVector,
+                               EmbezzlementVector, _junk_overlap, _slot_table,
                                corr_sample_experiment, embezzlement,
-                               qcs_error_against, qcs_execute, qcs_isometry,
+                               qcs_execute, qcs_isometry,
                                shared_stream_sample)
 from repgames.prob import FiniteDistribution, tv_distance
+
+
+def qcs_error_against(iso_a, iso_b, target_state):
+    """Distance between the produced vector and an explicit target state,
+    from a slot table of its own: the oracle of `qcs_execute`'s ref_err."""
+    table = _slot_table(iso_a, iso_b)
+    d = iso_a.d
+    tgt = np.asarray(target_state, dtype=np.complex128).reshape(d, d)
+    g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
+    return math.sqrt(max(0.0, 2.0 - 2.0 * _junk_overlap(table, g)))
 
 
 def biased_pair(tv):
@@ -232,9 +242,14 @@ def test_qcs_execute_identical_inputs():
     matcore.check_density(res.produced_target, herm_atol=1e-8,
                           trace_atol=1e-8)
     assert 0.0 <= res.err <= 0.5
+    assert res.ref_err is None
     # the execute error coincides with the explicit distance to own target
     against = qcs_error_against(iso, iso, psi)
     assert abs(res.err - against) < 1e-10
+    with_ref = qcs_execute(iso, iso, 4, psi)
+    assert with_ref.ref_err == against
+    assert np.array_equal(with_ref.produced_target, res.produced_target)
+    assert with_ref.err == res.err and with_ref.overlap == res.overlap
 
 
 def test_qcs_error_decreases_with_junk_dimension():
@@ -284,6 +299,8 @@ def test_qcs_dimension_mismatch_rejected():
         qcs_error_against(iso_a, iso_b, qcs_state(0))
     with pytest.raises(ValueError):
         qcs_error_against(iso_c, iso_a, qcs_state(0, d=2))
+    with pytest.raises(ValueError):
+        qcs_execute(iso_a, iso_b, 4, qcs_state(0))
 
 
 def class_match_oracle(iso_a, iso_b):
@@ -387,3 +404,6 @@ def test_qcs_slot_table_matches_oracles(d, dp):
         # an explicit target other than Alice's own description
         _rho, err_b, _ov = dense_oracle(iso_a, iso_b, psi_b)
         assert_err_close(qcs_error_against(iso_a, iso_b, psi_b), err_b)
+        ref_err = qcs_execute(iso_a, iso_b, d, psi_b).ref_err
+        assert ref_err == qcs_error_against(iso_a, iso_b, psi_b)
+        assert_err_close(ref_err, err_b)

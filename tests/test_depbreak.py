@@ -11,6 +11,7 @@ from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 run_reduction)
 from repgames.strategy import (DeterministicStrategy, as_entangled, born_joint,
                                strategy_fixture)
+from _helpers import answer_bits, random_strategy
 
 PRINTING_ITEM2 = 0.04099582234676859
 PRINTING_DELTA = 2.2522279662062052
@@ -133,6 +134,15 @@ def test_skew_distances_printing_regression_values():
     assert abs(rep.p_win_c - PRINTING_P_WIN_C) < 1e-10
     ratios = rep.ratios()
     assert ratios[1] == pytest.approx(rep.avg2 / np.sqrt(rep.delta))
+
+
+def test_skew_delta_charges_the_answer_bits_of_each_held_round():
+    g = asym3()
+    for C in ((1,), (0,)):
+        ext = extended_joint(g, 2, random_strategy(g, 2, 2, 3), C)
+        rep = skew_distances(ext, g, 2, C)
+        want = np.log2(1.0 / rep.p_win_c) + answer_bits(g)
+        assert abs(rep.delta - want) < 1e-12
 
 
 def test_skew_distances_rejects_full_holdout():
@@ -462,8 +472,18 @@ def test_checks_and_exact_reduction_on_asym3():
     assert abs(rep.avg_p_ref - cond.prob(win_set(g, 2, (0,)))) < 1e-12
 
 
-def test_fine_family_is_built_once_per_key(printing_computer):
+def test_operators_are_built_once_per_coordinate(printing_computer):
     comp = printing_computer
     first = comp.fine_family("alice", 0, {"x1": 1, "x2": 0, "y2": 1}, (0,))
     again = comp.fine_family("alice", 0, {"y2": 1, "x2": 0, "x1": 1}, [0])
-    assert again is first
+    assert np.array_equal(again, first)
+    ops = comp.operators(0)
+    assert comp.operators(0) is ops
+    # the one-assignment kernels read the same families as the stacks:
+    # omega = (x2, y2) = (0, 1) is flat 1, x1 = 1, held a2 = 0
+    assert np.abs(ops["alice"].fine[1, 1, 0] - first).max() <= 1e-12
+    s_op, _ = comp.aligned("bob", {"d1": ALICE, "m1": 1, "x2": 0, "y2": 1},
+                           (1,))
+    assert np.abs(comp.via_factors(0)["bob"][1, 1, 1] - s_op).max() <= 1e-12
+    with pytest.raises(ZeroProbabilityEvent):
+        comp.coarse_family("alice", {"d1": ALICE, "m1": 1, "x1": 0})

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from repgames.games import (always_win, asym3, chsh, enumerate_tuples,
-                            fixture, load_game, save_game, validate_game,
-                            win_set)
+from repgames.games import (always_win, asym3, chsh, fixture, load_game,
+                            save_game, validate_game, win_set)
 from repgames.prob import Event
+from repgames.strategy import born_joint, strategy_fixture
+from _helpers import (answer_bits, enumerate_tuples, intersect, mu_dist,
+                      random_strategy)
 
 
 def test_chsh_definition():
@@ -38,18 +40,18 @@ def test_fixture_unknown_name():
 
 
 def test_answer_bits():
-    assert abs(chsh().answer_bits - 2.0) < 1e-12
-    assert abs(asym3().answer_bits - np.log2(asym3().a_size
+    assert abs(answer_bits(chsh()) - 2.0) < 1e-12
+    assert abs(answer_bits(asym3()) - np.log2(asym3().a_size
                                              * asym3().b_size)) < 1e-12
 
 
 def test_mu_dist_product_structure():
     g = chsh()
-    d = g.mu_dist(2)
+    d = mu_dist(g, 2)
     assert d.names == ("x1", "x2", "y1", "y2")
     assert np.allclose(d.table, 1.0 / 16.0)
     g3 = asym3()
-    d3 = g3.mu_dist(2)
+    d3 = mu_dist(g3, 2)
     ev = Event.from_assignment(
         {"x1": 0, "y1": 1, "x2": 2, "y2": 0},
         {n: (g3.x_size if n.startswith("x") else g3.y_size)
@@ -62,6 +64,17 @@ def test_enumerate_tuples_counts_questions():
     tuples = list(enumerate_tuples(g, 2))
     assert len(tuples) == (2 * 2) ** 2
     assert abs(sum(w for _x, _y, w in tuples) - 1.0) < 1e-12
+
+
+def test_born_joint_question_marginal_is_mu_power():
+    # the Born table's question law against the two product oracles
+    for g, s in ((chsh(), strategy_fixture("printing", 2)),
+                 (asym3(), random_strategy(asym3(), 2, 2, 5))):
+        joint = born_joint(g, 2, s)
+        q = joint.marginal(("x1", "x2", "y1", "y2"))
+        assert np.abs(q.table - mu_dist(g, 2).table).max() < 1e-15
+        for xt, yt, w in enumerate_tuples(g, 2):
+            assert abs(q.table[xt + yt] - w) < 1e-15
 
 
 def test_win_set_single_round():
@@ -79,7 +92,7 @@ def test_win_set_multiple_rounds_is_conjunction():
     ev01 = win_set(g, 2, (0, 1))
     ev0 = win_set(g, 2, (0,))
     ev1 = win_set(g, 2, (1,))
-    both = ev0.intersect(ev1)
+    both = intersect(ev0, ev1)
     order = [both.names.index(n) for n in ev01.names]
     assert np.array_equal(np.transpose(both.mask, order), ev01.mask)
 

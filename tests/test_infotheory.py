@@ -5,9 +5,10 @@ import scipy.linalg
 from repgames import matcore
 from repgames.infotheory import (STATE_WEIGHT, CQState, chain_rule_check,
                                  classical_relative_entropy,
-                                 cq_mutual_information, mutual_information,
+                                 cq_mutual_information,
                                  raz_lemma_check, relative_entropy,
                                  relative_min_entropy, von_neumann_entropy)
+from _helpers import random_unitary
 
 
 def binary_entropy(p):
@@ -154,6 +155,23 @@ def test_cq_density_consistency():
     assert np.allclose(blocks, avg, atol=1e-12)
 
 
+def mutual_information(joint: np.ndarray) -> float:
+    """I(X ; Y) in bits from a joint probability table with two axes."""
+    pxy = np.asarray(joint, dtype=np.float64)
+    if pxy.ndim != 2:
+        raise ValueError("joint table must have exactly two axes")
+    if (not np.isfinite(pxy).all() or np.any(pxy < -1e-12)
+            or abs(pxy.sum() - 1.0) > 1e-9):
+        raise ValueError("joint table must be a normalized distribution")
+    pxy = np.clip(pxy, 0.0, None)
+    px = pxy.sum(axis=1)
+    py = pxy.sum(axis=0)
+    mask = pxy > 0.0
+    ref = np.outer(px, py)
+    total = float((pxy[mask] * (np.log2(pxy[mask]) - np.log2(ref[mask]))).sum())
+    return max(0.0, total)
+
+
 def test_mutual_information_product_and_correlated():
     px = np.array([0.3, 0.7])
     py = np.array([0.6, 0.4])
@@ -167,6 +185,30 @@ def test_mutual_information_rejects_bad_tables():
         mutual_information(np.ones((2, 2)))
     with pytest.raises(ValueError):
         mutual_information(np.full((2, 2, 2), 0.125))
+    with pytest.raises(ValueError):
+        mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+
+
+def test_cq_mutual_information_of_classical_states_is_the_table_oracle():
+    # diagonal conditional states make the Holevo quantity the classical
+    # mutual information of the (z, basis index) table
+    rng = np.random.default_rng(31)
+    for k, d in ((2, 2), (3, 4), (4, 3)):
+        joint = rng.random((k, d))
+        joint /= joint.sum()
+        probs = joint.sum(axis=1)
+        states = np.stack([np.diag(row / row.sum()).astype(complex)
+                           for row in joint])
+        got = cq_mutual_information(CQState(probs, states))
+        assert abs(got - mutual_information(joint)) < 1e-12
+
+
+def test_classical_relative_entropy_refuses_non_finite_weights():
+    for p, q in (([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.inf, 0.0]),
+                 ([0.5, 0.5], [np.nan, np.nan])):
+        with pytest.raises(ValueError) as err:
+            classical_relative_entropy(np.array(p), np.array(q))
+        assert str(err.value) == "distributions must have finite weights"
 
 
 def test_raz_lemma_check_product_case_equality():
@@ -264,7 +306,7 @@ def test_divergences_on_a_shared_support_agree_with_scipy():
     # rho and sigma live on a 2-dimensional subspace of C^5; the kernels
     # must drop sigma's null space and give the 2x2 values
     rng = np.random.default_rng(78)
-    iso = matcore.random_unitary(5, rng)[:, :2]
+    iso = random_unitary(5, rng)[:, :2]
     for _ in range(10):
         r2 = matcore.random_density(2, rng=rng)
         s2 = matcore.random_density(2, rng=rng)
@@ -280,7 +322,7 @@ def test_divergences_on_a_shared_support_agree_with_scipy():
 def test_divergences_infinite_when_rho_leaves_the_support():
     rng = np.random.default_rng(79)
     for _ in range(5):
-        u = matcore.random_unitary(4, rng)
+        u = random_unitary(4, rng)
         sigma = (u[:, :2] * np.array([0.3, 0.7])) @ u[:, :2].conj().T
         rho = matcore.random_density(4, rng=rng)
         assert relative_entropy(rho, sigma) == float("inf")

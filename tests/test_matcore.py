@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repgames import matcore
+from _helpers import partial_trace, random_unitary
 
 
 def test_tensor_shapes_and_values():
@@ -18,14 +19,14 @@ def test_partial_trace_recovers_factors():
     rho = matcore.random_density(3, rng=rng)
     sigma = matcore.random_density(4, rng=rng)
     joint = matcore.tensor(rho, sigma)
-    assert np.allclose(matcore.partial_trace(joint, (3, 4), side="right"), rho)
-    assert np.allclose(matcore.partial_trace(joint, (3, 4), side="left"), sigma)
+    assert np.allclose(partial_trace(joint, (3, 4), side="right"), rho)
+    assert np.allclose(partial_trace(joint, (3, 4), side="left"), sigma)
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(1)
     rho = matcore.random_density(6, rng=rng)
-    left = matcore.partial_trace(rho, (2, 3), side="right")
+    left = partial_trace(rho, (2, 3), side="right")
     assert abs(np.trace(left) - 1.0) < 1e-12
 
 
@@ -48,6 +49,41 @@ def test_mat_sqrt_squares_back():
     r = matcore.mat_sqrt(p)
     assert np.allclose(r @ r, p, atol=1e-10)
     assert matcore.is_hermitian(r)
+
+
+def _canonical_sqrt(p):
+    """The square root in eigh_desc's canonical eigenbasis."""
+    w, v = matcore.eigh_desc(p)
+    r = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return (r + r.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_mat_sqrt_matches_the_canonical_basis_root(d):
+    rng = np.random.default_rng([12, d])
+    u = random_unitary(d, rng)
+    tied = np.repeat(rng.random((d + 1) // 2), 2)[:d]
+    deficient = np.where(np.arange(d) < d // 2, 0.0, rng.random(d))
+    cases = [np.eye(d, dtype=complex) / d,
+             (u * tied) @ u.conj().T,
+             (u * deficient) @ u.conj().T,
+             np.diag(deficient).astype(complex),
+             matcore.random_psd(d, rng=rng)]
+    for p in cases:
+        p = (p + p.conj().T) / 2
+        assert np.abs(matcore.mat_sqrt(p) - _canonical_sqrt(p)).max() <= 1e-12
+    stack = np.stack([(c + c.conj().T) / 2 for c in cases])
+    assert np.abs(matcore.mat_sqrt(stack)
+                  - np.stack([_canonical_sqrt(c) for c in stack])).max() <= 1e-12
+
+
+def test_mat_sqrt_refusals_keep_their_messages():
+    with pytest.raises(ValueError, match="^operator is not Hermitian within 1e-08$"):
+        matcore.mat_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="^rho has eigenvalue -5.000e-01 below -1e-09$"):
+        matcore.mat_sqrt(np.diag([1.5, -0.5]), "rho")
+    with pytest.raises(ValueError, match="^operator contains NaN or Inf entries$"):
+        matcore.mat_sqrt(np.diag([np.nan, 1.0]))
 
 
 def test_pinv_moore_penrose_conditions():
@@ -142,8 +178,8 @@ def test_symmetric_purification_balances_marginals():
     rho = matcore.random_density(3, rng=rng)
     psi = matcore.symmetric_purification(rho)
     full = np.outer(psi, psi.conj())
-    left = matcore.partial_trace(full, (3, 3), side="right")
-    right = matcore.partial_trace(full, (3, 3), side="left")
+    left = partial_trace(full, (3, 3), side="right")
+    right = partial_trace(full, (3, 3), side="left")
     assert np.allclose(left, rho, atol=1e-10)
     assert np.allclose(right, right.conj().T, atol=1e-10)
     assert np.allclose(np.sort(np.linalg.eigvalsh(right)),
@@ -152,7 +188,7 @@ def test_symmetric_purification_balances_marginals():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_random_unitary_is_unitary(d):
-    u = matcore.random_unitary(d, rng=np.random.default_rng(10))
+    u = random_unitary(d, rng=np.random.default_rng(10))
     assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-10)
 
 
@@ -224,7 +260,7 @@ def _oracle_svd_canonical(m):
 
 def _degenerate_blocks(d, rng):
     """Haar rotation of a spectrum made of 2-fold degenerate pairs."""
-    u = matcore.random_unitary(d, rng)
+    u = random_unitary(d, rng)
     w = np.repeat(rng.random((d + 1) // 2), 2)[:d]
     h = (u * w) @ u.conj().T
     return (h + h.conj().T) / 2

@@ -3,6 +3,7 @@ import pytest
 
 from repgames.prob import (Event, FiniteDistribution, ZeroProbabilityEvent,
                            product_extend, tv_distance, uniform)
+from _helpers import intersect
 
 
 def make_pair():
@@ -62,7 +63,7 @@ def test_event_intersect():
     sizes = {"x": 2, "y": 2}
     e1 = Event.from_assignment({"x": 0}, sizes)
     e2 = Event.from_assignment({"y": 1}, sizes)
-    both = e1.intersect(e2)
+    both = intersect(e1, e2)
     d = make_pair()
     assert abs(d.prob(both) - 0.18) < 1e-12
 

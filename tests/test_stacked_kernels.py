@@ -12,13 +12,14 @@ import pytest
 from repgames import matcore
 from repgames.infotheory import (CQState, relative_entropy,
                                  relative_min_entropy, von_neumann_entropy)
+from _helpers import random_unitary
 
 DIMS = range(1, 9)
 
 
 def _degenerate(d, rng):
     """eye/d and a Haar-rotated spectrum with every value repeated twice."""
-    u = matcore.random_unitary(d, rng)
+    u = random_unitary(d, rng)
     w = np.repeat(np.arange(1.0, d // 2 + 2), 2)[:d]
     return [np.eye(d, dtype=complex) / d, (u * (w / w.sum())) @ u.conj().T]
 
@@ -159,7 +160,7 @@ def test_generators_draw_stacks():
     assert np.allclose(np.linalg.norm(matcore.random_pure(5, rng, count=2), axis=-1), 1.0)
     assert matcore.random_psd(2, rng=rng, count=3).shape == (3, 2, 2)
     assert matcore.random_matrix(2, rng, count=3).shape == (3, 2, 2)
-    u = matcore.random_unitary(4, rng, count=3)
+    u = random_unitary(4, rng, count=3)
     assert np.allclose(u @ matcore.dagger(u), np.eye(4), atol=1e-12)
     # without a count, the draw is the 2-D one it always was
     a = matcore.random_density(3, rng=np.random.default_rng(9))
