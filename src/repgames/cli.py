@@ -208,7 +208,8 @@ def _run_values(args) -> int:
         v = classical_value(g, k)
         entries.append({"n": k, "classical_value": v})
         rows.append([k, repr(v), ""])
-    best = seesaw_best(g, args.d, seeds=range(args.seeds),
+    best = seesaw_best(g, args.d,
+                       seeds=range(args.seed, args.seed + args.seeds),
                        max_iters=500, workers=args.workers)
     entries.append({"n": 1, "seesaw_value": best.value,
                     "iterations": best.iterations})

@@ -29,8 +29,8 @@ import numpy as np
 from . import matcore
 from .games import Game, a_names, b_names, win_set, x_names, y_names
 from .infotheory import CQState, cq_mutual_information
-from .prob import (MAX_TABLE_ENTRIES, ZERO_MASS, FiniteDistribution, Kernel,
-                   ZeroProbabilityEvent, product_extend)
+from .prob import (MAX_TABLE_ENTRIES, ZERO_MASS, FiniteDistribution,
+                   ZeroProbabilityEvent)
 from .strategy import EntangledStrategy, born_joint, symmetrize
 
 ALICE = 0
@@ -47,18 +47,6 @@ def d_name(j: int) -> str:
 
 def m_name(j: int) -> str:
     return f"m{j + 1}"
-
-
-def _pointer_kernel(g: Game, j: int) -> Kernel:
-    """Kernel (x_j, y_j) -> (d_j, m_j): uniform side, question copied."""
-    m_size = max(g.x_size, g.y_size)
-    table = np.zeros((g.x_size, g.y_size, 2, m_size))
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            table[x, y, ALICE, x] += 0.5
-            table[x, y, BOB, y] += 0.5
-    return Kernel((x_names_at(j), y_names_at(j)), (d_name(j), m_name(j)),
-                  table, np.ones((g.x_size, g.y_size), dtype=bool))
 
 
 def x_names_at(j: int) -> str:
@@ -86,9 +74,19 @@ def extended_joint(g: Game, n: int, s: EntangledStrategy,
              * (2 * m_size) ** len(free))
     if cells > MAX_TABLE_ENTRIES:
         raise ValueError(f"extended joint would need {cells} cells")
+    # P(d_j, m_j | x_j, y_j): uniform side, that side's question copied
+    pointer = np.zeros((g.x_size, g.y_size, 2, m_size))
+    x, y = np.ogrid[:g.x_size, :g.y_size]
+    pointer[x, y, ALICE, x] = 0.5
+    pointer[x, y, BOB, y] = 0.5
     dist = born_joint(g, n, s)
     for j in free:
-        dist = product_extend(dist, _pointer_kernel(g, j))
+        shape = [1] * dist.table.ndim
+        shape[j], shape[n + j] = g.x_size, g.y_size
+        dist = FiniteDistribution(
+            dist.names + (d_name(j), m_name(j)),
+            dist.table[..., None, None] * pointer.reshape(shape + [2, m_size]),
+            normalize=True)
     return dist
 
 
@@ -867,20 +865,19 @@ class DepBreakComputer:
                      tol: float = 1e-6) -> XiRazReport:
         """Average conditional mutual information between one round's
         question and the opposite player's quantum register, measured on
-        the post-measurement ensemble, against the answer-volume budget."""
+        the post-measurement ensemble, against the answer-volume budget.
+
+        For every omega (all pointers and held questions) of mass above
+        SUPPORT_MASS and every held-answer value of weight above
+        ZERO_WEIGHT, the ensemble over the side's question tuples (weighted
+        by the question law) is bucketed by round i's question; a block of
+        trace at most ZERO_WEIGHT is left out."""
         if side not in ("alice", "bob"):
             raise ValueError("side must be 'alice' or 'bob'")
-        g = self.game
-        own_names = x_names(self.n) if side == "alice" else y_names(self.n)
-        own_at = x_names_at if side == "alice" else y_names_at
+        g, d = self.game, self.d
         k = g.a_size if side == "alice" else g.b_size
         size = g.x_size if side == "alice" else g.y_size
-        held = self._op_tensor(side, self.C)
-        held = held.reshape((size,) * self.n + held.shape[1:])
-        m_psi = self.strategy.psi_matrix
-        omega_full = self.omega_names(None)
-        event = win_set(g, self.n, self.C)
-        p_win_c = self.ext.prob(event)
+        p_win_c = self.ext.prob(win_set(g, self.n, self.C))
         if p_win_c <= 0.0:
             raise ZeroProbabilityEvent("holdout rounds are never all won")
         m = len(self.free)
@@ -888,60 +885,42 @@ class DepBreakComputer:
                  + len(self.C) * math.log2(g.a_size * g.b_size)) / m
         tight = len(self.C) * math.log2(k) / m
 
-        per_terms = {i: 0.0 for i in self.free}
-        omega_marg = self.qext.marginal(omega_full).table
-        for idx in np.argwhere(omega_marg > SUPPORT_MASS):
-            omega = dict(zip(omega_full, (int(v) for v in idx)))
-            p_omega = float(omega_marg[tuple(idx)])
-            cond = self.qext.given(omega)
-            remaining = [nm for nm in own_names if nm in cond.names]
-            if remaining:
-                marg = cond.marginal(tuple(remaining))
-                entries = [(dict(zip(remaining, map(int, idx))),
-                            float(marg.table[tuple(idx)]))
-                           for idx in np.argwhere(marg.table > SUPPORT_MASS)]
-            else:
-                entries = [({}, 1.0)]
-            # blocks on the opposite quantum register, per question tuple
-            per_q = []
-            for partial, wq in entries:
-                assign = dict(partial)
-                assign.update({nm: omega[nm] for nm in own_names
-                               if nm in omega})
-                q = tuple(assign[nm] for nm in own_names)
-                ops = held[q]
-                for held_ans in itertools.product(range(k),
-                                                  repeat=len(self.C)):
-                    op = ops[held_ans]
-                    if side == "alice":
-                        block = np.conj(m_psi.conj().T @ op @ m_psi)
-                    else:
-                        block = m_psi @ np.conj(op) @ m_psi.conj().T
-                    tr = float(np.real(np.trace(block)))
-                    if tr <= ZERO_WEIGHT:
-                        continue
-                    per_q.append((q, held_ans, wq * tr, block / tr))
-            for held_ans in itertools.product(range(k), repeat=len(self.C)):
-                group = [(q, w, b) for q, h, w, b in per_q if h == held_ans]
-                w_ha = sum(w for _q, w, _b in group)
-                if w_ha <= ZERO_WEIGHT:
-                    continue
-                for i in self.free:
-                    buckets = {}
-                    for q, w, b in group:
-                        buckets.setdefault(q[i], [0.0, None])
-                        entry = buckets[q[i]]
-                        entry[0] += w
-                        entry[1] = b * w if entry[1] is None else entry[1] + b * w
-                    probs = np.array([v[0] for v in buckets.values()])
-                    states = np.stack([v[1] / v[0] for v in buckets.values()])
-                    mi = cq_mutual_information(
-                        CQState(probs / probs.sum(), states))
-                    per_terms[i] += p_omega * w_ha * mi
-        per_coord = tuple(per_terms[i] for i in self.free)
+        # opposite-register blocks [question tuple, held answers]
+        ops = self._op_tensor(side, self.C)
+        n_q = ops.shape[0]
+        ops = ops.reshape(n_q, -1, d, d)
+        m_psi = self.strategy.psi_matrix
+        if side == "alice":
+            blocks = np.conj(matcore.dagger(m_psi) @ ops @ m_psi)
+        else:
+            blocks = m_psi @ np.conj(ops) @ matcore.dagger(m_psi)
+        tr = np.trace(blocks, axis1=-2, axis2=-1).real
+        present = tr > ZERO_WEIGHT
+        tr = np.where(present, tr, 0.0)
+        blocks = (blocks * present[..., None, None]).reshape(n_q, -1)
+        # P(question tuple | omega) as dense rows; (omega, held) masses
+        law, cols, mass = self._question_law(side, self.omega_names(None))
+        q_law = np.zeros((law.shape[0], n_q))
+        np.put_along_axis(q_law, cols, law, axis=1)
+        weight = q_law @ tr
+        rows, held = np.nonzero((mass > SUPPORT_MASS)[:, None]
+                                & (weight > ZERO_WEIGHT))
+        digits = np.unravel_index(np.arange(n_q), (size,) * self.n)
+        per_coord = []
+        for i in self.free:
+            # split each omega's law by round i's question, one row per value
+            coef = (q_law[:, None, :] * (digits[i] == np.arange(size)[:, None])
+                    ).reshape(-1, n_q)
+            probs = (coef @ tr).reshape(-1, size, tr.shape[1])[rows, :, held]
+            states = (coef @ blocks).reshape(
+                -1, size, tr.shape[1], d, d)[rows, :, held]
+            states /= np.where(probs > 0.0, probs, 1.0)[..., None, None]
+            mi = cq_mutual_information(CQState(
+                probs / probs.sum(axis=1, keepdims=True), states))
+            per_coord.append(float((mass[rows] * weight[rows, held]) @ mi))
         avg_mi = float(np.mean(per_coord))
         return XiRazReport(side, avg_mi, delta, tight,
-                           bool(avg_mi <= delta + tol), per_coord)
+                           bool(avg_mi <= delta + tol), tuple(per_coord))
 
     def skew_report(self) -> SkewReport:
         return skew_distances(self.ext, self.game, self.n, self.C)

@@ -170,7 +170,7 @@ def polar_psd_factor(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """psi = sum_k coefficients[k] * left_basis[:, k] (x) right_basis[:, k]."""
+    """psi = sum_k coefficients[k] * left_basis[:, k] (x) conj(right_basis[:, k])."""
 
     coefficients: np.ndarray
     left_basis: np.ndarray

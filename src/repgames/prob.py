@@ -165,67 +165,6 @@ class FiniteDistribution:
         perm = tuple(self.names.index(n) for n in names)
         return FiniteDistribution(names, np.transpose(self.table, perm))
 
-    def kernel(self, new_names: Iterable[str], given_names: Iterable[str]) -> "Kernel":
-        """Conditional table of `new_names` given `given_names`.
-
-        Rows whose conditioning assignment has zero mass are left all-zero and
-        flagged undefined.
-        """
-        new_names = tuple(new_names)
-        given_names = tuple(given_names)
-        joint = self.marginal(given_names + new_names)
-        g = len(given_names)
-        base = joint.table.sum(axis=tuple(range(g, joint.table.ndim)))
-        defined = base > ZERO_MASS
-        denom = np.where(defined, base, 1.0)
-        table = joint.table / denom.reshape(denom.shape + (1,) * len(new_names))
-        table[~defined] = 0.0
-        return Kernel(given_names, new_names, table, defined)
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Conditional probability table: axes are given variables then new ones."""
-
-    given_names: tuple
-    new_names: tuple
-    table: np.ndarray
-    defined: np.ndarray
-
-    @property
-    def new_sizes(self) -> tuple:
-        return self.table.shape[len(self.given_names):]
-
-
-def product_extend(base: FiniteDistribution, kernel: Kernel) -> FiniteDistribution:
-    """Compose a distribution with a conditional table over fresh variables.
-
-    The kernel's conditioning variables must appear in `base` (matched by
-    name); the result ranges over base's variables followed by the kernel's
-    new ones.  Raises if `base` puts mass where the kernel is undefined.
-    """
-    for n in kernel.new_names:
-        if n in base.names:
-            raise ValueError(f"variable {n} already present in base")
-    g = len(kernel.given_names)
-    axes_in_base = [base.axis(n) for n in kernel.given_names]
-    order = sorted(range(g), key=lambda k: axes_in_base[k])
-    kt = np.transpose(kernel.table, tuple(order) + tuple(range(g, kernel.table.ndim)))
-    kd = np.transpose(kernel.defined, order) if g > 1 else kernel.defined
-    ordered_given = tuple(kernel.given_names[k] for k in order)
-
-    base_mass_on_given = base.marginal(ordered_given).table
-    undefined_mass = float(base_mass_on_given[~kd].sum()) if g else 0.0
-    if undefined_mass > 1e-12:
-        raise ZeroProbabilityEvent(
-            f"base has mass {undefined_mass:.3e} where the kernel is undefined")
-
-    shape = tuple(base.sizes[i] if base.names[i] in ordered_given else 1
-                  for i in range(len(base.names)))
-    kt = kt.reshape(shape + kernel.new_sizes)
-    bt = base.table.reshape(base.sizes + (1,) * len(kernel.new_names))
-    return FiniteDistribution(base.names + kernel.new_names, bt * kt, normalize=True)
-
 
 def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Total variation distance between distributions over the same variables."""

@@ -24,7 +24,7 @@ from .depbreak import (ZERO_WEIGHT, DepBreakComputer, choose_C, chunks,
                        conditioned_contexts, pure_born_table)
 from .games import Game, win_set
 from .prob import ZERO_MASS, ZeroProbabilityEvent
-from .strategy import EntangledStrategy
+from .strategy import EntangledStrategy, born_joint
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
 QUANTUM_MODES = ("oracle_state", "embezzle")
@@ -123,9 +123,8 @@ class SingleShotStrategy:
         if isinstance(c_set, str):
             if c_set != "auto":
                 raise ValueError("C must be a tuple or 'auto'")
-            probe = DepBreakComputer(g, n, cfg.strategy, ())
-            sel = choose_C(probe.ext, g, n, cfg.auto_eps, cfg.auto_tmax)
-            c_set = sel.C
+            c_set = choose_C(born_joint(g, n, cfg.strategy), g, n,
+                             cfg.auto_eps, cfg.auto_tmax).C
         self.computer = DepBreakComputer(g, n, cfg.strategy, c_set)
         self.C = self.computer.C
         self.free = self.computer.free
@@ -133,7 +132,6 @@ class SingleShotStrategy:
         if self.p_win_c <= ZERO_MASS:
             raise ZeroProbabilityEvent("holdout rounds are never all won")
         self._law_cache = {}
-        self._win_cache = {}
 
     # ---- dependency-breaking value bookkeeping ---------------------------
 
@@ -180,18 +178,11 @@ class SingleShotStrategy:
 
     def context_win(self, i: int, ra: int, rb: int, x: int,
                     y: int) -> tuple:
-        """(win probability, embezzlement error, valid) for one context.
-
-        ra and rb are flat indices of Alice's and Bob's r values; a context
-        is evaluated once, by `context_wins` on a stack of one.
-        """
-        key = (i, ra, rb, x, y)
-        if key not in self._win_cache:
-            p, err, valid = self.context_wins(i, *(np.array([v]) for v in
-                                                   (ra, rb, x, y)))
-            self._win_cache[key] = (float(p[0]), float(err[0]),
-                                    bool(valid[0]))
-        return self._win_cache[key]
+        """(win probability, embezzlement error, valid) for one context:
+        `context_wins` on a stack of one, ra and rb flat r indices."""
+        p, err, valid = self.context_wins(i, *(np.array([v]) for v in
+                                               (ra, rb, x, y)))
+        return float(p[0]), float(err[0]), bool(valid[0])
 
     def context_wins(self, i: int, r_a: np.ndarray, r_b: np.ndarray,
                      x: np.ndarray, y: np.ndarray) -> tuple:
@@ -290,8 +281,8 @@ def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
                         rng: np.random.Generator) -> dict:
     """Monte Carlo estimate for one coordinate with per-trial exact wins.
 
-    Trials are drawn one question-pair group at a time, and each distinct
-    context is evaluated once.
+    Trials are drawn one question-pair group at a time, and the distinct
+    contexts are evaluated together in one `context_wins` call.
     """
     g = shot.cfg.game
     mu_flat = np.asarray(g.mu, dtype=float).ravel()
@@ -313,12 +304,9 @@ def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
         r_size = math.prod(shot.r_dims(i)[1])
         keys, inverse = np.unique(
             (qs[ok] * r_size + ra[ok]) * r_size + rb[ok], return_inverse=True)
-        outs = []
-        for key in keys.tolist():
-            q, r_pair = divmod(key, r_size * r_size)
-            outs.append(shot.context_win(i, *divmod(r_pair, r_size),
-                                         *divmod(q, g.y_size)))
-        p, err, valid = (np.array(col) for col in zip(*outs))
+        q, r_pair = np.divmod(keys, r_size * r_size)
+        p, err, valid = shot.context_wins(i, *np.divmod(r_pair, r_size),
+                                          *np.divmod(q, g.y_size))
         # an invalid context reports p = err = 0, so it scores as a loss
         wins[ok] = p[inverse]
         errs[ok] = np.minimum(err, 1.0)[inverse]

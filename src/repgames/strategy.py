@@ -112,7 +112,8 @@ def symmetrize(s: EntangledStrategy):
     statistic is unchanged.
     """
     sd = matcore.schmidt(s.psi, (s.d, s.d))
-    rot = sd.left_basis @ sd.right_basis.conj().T
+    # Bob's Schmidt vectors are conj(right_basis[:, k]); rot maps them to u_k
+    rot = sd.left_basis @ sd.right_basis.T
     m2 = (sd.left_basis * sd.coefficients) @ sd.left_basis.T
     psi2 = m2.reshape(-1)
     psi2 = psi2 / np.linalg.norm(psi2)

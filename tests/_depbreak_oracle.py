@@ -6,9 +6,11 @@ context at a time, the question law read with `FiniteDistribution.given`
 and `marginal`, the coarse operators summed in Python, every factor from
 2-D kernels with the canonical spectral convention, and dict caches keyed
 by the pointer constraints.  The walks below repeat the checks and the
-exact reduction over contexts with plain loops.
+exact reduction over contexts with plain loops, and the xi check one omega
+and one question tuple at a time.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, SUPPORT_MASS, ZERO_WEIGHT, d_name,
                                m_name, x_names_at, y_names_at)
 from repgames.games import x_names, y_names
+from repgames.infotheory import CQState, cq_mutual_information
 from repgames.prob import ZERO_MASS
 
 
@@ -273,3 +276,63 @@ class PerContext:
             crosscheck = max(crosscheck, abs(p - float(
                 (cell * self.g.predicate[x, y]).sum() / cell.sum())))
         return p_tilde, crosscheck, invalid_mass, invalid
+
+    def xi(self, side):
+        """Per free coordinate, the xi check's weighted mutual information
+        between round i's question and the opposite register."""
+        own_names = x_names(self.n) if side == "alice" else y_names(self.n)
+        k = self.g.a_size if side == "alice" else self.g.b_size
+        held = self._sums(side, self.C)
+        m_psi = self.comp.strategy.psi_matrix
+        omega_full = self.comp.omega_names(None)
+        qext = self.comp.qext
+        per_terms = {i: 0.0 for i in self.comp.free}
+        omega_marg = qext.marginal(omega_full).table
+        for idx in np.argwhere(omega_marg > SUPPORT_MASS):
+            omega = dict(zip(omega_full, (int(v) for v in idx)))
+            p_omega = float(omega_marg[tuple(idx)])
+            cond = qext.given(omega)
+            remaining = [nm for nm in own_names if nm in cond.names]
+            if remaining:
+                marg = cond.marginal(tuple(remaining))
+                entries = [(dict(zip(remaining, map(int, idx))),
+                            float(marg.table[tuple(idx)]))
+                           for idx in np.argwhere(marg.table > SUPPORT_MASS)]
+            else:
+                entries = [({}, 1.0)]
+            # blocks on the opposite quantum register, per question tuple
+            per_q = []
+            for partial, wq in entries:
+                assign = dict(partial)
+                assign.update({nm: omega[nm] for nm in own_names
+                               if nm in omega})
+                q = tuple(assign[nm] for nm in own_names)
+                for held_ans in itertools.product(range(k),
+                                                  repeat=len(self.C)):
+                    op = held[q][held_ans]
+                    if side == "alice":
+                        block = np.conj(m_psi.conj().T @ op @ m_psi)
+                    else:
+                        block = m_psi @ np.conj(op) @ m_psi.conj().T
+                    tr = float(np.real(np.trace(block)))
+                    if tr <= ZERO_WEIGHT:
+                        continue
+                    per_q.append((q, held_ans, wq * tr, block / tr))
+            for held_ans in itertools.product(range(k), repeat=len(self.C)):
+                group = [(q, w, b) for q, h, w, b in per_q if h == held_ans]
+                w_ha = sum(w for _q, w, _b in group)
+                if w_ha <= ZERO_WEIGHT:
+                    continue
+                for i in self.comp.free:
+                    buckets = {}
+                    for q, w, b in group:
+                        buckets.setdefault(q[i], [0.0, None])
+                        entry = buckets[q[i]]
+                        entry[0] += w
+                        entry[1] = b * w if entry[1] is None else entry[1] + b * w
+                    probs = np.array([v[0] for v in buckets.values()])
+                    states = np.stack([v[1] / v[0] for v in buckets.values()])
+                    mi = cq_mutual_information(
+                        CQState(probs / probs.sum(), states))
+                    per_terms[i] += p_omega * w_ha * mi
+        return tuple(per_terms[i] for i in self.comp.free)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from repgames import suites
+from repgames import suites, values
 from repgames.cli import main
+from repgames.games import chsh
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,18 @@ def test_run_values_reports_classical_points(capsys):
     assert by_n[2]["classical_value"] == 0.625
     seesaw = [e for e in payload["results"] if "seesaw_value" in e]
     assert seesaw and seesaw[0]["seesaw_value"] >= 0.85
+
+
+def test_run_values_restarts_seesaw_from_seed(capsys):
+    # a single restart from seed 0 stops at 0.75, one from seed 3 does not
+    code, out, _err = run_cli(capsys, "run", "values", "--n", "1",
+                              "--seeds", "1", "--seed", "3")
+    assert code == 0
+    payload = json.loads(out)
+    want = values.seesaw_best(chsh(), 2, seeds=[3], max_iters=500)
+    seesaw = [e for e in payload["results"] if "seesaw_value" in e]
+    assert seesaw[0]["seesaw_value"] == want.value > 0.85
+    assert payload["config"]["seed"] == 3
 
 
 def test_run_bound_grid(capsys):
@@ -180,6 +193,16 @@ def test_run_reduction_three_rounds_exact(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "r3.json").read_text())
     assert payload["avg_residual"] <= 1e-8
+
+
+def test_run_reduction_auto_holdout_at_four_rounds(capsys):
+    # the empty-holdout extended table of n=4 is over the cell cap, so the
+    # automatic choice must not build it
+    code, out, err = run_cli(capsys, "run", "reduction", "--strategy",
+                             "printing", "--n", "4", "--C", "auto")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["config"]["C"] and payload["compare"]["pass_threshold"]
 
 
 def test_run_outputs_deterministic(capsys):

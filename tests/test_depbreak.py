@@ -5,7 +5,7 @@ from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
                                choose_C, dep_state, extended_joint, fine_povm,
                                pure_born_table, skew_distances)
-from repgames.games import always_win, asym3, chsh, win_set
+from repgames.games import Game, always_win, asym3, chsh, win_set
 from repgames.prob import ZERO_MASS, ZeroProbabilityEvent, tv_distance
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 run_reduction)
@@ -64,6 +64,23 @@ def test_extended_joint_pointer_law():
     cond_b = ext.given({"d1": BOB})
     copied_b = cond_b.marginal(("y1", "m1")).table
     assert abs(np.trace(copied_b) - 1.0) < 1e-12
+
+
+def test_extended_joint_is_the_born_table_times_the_pointer_law():
+    # two questions for Alice, three for Bob: m_j has three values and
+    # Alice's pointer never copies the third
+    pred = np.ones((2, 3, 2, 2), dtype=bool)
+    g = Game(2, 3, 2, 2, np.full((2, 3), 1.0 / 6.0), pred, name="two-three")
+    s = random_strategy(g, 2, 2, 7)
+    ext = extended_joint(g, 2, s, (0,))
+    assert ext.names[-2:] == ("d2", "m2") and ext.sizes[-2:] == (2, 3)
+    want = np.zeros(born_joint(g, 2, s).sizes + (2, 3))
+    born = born_joint(g, 2, s).table
+    for x2 in range(2):
+        for y2 in range(3):
+            want[:, x2, :, y2, ..., ALICE, x2] += 0.5 * born[:, x2, :, y2]
+            want[:, x2, :, y2, ..., BOB, y2] += 0.5 * born[:, x2, :, y2]
+    assert np.abs(ext.table - want).max() <= 1e-15
 
 
 def test_extended_joint_holdout_coordinates_have_no_pointer():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repgames.prob import (Event, FiniteDistribution, ZeroProbabilityEvent,
-                           product_extend, tv_distance, uniform)
+                           tv_distance, uniform)
 from _helpers import intersect
 
 
@@ -75,30 +75,6 @@ def test_reordered_permutes_axes():
     assert np.allclose(r.table, d.table.T)
     ev = Event.from_assignment({"x": 0, "y": 1}, {"x": 2, "y": 2})
     assert abs(r.prob(ev) - d.prob(ev)) < 1e-15
-
-
-def test_kernel_and_product_extend_roundtrip():
-    d = make_pair()
-    k = d.kernel(("y",), ("x",))
-    rebuilt = product_extend(d.marginal(("x",)), k)
-    assert set(rebuilt.names) == {"x", "y"}
-    assert np.allclose(rebuilt.reordered(("x", "y")).table, d.table)
-
-
-def test_kernel_rows_normalized():
-    d = make_pair()
-    k = d.kernel(("y",), ("x",))
-    sums = k.table.sum(axis=-1)
-    assert np.allclose(sums, 1.0)
-
-
-def test_product_extend_with_independent_kernel():
-    base = uniform(("x",), (2,))
-    cond = FiniteDistribution(("x", "z"), np.full((2, 3), 1.0 / 6.0))
-    k = cond.kernel(("z",), ("x",))
-    joint = product_extend(base, k)
-    assert abs(joint.prob(Event.from_assignment({"z": 2}, {"z": 3}))
-               - 1.0 / 3.0) < 1e-12
 
 
 def test_tv_distance_basic():

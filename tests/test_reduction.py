@@ -115,21 +115,27 @@ def test_sampled_coordinate_evaluates_each_context_once(monkeypatch):
     shot = SingleShotStrategy(make_config(strategy="printing", n=3, C=(0,),
                                           mode_classical="holenstein"))
     calls = []
-    real = shot.context_win
+    real = shot.context_wins
 
-    def counting(i, ra, rb, x, y):
-        calls.append((i, ra, rb, x, y))
-        return real(i, ra, rb, x, y)
+    def counting(i, r_a, r_b, x, y):
+        calls.append((i, r_a, r_b, x, y))
+        return real(i, r_a, r_b, x, y)
 
-    monkeypatch.setattr(shot, "context_win", counting)
-    stats = reduction._sampled_coordinate(shot, 1, 2000,
+    monkeypatch.setattr(shot, "context_wins", counting)
+    trials = 2000
+    stats = reduction._sampled_coordinate(shot, 1, trials,
                                           np.random.default_rng(3))
     assert stats["failures"] == 0
     assert stats["disagreements"] > 0
-    assert len(calls) == len(set(calls))
-    assert len(calls) < 2000
+    # one stacked call per coordinate, each distinct context once in it
+    assert len(calls) == 1
+    i, r_a, r_b, x, y = calls[0]
+    keys = set(zip(r_a.tolist(), r_b.tolist(), x.tolist(), y.tolist()))
+    assert i == 1 and len(keys) == r_a.size
+    assert 1 < r_a.size < trials
+    assert (r_a != r_b).any()
     # context keys are flat r indices of the coordinate's r variables
-    for i, ra, rb, _x, _y in calls:
+    for ra, rb, _x, _y in keys:
         assert shot.r_to_flat(i, shot.flat_to_r(i, ra)) == ra
         assert shot.r_to_flat(i, shot.flat_to_r(i, rb)) == rb
 

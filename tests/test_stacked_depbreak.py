@@ -2,10 +2,11 @@
 
 `DepBreakComputer` builds every aligned factor, fine POVM and state of a
 free coordinate as one stack; `_depbreak_oracle.PerContext` builds them one
-context at a time with 2-D kernels.  Every walk must agree with the oracle
-within 1e-12 (the same visited and skipped counts), and with the context
-table within 1e-8, on seeded random strategies over a non-maximally
-entangled state for CHSH and for asym3 (three questions, non-uniform mu).
+context at a time with 2-D kernels.  Every walk, and the xi check on both
+sides, must agree with the oracle within 1e-12 (the same visited and
+skipped counts), and with the context table within 1e-8, on seeded random
+strategies over a non-maximally entangled state for CHSH and for asym3
+(three questions, non-uniform mu).
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from _helpers import random_strategy
 from repgames import depbreak, matcore, reduction
 from repgames.depbreak import (DepBreakComputer, aligned_operators, dep_state,
                                fine_povm, pure_born_table)
-from repgames.games import asym3, chsh
+from repgames.games import Game, asym3, chsh
 from repgames.reduction import ReductionConfig, SingleShotStrategy
 from repgames.strategy import strategy_fixture
 
@@ -55,6 +56,10 @@ def _check_against_oracle(comp):
     _close(samp.skipped_mass, skipped_mass)
     _close(samp.max_triangle_slack, max_tri)
     assert samp.max_triangle_slack <= 1e-9
+
+    for side in ("alice", "bob"):
+        xi = comp.xi_raz_check(side=side)
+        assert np.abs(np.array(xi.per_coord) - oracle.xi(side)).max() <= 1e-12
     return oracle
 
 
@@ -80,6 +85,17 @@ def test_random_strategies_match_the_per_context_oracle(game, seed):
 @pytest.mark.parametrize("C", [(1,), (0, 1)])
 def test_printing_checks_match_the_per_context_oracle(C):
     comp = DepBreakComputer(chsh(), 3, strategy_fixture("printing", 3), C)
+    _check_against_oracle(comp)
+
+
+@pytest.mark.parametrize("C", [(1,), ()])
+def test_question_weights_at_the_support_cut_match_the_oracle(C):
+    """A near-empty question pair gives conditional question weights near
+    2e-3, so the question law's SUPPORT_MASS cut decides what is kept."""
+    base = chsh()
+    g = Game(2, 2, 2, 2, [[0.4995, 0.25], [0.25, 0.0005]], base.predicate,
+             name="chsh-skewed")
+    comp = DepBreakComputer(g, 2, random_strategy(g, 2, 2, 5), C)
     _check_against_oracle(comp)
 
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from repgames.games import chsh, win_set
+from repgames.depbreak import DepBreakComputer
+from repgames.games import chsh, fixture, win_set
 from repgames.prob import tv_distance
 from repgames.strategy import (DeterministicStrategy, as_entangled,
                                born_joint, load_strategy, save_strategy,
                                strategy_fixture, symmetrize, tsirelson,
                                win_probability)
+from _helpers import random_strategy
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 
@@ -91,16 +93,23 @@ def test_born_joint_is_normalized_distribution():
 
 
 def test_symmetrize_preserves_statistics():
-    g = chsh()
-    s = strategy_fixture("printing", 2)
-    s2, basis = symmetrize(s)
-    assert tv_distance(born_joint(g, 2, s), born_joint(g, 2, s2)) < 1e-10
-    # rotated state has equal reduced density matrices on both factors
-    m = s2.psi_matrix
-    left = m @ m.conj().T
-    right = np.conj(m.conj().T @ m)
-    assert np.linalg.norm(left - right) < 1e-10
-    assert np.allclose(basis @ basis.conj().T, np.eye(s.d), atol=1e-10)
+    # the fixture's Schmidt bases are real; the random states' are complex
+    inputs = [(chsh(), strategy_fixture("printing", 2))] + [
+        (g, random_strategy(g, 2, 3, seed))
+        for g in (chsh(), fixture("asym3")) for seed in range(4)]
+    for g, s in inputs:
+        s2, basis = symmetrize(s)
+        want = born_joint(g, 2, s)
+        assert tv_distance(want, born_joint(g, 2, s2)) < 1e-10
+        # rotated state has equal reduced density matrices on both factors
+        m = s2.psi_matrix
+        left = m @ m.conj().T
+        right = np.conj(m.conj().T @ m)
+        assert np.linalg.norm(left - right) < 1e-10
+        assert np.allclose(basis @ basis.conj().T, np.eye(s.d), atol=1e-10)
+        # the dependency-breaking table is built on the symmetrized strategy
+        ext = DepBreakComputer(g, 2, s, (1,)).ext.marginal(want.names)
+        assert np.abs(ext.table - want.table).max() <= 1e-12
 
 
 def test_symmetrize_restores_swapped_bell_state():
