@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from . import matcore
 from .prob import FiniteDistribution
@@ -93,6 +93,7 @@ class CorrSampleStats:
     tv_a: float
     tv_b: float
     chi2_pvalue_a: float | None     # None when side A accepted nothing
+                                    # or its law has one support cell
     counts_a: np.ndarray = field(repr=False, default=None)
     counts_b: np.ndarray = field(repr=False, default=None)
 
@@ -112,8 +113,12 @@ def corr_sample_experiment(p: FiniteDistribution, q: FiniteDistribution,
     tv_a = 0.5 * float(np.abs(counts_a / tot_a - pt).sum()) if tot_a else 1.0
     tv_b = 0.5 * float(np.abs(counts_b / tot_b - qt).sum()) if tot_b else 1.0
     keep = pt > 0
-    pval = None if not tot_a else float(stats.chisquare(
-        counts_a[keep], tot_a * pt[keep] / pt[keep].sum()).pvalue)
+    dof = int(keep.sum()) - 1
+    pval = None                      # no draws, or no degrees of freedom
+    if tot_a and dof > 0:
+        expect = tot_a * pt[keep] / pt[keep].sum()
+        stat = float(((counts_a[keep] - expect) ** 2 / expect).sum())
+        pval = float(chdtrc(dof, stat))
     return CorrSampleStats(n_runs, float(agreed.mean()),
                            float(failed.mean()), tv_a, tv_b, pval,
                            counts_a, counts_b)

@@ -31,7 +31,8 @@ from .games import Game, a_names, b_names, win_set, x_names, y_names
 from .infotheory import CQState, cq_mutual_information
 from .prob import (MAX_TABLE_ENTRIES, ZERO_MASS, FiniteDistribution,
                    ZeroProbabilityEvent)
-from .strategy import EntangledStrategy, born_joint, symmetrize
+from .strategy import (EntangledStrategy, born_joint, pure_born_table,
+                       symmetrize)
 
 ALICE = 0
 BOB = 1
@@ -291,22 +292,6 @@ def dep_state(s_op: np.ndarray, t_op: np.ndarray, psi: np.ndarray) -> tuple:
         return (out / math.sqrt(weight) if present else None), float(weight)
     norm = np.sqrt(np.where(present, weight, 1.0))
     return np.where(present[..., None], out / norm[..., None], 0.0), weight
-
-
-def pure_born_table(state: np.ndarray, fa: np.ndarray,
-                    fb: np.ndarray) -> np.ndarray:
-    """Joint answer table <state| F_a (x) G_b |state> of two POVM families.
-
-    state is a vector on C^d (x) C^d with Alice's index first, or a
-    `(..., d * d)` stack; fa and fb are `(..., k, d, d)` operator stacks.
-    Returns `(..., ka, kb)`.
-    """
-    d = fa.shape[-1]
-    m = state.reshape(state.shape[:-1] + (1, d, d))
-    inner = matcore.dagger(m) @ fa @ m
-    lead = inner.shape[:-3]
-    return (inner.reshape(lead + (fa.shape[-3], d * d))
-            @ np.swapaxes(fb.reshape(lead + (fb.shape[-3], d * d)), -1, -2)).real
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,22 @@ def validate_game(g: Game) -> GameReport:
     return rep
 
 
+def tuple_digits(size: int, n: int) -> np.ndarray:
+    """(size**n, n) array whose row k holds the k-th n-tuple over
+    range(size) in `itertools.product` order (most significant first)."""
+    return np.indices((size,) * n).reshape(n, size ** n).T
+
+
+def question_weights(g: Game, n: int) -> np.ndarray:
+    """mu^{(x)n} as a (x_size**n, y_size**n) array over flat question
+    tuples, multiplied round by round in order as a per-tuple loop would."""
+    xd, yd = tuple_digits(g.x_size, n), tuple_digits(g.y_size, n)
+    w = np.ones((xd.shape[0], yd.shape[0]))
+    for i in range(n):
+        w *= g.mu[np.ix_(xd[:, i], yd[:, i])]
+    return w
+
+
 def win_set(g: Game, n: int, coords) -> Event:
     """Event 'every round in coords is won', over that round's four variables.
 

@@ -81,12 +81,12 @@ class FiniteDistribution:
             raise ValueError("table contains non-finite weights")
         if table.size and float(table.min()) < -1e-12:
             raise ValueError(f"negative weight {table.min():.3e}")
-        table = np.clip(table, 0.0, None)
+        np.clip(table, 0.0, None, out=table)   # table is this object's copy
         mass = float(table.sum())
         if normalize:
             if mass <= ZERO_MASS:
                 raise ZeroProbabilityEvent("total mass is zero")
-            table = table / mass
+            table /= mass
         elif abs(mass - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {mass!r}, not 1 within 1e-12")
         table.setflags(write=False)

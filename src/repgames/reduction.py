@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
 from .depbreak import (ZERO_WEIGHT, DepBreakComputer, choose_C, chunks,
-                       conditioned_contexts, pure_born_table)
+                       conditioned_contexts)
 from .games import Game, win_set
 from .prob import ZERO_MASS, ZeroProbabilityEvent
-from .strategy import EntangledStrategy, born_joint
+from .strategy import EntangledStrategy, born_joint, pure_born_table
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
 QUANTUM_MODES = ("oracle_state", "embezzle")

@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import matcore
-from .games import Game, a_names, b_names, x_names, y_names, win_set
+from .games import (Game, a_names, b_names, question_weights, tuple_digits,
+                    win_set, x_names, y_names)
 from .prob import FiniteDistribution, MAX_TABLE_ENTRIES
 
 POVM_EIG_FLOOR = -1e-9
 POVM_COMPLETENESS_ATOL = 1e-8
+BORN_CHUNK = 2 ** 16     # table cells one born_joint kernel call fills
 
 
 class POVMFamily:
@@ -124,8 +126,33 @@ def symmetrize(s: EntangledStrategy):
     return out, sd.left_basis
 
 
+def pure_born_table(state: np.ndarray, fa: np.ndarray,
+                    fb: np.ndarray) -> np.ndarray:
+    """Joint answer table <state| F_a (x) G_b |state> of two POVM families.
+
+    state is a vector on C^d (x) C^d with Alice's index first, or a
+    `(..., d * d)` stack; fa and fb are `(..., k, d, d)` operator stacks.
+    Returns `(..., ka, kb)`.
+    """
+    d = fa.shape[-1]
+    m = state.reshape(state.shape[:-1] + (1, d, d))
+    inner = (matcore.dagger(m) @ fa @ m).astype(np.complex128, copy=False)
+    # Re sum_ij z_ij w_ij is the real dot product of conj(z) and w read as
+    # interleaved (re, im) pairs, so one real GEMM does the contraction
+    np.conjugate(inner, out=inner)
+    rows = inner.reshape(inner.shape[:-2] + (d * d,)).view(np.float64)
+    cols = np.ascontiguousarray(fb, dtype=np.complex128)
+    cols = cols.reshape(cols.shape[:-2] + (d * d,)).view(np.float64)
+    return rows @ np.swapaxes(cols, -1, -2)
+
+
 def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
-    """Exact joint distribution of questions and answers for the n-fold game."""
+    """Exact joint distribution of questions and answers for the n-fold game.
+
+    Bob's operators are stacked once; Alice's question tuples are walked in
+    chunks of at most BORN_CHUNK table cells, each one `pure_born_table`
+    call against every Bob row.
+    """
     if s.n != n:
         raise ValueError(f"strategy is for n={s.n}, requested n={n}")
     if s.alice.question_size != g.x_size or s.bob.question_size != g.y_size:
@@ -135,39 +162,39 @@ def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     entries = (g.x_size * g.y_size * g.a_size * g.b_size) ** n
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"joint table of {entries} entries exceeds the cap")
-    m = s.psi_matrix
+    d = s.d
+    xs = list(itertools.product(range(g.x_size), repeat=n))
+    ys = list(itertools.product(range(g.y_size), repeat=n))
+    ka, kb = g.a_size ** n, g.b_size ** n
+    bob = np.stack([s.bob.ops[yt] for yt in ys]).reshape(-1, d, d)
+    weights = question_weights(g, n)[:, :, None, None]
+    table = np.empty((len(xs), len(ys), ka, kb))
+    step = max(1, BORN_CHUNK // (ka * bob.shape[0]))
+    for lo in range(0, len(xs), step):
+        part = slice(lo, lo + step)
+        fa = np.stack([s.alice.ops[xt] for xt in xs[part]]).reshape(-1, d, d)
+        block = table[part]
+        p = pure_born_table(s.psi, fa, bob).reshape(
+            block.shape[0], ka, len(ys), kb)
+        np.multiply(p.transpose(0, 2, 1, 3), weights[part], out=block)
+        np.clip(block, 0.0, None, out=block)
+    del bob   # FiniteDistribution copies the table; do not hold both
     shape = ((g.x_size,) * n + (g.y_size,) * n + (g.a_size,) * n + (g.b_size,) * n)
-    table = np.zeros(shape)
-    for xt in itertools.product(range(g.x_size), repeat=n):
-        a_ops = s.alice.ops[xt]
-        c = m.conj().T @ (a_ops @ m)  # (a,)*n + (d, d)
-        for yt in itertools.product(range(g.y_size), repeat=n):
-            w = 1.0
-            for i in range(n):
-                w *= g.mu[xt[i], yt[i]]
-            b_ops = s.bob.ops[yt]
-            p = np.tensordot(c, b_ops, axes=([-2, -1], [-2, -1]))
-            table[xt + yt] = w * np.clip(p.real, 0.0, None)
     names = x_names(n) + y_names(n) + a_names(n) + b_names(n)
-    return FiniteDistribution(names, table, normalize=True)
+    return FiniteDistribution(names, table.reshape(shape), normalize=True)
 
 
 def win_probability(g: Game, n: int, s) -> float:
     """Probability of winning every round, for either strategy type."""
     if isinstance(s, DeterministicStrategy):
-        total = 0.0
-        for xt in itertools.product(range(g.x_size), repeat=n):
-            at = tuple(s.a_map[xt])
-            for yt in itertools.product(range(g.y_size), repeat=n):
-                bt = tuple(s.b_map[yt])
-                w = 1.0
-                ok = True
-                for i in range(n):
-                    w *= g.mu[xt[i], yt[i]]
-                    ok = ok and bool(g.predicate[xt[i], yt[i], at[i], bt[i]])
-                if ok:
-                    total += w
-        return total
+        xd, yd = tuple_digits(g.x_size, n), tuple_digits(g.y_size, n)
+        ad = s.a_map.reshape(-1, n)
+        bd = s.b_map.reshape(-1, n)
+        won = np.ones((xd.shape[0], yd.shape[0]), dtype=bool)
+        for i in range(n):
+            won &= g.predicate[xd[:, None, i], yd[None, :, i],
+                               ad[:, None, i], bd[None, :, i]]
+        return float(question_weights(g, n)[won].sum())
     joint = born_joint(g, n, s)
     return joint.prob(win_set(g, n, range(n)))
 
@@ -208,17 +235,22 @@ def _proj_pair(theta: float):
 
 
 def _product_family(n: int, d: int, angle_for) -> dict:
-    """angle_for(q_tuple, i) -> measurement angle in round i."""
+    """angle_for(q_tuple, i) -> measurement angle in round i.
+
+    Each block is the Kronecker product of the rounds' projector pairs,
+    built one round at a time by broadcasting: answers so far times the
+    new round's answer on the leading axis.
+    """
     ops = {}
     for q in itertools.product(range(2), repeat=n):
-        projs = [_proj_pair(angle_for(q, i)) for i in range(n)]
-        block = np.zeros((2,) * n + (d, d), dtype=np.complex128)
-        for a in itertools.product(range(2), repeat=n):
-            e = np.array([[1.0]], dtype=np.complex128)
-            for i in range(n):
-                e = np.kron(e, projs[i][a[i]])
-            block[a] = e
-        ops[q] = block
+        block = np.ones((1, 1, 1), dtype=np.complex128)
+        for i in range(n):
+            proj = np.stack(_proj_pair(angle_for(q, i)))
+            k, side = block.shape[0], block.shape[1]
+            block = (block[:, None, :, None, :, None]
+                     * proj[None, :, None, :, None, :]).reshape(
+                         2 * k, 2 * side, 2 * side)
+        ops[q] = block.reshape((2,) * n + (d, d))
     return ops
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .games import Game
-from .strategy import EntangledStrategy, POVMFamily
+from .games import Game, question_weights, tuple_digits
+from .strategy import EntangledStrategy, POVMFamily, pure_born_table
 
 MAX_STRATEGY_PAIRS = 100_000_000
 MAX_PREDICATE_TABLE = 10_000_000
@@ -33,22 +33,12 @@ def classical_value(g: Game, n: int) -> float:
     if qx * qy * ra * rb > MAX_PREDICATE_TABLE:
         raise ValueError("n-fold predicate table exceeds the cap")
 
-    w = np.zeros((qx, qy))
-    vn = np.zeros((qx, qy, ra, rb), dtype=bool)
-    xs = list(itertools.product(range(g.x_size), repeat=n))
-    ys = list(itertools.product(range(g.y_size), repeat=n))
-    for ix, xt in enumerate(xs):
-        for iy, yt in enumerate(ys):
-            wt = 1.0
-            for i in range(n):
-                wt *= g.mu[xt[i], yt[i]]
-            w[ix, iy] = wt
-            for ia, at in enumerate(itertools.product(range(g.a_size), repeat=n)):
-                for ib, bt in enumerate(itertools.product(range(g.b_size), repeat=n)):
-                    ok = True
-                    for i in range(n):
-                        ok = ok and bool(g.predicate[xt[i], yt[i], at[i], bt[i]])
-                    vn[ix, iy, ia, ib] = ok
+    w = question_weights(g, n)
+    xd, yd = tuple_digits(g.x_size, n), tuple_digits(g.y_size, n)
+    ad, bd = tuple_digits(g.a_size, n), tuple_digits(g.b_size, n)
+    vn = np.ones((qx, qy, ra, rb), dtype=bool)
+    for i in range(n):
+        vn &= g.predicate[np.ix_(xd[:, i], yd[:, i], ad[:, i], bd[:, i])]
 
     best = 0.0
     for fa in itertools.product(range(ra), repeat=qx):
@@ -57,23 +47,6 @@ def classical_value(g: Game, n: int) -> float:
         score = np.einsum("xy,xyb->yb", w, v_fa)           # (qy, rb)
         best = max(best, float(score.max(axis=1).sum()))
     return best
-
-
-def bell_operator(g: Game, alice: POVMFamily, bob: POVMFamily) -> np.ndarray:
-    """Question-weighted sum of winning A (x) B pairs for the one-round game."""
-    if alice.n != 1 or bob.n != 1:
-        raise ValueError("bell_operator expects one-round POVM families")
-    d = alice.d * bob.d
-    op = np.zeros((d, d), dtype=np.complex128)
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            if g.mu[x, y] == 0.0:
-                continue
-            for a in range(g.a_size):
-                for b in range(g.b_size):
-                    if g.predicate[x, y, a, b]:
-                        op += g.mu[x, y] * np.kron(alice.ops[(x,)][a], bob.ops[(y,)][b])
-    return (op + op.conj().T) / 2
 
 
 @dataclass
@@ -100,23 +73,20 @@ def _random_povm(d: int, outcomes: int, rng) -> list:
     return [inv_sqrt @ gmat @ inv_sqrt for gmat in gs]
 
 
-def _value(g: Game, psi: np.ndarray, alice: dict, bob: dict, d: int) -> float:
-    m = psi.reshape(d, d)
-    total = 0.0
-    for x in range(g.x_size):
-        for y in range(g.y_size):
-            if g.mu[x, y] == 0.0:
-                continue
-            for a in range(g.a_size):
-                ca = m.conj().T @ alice[x][a] @ m
-                for b in range(g.b_size):
-                    if g.predicate[x, y, a, b]:
-                        total += g.mu[x, y] * float(np.tensordot(
-                            ca, bob[y][b], axes=([0, 1], [0, 1])).real)
-    return total
+def _value(w: np.ndarray, psi: np.ndarray, alice: np.ndarray,
+           bob: np.ndarray) -> float:
+    """Winning probability sum W[x, y, a, b] <psi| A_xa (x) B_yb |psi>."""
+    (xs, ka, d), (ys, kb) = alice.shape[:3], bob.shape[:2]
+    p = pure_born_table(psi, alice.reshape(-1, d, d), bob.reshape(-1, d, d))
+    return float(np.einsum("xyab,xayb->", w, p.reshape(xs, ka, ys, kb)))
 
 
-def _improve_side(effectives: list, elements: list, tol: float) -> list:
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + matcore.dagger(m)) / 2
+
+
+def _improve_side(effectives: np.ndarray, elements: np.ndarray,
+                  tol: float) -> np.ndarray:
     """Exact pairwise exchange ascent for one POVM under linear effectives.
 
     For answers (a1, a2) with combined element c, the optimal split is
@@ -124,14 +94,13 @@ def _improve_side(effectives: list, elements: list, tol: float) -> list:
     c^(1/2) (n1 - n2) c^(1/2).  Sweeps in a fixed order until no pair
     improves.
     """
-    k = len(elements)
-    elems = [e.copy() for e in elements]
+    k = elements.shape[0]
+    elems = elements.copy()
     if k == 1:
         return elems
 
     def objective():
-        return sum(float(np.tensordot(e, nmat, axes=([0, 1], [0, 1])).real)
-                   for e, nmat in zip(elems, effectives))
+        return float(np.einsum("aij,aij->", elems, effectives).real)
 
     current = objective()
     for _ in range(4 * k):
@@ -143,10 +112,8 @@ def _improve_side(effectives: list, elements: list, tol: float) -> list:
             w, v = matcore.eigh_desc(h, "exchange operator")
             pos = v[:, w > 0.0]
             x = pos @ pos.conj().T
-            e1 = csq @ x @ csq
-            e1 = (e1 + e1.conj().T) / 2
-            e2 = c - e1
-            elems[a1], elems[a2] = e1, e2
+            e1 = _hermitian_part(csq @ x @ csq)
+            elems[a1], elems[a2] = e1, c - e1
             new = objective()
             if new > current + tol:
                 improved = True
@@ -156,71 +123,75 @@ def _improve_side(effectives: list, elements: list, tol: float) -> list:
     return elems
 
 
+def _bell_operator(w: np.ndarray, alice: np.ndarray,
+                   bob: np.ndarray) -> np.ndarray:
+    """sum_xyab W[x, y, a, b] A_xa (x) B_yb on C^d (x) C^d, Hermitian part."""
+    d = alice.shape[-1]
+    op = np.einsum("xyab,xaij,ybkl->ikjl", w, alice, bob)
+    return _hermitian_part(op.reshape(d * d, d * d))
+
+
+def _alice_effectives(w: np.ndarray, psi: np.ndarray,
+                      bob: np.ndarray) -> np.ndarray:
+    """N[x, a] = sum_yb W[x, y, a, b] m B_yb^T m+, so that the value is
+    sum_xa tr(A_xa N[x, a]); m is psi as a d x d matrix."""
+    d = bob.shape[-1]
+    m = psi.reshape(d, d)
+    bm = m @ np.swapaxes(bob, -1, -2) @ m.conj().T
+    return _hermitian_part(np.einsum("xyab,ybij->xaij", w, bm))
+
+
+def _bob_effectives(w: np.ndarray, psi: np.ndarray,
+                    alice: np.ndarray) -> np.ndarray:
+    """N[y, b] = sum_xa W[x, y, a, b] (m+ A_xa m)^T."""
+    d = alice.shape[-1]
+    m = psi.reshape(d, d)
+    am = m.conj().T @ alice @ m
+    return _hermitian_part(np.einsum("xyab,xaji->ybij", w, am))
+
+
 def seesaw(g: Game, cfg: SeesawConfig) -> SeesawResult:
     """Alternating ascent over state and measurements for the one-round game.
 
     Every update is an exact maximization of its coordinate, so the objective
-    trace is nondecreasing up to rounding.
+    trace is nondecreasing up to rounding.  The POVMs are `(X, A, d, d)` and
+    `(Y, B, d, d)` stacks, and every contraction against the predicate
+    weights W = mu * V is one einsum over all (x, y, a, b).
     """
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d
-    alice = {x: _random_povm(d, g.a_size, rng) for x in range(g.x_size)}
-    bob = {y: _random_povm(d, g.b_size, rng) for y in range(g.y_size)}
+    alice = np.stack([_random_povm(d, g.a_size, rng) for _ in range(g.x_size)])
+    bob = np.stack([_random_povm(d, g.b_size, rng) for _ in range(g.y_size)])
     psi = matcore.random_pure(d * d, rng)
+    w = g.mu[:, :, None, None] * g.predicate
 
-    trace = [_value(g, psi, alice, bob, d)]
+    trace = [_value(w, psi, alice, bob)]
     iterations = 0
     for it in range(cfg.max_iters):
         iterations = it + 1
         # state: top eigenvector of the current bell operator
-        fam_a = POVMFamily(1, g.x_size, g.a_size, d,
-                           {(x,): np.stack(alice[x]) for x in range(g.x_size)},
-                           validate=False)
-        fam_b = POVMFamily(1, g.y_size, g.b_size, d,
-                           {(y,): np.stack(bob[y]) for y in range(g.y_size)},
-                           validate=False)
-        op = bell_operator(g, fam_a, fam_b)
-        w, v = matcore.eigh_desc(op, "bell operator")
+        _, v = matcore.eigh_desc(_bell_operator(w, alice, bob),
+                                 "bell operator")
         psi = v[:, 0]
-        trace.append(_value(g, psi, alice, bob, d))
+        trace.append(_value(w, psi, alice, bob))
 
-        m = psi.reshape(d, d)
-        # Alice: effective operator of (x, a) is sum_y mu V m B^T m+
+        eff = _alice_effectives(w, psi, bob)
         for x in range(g.x_size):
-            effectives = []
-            for a in range(g.a_size):
-                nmat = np.zeros((d, d), dtype=np.complex128)
-                for y in range(g.y_size):
-                    if g.mu[x, y] == 0.0:
-                        continue
-                    for b in range(g.b_size):
-                        if g.predicate[x, y, a, b]:
-                            nmat += g.mu[x, y] * (m @ bob[y][b].T @ m.conj().T)
-                effectives.append((nmat + nmat.conj().T) / 2)
-            alice[x] = _improve_side(effectives, alice[x], cfg.convergence_tol)
-        trace.append(_value(g, psi, alice, bob, d))
+            alice[x] = _improve_side(eff[x], alice[x], cfg.convergence_tol)
+        trace.append(_value(w, psi, alice, bob))
 
+        eff = _bob_effectives(w, psi, alice)
         for y in range(g.y_size):
-            effectives = []
-            for b in range(g.b_size):
-                nmat = np.zeros((d, d), dtype=np.complex128)
-                for x in range(g.x_size):
-                    if g.mu[x, y] == 0.0:
-                        continue
-                    for a in range(g.a_size):
-                        if g.predicate[x, y, a, b]:
-                            nmat += g.mu[x, y] * (m.conj().T @ alice[x][a] @ m).T
-                effectives.append((nmat + nmat.conj().T) / 2)
-            bob[y] = _improve_side(effectives, bob[y], cfg.convergence_tol)
-        trace.append(_value(g, psi, alice, bob, d))
+            bob[y] = _improve_side(eff[y], bob[y], cfg.convergence_tol)
+        trace.append(_value(w, psi, alice, bob))
 
         if trace[-1] - trace[-4] < cfg.convergence_tol:
             break
 
     fam_a = POVMFamily(1, g.x_size, g.a_size, d,
-                       {(x,): np.stack(alice[x]) for x in range(g.x_size)})
+                       {(x,): alice[x] for x in range(g.x_size)})
     fam_b = POVMFamily(1, g.y_size, g.b_size, d,
-                       {(y,): np.stack(bob[y]) for y in range(g.y_size)})
+                       {(y,): bob[y] for y in range(g.y_size)})
     strat = EntangledStrategy(d, 1, psi, fam_a, fam_b, name="seesaw")
     return SeesawResult(trace[-1], strat, iterations, trace)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from repgames import values
-from repgames.games import x_names, y_names
+from repgames.games import a_names, b_names, x_names, y_names
 from repgames.prob import Event, FiniteDistribution, _expand_to
 from repgames.strategy import EntangledStrategy, POVMFamily
 
@@ -101,3 +101,41 @@ def random_strategy(game, n: int, d: int, rng) -> EntangledStrategy:
     u, v = random_unitary(d, rng), random_unitary(d, rng)
     psi = ((u * coeffs) @ v.T).reshape(-1)
     return EntangledStrategy(d, n, psi, alice, bob, name="random")
+
+
+def born_joint_loop(g, n: int, s: EntangledStrategy) -> FiniteDistribution:
+    """`strategy.born_joint` as one tensordot per (x tuple, y tuple) pair:
+    the oracle for the chunked kernel."""
+    m = s.psi_matrix
+    shape = ((g.x_size,) * n + (g.y_size,) * n + (g.a_size,) * n
+             + (g.b_size,) * n)
+    table = np.zeros(shape)
+    for xt in itertools.product(range(g.x_size), repeat=n):
+        c = m.conj().T @ (s.alice.ops[xt] @ m)  # (a,)*n + (d, d)
+        for yt in itertools.product(range(g.y_size), repeat=n):
+            w = 1.0
+            for i in range(n):
+                w *= g.mu[xt[i], yt[i]]
+            p = np.tensordot(c, s.bob.ops[yt], axes=([-2, -1], [-2, -1]))
+            table[xt + yt] = w * np.clip(p.real, 0.0, None)
+    names = x_names(n) + y_names(n) + a_names(n) + b_names(n)
+    return FiniteDistribution(names, table, normalize=True)
+
+
+def bell_operator(g, alice: POVMFamily, bob: POVMFamily) -> np.ndarray:
+    """Question-weighted sum of winning A (x) B pairs for the one-round
+    game, one np.kron per term: the oracle for the seesaw's einsum."""
+    if alice.n != 1 or bob.n != 1:
+        raise ValueError("bell_operator expects one-round POVM families")
+    d = alice.d * bob.d
+    op = np.zeros((d, d), dtype=np.complex128)
+    for x in range(g.x_size):
+        for y in range(g.y_size):
+            if g.mu[x, y] == 0.0:
+                continue
+            for a in range(g.a_size):
+                for b in range(g.b_size):
+                    if g.predicate[x, y, a, b]:
+                        op += g.mu[x, y] * np.kron(alice.ops[(x,)][a],
+                                                   bob.ops[(y,)][b])
+    return (op + op.conj().T) / 2

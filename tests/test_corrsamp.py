@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from repgames.corrsamp import (GRID_FLOOR, AlignmentIsometry,
                                qcs_execute, qcs_isometry,
                                shared_stream_sample)
 from repgames.prob import FiniteDistribution, tv_distance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def qcs_error_against(iso_a, iso_b, target_state):
@@ -129,6 +134,39 @@ def test_experiment_deterministic_per_seed():
     s2 = corr_sample_experiment(p, q, 500, seed=9)
     assert s1.agree_rate == s2.agree_rate
     assert np.array_equal(s1.counts_a, s2.counts_a)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_experiment_chi2_pvalue_matches_scipy_stats(seed):
+    from scipy import stats as scipy_stats
+    rng = np.random.default_rng(seed)
+    law = rng.random(3 + seed)
+    law[seed % law.size] = 0.0          # a zero cell is left out of the test
+    p = FiniteDistribution(("u",), law / law.sum())
+    res = corr_sample_experiment(p, p, 400 + 300 * seed, seed=seed)
+    keep = p.table > 0
+    want = scipy_stats.chisquare(
+        res.counts_a[keep],
+        res.counts_a.sum() * p.table[keep] / p.table[keep].sum()).pvalue
+    assert abs(res.chi2_pvalue_a - want) <= 1e-12
+
+
+def test_experiment_one_support_cell_has_no_pvalue():
+    p = FiniteDistribution(("u",), np.array([1.0, 0.0, 0.0]))
+    q = FiniteDistribution(("u",), np.array([0.5, 0.5, 0.0]))
+    res = corr_sample_experiment(p, q, 200, seed=0)
+    assert res.counts_a.sum() == 200
+    assert res.chi2_pvalue_a is None
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats costs about a second of import; nothing may pull it in."""
+    code = ("import sys; sys.path.insert(0, 'src'); import repgames.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-B", "-c", code], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_embezzlement_vector_normalized_and_decreasing():

@@ -4,13 +4,13 @@ import pytest
 from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
                                choose_C, dep_state, extended_joint, fine_povm,
-                               pure_born_table, skew_distances)
+                               skew_distances)
 from repgames.games import Game, always_win, asym3, chsh, win_set
 from repgames.prob import ZERO_MASS, ZeroProbabilityEvent, tv_distance
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 run_reduction)
 from repgames.strategy import (DeterministicStrategy, as_entangled, born_joint,
-                               strategy_fixture)
+                               pure_born_table, strategy_fixture)
 from _helpers import answer_bits, random_strategy
 
 PRINTING_ITEM2 = 0.04099582234676859

@@ -102,3 +102,13 @@ def test_sizes_and_axis_lookup():
     assert d.size_of("x") == 2
     with pytest.raises(ValueError):
         d.axis("z")
+
+
+def test_construction_copies_clips_and_normalizes():
+    raw = np.array([[0.5, -1e-13], [0.25, 0.75]])
+    before = raw.copy()
+    dist = FiniteDistribution(("a", "b"), raw, normalize=True)
+    want = np.clip(before, 0.0, None)
+    assert np.array_equal(dist.table, want / want.sum())
+    assert np.array_equal(raw, before)        # the caller's array is untouched
+    assert not np.shares_memory(dist.table, raw)

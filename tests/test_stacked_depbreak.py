@@ -19,10 +19,10 @@ from _depbreak_oracle import pure_born_table as pure_born_table_2d
 from _helpers import random_strategy
 from repgames import depbreak, matcore, reduction
 from repgames.depbreak import (DepBreakComputer, aligned_operators, dep_state,
-                               fine_povm, pure_born_table)
+                               fine_povm)
 from repgames.games import Game, asym3, chsh
 from repgames.reduction import ReductionConfig, SingleShotStrategy
-from repgames.strategy import strategy_fixture
+from repgames.strategy import pure_born_table, strategy_fixture
 
 SEEDS = range(20)
 HOLDOUTS = ((1,), (0,), ())

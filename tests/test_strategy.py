@@ -1,17 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repgames.depbreak import DepBreakComputer
 from repgames.games import chsh, fixture, win_set
+from repgames import strategy
 from repgames.prob import tv_distance
 from repgames.strategy import (DeterministicStrategy, as_entangled,
                                born_joint, load_strategy, save_strategy,
                                strategy_fixture, symmetrize, tsirelson,
                                win_probability)
-from _helpers import random_strategy
+from _helpers import born_joint_loop, random_strategy
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 
@@ -90,6 +92,75 @@ def test_born_joint_is_normalized_distribution():
     assert joint.table.min() >= 0.0
     marg = joint.marginal(("x1", "x2", "y1", "y2"))
     assert np.allclose(marg.table, 1.0 / 16.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("game", [chsh(), fixture("asym3")],
+                         ids=["chsh", "asym3"])
+def test_born_joint_matches_loop_oracle_on_random_strategies(game):
+    for seed in range(20):
+        for n in (1, 2):
+            s = random_strategy(game, n, 3, seed)
+            got = born_joint(game, n, s).table
+            assert np.abs(got - born_joint_loop(game, n, s).table).max() \
+                <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tsirelson", "printing", "detprod"])
+def test_born_joint_matches_loop_oracle_on_fixtures(name):
+    g = chsh()
+    for n in (3, 4, 5):
+        s = strategy_fixture(name, n)
+        got = born_joint(g, n, s).table
+        assert np.abs(got - born_joint_loop(g, n, s).table).max() <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 2 * 144, 5 * 144])
+def test_born_joint_partial_last_chunk(monkeypatch, chunk):
+    # asym3 at n=2: 9 Alice tuples of 144 cells each, so chunks of 1, 2 and
+    # 5 tuples; the last chunk of the latter two is partial
+    g = fixture("asym3")
+    s = random_strategy(g, 2, 3, 7)
+    want = born_joint_loop(g, 2, s).table
+    monkeypatch.setattr(strategy, "BORN_CHUNK", chunk)
+    assert np.abs(born_joint(g, 2, s).table - want).max() <= 1e-12
+
+
+def test_born_joint_peak_memory_at_most_four_tables():
+    g, s = chsh(), strategy_fixture("printing", 5)
+    tracemalloc.start()
+    try:
+        out = born_joint(g, 5, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.table.nbytes
+
+
+def kron_product_family(n, d, angle_for):
+    """Product-fixture POVMs built with one np.kron per round and answer."""
+    ops = {}
+    for q in itertools.product(range(2), repeat=n):
+        projs = [strategy._proj_pair(angle_for(q, i)) for i in range(n)]
+        block = np.zeros((2,) * n + (d, d), dtype=np.complex128)
+        for a in itertools.product(range(2), repeat=n):
+            e = np.array([[1.0]], dtype=np.complex128)
+            for i in range(n):
+                e = np.kron(e, projs[i][a[i]])
+            block[a] = e
+        ops[q] = block
+    return ops
+
+
+def test_product_family_equals_kron_built_copy():
+    angles = [lambda q, i: strategy.ALICE_ANGLES[q[i]],
+              lambda q, i: (strategy.BOB_ANGLES[q[i]]
+                            + strategy.PRINTING_TWIST * (sum(q) % 2))]
+    for n in (1, 2, 3, 4):
+        for angle_for in angles:
+            got = strategy._product_family(n, 2 ** n, angle_for)
+            want = kron_product_family(n, 2 ** n, angle_for)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[q], want[q]) for q in want)
 
 
 def test_symmetrize_preserves_statistics():
@@ -177,10 +248,17 @@ def test_deterministic_embedding_reproduces_answers():
     a_map = np.zeros((2, 1), dtype=int)
     b_map = np.zeros((2, 1), dtype=int)
     a_map[1, 0] = 1
-    det = DeterministicStrategy(1, a_map, b_map)
-    s = as_entangled(det, g)
-    expect = win_probability(g, 1, det)
-    assert abs(win_probability(g, 1, s) - expect) < 1e-12
+    cases = [(g, DeterministicStrategy(1, a_map, b_map))]
+    rng = np.random.default_rng(5)
+    g3 = fixture("asym3")
+    for _ in range(4):   # answers that read the whole question tuple
+        cases.append((g3, DeterministicStrategy(
+            2, rng.integers(0, 2, size=(3, 3, 2)),
+            rng.integers(0, 2, size=(3, 3, 2)))))
+    for game, det in cases:
+        s = as_entangled(det, game)
+        expect = win_probability(game, det.n, det)
+        assert abs(win_probability(game, det.n, s) - expect) < 1e-12
 
 
 def test_win_probability_deterministic_chsh():

@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import bell_operator
+from repgames import matcore
 from repgames.games import always_win, asym3, chsh
-from repgames.strategy import tsirelson, win_probability
-from repgames.values import (SeesawConfig, bell_operator, classical_value,
-                             seesaw, seesaw_best, theorem1_bound)
+from repgames.strategy import POVMFamily, tsirelson, win_probability
+from repgames.values import (SeesawConfig, _alice_effectives, _bell_operator,
+                             _bob_effectives, _random_povm, _value,
+                             classical_value, seesaw, seesaw_best,
+                             theorem1_bound)
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 
@@ -63,6 +67,69 @@ def test_classical_value_always_win():
     g = always_win()
     assert classical_value(g, 1) == 1.0
     assert classical_value(g, 2) == 1.0
+
+
+def random_povms(g, d, seed):
+    """Seeded one-round POVM stacks `(X, A, d, d)`, `(Y, B, d, d)`, a state
+    and the predicate weights W = mu * V."""
+    rng = np.random.default_rng(seed)
+    alice = np.stack([_random_povm(d, g.a_size, rng) for _ in range(g.x_size)])
+    bob = np.stack([_random_povm(d, g.b_size, rng) for _ in range(g.y_size)])
+    psi = matcore.random_pure(d * d, rng)
+    return alice, bob, psi, g.mu[:, :, None, None] * g.predicate
+
+
+def families(alice, bob):
+    def fam(stack):
+        return POVMFamily(1, stack.shape[0], stack.shape[1], stack.shape[-1],
+                          {(q,): stack[q] for q in range(stack.shape[0])})
+    return fam(alice), fam(bob)
+
+
+def effectives_loop(g, psi, alice, bob):
+    """Per-(x, a) and per-(y, b) sums of winning terms, one matmul each."""
+    d = alice.shape[-1]
+    m = psi.reshape(d, d)
+    eff_a = np.zeros(alice.shape, dtype=np.complex128)
+    eff_b = np.zeros(bob.shape, dtype=np.complex128)
+    for x, y, a, b in itertools.product(range(g.x_size), range(g.y_size),
+                                        range(g.a_size), range(g.b_size)):
+        if g.mu[x, y] == 0.0 or not g.predicate[x, y, a, b]:
+            continue
+        eff_a[x, a] += g.mu[x, y] * (m @ bob[y, b].T @ m.conj().T)
+        eff_b[y, b] += g.mu[x, y] * (m.conj().T @ alice[x, a] @ m).T
+    return ((eff_a + matcore.dagger(eff_a)) / 2,
+            (eff_b + matcore.dagger(eff_b)) / 2)
+
+
+def value_loop(g, psi, alice, bob):
+    d = alice.shape[-1]
+    rho = np.outer(psi, psi.conj())
+    total = 0.0
+    for x, y, a, b in itertools.product(range(g.x_size), range(g.y_size),
+                                        range(g.a_size), range(g.b_size)):
+        if g.predicate[x, y, a, b]:
+            total += g.mu[x, y] * np.trace(
+                np.kron(alice[x, a], bob[y, b]) @ rho).real
+    return total
+
+
+@pytest.mark.parametrize("game", [chsh(), asym3(), always_win()],
+                         ids=["chsh", "asym3", "always_win"])
+def test_seesaw_contractions_match_loop_oracles(game):
+    for d in (2, 3):
+        for seed in range(5):
+            alice, bob, psi, w = random_povms(game, d, seed)
+            fam_a, fam_b = families(alice, bob)
+            assert np.abs(_bell_operator(w, alice, bob)
+                          - bell_operator(game, fam_a, fam_b)).max() <= 1e-14
+            want_a, want_b = effectives_loop(game, psi, alice, bob)
+            assert np.abs(_alice_effectives(w, psi, bob) - want_a).max() \
+                <= 1e-14
+            assert np.abs(_bob_effectives(w, psi, alice) - want_b).max() \
+                <= 1e-14
+            assert abs(_value(w, psi, alice, bob)
+                       - value_loop(game, psi, alice, bob)) <= 1e-14
 
 
 def test_bell_operator_always_win_is_identity():
