@@ -131,9 +131,6 @@ class EmbezzlementVector:
     dim: int
     coefficients: np.ndarray = field(repr=False)
 
-    def norm_error(self) -> float:
-        return abs(float(self.coefficients @ self.coefficients) - 1.0)
-
 
 @functools.lru_cache(maxsize=16)
 def _embezzlement_cached(n: int) -> np.ndarray:

@@ -13,9 +13,12 @@ is one finite variable: it is passed as a flat index into that coordinate's
 `ContextTable`.  Every aligned factor and fine POVM of a free coordinate is
 built once, as a stack over its contexts, and the walks index those stacks
 with flat arrays of contexts; the kernels take `(..., d, d)` stacks, a 2-D
-input being a stack of one.  Pointer constraints of the one-assignment
-operator families are {name: value} dicts using the same variable names as
-the joint tables ("d2", "m2", "x3", ...).
+input being a stack of one.  Each stack is one product of a dense question
+law with the per-question POVM sums.  A coarse operator's support is cut
+once (COARSE_SUPPORT), and the aligned root and the fine POVM both act on
+it only, so rounding-level eigenvalues never enter a factor.  Pointer
+constraints of the one-assignment operator families are {name: value}
+dicts using the same variable names as the joint tables ("d2", "m2", ...).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ BOB = 1
 
 ZERO_WEIGHT = 1e-12
 SUPPORT_MASS = 1e-12
+COARSE_SUPPORT = 1e-12  # relative eigenvalue cut of a coarse operator's support
 CONTEXT_CHUNK = 512     # contexts whose operators one stacked step gathers
 
 
@@ -220,22 +224,41 @@ def skew_distances(ext: FiniteDistribution, g: Game, n: int, C) -> SkewReport:
                       float(np.mean(item3)), delta, p_win_c)
 
 
+def _coarse_support(coarse: np.ndarray) -> tuple:
+    """Ascending eigenpairs (w, v) of a coarse operator or stack, and the
+    support mask: eigenvalues above COARSE_SUPPORT times the largest.
+    Refused as `matcore.mat_sqrt` refuses: not Hermitian within
+    HERMITIAN_ATOL, or an eigenvalue below PSD_EIG_FLOOR."""
+    coarse = matcore.as_complex_matrix(coarse, "coarse operator")
+    if not matcore.is_hermitian(coarse):
+        raise ValueError("coarse operator is not Hermitian within "
+                         f"{matcore.HERMITIAN_ATOL:g}")
+    w, v = np.linalg.eigh((coarse + matcore.dagger(coarse)) / 2)
+    if np.count_nonzero(w < matcore.PSD_EIG_FLOOR):
+        raise ValueError(f"coarse operator has eigenvalue {w.min():.3e} "
+                         f"below {matcore.PSD_EIG_FLOOR:g}")
+    return w, v, w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
+
+
 def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
     """Factor S = U A^(1/2) with U unitary chosen so S sqrt(rho) is PSD.
 
     coarse is one operator or a `(..., d, d)` stack of them; returns (S, U)
-    of the same shape.  S-dagger-S recovers the coarse operator exactly, and
-    the PSD alignment makes states built from S comparable across contexts
-    without a floating phase.
+    of the same shape.  The root is taken on the coarse operator's support
+    (`_coarse_support`), so S-dagger-S is the coarse operator projected on
+    it; the PSD alignment makes states built from S comparable across
+    contexts without a floating phase.
     """
-    a_half = matcore.mat_sqrt(coarse, "coarse operator")
+    w, v, keep = _coarse_support(coarse)
+    root = np.sqrt(np.where(keep, w, 0.0))
+    a_half = (v * root[..., None, :]) @ matcore.dagger(v)
+    a_half = (a_half + matcore.dagger(a_half)) / 2
     sqrt_rho = matcore.mat_sqrt(rho, "reduced state")
     u = matcore.polar_psd_factor(a_half @ sqrt_rho)
     return u @ a_half, u
 
 
-def fine_povm(s_op: np.ndarray, fine_coarse: np.ndarray,
-              support_tol: float = 1e-12) -> np.ndarray:
+def fine_povm(s_op: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
     """Answer measurements for the target round from aligned factors.
 
     s_op is one factor `(d, d)` or a `(..., d, d)` stack; fine_coarse has
@@ -247,14 +270,11 @@ def fine_povm(s_op: np.ndarray, fine_coarse: np.ndarray,
     the coarse operator: each element is dominated there, so dividing entry
     (j, l) by sqrt(w_j w_l) keeps every intermediate bounded by one and the
     result stays accurate even when the coarse operator is ill conditioned.
-    Eigenvalues at most support_tol times a matrix's largest are outside its
-    support; a per-matrix keep mask zeroes their columns.
+    Only the coarse operator's support (`_coarse_support`) is conjugated; a
+    per-matrix keep mask zeroes the other columns.
     """
     k, d = fine_coarse.shape[-3], fine_coarse.shape[-1]
-    coarse = fine_coarse.sum(axis=-3)
-    w, v = np.linalg.eigh((coarse + matcore.dagger(coarse)) / 2)
-    cutoff = support_tol * np.maximum(w[..., -1:], 0.0)
-    keep = w > cutoff
+    w, v, keep = _coarse_support(fine_coarse.sum(axis=-3))
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     vs = v * keep[..., None, :]
     # s_op restricted to the support equals an isometry times sqrt(coarse);
@@ -397,6 +417,15 @@ class ContextTable:
         return p / mass if mass > ZERO_MASS else None
 
 
+def _contract(law: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """law @ ops for a complex (Q, ...) stack, as one real einsum over its
+    float view: a BLAS product of this size wakes the BLAS thread pool,
+    whose idle spin after each call costs more CPU than the product."""
+    ops = np.ascontiguousarray(ops, dtype=np.complex128)
+    return np.einsum("nq,q...->n...", law,
+                     ops.view(np.float64)).view(np.complex128)
+
+
 def chunks(total: int, per_row: int = 1) -> list:
     """Slices covering range(total) rows, each row holding per_row
     contexts, so that a slice gathers at most CONTEXT_CHUNK contexts (and
@@ -517,88 +546,47 @@ class DepBreakComputer:
                                            repeat=self.n)])
         return self._op_tensors[key]
 
-    def _question_law(self, side: str, names: tuple, rows=None) -> tuple:
-        """P(own questions | names) for every assignment of names.
+    def _question_law(self, side: str, names: tuple) -> tuple:
+        """P(own question tuple | names) for every assignment of names.
 
-        Returns (law, cols, mass) for the flat assignments of names (all of
-        them, or those listed in rows): law[k, t] is the conditional weight
-        of the t-th value of the side's questions outside names, cols[k, t]
-        the flat own-question tuple it completes, and mass[k] the
-        assignment's probability.  Weights at most SUPPORT_MASS are cut to
-        zero; an assignment of mass at most ZERO_MASS gets zero weights.
-        Each assignment's weights are summed with the same numpy calls as
-        `FiniteDistribution.given` followed by `marginal`, so they are the
-        bits the per-context construction reads.
+        Returns (law, mass), read from one marginal of the question table:
+        law[k, q] is the conditional weight of the flat own-question tuple q
+        given the k-th flat assignment of names (row-major), and mass[k]
+        that assignment's probability.  Weights at most SUPPORT_MASS are
+        cut to zero, and an assignment of mass at most ZERO_MASS gets an
+        all-zero row.  A question of the side's own named in names fixes
+        that digit of q.
         """
-        qext = self.qext
         own = x_names(self.n) if side == "alice" else y_names(self.n)
         rest = tuple(nm for nm in own if nm not in names)
-        sizes = tuple(qext.size_of(nm) for nm in names)
-        rows = (np.arange(math.prod(sizes)) if rows is None
-                else np.asarray(rows).ravel())
-        axes = [qext.axis(nm) for nm in names]
-        left = [nm for nm in qext.names if nm not in names]
-        drop = tuple(k for k, nm in enumerate(left) if nm not in rest)
-        summed = [nm for nm in left if nm in rest]
-        perm = [summed.index(nm) for nm in rest]
-        fixed = np.unravel_index(rows, sizes)
-        law = np.zeros((rows.size, math.prod(qext.size_of(nm) for nm in rest)))
-        mass = np.zeros(rows.size)
-        index = [slice(None)] * len(qext.names)
-        for k, vals in enumerate(zip(*(f.tolist() for f in fixed))):
-            for ax, v in zip(axes, vals):
-                index[ax] = v
-            sub = qext.table[tuple(index)]
-            mass[k] = float(sub.sum())
-            if mass[k] <= ZERO_MASS:
-                continue
-            if rest:
-                cond = np.clip(sub / mass[k], 0.0, None)
-                law[k] = np.transpose(cond.sum(axis=drop), perm).ravel()
-            else:
-                law[k] = 1.0
+        sizes = tuple(self.qext.size_of(nm) for nm in names)
+        q = self.qext.size_of(own[0])
+        table = self.qext.marginal(names + rest).table
+        mass = table.reshape(math.prod(sizes), -1).sum(axis=1)
+        joint = table.reshape(sizes + tuple(q if nm in rest else 1
+                                            for nm in own))
+        for t, nm in enumerate(own):
+            if nm in names:
+                shape = [1] * joint.ndim
+                shape[names.index(nm)] = shape[len(names) + t] = q
+                joint = joint * np.eye(q).reshape(shape)
+        ok = mass > ZERO_MASS
+        law = np.where(ok[:, None], joint.reshape(mass.size, -1)
+                       / np.where(ok, mass, 1.0)[:, None], 0.0)
         law[law <= SUPPORT_MASS] = 0.0
-        # each (assignment, rest value) names one full own-question tuple
-        size = qext.size_of(own[0])
-        free = np.unravel_index(np.arange(law.shape[1]), tuple(
-            qext.size_of(nm) for nm in rest)) if rest else ()
-        digits = [fixed[names.index(nm)][:, None] if nm in names
-                  else free[rest.index(nm)][None, :] for nm in own]
-        cols = np.ravel_multi_index(np.broadcast_arrays(*digits),
-                                    (size,) * self.n)
-        return law, cols, mass
-
-    @staticmethod
-    def _average(law: np.ndarray, cols: np.ndarray,
-                 ops: np.ndarray) -> np.ndarray:
-        """sum_t law[:, t] ops[cols[:, t]], accumulated in t order as the
-        per-context sum over the question support adds its terms (a cut
-        weight adds an exact zero): (N, answers..., d, d)."""
-        shape = (law.shape[0],) + (1,) * (ops.ndim - 1)
-        acc = law[:, 0].reshape(shape) * ops[cols[:, 0]]
-        for t in range(1, law.shape[1]):
-            acc = acc + law[:, t].reshape(shape) * ops[cols[:, t]]
-        return acc
-
-    def _averaged(self, side: str, kept: tuple, names: tuple,
-                  rows=None) -> tuple:
-        """Per-question operators averaged over the side's question law for
-        every assignment of names (or those in rows):
-        ((N, answers of kept..., d, d), mass)."""
-        law, cols, mass = self._question_law(side, names, rows)
-        return self._average(law, cols, self._op_tensor(side, kept)), mass
+        return law, mass
 
     def _one_assignment(self, side: str, kept: tuple,
                         constraints: dict) -> np.ndarray:
         names = tuple(constraints)
-        sizes = tuple(self.qext.size_of(nm) for nm in names)
         row = np.ravel_multi_index(
-            tuple(int(constraints[nm]) for nm in names), sizes)
-        ops, mass = self._averaged(side, kept, names, [row])
-        if mass[0] <= ZERO_MASS:
+            tuple(int(constraints[nm]) for nm in names),
+            tuple(self.qext.size_of(nm) for nm in names))
+        law, mass = self._question_law(side, names)
+        if mass[row] <= ZERO_MASS:
             raise ZeroProbabilityEvent(
-                f"assignment {dict(constraints)} has mass {mass[0]:.3e}")
-        return ops[0]
+                f"assignment {dict(constraints)} has mass {mass[row]:.3e}")
+        return _contract(law[row:row + 1], self._op_tensor(side, kept))[0]
 
     def _with_round_last(self, i: int, ops: np.ndarray) -> np.ndarray:
         """Answer axes of sorted(C + (i,)) reordered: held, then round i."""
@@ -651,12 +639,13 @@ class DepBreakComputer:
         own_q, k = ((x_names_at(i), self.game.a_size) if side == "alice"
                     else (y_names_at(i), self.game.b_size))
         n_omega, d = math.prod(self.qext.size_of(nm) for nm in omega), self.d
-        law, cols, _ = self._question_law(side, omega + (own_q,))
-        coarse = self._average(law, cols, self._op_tensor(side, self.C))
-        fine = self._with_round_last(i, self._average(
-            law, cols, self._op_tensor(side, tuple(sorted(self.C + (i,))))))
-        s_own, _ = aligned_operators(coarse.reshape(-1, d, d), self.rho[side])
-        fam = fine_povm(s_own, fine.reshape(-1, k, d, d))
+        law, _ = self._question_law(side, omega + (own_q,))
+        fine = self._with_round_last(i, _contract(law, self._op_tensor(
+            side, tuple(sorted(self.C + (i,)))))).reshape(-1, k, d, d)
+        # the coarse stack is the fine one summed over round i's answer, the
+        # sum fine_povm forms, so both kernels cut the same support
+        s_own, _ = aligned_operators(fine.sum(axis=-3), self.rho[side])
+        fam = fine_povm(s_own, fine)
         n_held = k ** len(self.C)
         return SideOperators(s_own.reshape(n_omega, -1, n_held, d, d),
                              fam.reshape(n_omega, -1, n_held, k + 1, d, d))
@@ -671,10 +660,11 @@ class DepBreakComputer:
             m_size = self.qext.size_of(m_name(i))
             out = {}
             for side, other in (("alice", BOB), ("bob", ALICE)):
-                rows = ((np.arange(n_omega)[:, None] * 2 + other) * m_size
-                        + np.arange(m_size)).ravel()
-                coarse, _ = self._averaged(
-                    side, self.C, omega + (d_name(i), m_name(i)), rows)
+                law, _ = self._question_law(
+                    side, omega + (d_name(i), m_name(i)))
+                law = law.reshape(n_omega, 2, m_size, -1)[:, other]
+                coarse = _contract(law.reshape(-1, law.shape[-1]),
+                                   self._op_tensor(side, self.C))
                 s_via, _ = aligned_operators(
                     coarse.reshape(-1, self.d, self.d), self.rho[side])
                 out[side] = s_via.reshape(n_omega, m_size, -1, self.d, self.d)
@@ -884,9 +874,7 @@ class DepBreakComputer:
         tr = np.where(present, tr, 0.0)
         blocks = (blocks * present[..., None, None]).reshape(n_q, -1)
         # P(question tuple | omega) as dense rows; (omega, held) masses
-        law, cols, mass = self._question_law(side, self.omega_names(None))
-        q_law = np.zeros((law.shape[0], n_q))
-        np.put_along_axis(q_law, cols, law, axis=1)
+        q_law, mass = self._question_law(side, self.omega_names(None))
         weight = q_law @ tr
         rows, held = np.nonzero((mass > SUPPORT_MASS)[:, None]
                                 & (weight > ZERO_WEIGHT))
@@ -897,7 +885,7 @@ class DepBreakComputer:
             coef = (q_law[:, None, :] * (digits[i] == np.arange(size)[:, None])
                     ).reshape(-1, n_q)
             probs = (coef @ tr).reshape(-1, size, tr.shape[1])[rows, :, held]
-            states = (coef @ blocks).reshape(
+            states = _contract(coef, blocks).reshape(
                 -1, size, tr.shape[1], d, d)[rows, :, held]
             states /= np.where(probs > 0.0, probs, 1.0)[..., None, None]
             mi = cq_mutual_information(CQState(

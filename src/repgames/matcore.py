@@ -21,7 +21,6 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-8   # rejection threshold for operators that must be Hermitian
 PSD_EIG_FLOOR = -1e-9   # eigenvalues above this are treated as rounding and clamped to 0
-PINV_RTOL = 1e-10       # relative singular-value cutoff for pseudoinverses
 _PHASE_ATOL = 1e-12
 
 
@@ -125,11 +124,6 @@ def svd_canonical(m):
     return u.reshape(ushape), s.reshape(ushape[:-2] + (r,)), vh.reshape(vshape)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
-
-
 def mat_sqrt(p, name: str = "operator") -> np.ndarray:
     """PSD square root of a PSD Hermitian matrix or stack (tiny negative eigenvalues clamped).
 
@@ -144,11 +138,6 @@ def mat_sqrt(p, name: str = "operator") -> np.ndarray:
         raise ValueError(f"{name} has eigenvalue {w.min():.3e} below {PSD_EIG_FLOOR:g}")
     r = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
     return (r + dagger(r)) / 2
-
-
-def pinv(m, rtol: float = PINV_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below rtol*max are dropped."""
-    return np.linalg.pinv(as_complex_matrix(m), rcond=rtol)
 
 
 def polar_psd_factor(m) -> np.ndarray:

@@ -49,18 +49,6 @@ class Event:
         object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def from_assignment(cls, assign: Mapping[str, int], sizes: Mapping[str, int]) -> "Event":
-        names = tuple(assign)
-        shp = tuple(sizes[n] for n in names)
-        mask = np.zeros(shp, dtype=bool)
-        idx = tuple(int(assign[n]) for n in names)
-        for n, i, s in zip(names, idx, shp):
-            if not 0 <= i < s:
-                raise ValueError(f"value {i} out of range for {n} (size {s})")
-        mask[idx] = True
-        return cls(names, shp, mask)
-
 
 class FiniteDistribution:
     """Joint distribution over named finite variables as a dense table."""
@@ -174,9 +162,3 @@ def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
     if p.sizes != q.sizes:
         raise ValueError(f"size mismatch: {p.sizes} vs {q.sizes}")
     return float(0.5 * np.abs(p.table - q.table).sum())
-
-
-def uniform(names: Iterable[str], sizes: Iterable[int]) -> FiniteDistribution:
-    sizes = tuple(sizes)
-    table = np.full(sizes, 1.0 / float(np.prod(sizes)))
-    return FiniteDistribution(names, table)

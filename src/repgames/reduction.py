@@ -108,6 +108,16 @@ class ReductionReport:
         return self.avg_p_ref >= 1.0 - eps / 2.0
 
 
+def _born_table_mixed(rho: np.ndarray, fa: np.ndarray,
+                      fb: np.ndarray) -> np.ndarray:
+    """Joint answer table tr((F_a (x) G_b) rho) of two `(k, d, d)` POVM
+    families on a density over C^d (x) C^d, one contraction over rho as
+    (d, d, d, d)."""
+    d = fa.shape[-1]
+    return np.einsum("aij,bkl,jlik->ab", fa, fb,
+                     rho.reshape(d, d, d, d)).real
+
+
 class SingleShotStrategy:
     """One-round strategy simulating coordinate i of the repeated game.
 
@@ -166,16 +176,6 @@ class SingleShotStrategy:
 
     # ---- per-context evaluation ------------------------------------------
 
-    def _born_table_mixed(self, rho: np.ndarray, fa: np.ndarray,
-                          fb: np.ndarray) -> np.ndarray:
-        ka, kb = fa.shape[0], fb.shape[0]
-        out = np.zeros((ka, kb))
-        for a in range(ka):
-            for b in range(kb):
-                out[a, b] = float(np.real(
-                    np.trace(np.kron(fa[a], fb[b]) @ rho)))
-        return out
-
     def context_win(self, i: int, ra: int, rb: int, x: int,
                     y: int) -> tuple:
         """(win probability, embezzlement error, valid) for one context:
@@ -217,8 +217,8 @@ class SingleShotStrategy:
                                          self.cfg.alpha)
                     res = qcs_execute(iso_a, iso_b, comp.d, ref[k])
                     errs[k] = res.ref_err
-                    tables[k] = self._born_table_mixed(res.produced_target,
-                                                       fa[k], fb[k])
+                    tables[k] = _born_table_mixed(res.produced_target,
+                                                  fa[k], fb[k])
             else:
                 tables = pure_born_table(ref, fa, fb)
             won = tables[:, :g.a_size, :g.b_size] * g.predicate[xs, ys]

@@ -91,8 +91,8 @@ def _improve_side(effectives: np.ndarray, elements: np.ndarray,
 
     For answers (a1, a2) with combined element c, the optimal split is
     c^(1/2) P c^(1/2) where P projects on the positive eigenspace of
-    c^(1/2) (n1 - n2) c^(1/2).  Sweeps in a fixed order until no pair
-    improves.
+    c^(1/2) (n1 - n2) c^(1/2).  Sweeps in a fixed order, at most 4k of
+    them, until no pair raises sum_a tr(E_a N_a) by more than tol.
     """
     k = elements.shape[0]
     elems = elements.copy()
@@ -100,7 +100,7 @@ def _improve_side(effectives: np.ndarray, elements: np.ndarray,
         return elems
 
     def objective():
-        return float(np.einsum("aij,aij->", elems, effectives).real)
+        return float(np.einsum("aij,aji->", elems, effectives).real)
 
     current = objective()
     for _ in range(4 * k):

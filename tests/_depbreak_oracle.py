@@ -5,9 +5,12 @@ stack over its contexts.  This module is the construction it replaced: one
 context at a time, the question law read with `FiniteDistribution.given`
 and `marginal`, the coarse operators summed in Python, every factor from
 2-D kernels with the canonical spectral convention, and dict caches keyed
-by the pointer constraints.  The walks below repeat the checks and the
-exact reduction over contexts with plain loops, and the xi check one omega
-and one question tuple at a time.
+by the pointer constraints.  It applies the same support rule: a coarse
+operator's eigenvalues at most `COARSE_SUPPORT` times its largest are
+outside its support, and both the aligned root and the fine conjugation
+act on the support only.  The walks below repeat the checks and the exact
+reduction over contexts with plain loops, and the xi check one omega and
+one question tuple at a time.
 """
 
 import itertools
@@ -16,8 +19,9 @@ import math
 import numpy as np
 
 from repgames import matcore
-from repgames.depbreak import (ALICE, BOB, SUPPORT_MASS, ZERO_WEIGHT, d_name,
-                               m_name, x_names_at, y_names_at)
+from repgames.depbreak import (ALICE, BOB, COARSE_SUPPORT, SUPPORT_MASS,
+                               ZERO_WEIGHT, d_name, m_name, x_names_at,
+                               y_names_at)
 from repgames.games import x_names, y_names
 from repgames.infotheory import CQState, cq_mutual_information
 from repgames.prob import ZERO_MASS
@@ -31,20 +35,25 @@ def mat_sqrt(p):
 
 
 def aligned_operators(coarse, rho):
-    a_half = mat_sqrt(coarse)
+    """The square root of the coarse operator on its support, rotated so
+    that the factor times sqrt(rho) is PSD."""
+    w, v = matcore.eigh_desc(coarse)
+    keep = w > COARSE_SUPPORT * max(float(w[0]), 0.0)
+    a_half = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T
+    a_half = (a_half + a_half.conj().T) / 2
     u, _, vh = matcore.svd_canonical(a_half @ mat_sqrt(rho))
     u = vh.conj().T @ u.conj().T
     return u @ a_half, u
 
 
-def fine_povm(s_op, fine_coarse, support_tol=1e-12):
+def fine_povm(s_op, fine_coarse):
     """Conjugated answer elements on the kept columns of the coarse
     operator's eigenbasis, plus the null outcome."""
     k, d = fine_coarse.shape[0], fine_coarse.shape[-1]
     coarse = fine_coarse.sum(axis=0)
     coarse = (coarse + coarse.conj().T) / 2
     w, v = np.linalg.eigh(coarse)
-    keep = w > support_tol * max(float(w[-1]), 0.0)
+    keep = w > COARSE_SUPPORT * max(float(w[-1]), 0.0)
     out = np.zeros((k + 1, d, d), dtype=np.complex128)
     if not keep.any():
         out[k] = np.eye(d)

@@ -65,6 +65,15 @@ def enumerate_tuples(g, n: int):
             yield xt, yt, w
 
 
+def event_from_assignment(assign: dict, sizes: dict) -> Event:
+    """The event that every variable of assign takes its assigned value."""
+    names = tuple(assign)
+    shape = tuple(sizes[n] for n in names)
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(int(assign[n]) for n in names)] = True
+    return Event(names, shape, mask)
+
+
 def intersect(e1: Event, e2: Event) -> Event:
     """The event that both e1 and e2 hold, over the union of their names."""
     names = e1.names + tuple(n for n in e2.names if n not in e1.names)
@@ -139,3 +148,13 @@ def bell_operator(g, alice: POVMFamily, bob: POVMFamily) -> np.ndarray:
                         op += g.mu[x, y] * np.kron(alice.ops[(x,)][a],
                                                    bob.ops[(y,)][b])
     return (op + op.conj().T) / 2
+
+
+def born_table_mixed_loop(rho, fa, fb) -> np.ndarray:
+    """tr((F_a (x) G_b) rho) with one np.kron per answer pair: the oracle
+    for the reduction's contraction over rho."""
+    out = np.zeros((fa.shape[0], fb.shape[0]))
+    for a in range(fa.shape[0]):
+        for b in range(fb.shape[0]):
+            out[a, b] = float(np.real(np.trace(np.kron(fa[a], fb[b]) @ rho)))
+    return out

@@ -173,7 +173,7 @@ def test_embezzlement_vector_normalized_and_decreasing():
     for n in (1, 2, 37, 4096):
         vec = embezzlement(n)
         assert vec.dim == n
-        assert vec.norm_error() < 1e-12
+        assert abs(vec.coefficients @ vec.coefficients - 1.0) < 1e-12
         assert np.all(np.diff(vec.coefficients) <= 0.0)
     with pytest.raises(ValueError):
         embezzlement(0)

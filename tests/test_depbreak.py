@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from _helpers import answer_bits, random_strategy
 PRINTING_ITEM2 = 0.04099582234676859
 PRINTING_DELTA = 2.2522279662062052
 PRINTING_P_WIN_C = 0.8395988139831025
-PRINTING_D_BOB = 0.09629913117677133
+PRINTING_D_BOB = 0.0962991313287965045
 PRINTING_XI_BOB = 0.0402861854685278
 
 
@@ -181,6 +183,23 @@ def test_aligned_operators_factorization():
     prod = s_op @ matcore.mat_sqrt(rho)
     assert matcore.is_hermitian(prod, atol=1e-9)
     assert np.linalg.eigvalsh((prod + prod.conj().T) / 2).min() > -1e-9
+
+
+def test_coarse_operator_refusals_keep_mat_sqrt_messages():
+    rho = np.eye(2) / 2
+    parts = np.stack([np.diag([1.5, 0.0]), np.diag([0.0, -0.5])])
+    with pytest.raises(ValueError, match=(
+            "^coarse operator is not Hermitian within 1e-08$")):
+        aligned_operators(np.array([[0.0, 1.0], [0.0, 0.0]]), rho)
+    with pytest.raises(ValueError, match=(
+            "^coarse operator has eigenvalue -5.000e-01 below -1e-09$")):
+        aligned_operators(parts.sum(axis=0), rho)
+    with pytest.raises(ValueError, match=(
+            "^coarse operator has eigenvalue -5.000e-01 below -1e-09$")):
+        fine_povm(np.eye(2), parts)
+    with pytest.raises(ValueError, match=(
+            "^coarse operator contains NaN or Inf entries$")):
+        aligned_operators(np.diag([np.nan, 1.0]), rho)
 
 
 def test_aligned_operators_deterministic():
@@ -369,10 +388,104 @@ def test_state_weights_match_brute_force_conditionals(printing_computer):
 def test_sampleability_distances_printing_regression(printing_computer):
     rep = printing_computer.sampleability_distances()
     assert rep.d_alice < 1e-12
-    assert abs(rep.d_bob - PRINTING_D_BOB) < 1e-10
-    assert abs(rep.d_cross - PRINTING_D_BOB) < 1e-10
+    assert abs(rep.d_bob - PRINTING_D_BOB) < 1e-13
+    assert abs(rep.d_cross - PRINTING_D_BOB) < 1e-13
     assert rep.max_triangle_slack <= 1e-9
     assert rep.skipped_mass < 1e-12
+
+
+@pytest.mark.parametrize("n, C", [(3, (1,)), (4, (0, 1))])
+def test_sampleability_distances_carry_no_coarse_rounding(n, C):
+    """Alice's held measurements ignore her round-i question, so her
+    one-sided state is the target and d_alice is 0; the "x" and "y" states
+    then coincide too, so d_cross equals d_bob.  A rounding-level
+    eigenvalue kept in a singular coarse operator reads as ~1e-9 here."""
+    comp = DepBreakComputer(chsh(), n, strategy_fixture("printing", n), C)
+    rep = comp.sampleability_distances()
+    assert rep.d_alice < 1e-12
+    assert abs(rep.d_cross - rep.d_bob) <= 1e-14
+
+
+def printing_d_bob_reference(mp):
+    """d_bob of printing n=2, C=(1,) at mp's working precision from the
+    exact fixture angles, independent of depbreak.
+
+    The shared state is maximally entangled, so both reduced states are
+    I/4 and every aligned factor is the square root of its coarse
+    operator; rounds are Kronecker factors, round 1 first.  The held round
+    2 is won when a2 xor b2 = x2 and y2.
+    """
+    twist = mp.mpf(2) / 5
+    alice_angles = (mp.mpf(0), mp.pi / 2)
+    bob_angles = (mp.pi / 4, -mp.pi / 4)
+
+    def proj(theta, a):
+        sign = 1 if a == 0 else -1
+        c, s = mp.cos(theta), mp.sin(theta)
+        return mp.matrix([[(1 + sign * c) / 2, sign * s / 2],
+                          [sign * s / 2, (1 - sign * c) / 2]])
+
+    def kron(p, q):
+        out = mp.zeros(4, 4)
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            out[2 * i + k, 2 * j + l] = p[i, j] * q[k, l]
+        return out
+
+    def alice(x, a):
+        return kron(proj(alice_angles[x[0]], a[0]),
+                    proj(alice_angles[x[1]], a[1]))
+
+    def bob(y, b):
+        turn = twist * (sum(y) % 2)
+        return kron(proj(bob_angles[y[0]] + turn, b[0]),
+                    proj(bob_angles[y[1]] + turn, b[1]))
+
+    def held(op, q, ans):
+        return op(q, (0, ans)) + op(q, (1, ans))
+
+    def root(c):
+        """Square root on the support of a PSD real symmetric matrix."""
+        w, v = mp.eigsy(c)
+        diag = mp.zeros(4, 4)
+        for k in range(4):
+            if w[k] > mp.mpf(10) ** (-mp.dps // 2):
+                diag[k, k] = mp.sqrt(w[k])
+        return v * diag * v.T
+
+    def unit(m):
+        return m / mp.sqrt(sum(v ** 2 for v in m))
+
+    acc = total = mp.mpf(0)
+    for x1, y1 in itertools.product(range(2), repeat=2):
+        # P(x2, y2, a2, b2, round 2 won | x1, y1), up to a common factor:
+        # <psi|A (x) B|psi> = tr(A B^T) / 4
+        won = {}
+        for x2, y2, a2, b2 in itertools.product(range(2), repeat=4):
+            if a2 ^ b2 == x2 & y2:
+                won[x2, y2, a2, b2] = sum(
+                    (alice((x1, x2), (a1, a2))
+                     * bob((y1, y2), (b1, b2)).T)[k, k]
+                    for a1, b1, k in itertools.product(range(2), range(2),
+                                                       range(4)))
+        mass = sum(won.values())
+        for (x2, y2, a2, b2), p in won.items():
+            w = p / mass / 4                 # mu(x1, y1) P(r | x1, y1, won)
+            s_own = root(held(alice, (x1, x2), a2))
+            t_own = root(held(bob, (y1, y2), b2))
+            # Bob averages y1 given the pointer names Alice's x1: 1/2 each
+            t_via = root((held(bob, (0, y2), b2) + held(bob, (1, y2), b2)) / 2)
+            gap = unit(s_own * t_own.T) - unit(s_own * t_via.T)
+            acc += w * mp.sqrt(sum(v ** 2 for v in gap))
+            total += w
+    return acc / total
+
+
+def test_printing_d_bob_matches_an_extended_precision_reference():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = printing_d_bob_reference(mpmath.mp)
+        assert abs(want - mpmath.mpf("0.0962991313287965045")) < 1e-19
+    assert float(want) == PRINTING_D_BOB
 
 
 def test_sampleability_distances_vanish_for_product_strategy():

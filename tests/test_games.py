@@ -3,10 +3,9 @@ import pytest
 
 from repgames.games import (always_win, asym3, chsh, fixture, load_game,
                             save_game, validate_game, win_set)
-from repgames.prob import Event
 from repgames.strategy import born_joint, strategy_fixture
-from _helpers import (answer_bits, enumerate_tuples, intersect, mu_dist,
-                      random_strategy)
+from _helpers import (answer_bits, enumerate_tuples, event_from_assignment,
+                      intersect, mu_dist, random_strategy)
 
 
 def test_chsh_definition():
@@ -52,7 +51,7 @@ def test_mu_dist_product_structure():
     assert np.allclose(d.table, 1.0 / 16.0)
     g3 = asym3()
     d3 = mu_dist(g3, 2)
-    ev = Event.from_assignment(
+    ev = event_from_assignment(
         {"x1": 0, "y1": 1, "x2": 2, "y2": 0},
         {n: (g3.x_size if n.startswith("x") else g3.y_size)
          for n in d3.names})

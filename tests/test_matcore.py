@@ -5,20 +5,11 @@ from repgames import matcore
 from _helpers import partial_trace, random_unitary
 
 
-def test_tensor_shapes_and_values():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.eye(3)
-    t = matcore.tensor(a, b)
-    assert t.shape == (6, 6)
-    assert np.allclose(t[:3, :3], a[0, 0] * b)
-    assert np.allclose(t[3:, :3], a[1, 0] * b)
-
-
 def test_partial_trace_recovers_factors():
     rng = np.random.default_rng(0)
     rho = matcore.random_density(3, rng=rng)
     sigma = matcore.random_density(4, rng=rng)
-    joint = matcore.tensor(rho, sigma)
+    joint = np.kron(rho, sigma)
     assert np.allclose(partial_trace(joint, (3, 4), side="right"), rho)
     assert np.allclose(partial_trace(joint, (3, 4), side="left"), sigma)
 
@@ -84,17 +75,6 @@ def test_mat_sqrt_refusals_keep_their_messages():
         matcore.mat_sqrt(np.diag([1.5, -0.5]), "rho")
     with pytest.raises(ValueError, match="^operator contains NaN or Inf entries$"):
         matcore.mat_sqrt(np.diag([np.nan, 1.0]))
-
-
-def test_pinv_moore_penrose_conditions():
-    rng = np.random.default_rng(4)
-    m = matcore.random_matrix(4, rng=rng)
-    m[:, 0] = m[:, 1]          # force a rank deficiency
-    g = matcore.pinv(m)
-    assert np.allclose(m @ g @ m, m, atol=1e-10)
-    assert np.allclose(g @ m @ g, g, atol=1e-10)
-    assert matcore.is_hermitian(m @ g, atol=1e-10)
-    assert matcore.is_hermitian(g @ m, atol=1e-10)
 
 
 def test_polar_psd_factor_on_full_rank():

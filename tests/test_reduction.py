@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import born_table_mixed_loop
+from repgames import matcore, reduction
+from repgames.corrsamp import qcs_execute, qcs_isometry
 from repgames.games import chsh, win_set
-from repgames import reduction
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 main_bound_compare, report_to_csv,
                                 report_to_json, run_reduction)
 from repgames.strategy import born_joint, strategy_fixture
+from repgames.values import _random_povm
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 
@@ -210,3 +213,21 @@ def test_report_serialization_roundtrip():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "coord,p_tilde,p_ref,residual,trials,stderr"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_born_table_mixed_matches_the_kron_loop(seed):
+    """The embezzle-mode answer table on a produced density: one
+    contraction over rho against one np.kron per answer pair."""
+    rng = np.random.default_rng(seed)
+    d = 3 if seed % 2 else 4
+    psi = matcore.random_pure(d * d, rng=rng)
+    other = psi + 1e-3 * matcore.random_pure(d * d, rng=rng)
+    rho = qcs_execute(qcs_isometry(psi, 256),
+                      qcs_isometry(other / np.linalg.norm(other), 256),
+                      d).produced_target
+    fa = np.stack(_random_povm(d, 3, rng))
+    fb = np.stack(_random_povm(d, 2, rng))
+    got = reduction._born_table_mixed(rho, fa, fb)
+    assert got.shape == (3, 2)
+    assert np.abs(got - born_table_mixed_loop(rho, fa, fb)).max() <= 1e-14

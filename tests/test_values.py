@@ -9,8 +9,8 @@ from repgames import matcore
 from repgames.games import always_win, asym3, chsh
 from repgames.strategy import POVMFamily, tsirelson, win_probability
 from repgames.values import (SeesawConfig, _alice_effectives, _bell_operator,
-                             _bob_effectives, _random_povm, _value,
-                             classical_value, seesaw, seesaw_best,
+                             _bob_effectives, _improve_side, _random_povm,
+                             _value, classical_value, seesaw, seesaw_best,
                              theorem1_bound)
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
@@ -130,6 +130,42 @@ def test_seesaw_contractions_match_loop_oracles(game):
                 <= 1e-14
             assert abs(_value(w, psi, alice, bob)
                        - value_loop(game, psi, alice, bob)) <= 1e-14
+
+
+def _exchange_gain(elems, effectives):
+    """Largest increase of sum_a tr(E_a N_a) that one exact pairwise
+    exchange step still makes, each pair's step computed from scratch."""
+    def objective(e):
+        return sum(float(np.trace(a @ n).real) for a, n in zip(e, effectives))
+
+    gain = 0.0
+    for a1, a2 in itertools.combinations(range(len(elems)), 2):
+        c = elems[a1] + elems[a2]
+        csq = matcore.mat_sqrt(c)
+        w, v = np.linalg.eigh(csq @ (effectives[a1] - effectives[a2]) @ csq)
+        pos = v[:, w > 0.0]
+        e1 = csq @ pos @ pos.conj().T @ csq
+        e1 = (e1 + e1.conj().T) / 2
+        moved = elems.copy()
+        moved[a1], moved[a2] = e1, c - e1
+        gain = max(gain, objective(moved) - objective(elems))
+    return gain
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_improve_side_ascends_to_an_exchange_fixed_point(seed):
+    """On complex effectives tr(E N) and Re tr(E N^T) differ (for purely
+    imaginary N they have opposite signs), so the sweeps must track
+    sum_a tr(E_a N_a) to run until no pairwise exchange improves it."""
+    rng = np.random.default_rng(seed)
+    d, k = 3, 3
+    elems = np.stack(_random_povm(d, k, rng))
+    a = rng.standard_normal((k, d, d))
+    effectives = 1j * (a - np.swapaxes(a, -1, -2))
+    out = _improve_side(effectives, elems, 1e-12)
+    assert np.abs(out.sum(axis=0) - np.eye(d)).max() <= 1e-12
+    assert _exchange_gain(elems, effectives) > 1e-3
+    assert _exchange_gain(out, effectives) <= 1e-9
 
 
 def test_bell_operator_always_win_is_identity():
