@@ -210,7 +210,7 @@ def _run_values(args) -> int:
         rows.append([k, repr(v), ""])
     best = seesaw_best(g, args.d,
                        seeds=range(args.seed, args.seed + args.seeds),
-                       max_iters=500, workers=args.workers)
+                       max_iters=500)
     entries.append({"n": 1, "seesaw_value": best.value,
                     "iterations": best.iterations})
     rows.append([1, "", repr(best.value)])
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--trials", type=int, default=10000)
     run.add_argument("--max-draws", type=int, default=4000)
-    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--d", type=int, default=2)
     run.add_argument("--seeds", type=int, default=10,
                      help="number of seesaw restarts")

@@ -539,11 +539,9 @@ class DepBreakComputer:
         key = (side, kept)
         if key not in self._op_tensors:
             fam = self.strategy.alice if side == "alice" else self.strategy.bob
-            drop = tuple(j for j in range(self.n) if j not in kept)
-            self._op_tensors[key] = np.stack([
-                fam.ops[q].sum(axis=drop) if drop else fam.ops[q]
-                for q in itertools.product(range(fam.question_size),
-                                           repeat=self.n)])
+            drop = tuple(self.n + j for j in range(self.n) if j not in kept)
+            ops = fam.ops.sum(axis=drop) if drop else fam.ops
+            self._op_tensors[key] = ops.reshape((-1,) + ops.shape[self.n:])
         return self._op_tensors[key]
 
     def _question_law(self, side: str, names: tuple) -> tuple:

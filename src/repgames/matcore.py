@@ -1,15 +1,14 @@
 """Dense complex linear algebra kernels with deterministic conventions.
 
-All functions operate on plain numpy arrays (complex128) and are pure, so they
-are safe to call from parallel workers.  The density and spectral kernels take
-a `(..., d, d)` stack and answer per matrix with one LAPACK call; a 2-D input
-is a stack of one, whose scalar results are Python floats.  Spectral
-decompositions follow a fixed convention -- values in descending order, exact
-ties broken by lexicographic comparison of the phase-normalized vectors, first
-nonzero component of every vector made real positive -- so identical inputs
-produce identical outputs across runs and platforms with the same BLAS.  The
-convention is applied with whole-array operations and is bit-identical to
-applying it one column at a time.
+All functions operate on plain numpy arrays (complex128) and are pure.  The
+density and spectral kernels take a `(..., d, d)` stack and answer per matrix
+with one LAPACK call; a 2-D input is a stack of one, whose scalar results are
+Python floats.  Spectral decompositions follow a fixed convention -- values in
+descending order, exact ties broken by lexicographic comparison of the
+phase-normalized vectors, first nonzero component of every vector made real
+positive -- so identical inputs produce identical outputs across runs and
+platforms with the same BLAS.  The convention is applied with whole-array
+operations and is bit-identical to applying it one column at a time.
 """
 
 from __future__ import annotations

@@ -28,6 +28,10 @@ from .strategy import EntangledStrategy, born_joint, pure_born_table
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
 QUANTUM_MODES = ("oracle_state", "embezzle")
+# C="auto" searches holdouts of at most min(AUTO_TMAX, n) rounds; AUTO_EPS
+# only sets choose_C's threshold flag, which the reduction does not read
+AUTO_EPS = 0.5
+AUTO_TMAX = 2
 
 
 @dataclass
@@ -43,8 +47,6 @@ class ReductionConfig:
     seed: int = 0
     trials: int = 10_000
     max_draws: int = 4_000
-    auto_eps: float = 0.5
-    auto_tmax: int = 2
 
     def __post_init__(self):
         if self.mode_classical not in CLASSICAL_MODES:
@@ -134,7 +136,7 @@ class SingleShotStrategy:
             if c_set != "auto":
                 raise ValueError("C must be a tuple or 'auto'")
             c_set = choose_C(born_joint(g, n, cfg.strategy), g, n,
-                             cfg.auto_eps, cfg.auto_tmax).C
+                             AUTO_EPS, min(AUTO_TMAX, n)).C
         self.computer = DepBreakComputer(g, n, cfg.strategy, c_set)
         self.C = self.computer.C
         self.free = self.computer.free

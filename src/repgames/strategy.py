@@ -26,37 +26,43 @@ BORN_CHUNK = 2 ** 16     # table cells one born_joint kernel call fills
 
 
 class POVMFamily:
-    """One POVM per question tuple, elements indexed by answer tuples.
+    """One POVM per question tuple, as one dense array.
 
-    ops[q] is a complex array of shape (answer_size,)*n + (d, d); summing over
-    the answer axes gives the identity.
+    ops has shape (Q,)*n + (A,)*n + (d, d): ops[q] with a question tuple q
+    is that question's POVM, its elements indexed by answer tuples, and
+    summing over the answer axes gives the identity.
     """
 
-    def __init__(self, n: int, question_size: int, answer_size: int, d: int,
-                 ops: dict, validate: bool = True):
+    def __init__(self, n: int, ops):
         self.n = int(n)
-        self.question_size = int(question_size)
-        self.answer_size = int(answer_size)
-        self.d = int(d)
-        self.ops = {tuple(int(v) for v in q): np.asarray(m, dtype=np.complex128)
-                    for q, m in ops.items()}
-        if validate:
-            self.validate()
+        self.ops = np.asarray(ops, dtype=np.complex128)
+        shape = self.ops.shape
+        if self.n < 1 or self.ops.ndim != 2 * self.n + 2:
+            raise ValueError(f"POVM array of shape {shape} is not "
+                             f"(Q,)*n + (A,)*n + (d, d) for n={n} >= 1")
+        if len(set(shape[:self.n])) > 1:
+            raise ValueError(f"POVM array of shape {shape} has unequal "
+                             "question axes")
+        if len(set(shape[self.n:-2])) > 1:
+            raise ValueError(f"POVM array of shape {shape} has unequal "
+                             "answer axes")
+        if shape[-1] != shape[-2]:
+            raise ValueError(f"POVM array of shape {shape} has non-square "
+                             "elements")
+        self.question_size, self.answer_size = shape[0], shape[self.n]
+        self.d = shape[-1]
+        self._validate()
 
-    def validate(self) -> None:
-        expect = set(itertools.product(range(self.question_size), repeat=self.n))
-        if set(self.ops) != expect:
-            raise ValueError("POVM family does not cover the question tuple space")
-        shape = (self.answer_size,) * self.n + (self.d, self.d)
-        eye = np.eye(self.d)
-        for q in sorted(self.ops):
-            m = self.ops[q]
-            if m.shape != shape:
-                raise ValueError(f"ops[{q}] has shape {m.shape}, expected {shape}")
-            total = m.reshape(-1, self.d, self.d).sum(axis=0)
-            if matcore.frobenius(total - eye) > POVM_COMPLETENESS_ATOL:
+    def _validate(self) -> None:
+        """Completeness, Hermiticity and positivity, one question at a time:
+        a whole-array check would hold several temporaries of its size."""
+        d = self.d
+        rows = self.ops.reshape(self.question_size ** self.n,
+                                self.answer_size ** self.n, d, d)
+        eye = np.eye(d)
+        for q, flat in zip(np.ndindex(self.ops.shape[:self.n]), rows):
+            if matcore.frobenius(flat.sum(axis=0) - eye) > POVM_COMPLETENESS_ATOL:
                 raise ValueError(f"POVM at question {q} does not sum to identity")
-            flat = m.reshape(-1, self.d, self.d)
             herm_dev = np.abs(flat - flat.conj().transpose(0, 2, 1)).max(initial=0.0)
             if herm_dev > matcore.HERMITIAN_ATOL:
                 raise ValueError(f"POVM element at question {q} is not Hermitian")
@@ -65,11 +71,23 @@ class POVMFamily:
                 raise ValueError(
                     f"POVM element at question {q} has eigenvalue {w.min():.3e}")
 
-    def element(self, q, a) -> np.ndarray:
-        return self.ops[tuple(q)][tuple(a)]
 
-    def questions(self):
-        return sorted(self.ops)
+def _povm_zeros(n: int, q_size: int, a_size: int, d: int) -> np.ndarray:
+    """Zeroed POVM array of shape (q_size,)*n + (a_size,)*n + (d, d).
+
+    Refused before allocating when it would hold more than
+    MAX_TABLE_ENTRIES entries.  n is bounded first: every round at least
+    doubles a side with two or more (question, answer) pairs, so a huge n
+    never forms the integer (q_size * a_size)**n.
+    """
+    if (not 0 < n <= MAX_TABLE_ENTRIES.bit_length()
+            or (q_size * a_size) ** n * d * d > MAX_TABLE_ENTRIES):
+        raise ValueError(
+            f"no POVM array for n={n} rounds of {q_size} questions and "
+            f"{a_size} answers at d={d}: n must be in "
+            f"1..{MAX_TABLE_ENTRIES.bit_length()} and the array hold at most "
+            f"{MAX_TABLE_ENTRIES} entries")
+    return np.zeros((q_size,) * n + (a_size,) * n + (d, d), dtype=np.complex128)
 
 
 @dataclass
@@ -102,9 +120,6 @@ class DeterministicStrategy:
     a_map: np.ndarray  # shape (x_size,)*n + (n,)
     b_map: np.ndarray  # shape (y_size,)*n + (n,)
 
-    def answers(self, xt, yt):
-        return tuple(self.a_map[tuple(xt)]), tuple(self.b_map[tuple(yt)])
-
 
 def symmetrize(s: EntangledStrategy):
     """Rotate Bob's side so the shared state is coefficient-diagonal.
@@ -119,9 +134,7 @@ def symmetrize(s: EntangledStrategy):
     m2 = (sd.left_basis * sd.coefficients) @ sd.left_basis.T
     psi2 = m2.reshape(-1)
     psi2 = psi2 / np.linalg.norm(psi2)
-    bob_ops = {q: rot @ m @ rot.conj().T for q, m in s.bob.ops.items()}
-    bob2 = POVMFamily(s.bob.n, s.bob.question_size, s.bob.answer_size, s.bob.d,
-                      bob_ops)
+    bob2 = POVMFamily(s.n, rot @ s.bob.ops @ rot.conj().T)
     out = EntangledStrategy(s.d, s.n, psi2, s.alice, bob2, name=s.name)
     return out, sd.left_basis
 
@@ -149,9 +162,9 @@ def pure_born_table(state: np.ndarray, fa: np.ndarray,
 def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     """Exact joint distribution of questions and answers for the n-fold game.
 
-    Bob's operators are stacked once; Alice's question tuples are walked in
-    chunks of at most BORN_CHUNK table cells, each one `pure_born_table`
-    call against every Bob row.
+    Both POVM arrays are read as flat (question, answer) stacks; Alice's
+    question tuples are walked in chunks of at most BORN_CHUNK table cells,
+    each one `pure_born_table` call against every Bob row.
     """
     if s.n != n:
         raise ValueError(f"strategy is for n={s.n}, requested n={n}")
@@ -163,22 +176,19 @@ def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"joint table of {entries} entries exceeds the cap")
     d = s.d
-    xs = list(itertools.product(range(g.x_size), repeat=n))
-    ys = list(itertools.product(range(g.y_size), repeat=n))
+    nx, ny = g.x_size ** n, g.y_size ** n
     ka, kb = g.a_size ** n, g.b_size ** n
-    bob = np.stack([s.bob.ops[yt] for yt in ys]).reshape(-1, d, d)
+    alice = s.alice.ops.reshape(nx * ka, d, d)
+    bob = s.bob.ops.reshape(ny * kb, d, d)
     weights = question_weights(g, n)[:, :, None, None]
-    table = np.empty((len(xs), len(ys), ka, kb))
+    table = np.empty((nx, ny, ka, kb))
     step = max(1, BORN_CHUNK // (ka * bob.shape[0]))
-    for lo in range(0, len(xs), step):
-        part = slice(lo, lo + step)
-        fa = np.stack([s.alice.ops[xt] for xt in xs[part]]).reshape(-1, d, d)
-        block = table[part]
-        p = pure_born_table(s.psi, fa, bob).reshape(
-            block.shape[0], ka, len(ys), kb)
-        np.multiply(p.transpose(0, 2, 1, 3), weights[part], out=block)
+    for lo in range(0, nx, step):
+        block = table[lo:lo + step]
+        p = pure_born_table(s.psi, alice[lo * ka:(lo + step) * ka], bob)
+        p = p.reshape(block.shape[0], ka, ny, kb)
+        np.multiply(p.transpose(0, 2, 1, 3), weights[lo:lo + step], out=block)
         np.clip(block, 0.0, None, out=block)
-    del bob   # FiniteDistribution copies the table; do not hold both
     shape = ((g.x_size,) * n + (g.y_size,) * n + (g.a_size,) * n + (g.b_size,) * n)
     names = x_names(n) + y_names(n) + a_names(n) + b_names(n)
     return FiniteDistribution(names, table.reshape(shape), normalize=True)
@@ -204,15 +214,14 @@ def as_entangled(det: DeterministicStrategy, g: Game, d: int = 2,
     """Embed answer functions as answer-independent projective measurements."""
     m = np.eye(d, dtype=np.complex128) / math.sqrt(d)
     psi = m.reshape(-1)
-    eye = np.eye(d, dtype=np.complex128)
 
     def fam(size, answer_size, amap):
-        ops = {}
-        for q in itertools.product(range(size), repeat=det.n):
-            block = np.zeros((answer_size,) * det.n + (d, d), dtype=np.complex128)
-            block[tuple(amap[q])] = eye
-            ops[q] = block
-        return POVMFamily(det.n, size, answer_size, d, ops)
+        ops = _povm_zeros(det.n, size, answer_size, d)
+        # every question tuple, row-major, with the answer tuple it maps to
+        questions = np.indices((size,) * det.n).reshape(det.n, -1)
+        answers = amap.reshape(-1, det.n).T
+        ops[tuple(questions) + tuple(answers)] = np.eye(d)
+        return POVMFamily(det.n, ops)
 
     return EntangledStrategy(d, det.n, psi, fam(g.x_size, g.a_size, det.a_map),
                              fam(g.y_size, g.b_size, det.b_map), name=name)
@@ -234,14 +243,14 @@ def _proj_pair(theta: float):
     return ((eye + o) / 2, (eye - o) / 2)
 
 
-def _product_family(n: int, d: int, angle_for) -> dict:
+def _product_family(n: int, d: int, angle_for) -> np.ndarray:
     """angle_for(q_tuple, i) -> measurement angle in round i.
 
-    Each block is the Kronecker product of the rounds' projector pairs,
-    built one round at a time by broadcasting: answers so far times the
-    new round's answer on the leading axis.
+    Each question's POVM is the Kronecker product of the rounds' projector
+    pairs, built one round at a time by broadcasting: answers so far times
+    the new round's answer on the leading axis.
     """
-    ops = {}
+    ops = _povm_zeros(n, 2, 2, d)
     for q in itertools.product(range(2), repeat=n):
         block = np.ones((1, 1, 1), dtype=np.complex128)
         for i in range(n):
@@ -258,9 +267,9 @@ def tsirelson(n: int) -> EntangledStrategy:
     """Round-wise optimal CHSH measurements on n maximally entangled pairs."""
     d = 2 ** n
     m = np.eye(d, dtype=np.complex128) / math.sqrt(d)
-    alice = POVMFamily(n, 2, 2, d, _product_family(
+    alice = POVMFamily(n, _product_family(
         n, d, lambda q, i: ALICE_ANGLES[q[i]]))
-    bob = POVMFamily(n, 2, 2, d, _product_family(
+    bob = POVMFamily(n, _product_family(
         n, d, lambda q, i: BOB_ANGLES[q[i]]))
     return EntangledStrategy(d, n, m.reshape(-1), alice, bob, name="tsirelson")
 
@@ -271,13 +280,13 @@ def printing(n: int, twist: float = PRINTING_TWIST) -> EntangledStrategy:
     global information about his inputs."""
     d = 2 ** n
     m = np.eye(d, dtype=np.complex128) / math.sqrt(d)
-    alice = POVMFamily(n, 2, 2, d, _product_family(
+    alice = POVMFamily(n, _product_family(
         n, d, lambda q, i: ALICE_ANGLES[q[i]]))
 
     def bob_angle(q, i):
         return BOB_ANGLES[q[i]] + twist * (sum(q) % 2)
 
-    bob = POVMFamily(n, 2, 2, d, _product_family(n, d, bob_angle))
+    bob = POVMFamily(n, _product_family(n, d, bob_angle))
     return EntangledStrategy(d, n, m.reshape(-1), alice, bob, name="printing")
 
 
@@ -324,12 +333,11 @@ def save_strategy(s: EntangledStrategy, path) -> None:
         "psi " + _fmt_complex_block(s.psi),
     ]
     for side, fam in (("alice", s.alice), ("bob", s.bob)):
-        for q in fam.questions():
-            block = fam.ops[q]
+        for q in itertools.product(range(fam.question_size), repeat=fam.n):
             for a in itertools.product(range(fam.answer_size), repeat=fam.n):
                 lines.append(
                     f"povm {side} {','.join(map(str, q))} {','.join(map(str, a))} "
-                    + _fmt_complex_block(block[a]))
+                    + _fmt_complex_block(fam.ops[q + a]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -377,34 +385,24 @@ def load_strategy(path) -> EntangledStrategy:
     vals = np.array([float(t) for t in psi])
     state = vals[0::2] + 1j * vals[1::2]
 
-    blocks = {"alice": {}, "bob": {}}
     alphabets = {"alice": (sizes["x_size"], sizes["a_size"]),
                  "bob": (sizes["y_size"], sizes["b_size"])}
+    ops = {side: _povm_zeros(n, q_size, a_size, d)
+           for side, (q_size, a_size) in alphabets.items()}
     for parts in povm_lines:
         line = " ".join(["povm"] + parts[:3])
         if len(parts) < 3:
             raise ValueError(f"povm line {line!r} needs a side, a question "
                              "tuple and an answer tuple")
         side = parts[0]
-        if side not in blocks:
+        if side not in ops:
             raise ValueError(f"povm line {line!r} names side {side!r}, "
                              "not alice or bob")
         q_size, a_size = alphabets[side]
         q = _index_tuple(parts[1], n, q_size, line)
         a = _index_tuple(parts[2], n, a_size, line)
-        blocks[side].setdefault(q, {})[a] = _parse_complex_block(parts[3:], d)
-
-    def fam(side, q_size, a_size):
-        ops = {}
-        for q, by_answer in blocks[side].items():
-            block = np.zeros((a_size,) * n + (d, d), dtype=np.complex128)
-            for a, mat in by_answer.items():
-                block[a] = mat
-            ops[q] = block
-        return POVMFamily(n, q_size, a_size, d, ops)
+        ops[side][q + a] = _parse_complex_block(parts[3:], d)
 
     return EntangledStrategy(
-        d, n, state,
-        fam("alice", sizes["x_size"], sizes["a_size"]),
-        fam("bob", sizes["y_size"], sizes["b_size"]),
+        d, n, state, POVMFamily(n, ops["alice"]), POVMFamily(n, ops["bob"]),
         name=head.get("name", "custom"))

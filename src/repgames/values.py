@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,23 +187,15 @@ def seesaw(g: Game, cfg: SeesawConfig) -> SeesawResult:
         if trace[-1] - trace[-4] < cfg.convergence_tol:
             break
 
-    fam_a = POVMFamily(1, g.x_size, g.a_size, d,
-                       {(x,): alice[x] for x in range(g.x_size)})
-    fam_b = POVMFamily(1, g.y_size, g.b_size, d,
-                       {(y,): bob[y] for y in range(g.y_size)})
-    strat = EntangledStrategy(d, 1, psi, fam_a, fam_b, name="seesaw")
+    strat = EntangledStrategy(d, 1, psi, POVMFamily(1, alice),
+                              POVMFamily(1, bob), name="seesaw")
     return SeesawResult(trace[-1], strat, iterations, trace)
 
 
-def seesaw_best(g: Game, d: int, seeds, max_iters: int = 500,
-                workers: int = 1) -> SeesawResult:
+def seesaw_best(g: Game, d: int, seeds, max_iters: int = 500) -> SeesawResult:
     """Best seesaw run over several seeds; deterministic given the seed list."""
-    cfgs = [SeesawConfig(d=d, max_iters=max_iters, seed=int(s)) for s in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: seesaw(g, c), cfgs))
-    else:
-        results = [seesaw(g, c) for c in cfgs]
+    results = [seesaw(g, SeesawConfig(d=d, max_iters=max_iters, seed=int(s)))
+               for s in seeds]
     return max(results, key=lambda r: r.value)
 
 

@@ -115,7 +115,7 @@ class PerContext:
             else self.comp.strategy.bob
         drop = tuple(j for j in range(self.n) if j not in kept)
         return {q: fam.ops[q].sum(axis=drop) if drop else fam.ops[q]
-                for q in fam.ops}
+                for q in np.ndindex(fam.ops.shape[:self.n])}
 
     def coarse(self, side, constraints, i=None):
         """Held (and, for i, round-i) answer operators averaged over the

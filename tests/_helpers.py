@@ -98,10 +98,10 @@ def random_strategy(game, n: int, d: int, rng) -> EntangledStrategy:
     rng = np.random.default_rng(rng)
 
     def family(q_size, a_size):
-        ops = {q: np.stack(values._random_povm(d, a_size ** n, rng)).reshape(
-                   (a_size,) * n + (d, d))
-               for q in itertools.product(range(q_size), repeat=n)}
-        return POVMFamily(n, q_size, a_size, d, ops)
+        ops = np.stack([values._random_povm(d, a_size ** n, rng)
+                        for _ in range(q_size ** n)])
+        return POVMFamily(n, ops.reshape((q_size,) * n + (a_size,) * n
+                                         + (d, d)))
 
     alice = family(game.x_size, game.a_size)
     bob = family(game.y_size, game.b_size)

@@ -5,6 +5,7 @@ import pytest
 from repgames import suites, values
 from repgames.cli import main
 from repgames.games import chsh
+from repgames.strategy import save_strategy, strategy_fixture
 
 
 def run_cli(capsys, *argv):
@@ -165,9 +166,41 @@ def test_run_reduction_refuses_bad_alpha(capsys, alpha):
 
 
 def test_verify_has_no_workers_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "matcore", "--workers", "2"])
-    assert exc.value.code == 2
+    for argv in (["verify", "--suite", "matcore", "--workers", "2"],
+                 ["run", "values", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_run_reduction_refuses_a_fixture_above_the_povm_cap(capsys):
+    # printing at n=7 would be a (2,)*14 + (128, 128) array per side
+    code, out, err = run_cli(capsys, "run", "reduction", "--strategy",
+                             "printing", "--n", "7")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "no POVM array for n=7 rounds" in err
+
+
+def test_run_reduction_refuses_a_strategy_file_of_forty_rounds(tmp_path,
+                                                                capsys):
+    path = tmp_path / "strategy.txt"
+    save_strategy(strategy_fixture("tsirelson", 1), path)
+    path.write_text(path.read_text().replace("\nn 1\n", "\nn 40\n"))
+    code, out, err = run_cli(capsys, "run", "reduction", "--strategy",
+                             str(path), "--n", "40")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "no POVM array for n=40 rounds" in err
+
+
+def test_run_reduction_auto_at_one_round_is_the_empty_holdout(capsys):
+    code, auto, err = run_cli(capsys, "run", "reduction", "--n", "1",
+                              "--C", "auto")
+    assert code == 0 and err == ""
+    assert json.loads(auto)["config"]["C"] == []
+    assert auto == run_cli(capsys, "run", "reduction", "--n", "1",
+                           "--C", "none")[1]
 
 
 def test_run_reduction_writes_reports(tmp_path, capsys):

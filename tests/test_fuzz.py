@@ -143,7 +143,6 @@ FLAGS = {
                                 "inf"]),
     "--d": SMALL,
     "--seeds": SMALL,
-    "--workers": SMALL,
     "--eps": st.sampled_from(["0", "0.25", "1", "2", "-1", "nan"]),
     "--s": st.sampled_from(["0", "1", "2", "-1"]),
     "--c": st.sampled_from(["0", "1", "-1"]),
@@ -165,7 +164,7 @@ COMMANDS = {
     ("verify", "--suite", "xi"): STATE,
     ("verify", "--suite", "sampleability"): STATE,
     ("verify", "--suite", "bogus"): SWEEP + STATE,
-    ("run", "values"): ("--game", "--n", "--d", "--seeds", "--workers"),
+    ("run", "values"): ("--game", "--n", "--d", "--seeds"),
     ("run", "reduction"): ("--game", "--strategy", "--n", "--C", "--mode",
                            "--max-draws", "--dprime", "--alpha", "--seed"),
     ("run", "bound"): ("--eps", "--s", "--c", "--log-base", "--n-grid"),

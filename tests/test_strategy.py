@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_born_joint_partial_last_chunk(monkeypatch, chunk):
     assert np.abs(born_joint(g, 2, s).table - want).max() <= 1e-12
 
 
-def test_born_joint_peak_memory_at_most_four_tables():
+def test_born_joint_peak_memory_at_most_three_tables():
     g, s = chsh(), strategy_fixture("printing", 5)
     tracemalloc.start()
     try:
@@ -133,21 +134,19 @@ def test_born_joint_peak_memory_at_most_four_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * out.table.nbytes
+    assert peak <= 3 * out.table.nbytes
 
 
 def kron_product_family(n, d, angle_for):
     """Product-fixture POVMs built with one np.kron per round and answer."""
-    ops = {}
+    ops = np.zeros((2,) * (2 * n) + (d, d), dtype=np.complex128)
     for q in itertools.product(range(2), repeat=n):
         projs = [strategy._proj_pair(angle_for(q, i)) for i in range(n)]
-        block = np.zeros((2,) * n + (d, d), dtype=np.complex128)
         for a in itertools.product(range(2), repeat=n):
             e = np.array([[1.0]], dtype=np.complex128)
             for i in range(n):
                 e = np.kron(e, projs[i][a[i]])
-            block[a] = e
-        ops[q] = block
+            ops[q + a] = e
     return ops
 
 
@@ -159,8 +158,7 @@ def test_product_family_equals_kron_built_copy():
         for angle_for in angles:
             got = strategy._product_family(n, 2 ** n, angle_for)
             want = kron_product_family(n, 2 ** n, angle_for)
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[q], want[q]) for q in want)
+            assert np.array_equal(got, want)
 
 
 def test_symmetrize_preserves_statistics():
@@ -190,12 +188,9 @@ def test_symmetrize_restores_swapped_bell_state():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     # apply X to Bob's factor: same statistics, state no longer symmetric
     m = s.psi_matrix @ x.T
-    bob_ops = {q: np.einsum("ij,ajk,kl->ail", x, ops, x)
-               for q, ops in s.bob.ops.items()}
-    swapped = EntangledStrategy(
-        s.d, 1, m.reshape(-1),
-        s.alice,
-        POVMFamily(1, s.bob.question_size, s.bob.answer_size, s.d, bob_ops))
+    bob_ops = np.einsum("ij,qajk,kl->qail", x, s.bob.ops, x)
+    swapped = EntangledStrategy(s.d, 1, m.reshape(-1), s.alice,
+                                POVMFamily(1, bob_ops))
     g = chsh()
     assert abs(win_probability(g, 1, swapped) - TSIRELSON_VALUE) < 1e-10
     out, basis = symmetrize(swapped)
@@ -222,25 +217,74 @@ def test_born_joint_literal_tensor_convention():
         e0 = inv @ a @ inv
         return np.stack([e0, np.eye(d) - e0])
 
-    ops_a = {(x,): random_binary_povm() for x in range(2)}
-    ops_b = {(y,): random_binary_povm() for y in range(2)}
+    ops_a = np.stack([random_binary_povm() for x in range(2)])
+    ops_b = np.stack([random_binary_povm() for y in range(2)])
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec = vec / np.linalg.norm(vec)
     fam = type(tsirelson(1).alice)
-    s = type(tsirelson(1))(d, 1, vec, fam(1, 2, 2, d, ops_a),
-                           fam(1, 2, 2, d, ops_b))
+    s = type(tsirelson(1))(d, 1, vec, fam(1, ops_a), fam(1, ops_b))
     joint = born_joint(g, 1, s)
     for x, y, a, b in itertools.product(range(2), repeat=4):
-        lit = np.vdot(vec, np.kron(ops_a[(x,)][a], ops_b[(y,)][b]) @ vec).real
+        lit = np.vdot(vec, np.kron(ops_a[x, a], ops_b[y, b]) @ vec).real
         assert abs(joint.table[x, y, a, b] - 0.25 * lit) < 1e-12
 
 
 def test_povm_validation_rejects_incomplete_family():
     s = tsirelson(1)
-    ops = {q: m.copy() for q, m in s.alice.ops.items()}
-    ops[(0,)] = ops[(0,)] * 0.5
+    ops = s.alice.ops.copy()
+    ops[0] *= 0.5
     with pytest.raises(ValueError):
-        type(s.alice)(1, 2, 2, 2, ops)
+        type(s.alice)(1, ops)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((2, 2, 2, 2), r"is not \(Q,\)\*n \+ \(A,\)\*n \+ \(d, d\) for n=2"),
+    ((2, 3, 2, 2, 2, 2), r"has unequal question axes$"),
+    ((2, 2, 2, 3, 2, 2), r"has unequal answer axes$"),
+    ((2, 2, 2, 2, 2, 3), r"has non-square elements$"),
+], ids=["rank", "questions", "answers", "square"])
+def test_povm_family_refuses_a_malformed_array(shape, message):
+    with pytest.raises(ValueError, match=message) as err:
+        strategy.POVMFamily(2, np.zeros(shape))
+    assert "\n" not in str(err.value)
+
+
+def test_every_strategy_source_refuses_povm_arrays_above_the_cap(tmp_path):
+    # one allocation rule for fixtures, embedded answer functions and files
+    det = DeterministicStrategy(12, np.zeros((2,) * 12 + (12,), dtype=int),
+                                np.zeros((2,) * 12 + (12,), dtype=int))
+    path, lines = _strategy_lines(tmp_path)
+
+    def load_with_header(n):
+        path.write_text("\n".join(f"n {n}" if line == "n 1" else line
+                                  for line in lines) + "\n")
+        return load_strategy(path)
+
+    sources = [lambda: strategy_fixture("printing", 7),
+               lambda: as_entangled(det, chsh()),
+               lambda: load_with_header(40),
+               lambda: load_with_header(10 ** 9)]
+    for make, n in zip(sources, (7, 12, 40, 10 ** 9)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match=rf"^no POVM array for n={n} rounds "):
+            make()
+        # forming (2 * 2)**n at n = 10**9 alone takes tens of seconds
+        assert time.perf_counter() - start < 2.0
+
+
+def test_save_load_roundtrip_is_bit_exact(tmp_path):
+    path = tmp_path / "strategy.txt"
+    for seed in range(3):
+        s = random_strategy(fixture("asym3"), 2, 3, seed)
+        save_strategy(s, path)
+        s2 = load_strategy(path)
+        assert (s2.n, s2.d, s2.name) == (s.n, s.d, s.name)
+        assert s2.psi.tobytes() == s.psi.tobytes()
+        for side in ("alice", "bob"):
+            want, got = getattr(s, side).ops, getattr(s2, side).ops
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_deterministic_embedding_reproduces_answers():

@@ -80,10 +80,7 @@ def random_povms(g, d, seed):
 
 
 def families(alice, bob):
-    def fam(stack):
-        return POVMFamily(1, stack.shape[0], stack.shape[1], stack.shape[-1],
-                          {(q,): stack[q] for q in range(stack.shape[0])})
-    return fam(alice), fam(bob)
+    return POVMFamily(1, alice), POVMFamily(1, bob)
 
 
 def effectives_loop(g, psi, alice, bob):
