@@ -4,10 +4,11 @@ The classical protocol lets two players holding nearby distributions accept
 a common sample from a shared stream without communication; one batched
 kernel runs many independent streams at once.  The quantum analogue aligns
 a large embezzlement state against each player's own description of a
-target state (van Dam and Hayden).  The outcome is read from one table of
-the shared state's slots, indexed by where Alice sends each slot, by
-weighted sums with no dense vector and no sort, so junk dimensions up to
-2^20 stay cheap.
+target state (van Dam and Hayden).  Where each slot of the shared state
+goes depends only on the players' rounded Schmidt spectra and the junk
+dimension, so the junk-traced outcome is built once per pair of rounded
+spectra and cached; a call with known spectra does work of the target's
+size only, whatever the junk dimension.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .prob import FiniteDistribution
 MAX_EMBEZZLE_DIM = 2 ** 24
 GRID_FLOOR = 1e-12
 MAX_STREAM_CELLS = 2 ** 18     # (u, t) pairs held by one sampling pass
+JUNK_TRACE_CACHE = 16          # spectrum pairs kept by _junk_trace, d^4 + d^2
+                               # floats each
 
 
 def shared_stream_sample(p: np.ndarray, q: np.ndarray, m: int,
@@ -132,11 +135,14 @@ class EmbezzlementVector:
     coefficients: np.ndarray = field(repr=False)
 
 
+def _harmonic(n: int) -> float:
+    return float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
+
+
 @functools.lru_cache(maxsize=16)
 def _embezzlement_cached(n: int) -> np.ndarray:
     j = np.arange(1, n + 1, dtype=np.float64)
-    h_n = float(np.sum(1.0 / j))
-    c = 1.0 / np.sqrt(j * h_n)
+    c = 1.0 / np.sqrt(j * _harmonic(n))
     c.flags.writeable = False
     return c
 
@@ -153,21 +159,34 @@ def embezzlement(n: int) -> EmbezzlementVector:
 class AlignmentIsometry:
     """Local alignment of an embezzlement state toward one player's target.
 
-    perm[j] is the flat (target k, junk l) slot that the j-th largest
-    embezzlement coefficient is routed to.  rot_left and rot_right are the
-    target state's two local Schmidt bases; the player acting on the left
-    factor applies rot_left on the target register, the right player
-    rot_right.  coeffs_exact holds the unrounded Schmidt coefficients.
+    rot_left and rot_right are the target state's two local Schmidt bases;
+    the player acting on the left factor applies rot_left on the target
+    register, the right player rot_right.  coeffs_exact holds the unrounded
+    Schmidt coefficients and coeffs_grid (read-only) the rounded ones,
+    which alone, with d_prime, fix where each slot is routed.
     """
 
     d: int
     d_prime: int
     alpha: float
-    perm: np.ndarray = field(repr=False)
     rot_left: np.ndarray = field(repr=False)
     rot_right: np.ndarray = field(repr=False)
     coeffs_exact: np.ndarray = field(repr=False)
     coeffs_grid: np.ndarray = field(repr=False)
+
+    @property
+    def perm(self) -> np.ndarray:
+        """perm[j] is the flat (target k, junk l) slot that the j-th largest
+        embezzlement coefficient is routed to."""
+        return _slot_order(self.coeffs_grid, self.d_prime)
+
+
+def _slot_order(grid: np.ndarray, d_prime: int) -> np.ndarray:
+    """Flat slots k * d' + l by decreasing grid[k] * junk[l]; the stable
+    sort breaks ties by (k, l)."""
+    tau = np.multiply.outer(grid, embezzlement(d_prime).coefficients).ravel()
+    np.negative(tau, out=tau)
+    return np.argsort(tau, kind="stable")
 
 
 def _grid_round(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -229,10 +248,12 @@ def qcs_isometry(own_state: np.ndarray, d_prime: int,
                  alpha: float = 0.01) -> AlignmentIsometry:
     """Alignment isometry for one player's description of the target.
 
-    Schmidt coefficients are rounded to the grid (1+alpha)^-g, multiplied
-    into the junk embezzlement coefficients, and the resulting slot values
-    are matched in sorted order (ties broken by slot index) against the
-    big embezzlement coefficients.
+    Schmidt coefficients are rounded to the grid (1+alpha)^-g.  Their
+    products with the junk embezzlement coefficients, matched in sorted
+    order (ties broken by slot index) against the big embezzlement
+    coefficients, route the shared state's slots; that order depends on the
+    grid and d_prime alone, so it is computed where it is read (`perm`,
+    `qcs_execute`).
     """
     own_state = np.asarray(own_state, dtype=np.complex128).ravel()
     d2 = own_state.size
@@ -245,17 +266,14 @@ def qcs_isometry(own_state: np.ndarray, d_prime: int,
         raise ValueError("d * d_prime exceeds the structural cap")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("alpha must be a positive finite number")
+    if d_prime < 1:
+        raise ValueError("dimension must be at least 1")
     u, s, vh = matcore.svd_canonical(own_state.reshape(d, d))
     s = np.clip(s, 0.0, None)
     u, vh = _canonical_degenerate_blocks(u, s, vh)
     s_grid = _grid_round(s, alpha)
-    junk = embezzlement(d_prime).coefficients
-    tau = np.multiply.outer(s_grid, junk).ravel()
-    # slot k * d_prime + l is tau's flat index, so a stable sort breaks
-    # ties by (k, l)
-    order = np.argsort(-tau, kind="stable")
-    return AlignmentIsometry(d, int(d_prime), float(alpha),
-                             order.astype(np.int64, copy=False), u, vh.T,
+    s_grid.flags.writeable = False
+    return AlignmentIsometry(d, int(d_prime), float(alpha), u, vh.T,
                              s.copy(), s_grid)
 
 
@@ -267,64 +285,39 @@ class QCSResult:
     ref_err: float | None = None
 
 
-def _slot_table(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry) -> tuple:
-    """Bob's destination and the coefficient of each slot, by Alice's.
+@functools.lru_cache(maxsize=JUNK_TRACE_CACHE)
+def _junk_trace(grid_a: bytes, grid_b: bytes, d: int, d_prime: int) -> tuple:
+    """(rho, over) for the slot orders of two rounded spectra.
 
-    Slot j of the shared state goes to (k_a, l_a) = divmod(iso_a.perm[j],
-    d') on Alice's side and to (k_b, l_b) on Bob's.  Entry [k_a, l_a] of
-    the (d, d') arrays k_b, l_b, vals describes the slot Alice sends there.
+    Slot j of the shared state, coefficient 1/sqrt((j+1) H_N), goes to
+    Alice's flat slot (k_a, l_a) in her order and to Bob's (k_b, l_b) in
+    his.  Indexed by Alice's slot, Bob's destination and the coefficient
+    form the (d, d') arrays k_b, l_b, vals.  Tracing out the junk
+    registers pairs two slots when they share Alice's column l_a and Bob's
+    l_b, so block (p, q) of the reduced state rho (in the Schmidt bases) is
+    one bincount over the d' columns.  over[p, q] sums vals * junk[l_a]
+    over row p's slots with l_b == l_a and k_b == q: the weight of g[p, q]
+    in the overlap with a target paired with a fresh junk state.  Both
+    arrays are read-only and depend on the grids and d' alone.
     """
-    d, dp = iso_a.d, iso_a.d_prime
-    if (d, dp) != (iso_b.d, iso_b.d_prime):
-        raise ValueError("isometry dimensions do not match")
-    src = np.empty(d * dp, dtype=np.int64)
-    src[iso_a.perm] = np.arange(d * dp)
-    k_b, l_b = np.divmod(iso_b.perm[src].reshape(d, dp), dp)
-    vals = embezzlement(d * dp).coefficients[src].reshape(d, dp)
-    return k_b, l_b, vals
-
-
-def _junk_overlap(table: tuple, g: np.ndarray) -> float:
-    """Re sum(vals * junk[l_a] * g[k_a, k_b]) over the slots with l_b == l_a.
-
-    The overlap with a target paired with a fresh junk embezzlement state;
-    g holds the target's conjugated amplitudes in the players' bases.
-    """
-    k_b, l_b, vals = table
-    d, dp = vals.shape
-    w = vals * embezzlement(dp).coefficients
-    w *= l_b == np.arange(dp)
-    return float(np.sum(w * g.real[np.arange(d)[:, None], k_b]))
-
-
-def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
-                target_dim: int, reference: np.ndarray | None = None) -> QCSResult:
-    """Outcome of both alignment isometries acting on the shared state.
-
-    Tracing out the junk registers pairs two slots of the slot table when
-    they share Alice's column l_a and Bob's l_b, so block (p, q) of the
-    reduced state is one bincount over the d' columns at (k_b[p], k_b[q])
-    with weights vals[p] * vals[q] where l_b[p] == l_b[q]; it is then
-    rotated by the players' local bases.  err is the Euclidean distance of
-    the full produced vector from iso_a's target state paired with a fresh
-    junk embezzlement state, overlap their inner product.  When a
-    reference state (any normalized bipartite state on the two
-    d-dimensional factors) is given, ref_err is the same distance with the
-    reference in place of iso_a's target, read from the same slot table.
-    """
-    if iso_a.d != target_dim:
-        raise ValueError("isometry dimensions do not match")
-    table = _slot_table(iso_a, iso_b)
-    k_b, l_b, vals = table
-    d = iso_a.d
-    cross = iso_a.rot_right.conj().T @ iso_b.rot_right
-    overlap = _junk_overlap(table, iso_a.coeffs_exact[:, None] * cross)
-    err = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
-    ref_err = None
-    if reference is not None:
-        tgt = np.asarray(reference, dtype=np.complex128).reshape(d, d)
-        g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
-        ref_err = math.sqrt(max(0.0, 2.0 - 2.0 * _junk_overlap(table, g)))
+    n = d * d_prime
+    rank = np.empty(n, dtype=np.int32)      # Alice's slot -> its rank j
+    rank[_slot_order(np.frombuffer(grid_a), d_prime)] = np.arange(
+        n, dtype=np.int32)
+    if grid_b == grid_a:
+        dest = np.arange(n, dtype=np.int32)
+    else:
+        dest = _slot_order(np.frombuffer(grid_b), d_prime).astype(np.int32)
+        dest = dest[rank]
+    k_b, l_b = np.divmod(dest.reshape(d, d_prime), d_prime)
+    del dest
+    # the elementwise steps of _embezzlement_cached, at Alice's ranks
+    vals = rank.astype(np.float64).reshape(d, d_prime)
+    del rank
+    vals += 1.0
+    vals *= _harmonic(n)
+    np.sqrt(vals, out=vals)
+    np.divide(1.0, vals, out=vals)
 
     rho = np.zeros((d, d, d, d))
     for p in range(d):
@@ -334,6 +327,47 @@ def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
                                 minlength=d * d).reshape(d, d)
             rho[p, :, q, :] = block
             rho[q, :, p, :] = block.T
+    junk = embezzlement(d_prime).coefficients
+    over = np.zeros((d, d))
+    for p in range(d):
+        hit = l_b[p] == np.arange(d_prime)
+        w = vals[p, hit] * junk[hit]
+        k = k_b[p, hit]
+        for q in range(d):
+            over[p, q] = np.sum(w[k == q])
+    rho.flags.writeable = False
+    over.flags.writeable = False
+    return rho, over
+
+
+def qcs_execute(iso_a: AlignmentIsometry, iso_b: AlignmentIsometry,
+                target_dim: int, reference: np.ndarray | None = None) -> QCSResult:
+    """Outcome of both alignment isometries acting on the shared state.
+
+    The junk-traced state rho and the overlap weights over come from
+    `_junk_trace`, built once per pair of rounded spectra and d' and
+    cached, so a call does d-sized work: rho rotated by the players' local
+    bases is the produced target state.  err is the Euclidean distance of
+    the full produced vector from iso_a's target state paired with a fresh
+    junk embezzlement state, overlap their inner product, sum(over * Re g)
+    with g the target's conjugated amplitudes in the players' bases.  When
+    a reference state (any normalized bipartite state on the two
+    d-dimensional factors) is given, ref_err is the same distance with the
+    reference in place of iso_a's target.
+    """
+    d, dp = iso_a.d, iso_a.d_prime
+    if d != target_dim or (d, dp) != (iso_b.d, iso_b.d_prime):
+        raise ValueError("isometry dimensions do not match")
+    rho, over = _junk_trace(iso_a.coeffs_grid.tobytes(),
+                            iso_b.coeffs_grid.tobytes(), d, dp)
+    cross = iso_a.rot_right.conj().T @ iso_b.rot_right
+    overlap = float(np.sum(over * (iso_a.coeffs_exact[:, None] * cross).real))
+    err = math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+    ref_err = None
+    if reference is not None:
+        tgt = np.asarray(reference, dtype=np.complex128).reshape(d, d)
+        g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
+        ref_err = math.sqrt(max(0.0, 2.0 - 2.0 * float(np.sum(over * g.real))))
     k = np.kron(iso_a.rot_left, iso_b.rot_right)
     produced = k @ rho.reshape(k.shape) @ k.conj().T
     produced = (produced + produced.conj().T) / 2

@@ -1,30 +1,73 @@
+import functools
+import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repgames import matcore
+from repgames import corrsamp, matcore, reduction
+from repgames.cli import main
 from repgames.corrsamp import (GRID_FLOOR, AlignmentIsometry,
-                               EmbezzlementVector, _junk_overlap, _slot_table,
-                               corr_sample_experiment, embezzlement,
-                               qcs_execute, qcs_isometry,
+                               EmbezzlementVector, corr_sample_experiment,
+                               embezzlement, qcs_execute, qcs_isometry,
                                shared_stream_sample)
+from repgames.games import chsh
 from repgames.prob import FiniteDistribution, tv_distance
+from repgames.strategy import strategy_fixture
+
+from _helpers import random_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def slot_table(iso_a, iso_b):
+    """Bob's destination and the coefficient of each slot, by Alice's.
+
+    Slot j of the shared state goes to (k_a, l_a) = divmod(iso_a.perm[j],
+    d') on Alice's side and to (k_b, l_b) on Bob's.  Entry [k_a, l_a] of
+    the (d, d') arrays k_b, l_b, vals describes the slot Alice sends there.
+    """
+    d, dp = iso_a.d, iso_a.d_prime
+    if (d, dp) != (iso_b.d, iso_b.d_prime):
+        raise ValueError("isometry dimensions do not match")
+    src = np.empty(d * dp, dtype=np.int64)
+    src[iso_a.perm] = np.arange(d * dp)
+    k_b, l_b = np.divmod(iso_b.perm[src].reshape(d, dp), dp)
+    vals = embezzlement(d * dp).coefficients[src].reshape(d, dp)
+    return k_b, l_b, vals
+
+
+def slot_overlap(iso_a, iso_b, g):
+    """Re sum(vals * junk[l_a] * g[k_a, k_b]) over the slots with l_b == l_a,
+    one term per slot: the per-slot oracle of `qcs_execute`'s overlap.
+
+    The overlap with a target paired with a fresh junk embezzlement state;
+    g holds the target's conjugated amplitudes in the players' bases.
+    """
+    k_b, l_b, vals = slot_table(iso_a, iso_b)
+    d, dp = vals.shape
+    w = vals * embezzlement(dp).coefficients
+    w *= l_b == np.arange(dp)
+    return float(np.sum(w * g.real[np.arange(d)[:, None], k_b]))
+
+
+def own_g(iso_a, iso_b):
+    """g of iso_a's own target state, as `qcs_execute` forms it."""
+    return iso_a.coeffs_exact[:, None] * (iso_a.rot_right.conj().T
+                                          @ iso_b.rot_right)
+
+
 def qcs_error_against(iso_a, iso_b, target_state):
     """Distance between the produced vector and an explicit target state,
-    from a slot table of its own: the oracle of `qcs_execute`'s ref_err."""
-    table = _slot_table(iso_a, iso_b)
+    from the per-slot oracle: the oracle of `qcs_execute`'s ref_err."""
     d = iso_a.d
     tgt = np.asarray(target_state, dtype=np.complex128).reshape(d, d)
     g = iso_a.rot_left.T @ tgt.conj() @ iso_b.rot_right
-    return math.sqrt(max(0.0, 2.0 - 2.0 * _junk_overlap(table, g)))
+    return math.sqrt(max(0.0, 2.0 - 2.0 * slot_overlap(iso_a, iso_b, g)))
 
 
 def biased_pair(tv):
@@ -284,8 +327,9 @@ def test_qcs_execute_identical_inputs():
     # the execute error coincides with the explicit distance to own target
     against = qcs_error_against(iso, iso, psi)
     assert abs(res.err - against) < 1e-10
+    assert abs(res.overlap - slot_overlap(iso, iso, own_g(iso, iso))) <= 1e-15
     with_ref = qcs_execute(iso, iso, 4, psi)
-    assert with_ref.ref_err == against
+    assert abs(with_ref.ref_err ** 2 - against ** 2) <= 1e-15
     assert np.array_equal(with_ref.produced_target, res.produced_target)
     assert with_ref.err == res.err and with_ref.overlap == res.overlap
 
@@ -442,6 +486,161 @@ def test_qcs_slot_table_matches_oracles(d, dp):
         # an explicit target other than Alice's own description
         _rho, err_b, _ov = dense_oracle(iso_a, iso_b, psi_b)
         assert_err_close(qcs_error_against(iso_a, iso_b, psi_b), err_b)
+        # the per-slot sum, term for term, differs from the kernel's
+        # per-(p, q) sums by rounding only
+        assert abs(res.overlap - slot_overlap(iso_a, iso_b,
+                                              own_g(iso_a, iso_b))) <= 1e-15
         ref_err = qcs_execute(iso_a, iso_b, d, psi_b).ref_err
-        assert ref_err == qcs_error_against(iso_a, iso_b, psi_b)
+        assert abs(ref_err ** 2
+                   - qcs_error_against(iso_a, iso_b, psi_b) ** 2) <= 1e-15
         assert_err_close(ref_err, err_b)
+
+
+def schmidt_state(spectrum, seed):
+    """A d=4 state with the given Schmidt spectrum in seeded local bases."""
+    s = np.asarray(spectrum) / np.linalg.norm(spectrum)
+    return ((random_unitary(4, seed) * s) @ random_unitary(4, seed + 1).T
+            ).ravel()
+
+
+@pytest.mark.parametrize("dp", [3, 8])
+def test_qcs_overlap_weights_across_target_rows(dp):
+    # spectra far enough apart that a slot keeps its junk index but changes
+    # target row (l_b == l_a, k_b != k_a), so the overlap weights are not
+    # diagonal and their orientation matters
+    psi_a = schmidt_state([0.85, 0.46, 0.24, 0.085], 1)
+    psi_b = schmidt_state([0.70, 0.57, 0.41, 0.05], 3)
+    iso_a, iso_b = qcs_isometry(psi_a, dp), qcs_isometry(psi_b, dp)
+    k_b, l_b, _vals = slot_table(iso_a, iso_b)
+    assert ((l_b == np.arange(dp)) & (k_b != np.arange(4)[:, None])).any()
+    res = qcs_execute(iso_a, iso_b, 4, psi_b)
+    for rho, err, overlap in (class_match_oracle(iso_a, iso_b),
+                              dense_oracle(iso_a, iso_b, psi_a)):
+        assert np.max(np.abs(res.produced_target - rho)) <= 1e-12
+        assert abs(res.overlap - overlap) <= 1e-12
+        assert_err_close(res.err, err)
+    assert abs(res.overlap - slot_overlap(iso_a, iso_b,
+                                          own_g(iso_a, iso_b))) <= 1e-15
+    assert_err_close(res.ref_err, dense_oracle(iso_a, iso_b, psi_b)[1])
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Keys of the junk-trace builds, counted under a fresh cache."""
+    builds = []
+    body = corrsamp._junk_trace.__wrapped__
+
+    def counting(*key):
+        builds.append(key)
+        return body(*key)
+
+    monkeypatch.setattr(corrsamp, "_junk_trace", functools.lru_cache(
+        maxsize=corrsamp.JUNK_TRACE_CACHE)(counting))
+    return builds
+
+
+def test_junk_trace_built_once_per_spectrum_pair(kernel_builds, monkeypatch):
+    keys = []
+    execute = reduction.qcs_execute
+
+    def recording(iso_a, iso_b, *rest):
+        keys.append((iso_a.coeffs_grid.tobytes(),
+                     iso_b.coeffs_grid.tobytes(), iso_a.d_prime))
+        return execute(iso_a, iso_b, *rest)
+
+    monkeypatch.setattr(reduction, "qcs_execute", recording)
+    report = reduction.run_reduction(reduction.ReductionConfig(
+        game=chsh(), n=2, strategy=strategy_fixture("tsirelson", 2), C=(),
+        mode_quantum="embezzle", dprime=2 ** 16))
+    assert report.invalid_contexts == 0
+    # every one of the 32 contexts has the same rounded spectra
+    assert len(keys) == 32
+    assert len(kernel_builds) == len(set(keys)) == 1
+    assert {(a, b, dp) for a, b, _d, dp in kernel_builds} == set(keys)
+
+
+def test_junk_trace_shared_by_equal_grids(kernel_builds):
+    # a local rotation keeps the Schmidt spectrum and moves both bases
+    psi = qcs_state(3)
+    turned = np.kron(random_unitary(4, 1), random_unitary(4, 2)) @ psi
+    iso, iso_t = qcs_isometry(psi, 64), qcs_isometry(turned, 64)
+    assert np.array_equal(iso.coeffs_grid, iso_t.coeffs_grid)
+    assert not np.allclose(iso.rot_left, iso_t.rot_left)
+    for iso_a, iso_b in ((iso, iso), (iso_t, iso_t), (iso, iso_t)):
+        res = qcs_execute(iso_a, iso_b, 4)
+        rho, err, overlap = class_match_oracle(iso_a, iso_b)
+        assert np.max(np.abs(res.produced_target - rho)) <= 1e-12
+        assert abs(res.overlap - overlap) <= 1e-12
+    assert len(kernel_builds) == 1
+
+
+def grid_step_pair():
+    """Two entangled d=2 states whose small Schmidt coefficient sits just
+    on either side of a rounding boundary of the grid (1.01)^-g."""
+    step = math.log1p(0.01)
+    out = []
+    for g in (10.5 - 1e-3, 10.5 + 1e-3):
+        small = math.exp(-g * step)
+        out.append(np.diag([math.sqrt(1.0 - small ** 2), small]).ravel())
+    return out
+
+
+def test_junk_trace_keys_on_both_grids_and_junk_dimension(kernel_builds):
+    psi = qcs_state(3)
+    for dp in (64, 128):
+        iso = qcs_isometry(psi, dp)
+        qcs_execute(iso, iso, 4)
+    assert len(kernel_builds) == 2
+    lo, hi = (qcs_isometry(s, 64) for s in grid_step_pair())
+    assert not np.array_equal(lo.coeffs_grid, hi.coeffs_grid)
+    for iso_a, iso_b in ((lo, lo), (hi, hi), (lo, hi), (hi, lo)):
+        res = qcs_execute(iso_a, iso_b, 2)
+        rho, _err, overlap = class_match_oracle(iso_a, iso_b)
+        assert np.max(np.abs(res.produced_target - rho)) <= 1e-12
+        assert abs(res.overlap - overlap) <= 1e-12
+    assert len(kernel_builds) == 6
+
+
+MiB = 2 ** 20
+
+
+def traced(call):
+    """(result, peak, retained) bytes of one call under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before, now - before
+
+
+@pytest.mark.parametrize("other", [None, 7])
+def test_qcs_memory_at_junk_dimension_2_20(other):
+    dp = 2 ** 20
+    # the d'-sized junk vector lives in the embezzlement cache whatever the
+    # spectra; it is built before the measurement so that only the
+    # alignment's own memory is counted
+    embezzlement(dp)
+    psi = qcs_state(42)
+    iso_a, peak, _kept = traced(lambda: qcs_isometry(psi, dp))
+    assert peak < 1 * MiB
+    iso_b = iso_a if other is None else qcs_isometry(qcs_state(other), dp)
+    corrsamp._junk_trace.cache_clear()
+    res, peak, kept = traced(lambda: qcs_execute(iso_a, iso_b, 4))
+    assert peak < 160 * MiB
+    assert kept < 1 * MiB
+    assert res.produced_target.shape == (16, 16)
+
+
+def test_embezzle_reduction_at_junk_dimension_2_20(capsys):
+    code = main(["run", "reduction", "--strategy", "printing", "--n", "2",
+                 "--C", "", "--mode", "embezzle", "--dprime", "1048576",
+                 "--trials", "10"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["trials_run"] == 10 and payload["invalid_contexts"] == 0
+    # read from the per-slot implementation, one slot table per context,
+    # that the cached junk trace replaced
+    assert abs(payload["avg_p_tilde"] - 0.8492566911967527) <= 1e-12
+    assert abs(payload["avg_embezzle_err"] - 0.13731726384544293) <= 1e-12
