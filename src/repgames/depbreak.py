@@ -2,11 +2,15 @@
 
 A held-out coordinate set C and, per free coordinate, a uniform pointer
 (d_j, m_j) to one player's question, together break the correlation between
-the two players' question tuples.  This module builds the extended joint
-table carrying those variables, the coarse and fine measurement operators
-conditioned on partial information, the conditional bipartite states with
-their weights, and the distance and mutual-information diagnostics that
-certify the construction on explicit strategies.
+the two players' question tuples.  The pointer is a fixed product kernel
+P(d_j, m_j | x_j, y_j), so this module never materializes the joint table
+of questions, answers and pointers: each free coordinate's context table is
+contracted from the Born table with that kernel, and the question law the
+operators read is mu^{(x)n} times it.  From these it builds the coarse and
+fine measurement operators conditioned on partial information, the
+conditional bipartite states with their weights, and the distance and
+mutual-information diagnostics that certify the construction on explicit
+strategies.  `extended_joint` builds the full table as a reference.
 
 The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
 is one finite variable: it is passed as a flat index into that coordinate's
@@ -23,6 +27,7 @@ dicts using the same variable names as the joint tables ("d2", "m2", ...).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .games import Game, a_names, b_names, win_set, x_names, y_names
+from .games import (Game, a_names, b_names, question_weights, win_set,
+                    x_names, y_names)
 from .infotheory import CQState, cq_mutual_information
 from .prob import (MAX_TABLE_ENTRIES, ZERO_MASS, FiniteDistribution,
                    ZeroProbabilityEvent)
@@ -43,7 +49,7 @@ BOB = 1
 ZERO_WEIGHT = 1e-12
 SUPPORT_MASS = 1e-12
 COARSE_SUPPORT = 1e-12  # relative eigenvalue cut of a coarse operator's support
-CONTEXT_CHUNK = 512     # contexts whose operators one stacked step gathers
+CONTEXT_CHUNK = 256     # contexts whose operators one stacked step gathers
 
 
 def d_name(j: int) -> str:
@@ -62,6 +68,38 @@ def y_names_at(j: int) -> str:
     return f"y{j + 1}"
 
 
+def _pointer_kernel(g: Game) -> np.ndarray:
+    """P(d_j, m_j | x_j, y_j) as an (X, Y, 2, max(X, Y)) array: a uniform
+    side d_j, and m_j that side's question copied."""
+    pointer = np.zeros((g.x_size, g.y_size, 2, max(g.x_size, g.y_size)))
+    x, y = np.ogrid[:g.x_size, :g.y_size]
+    pointer[x, y, ALICE, x] = 0.5
+    pointer[x, y, BOB, y] = 0.5
+    return pointer
+
+
+def _check_cells(what: str, cells: int) -> None:
+    """Refuse a table of more than MAX_TABLE_ENTRIES cells before it is
+    allocated."""
+    if cells > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{what} would need {cells} cells, above the "
+                         f"{MAX_TABLE_ENTRIES} entry cap")
+
+
+def _times_pointers(g: Game, n: int, names: tuple, table: np.ndarray,
+                    free) -> FiniteDistribution:
+    """A table whose leading axes are x1..xn, y1..yn, times the pointer
+    kernel of every free round j, with (d_j, m_j) appended per round."""
+    m_size = max(g.x_size, g.y_size)
+    pointer = _pointer_kernel(g)
+    for j in free:
+        shape = [1] * table.ndim
+        shape[j], shape[n + j] = g.x_size, g.y_size
+        table = table[..., None, None] * pointer.reshape(shape + [2, m_size])
+        names += (d_name(j), m_name(j))
+    return FiniteDistribution(names, table, normalize=True)
+
+
 def extended_joint(g: Game, n: int, s: EntangledStrategy,
                    C) -> FiniteDistribution:
     """Joint table over questions, answers, and per-coordinate pointers.
@@ -69,30 +107,33 @@ def extended_joint(g: Game, n: int, s: EntangledStrategy,
     Free coordinates (those outside C) each get a uniform side indicator d_j
     and the copied question m_j; coordinates in C keep only (x_j, y_j).
     The (x, y, a, b) marginal is exactly the strategy's output distribution.
+    `DepBreakComputer` never builds it: it is the reference its context
+    and question tables are checked against.
     """
     C = frozenset(int(c) for c in C)
     if any(c < 0 or c >= n for c in C):
         raise ValueError("C must be a subset of range(n)")
     free = [j for j in range(n) if j not in C]
-    m_size = max(g.x_size, g.y_size)
-    cells = ((g.x_size * g.y_size * g.a_size * g.b_size) ** n
-             * (2 * m_size) ** len(free))
-    if cells > MAX_TABLE_ENTRIES:
-        raise ValueError(f"extended joint would need {cells} cells")
-    # P(d_j, m_j | x_j, y_j): uniform side, that side's question copied
-    pointer = np.zeros((g.x_size, g.y_size, 2, m_size))
-    x, y = np.ogrid[:g.x_size, :g.y_size]
-    pointer[x, y, ALICE, x] = 0.5
-    pointer[x, y, BOB, y] = 0.5
+    _check_cells("extended joint",
+                 (g.x_size * g.y_size * g.a_size * g.b_size) ** n
+                 * (2 * max(g.x_size, g.y_size)) ** len(free))
     dist = born_joint(g, n, s)
-    for j in free:
-        shape = [1] * dist.table.ndim
-        shape[j], shape[n + j] = g.x_size, g.y_size
-        dist = FiniteDistribution(
-            dist.names + (d_name(j), m_name(j)),
-            dist.table[..., None, None] * pointer.reshape(shape + [2, m_size]),
-            normalize=True)
-    return dist
+    return _times_pointers(g, n, dist.names, dist.table, free)
+
+
+def _question_table(g: Game, n: int, free) -> FiniteDistribution:
+    """Law of the question tuples and the free rounds' pointers.
+
+    mu^{(x)n} times the pointer kernel of every free round j, over
+    x1..xn, y1..yn, then (d_j, m_j) per free round; answers never enter.
+    Refused before allocating when it would exceed MAX_TABLE_ENTRIES.
+    """
+    _check_cells("question table", (g.x_size * g.y_size) ** n
+                 * (2 * max(g.x_size, g.y_size)) ** len(free))
+    weights = question_weights(g, n)
+    return _times_pointers(
+        g, n, x_names(n) + y_names(n),
+        weights.reshape((g.x_size,) * n + (g.y_size,) * n), free)
 
 
 @dataclass(frozen=True)
@@ -145,7 +186,8 @@ class SkewReport:
     """Per-coordinate and averaged conditioning-skew distances.
 
     item1: tv between the (pointer, x_i, y_i) law with and without the
-           holdout-win conditioning.
+           holdout-win conditioning; the pointer is a channel on
+           (x_i, y_i), so this is the tv of the (x_i, y_i) laws.
     item2: tv between the conditioned (x_i, y_i, rest) law and the product
            of the one-round question law with P(rest | x_i, conditioned).
     item3: same with the roles of x_i and y_i exchanged.
@@ -168,68 +210,33 @@ class SkewReport:
         return (self.avg1 / root, self.avg2 / root, self.avg3 / root)
 
 
-def _product_reference(cond: FiniteDistribution, mu: np.ndarray,
-                       xn: str, yn: str, rest: tuple, anchor: str) -> float:
-    """tv(cond(x,y,rest), mu(x,y) * P(rest | anchor, cond)); zero-mass
-    anchor rows contribute their full one-round mass to the distance."""
-    order = (xn, yn) + rest
-    p = cond.marginal(order).table
-    anchored = cond.marginal((anchor,) + rest)
-    anchor_marg = anchored.table.reshape(anchored.table.shape[0], -1)
-    row_mass = anchor_marg.sum(axis=1)
-    kernel = np.zeros_like(anchor_marg)
+def _product_distance(won: np.ndarray, mu: np.ndarray, anchor: int) -> float:
+    """tv(won(r, x, y), mu(x, y) P(r | anchor question, won)) for a law
+    won over (r, x_i, y_i); anchor 1 is x_i, 2 is y_i.  Zero-mass anchor
+    rows contribute their full one-round mass to the distance."""
+    anchored = won.sum(axis=3 - anchor, keepdims=True)
+    row_mass = anchored.sum(axis=0, keepdims=True)
     ok = row_mass > SUPPORT_MASS
-    kernel[ok] = anchor_marg[ok] / row_mass[ok, None]
-    if anchor == xn:
-        ref = mu[:, :, None] * kernel[:, None, :]
-    else:
-        ref = mu[:, :, None] * kernel[None, :, :]
-    return 0.5 * float(np.abs(p - ref.reshape(p.shape)).sum())
-
-
-def skew_distances(ext: FiniteDistribution, g: Game, n: int, C) -> SkewReport:
-    """Exact conditioning-skew distances for every free coordinate."""
-    C = tuple(sorted(int(c) for c in C))
-    free = [j for j in range(n) if j not in C]
-    if not free:
-        raise ValueError("C leaves no free coordinates")
-    event = win_set(g, n, C)
-    p_win_c = ext.prob(event)
-    if p_win_c <= 0.0:
-        raise ZeroProbabilityEvent("holdout rounds are never all won")
-    cond = ext.condition(event)
-    m = len(free)
-    delta = (math.log2(1.0 / p_win_c)
-             + len(C) * math.log2(g.a_size * g.b_size)) / m
-
-    item1, item2, item3 = [], [], []
-    for i in free:
-        v1 = (d_name(i), m_name(i), x_names_at(i), y_names_at(i))
-        before = ext.marginal(v1).table
-        after = cond.marginal(v1).table
-        item1.append(0.5 * float(np.abs(after - before).sum()))
-
-        rest = tuple(name for j in free if j != i
-                     for name in (d_name(j), m_name(j)))
-        rest += tuple(x_names_at(c) for c in C)
-        rest += tuple(y_names_at(c) for c in C)
-        rest += tuple(a_names(n)[c] for c in C)
-        rest += tuple(b_names(n)[c] for c in C)
-        xn, yn = x_names_at(i), y_names_at(i)
-        item2.append(_product_reference(cond, g.mu, xn, yn, rest, xn))
-        item3.append(_product_reference(cond, g.mu, xn, yn, rest, yn))
-
-    return SkewReport(tuple(free), tuple(item1), tuple(item2), tuple(item3),
-                      float(np.mean(item1)), float(np.mean(item2)),
-                      float(np.mean(item3)), delta, p_win_c)
+    kernel = np.where(ok, anchored / np.where(ok, row_mass, 1.0), 0.0)
+    return 0.5 * float(np.abs(won - mu * kernel).sum())
 
 
 def _coarse_support(coarse: np.ndarray) -> tuple:
     """Ascending eigenpairs (w, v) of a coarse operator or stack, and the
     support mask: eigenvalues above COARSE_SUPPORT times the largest.
     Refused as `matcore.mat_sqrt` refuses: not Hermitian within
-    HERMITIAN_ATOL, or an eigenvalue below PSD_EIG_FLOOR."""
+    HERMITIAN_ATOL, or an eigenvalue below PSD_EIG_FLOOR.
+
+    The arrays returned are read-only and the last stack's are kept:
+    `DepBreakComputer` hands one coarse stack to `aligned_operators` and
+    its fine parts to `fine_povm`, and both cut the same support."""
     coarse = matcore.as_complex_matrix(coarse, "coarse operator")
+    return _support_of(coarse.tobytes(), coarse.shape)
+
+
+@functools.lru_cache(maxsize=1)
+def _support_of(data: bytes, shape: tuple) -> tuple:
+    coarse = np.frombuffer(data, dtype=np.complex128).reshape(shape)
     if not matcore.is_hermitian(coarse):
         raise ValueError("coarse operator is not Hermitian within "
                          f"{matcore.HERMITIAN_ATOL:g}")
@@ -237,7 +244,10 @@ def _coarse_support(coarse: np.ndarray) -> tuple:
     if np.count_nonzero(w < matcore.PSD_EIG_FLOOR):
         raise ValueError(f"coarse operator has eigenvalue {w.min():.3e} "
                          f"below {matcore.PSD_EIG_FLOOR:g}")
-    return w, v, w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
+    keep = w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
+    for a in (w, v, keep):
+        a.setflags(write=False)
+    return w, v, keep
 
 
 def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
@@ -286,12 +296,19 @@ def fine_povm(s_op: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
     q = (uu @ vv)[..., None, :, :]
     scale = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     vs = vs[..., None, :, :]
-    g = matcore.dagger(vs) @ fine_coarse @ vs
-    e = q @ (g * scale[..., None, :, :]) @ matcore.dagger(q)
-    e = (e + matcore.dagger(e)) / 2
-    null = np.eye(d) - e.sum(axis=-3)
-    null = (null + matcore.dagger(null)) / 2
-    return np.concatenate([e, null[..., None, :, :]], axis=-3)
+    # contiguous conjugate transposes: a strided operand makes every
+    # product of the stack slower, with the same result
+    g = np.ascontiguousarray(matcore.dagger(vs)) @ fine_coarse @ vs
+    e = q @ (g * scale[..., None, :, :]) @ np.ascontiguousarray(
+        matcore.dagger(q))
+    out = np.empty(e.shape[:-3] + (k + 1, d, d), dtype=np.complex128)
+    elements, null = out[..., :k, :, :], out[..., k, :, :]
+    np.add(e, matcore.dagger(e), out=elements)
+    elements /= 2
+    rest = np.eye(d) - elements.sum(axis=-3)
+    np.add(rest, matcore.dagger(rest), out=null)
+    null /= 2
+    return out
 
 
 def dep_state(s_op: np.ndarray, t_op: np.ndarray, psi: np.ndarray) -> tuple:
@@ -378,8 +395,9 @@ class ContextTable:
     r = (omega, a_C, b_C) is indexed flat over the variables `names` with
     sizes `sizes`: omega (the other free coordinates' pointers, then the
     held questions x_C and y_C), then the held answers a_C and b_C, with
-    `held` = |C|.  joint[r, x_i, y_i, a_i, b_i] is the extended table's
-    marginal, and held_won[r] marks the contexts that win every held round.
+    `held` = |C|.  joint[r, x_i, y_i, a_i, b_i] is the probability of that
+    assignment (the extended table's marginal, contracted from the Born
+    table), and held_won[r] marks the contexts that win every held round.
     """
     names: tuple
     sizes: tuple
@@ -466,7 +484,11 @@ class DepBreakComputer:
 
     The input strategy is symmetrized once so the shared state has equal
     reduced density matrices on both sides; this leaves the output
-    distribution unchanged and is required by the aligned factors.
+    distribution unchanged and is required by the aligned factors.  It
+    holds the Born table `born` of the symmetrized strategy, P(win C)
+    `p_win_c` read from it, and the question and pointer law `qext`; the
+    question table and each context table are refused before allocating
+    when they would exceed MAX_TABLE_ENTRIES.
     """
 
     def __init__(self, g: Game, n: int, s: EntangledStrategy, C):
@@ -482,10 +504,9 @@ class DepBreakComputer:
             raise ValueError("C leaves no free coordinates")
         self.strategy, _ = symmetrize(s)
         self.d = self.strategy.d
-        self.ext = extended_joint(g, n, self.strategy, self.C)
-        q_vars = tuple(x_names(n)) + tuple(y_names(n)) + tuple(
-            name for j in self.free for name in (d_name(j), m_name(j)))
-        self.qext = self.ext.marginal(q_vars)
+        self.qext = _question_table(g, self.n, self.free)
+        self.born = born_joint(g, self.n, self.strategy)
+        self.p_win_c = self.born.prob(win_set(g, self.n, self.C))
 
         m = self.strategy.psi_matrix
         rho_a = m @ m.conj().T
@@ -496,6 +517,13 @@ class DepBreakComputer:
         self._op_tensors = {}
         self._operators = {}
         self._via = {}
+
+    @functools.cached_property
+    def ext(self) -> FiniteDistribution:
+        """The extended joint table of this (game, strategy, C), built on
+        first read: a reference for tests and the benchmark harness.
+        Nothing in the package reads it."""
+        return extended_joint(self.game, self.n, self.strategy, self.C)
 
     # ---- variable bookkeeping -------------------------------------------
 
@@ -515,20 +543,46 @@ class DepBreakComputer:
         return tuple(names)
 
     def contexts(self, i: int) -> ContextTable:
-        """The context table of free coordinate i, built once."""
+        """The context table of free coordinate i, built once.
+
+        Contracted from the Born table: the answers of the other free
+        rounds are summed out, and each other free round's (x_j, y_j) is
+        contracted with the pointer kernel P(d_j, m_j | x_j, y_j); the held
+        rounds and round i keep their questions and answers.  Refused
+        before allocating when it would exceed MAX_TABLE_ENTRIES.
+        """
         if i not in self._contexts:
+            g, n = self.game, self.n
+            others = [j for j in self.free if j != i]
+            _check_cells(f"context table of coordinate {i}",
+                         (2 * max(g.x_size, g.y_size)) ** len(others)
+                         * (g.x_size * g.y_size * g.a_size * g.b_size)
+                         ** (len(self.C) + 1))
+            born = self.born
+            drop = tuple(born.axis(nm) for j in others
+                         for nm in (a_names(n)[j], b_names(n)[j]))
+            t = born.table.sum(axis=drop)
+            axes = [nm for k, nm in enumerate(born.names) if k not in drop]
+            pointer = _pointer_kernel(g)
+            for j in others:
+                xy = (axes.index(x_names_at(j)), axes.index(y_names_at(j)))
+                t = np.einsum("...xy,xydm->...dm",
+                              np.moveaxis(t, xy, (-2, -1)), pointer)
+                axes = [nm for nm in axes if nm not in (x_names_at(j),
+                                                        y_names_at(j))]
+                axes += [d_name(j), m_name(j)]
             names = self.r_names(i)
-            marg = self.ext.marginal(names + (
-                x_names_at(i), y_names_at(i), a_names(self.n)[i],
-                b_names(self.n)[i]))
-            sizes = marg.sizes[:len(names)]
+            order = names + (x_names_at(i), y_names_at(i), a_names(n)[i],
+                             b_names(n)[i])
+            t = np.transpose(t, [axes.index(nm) for nm in order])
+            sizes = t.shape[:len(names)]
             # the held variables are r's trailing axes, grouped by kind
-            held = win_set(self.game, self.n, self.C)
-            perm = [4 * t + v for v in range(4) for t in range(len(self.C))]
+            held = win_set(g, n, self.C)
+            perm = [4 * k + v for v in range(4) for k in range(len(self.C))]
             won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
             self._contexts[i] = ContextTable(
                 names, sizes, len(self.C),
-                marg.table.reshape((-1,) + marg.sizes[len(names):]), won)
+                t.reshape((-1,) + t.shape[len(names):]), won)
         return self._contexts[i]
 
     # ---- measurement operators ------------------------------------------
@@ -626,11 +680,18 @@ class DepBreakComputer:
 
     def operators(self, i: int) -> dict:
         """The aligned factors and fine POVMs of free coordinate i, per
-        side, built once as stacks over the coordinate's contexts."""
+        side, built once as stacks over the coordinate's contexts and kept
+        until `release(i)`."""
         if i not in self._operators:
             self._operators[i] = {side: self._side_operators(side, i)
                                   for side in ("alice", "bob")}
         return self._operators[i]
+
+    def release(self, i: int) -> None:
+        """Drop the operator stacks and via factors of free coordinate i;
+        a later walk over i builds them again."""
+        self._operators.pop(i, None)
+        self._via.pop(i, None)
 
     def _side_operators(self, side: str, i: int) -> SideOperators:
         omega = self.omega_names(i)
@@ -727,7 +788,7 @@ class DepBreakComputer:
 
     def usefulness_check(self, coords=None) -> UsefulnessReport:
         """Compare fine-measurement statistics on the conditional states
-        against the answer distribution of the extended table.
+        against the round-i answer distribution of the context table.
 
         Contexts r of probability at most SUPPORT_MASS are not visited; a
         visited (r, x_i, y_i) with no state or with mass at most ZERO_MASS
@@ -850,7 +911,7 @@ class DepBreakComputer:
         g, d = self.game, self.d
         k = g.a_size if side == "alice" else g.b_size
         size = g.x_size if side == "alice" else g.y_size
-        p_win_c = self.ext.prob(win_set(g, self.n, self.C))
+        p_win_c = self.p_win_c
         if p_win_c <= 0.0:
             raise ZeroProbabilityEvent("holdout rounds are never all won")
         m = len(self.free)
@@ -894,5 +955,31 @@ class DepBreakComputer:
                            bool(avg_mi <= delta + tol), tuple(per_coord))
 
     def skew_report(self) -> SkewReport:
-        return skew_distances(self.ext, self.game, self.n, self.C)
+        """Exact conditioning-skew distances for every free coordinate,
+        read from the context tables.
+
+        The pointer (d_i, m_i) is a channel on (x_i, y_i), so item1 is the
+        distance between P(x_i, y_i) and P(x_i, y_i | every held round
+        won).  item2 and item3 compare the law of (x_i, y_i, r) on the
+        held-won slice of `contexts(i).joint` with its product references.
+        """
+        g = self.game
+        if self.p_win_c <= ZERO_MASS:
+            raise ZeroProbabilityEvent("holdout rounds are never all won")
+        m = len(self.free)
+        delta = (math.log2(1.0 / self.p_win_c)
+                 + len(self.C) * math.log2(g.a_size * g.b_size)) / m
+        item1, item2, item3 = [], [], []
+        for i in self.free:
+            table = self.contexts(i)
+            joint = table.joint.sum(axis=(3, 4))        # (r, x_i, y_i)
+            won = joint[table.held_won]
+            won = won / won.sum()
+            item1.append(0.5 * float(np.abs(won.sum(axis=0)
+                                            - joint.sum(axis=0)).sum()))
+            item2.append(_product_distance(won, g.mu, 1))
+            item3.append(_product_distance(won, g.mu, 2))
+        return SkewReport(self.free, tuple(item1), tuple(item2), tuple(item3),
+                          float(np.mean(item1)), float(np.mean(item2)),
+                          float(np.mean(item3)), delta, self.p_win_c)
 

@@ -22,7 +22,7 @@ from . import __version__
 from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
 from .depbreak import (ZERO_WEIGHT, DepBreakComputer, choose_C, chunks,
                        conditioned_contexts)
-from .games import Game, win_set
+from .games import Game
 from .prob import ZERO_MASS, ZeroProbabilityEvent
 from .strategy import EntangledStrategy, born_joint, pure_born_table
 
@@ -140,7 +140,7 @@ class SingleShotStrategy:
         self.computer = DepBreakComputer(g, n, cfg.strategy, c_set)
         self.C = self.computer.C
         self.free = self.computer.free
-        self.p_win_c = float(self.computer.ext.prob(win_set(g, n, self.C)))
+        self.p_win_c = float(self.computer.p_win_c)
         if self.p_win_c <= ZERO_MASS:
             raise ZeroProbabilityEvent("holdout rounds are never all won")
         self._law_cache = {}
@@ -368,6 +368,7 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
         per.append(PerCoordinate(i, p_tilde, p_ref,
                                  abs(p_tilde - p_ref), reported_trials,
                                  stderr))
+        shot.computer.release(i)     # each coordinate is visited once
     avg_p_tilde = float(np.mean([p.p_tilde for p in per]))
     avg_p_ref = float(np.mean([p.p_ref for p in per]))
     stderr_avg = float(np.sqrt(np.sum([p.stderr ** 2 for p in per]))

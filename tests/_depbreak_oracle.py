@@ -11,6 +11,11 @@ outside its support, and both the aligned root and the fine conjugation
 act on the support only.  The walks below repeat the checks and the exact
 reduction over contexts with plain loops, and the xi check one omega and
 one question tuple at a time.
+
+`ExtendedTableComputer` reads its context tables, question table and
+P(win C) off the extended table, and `skew_distances` the skew report from
+conditioned marginals of it: the path `DepBreakComputer` took before it
+contracted those tables from the Born table.
 """
 
 import itertools
@@ -20,11 +25,94 @@ import numpy as np
 
 from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, COARSE_SUPPORT, SUPPORT_MASS,
-                               ZERO_WEIGHT, d_name, m_name, x_names_at,
+                               ZERO_WEIGHT, ContextTable, DepBreakComputer,
+                               SkewReport, d_name, m_name, x_names_at,
                                y_names_at)
-from repgames.games import x_names, y_names
+from repgames.games import a_names, b_names, win_set, x_names, y_names
 from repgames.infotheory import CQState, cq_mutual_information
-from repgames.prob import ZERO_MASS
+from repgames.prob import ZERO_MASS, ZeroProbabilityEvent
+
+
+def _product_reference(cond, mu, xn, yn, rest, anchor):
+    """tv(cond(x,y,rest), mu(x,y) * P(rest | anchor, cond)); zero-mass
+    anchor rows contribute their full one-round mass to the distance."""
+    order = (xn, yn) + rest
+    p = cond.marginal(order).table
+    anchored = cond.marginal((anchor,) + rest)
+    anchor_marg = anchored.table.reshape(anchored.table.shape[0], -1)
+    row_mass = anchor_marg.sum(axis=1)
+    kernel = np.zeros_like(anchor_marg)
+    ok = row_mass > SUPPORT_MASS
+    kernel[ok] = anchor_marg[ok] / row_mass[ok, None]
+    if anchor == xn:
+        ref = mu[:, :, None] * kernel[:, None, :]
+    else:
+        ref = mu[:, :, None] * kernel[None, :, :]
+    return 0.5 * float(np.abs(p - ref.reshape(p.shape)).sum())
+
+
+def skew_distances(ext, g, n, C):
+    """Exact conditioning-skew distances for every free coordinate, from
+    the extended table `ext` conditioned on winning every round of C."""
+    C = tuple(sorted(int(c) for c in C))
+    free = [j for j in range(n) if j not in C]
+    if not free:
+        raise ValueError("C leaves no free coordinates")
+    event = win_set(g, n, C)
+    p_win_c = ext.prob(event)
+    if p_win_c <= 0.0:
+        raise ZeroProbabilityEvent("holdout rounds are never all won")
+    cond = ext.condition(event)
+    m = len(free)
+    delta = (math.log2(1.0 / p_win_c)
+             + len(C) * math.log2(g.a_size * g.b_size)) / m
+
+    item1, item2, item3 = [], [], []
+    for i in free:
+        v1 = (d_name(i), m_name(i), x_names_at(i), y_names_at(i))
+        before = ext.marginal(v1).table
+        after = cond.marginal(v1).table
+        item1.append(0.5 * float(np.abs(after - before).sum()))
+
+        rest = tuple(name for j in free if j != i
+                     for name in (d_name(j), m_name(j)))
+        rest += tuple(x_names_at(c) for c in C)
+        rest += tuple(y_names_at(c) for c in C)
+        rest += tuple(a_names(n)[c] for c in C)
+        rest += tuple(b_names(n)[c] for c in C)
+        xn, yn = x_names_at(i), y_names_at(i)
+        item2.append(_product_reference(cond, g.mu, xn, yn, rest, xn))
+        item3.append(_product_reference(cond, g.mu, xn, yn, rest, yn))
+
+    return SkewReport(tuple(free), tuple(item1), tuple(item2), tuple(item3),
+                      float(np.mean(item1)), float(np.mean(item2)),
+                      float(np.mean(item3)), delta, p_win_c)
+
+
+class ExtendedTableComputer(DepBreakComputer):
+    """`DepBreakComputer` with its question table, P(win C) and context
+    tables read off the extended table; operators and walks unchanged."""
+
+    def __init__(self, g, n, s, C):
+        super().__init__(g, n, s, C)
+        self.qext = self.ext.marginal(x_names(n) + y_names(n) + tuple(
+            name for j in self.free for name in (d_name(j), m_name(j))))
+        self.p_win_c = self.ext.prob(win_set(g, n, self.C))
+
+    def contexts(self, i):
+        if i not in self._contexts:
+            names = self.r_names(i)
+            marg = self.ext.marginal(names + (
+                x_names_at(i), y_names_at(i), a_names(self.n)[i],
+                b_names(self.n)[i]))
+            sizes = marg.sizes[:len(names)]
+            held = win_set(self.game, self.n, self.C)
+            perm = [4 * t + v for v in range(4) for t in range(len(self.C))]
+            won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
+            self._contexts[i] = ContextTable(
+                names, sizes, len(self.C),
+                marg.table.reshape((-1,) + marg.sizes[len(names):]), won)
+        return self._contexts[i]
 
 
 def mat_sqrt(p):

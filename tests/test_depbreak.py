@@ -5,14 +5,14 @@ import pytest
 
 from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
-                               choose_C, dep_state, extended_joint, fine_povm,
-                               skew_distances)
+                               choose_C, dep_state, extended_joint, fine_povm)
 from repgames.games import Game, always_win, asym3, chsh, win_set
 from repgames.prob import ZERO_MASS, ZeroProbabilityEvent, tv_distance
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 run_reduction)
 from repgames.strategy import (DeterministicStrategy, as_entangled, born_joint,
                                pure_born_table, strategy_fixture)
+from _depbreak_oracle import skew_distances
 from _helpers import answer_bits, random_strategy
 
 PRINTING_ITEM2 = 0.04099582234676859
