@@ -50,6 +50,10 @@ ZERO_WEIGHT = 1e-12
 SUPPORT_MASS = 1e-12
 COARSE_SUPPORT = 1e-12  # relative eigenvalue cut of a coarse operator's support
 CONTEXT_CHUNK = 256     # contexts whose operators one stacked step gathers
+# C="auto" searches holdouts of at most min(AUTO_TMAX, n) rounds; AUTO_EPS
+# only sets choose_C's threshold flag, which nothing downstream reads
+AUTO_EPS = 0.5
+AUTO_TMAX = 2
 
 
 def d_name(j: int) -> str:
@@ -484,7 +488,8 @@ class DepBreakComputer:
 
     The input strategy is symmetrized once so the shared state has equal
     reduced density matrices on both sides; this leaves the output
-    distribution unchanged and is required by the aligned factors.  It
+    distribution unchanged and is required by the aligned factors.  C is a
+    coordinate tuple, or "auto" for `choose_C`'s pick on the Born table.  It
     holds the Born table `born` of the symmetrized strategy, P(win C)
     `p_win_c` read from it, and the question and pointer law `qext`; the
     question table and each context table are refused before allocating
@@ -496,16 +501,25 @@ class DepBreakComputer:
             raise ValueError("strategy round count does not match n")
         self.game = g
         self.n = int(n)
+        self.strategy, _ = symmetrize(s)
+        self.d = self.strategy.d
+        self.born = None
+        if isinstance(C, str):
+            if C != "auto":
+                raise ValueError("C must be a tuple or 'auto'")
+            # the symmetrized strategy has the input's output distribution
+            self.born = born_joint(g, self.n, self.strategy)
+            C = choose_C(self.born, g, self.n, AUTO_EPS,
+                         min(AUTO_TMAX, self.n)).C
         self.C = tuple(sorted(int(c) for c in C))
         if any(c < 0 or c >= n for c in self.C):
             raise ValueError("C must be a subset of range(n)")
         self.free = tuple(j for j in range(n) if j not in self.C)
         if not self.free:
             raise ValueError("C leaves no free coordinates")
-        self.strategy, _ = symmetrize(s)
-        self.d = self.strategy.d
         self.qext = _question_table(g, self.n, self.free)
-        self.born = born_joint(g, self.n, self.strategy)
+        if self.born is None:
+            self.born = born_joint(g, self.n, self.strategy)
         self.p_win_c = self.born.prob(win_set(g, self.n, self.C))
 
         m = self.strategy.psi_matrix

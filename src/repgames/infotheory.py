@@ -9,7 +9,7 @@ weights) and answer per entry; a single state gives Python scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,11 +107,14 @@ class CQState:
 
     probs is (..., k) and states (..., k, d, d), a stack for leading axes.
     The states with weight above STATE_WEIGHT, the ones the kernels read,
-    are validated in one call.
+    are validated in one call, and `spectra` keeps the eigenvalues that
+    check computed: one row per such state, in the order of
+    `states[probs > STATE_WEIGHT]`.
     """
 
     probs: np.ndarray
     states: np.ndarray
+    spectra: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -120,9 +123,10 @@ class CQState:
             raise ValueError("probs must be (k,), states (k, d, d)")
         if not (np.all(p >= -1e-12) and np.abs(p.sum(-1) - 1.0).max() <= 1e-9):
             raise ValueError("weights must form a distribution")
-        matcore.check_density(st[p > STATE_WEIGHT])
+        _, w, _ = matcore.density_spectrum(st[p > STATE_WEIGHT])
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
         object.__setattr__(self, "states", st)
+        object.__setattr__(self, "spectra", w)
 
     @property
     def k(self) -> int:
@@ -150,9 +154,8 @@ class CQState:
 
 def cq_mutual_information(cq: CQState):
     """I(Z ; Q) of a cq state, the Holevo quantity, in bits."""
-    live = cq.probs > STATE_WEIGHT
     h_z = np.zeros(cq.probs.shape)
-    h_z[live] = von_neumann_entropy(cq.states[live])
+    h_z[cq.probs > STATE_WEIGHT] = _entropy(cq.spectra)
     inner = (cq.probs * h_z).sum(-1)
     return collapse(np.maximum(0.0, von_neumann_entropy(cq.quantum_marginal()) - inner))
 

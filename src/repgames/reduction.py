@@ -20,18 +20,14 @@ import numpy as np
 
 from . import __version__
 from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
-from .depbreak import (ZERO_WEIGHT, DepBreakComputer, choose_C, chunks,
+from .depbreak import (ZERO_WEIGHT, DepBreakComputer, chunks,
                        conditioned_contexts)
 from .games import Game
 from .prob import ZERO_MASS, ZeroProbabilityEvent
-from .strategy import EntangledStrategy, born_joint, pure_born_table
+from .strategy import EntangledStrategy, pure_born_table
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
 QUANTUM_MODES = ("oracle_state", "embezzle")
-# C="auto" searches holdouts of at most min(AUTO_TMAX, n) rounds; AUTO_EPS
-# only sets choose_C's threshold flag, which the reduction does not read
-AUTO_EPS = 0.5
-AUTO_TMAX = 2
 
 
 @dataclass
@@ -130,14 +126,7 @@ class SingleShotStrategy:
 
     def __init__(self, cfg: ReductionConfig):
         self.cfg = cfg
-        g, n = cfg.game, cfg.n
-        c_set = cfg.C
-        if isinstance(c_set, str):
-            if c_set != "auto":
-                raise ValueError("C must be a tuple or 'auto'")
-            c_set = choose_C(born_joint(g, n, cfg.strategy), g, n,
-                             AUTO_EPS, min(AUTO_TMAX, n)).C
-        self.computer = DepBreakComputer(g, n, cfg.strategy, c_set)
+        self.computer = DepBreakComputer(cfg.game, cfg.n, cfg.strategy, cfg.C)
         self.C = self.computer.C
         self.free = self.computer.free
         self.p_win_c = float(self.computer.p_win_c)

@@ -17,12 +17,13 @@ import numpy as np
 
 from . import matcore
 from .games import (Game, a_names, b_names, question_weights, tuple_digits,
-                    win_set, x_names, y_names)
+                    x_names, y_names)
 from .prob import FiniteDistribution, MAX_TABLE_ENTRIES
 
 POVM_EIG_FLOOR = -1e-9
 POVM_COMPLETENESS_ATOL = 1e-8
 BORN_CHUNK = 2 ** 16     # table cells one born_joint kernel call fills
+WIN_BLOCK = 2 ** 15      # POVM entries one win_probability block holds
 
 
 class POVMFamily:
@@ -159,6 +160,15 @@ def pure_born_table(state: np.ndarray, fa: np.ndarray,
     return rows @ np.swapaxes(cols, -1, -2)
 
 
+def _check_alphabets(g: Game, n: int, s: EntangledStrategy) -> None:
+    if s.n != n:
+        raise ValueError(f"strategy is for n={s.n}, requested n={n}")
+    if s.alice.question_size != g.x_size or s.bob.question_size != g.y_size:
+        raise ValueError("strategy question alphabets do not match the game")
+    if s.alice.answer_size != g.a_size or s.bob.answer_size != g.b_size:
+        raise ValueError("strategy answer alphabets do not match the game")
+
+
 def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     """Exact joint distribution of questions and answers for the n-fold game.
 
@@ -166,12 +176,7 @@ def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     question tuples are walked in chunks of at most BORN_CHUNK table cells,
     each one `pure_born_table` call against every Bob row.
     """
-    if s.n != n:
-        raise ValueError(f"strategy is for n={s.n}, requested n={n}")
-    if s.alice.question_size != g.x_size or s.bob.question_size != g.y_size:
-        raise ValueError("strategy question alphabets do not match the game")
-    if s.alice.answer_size != g.a_size or s.bob.answer_size != g.b_size:
-        raise ValueError("strategy answer alphabets do not match the game")
+    _check_alphabets(g, n, s)
     entries = (g.x_size * g.y_size * g.a_size * g.b_size) ** n
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"joint table of {entries} entries exceeds the cap")
@@ -194,8 +199,56 @@ def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     return FiniteDistribution(names, table.reshape(shape), normalize=True)
 
 
+def _kernel_mass(m: np.ndarray, alice: np.ndarray, bob: np.ndarray,
+                 kernel: np.ndarray) -> float:
+    """sum K[(xt, at), (yt, bt)] <psi| A_{xt, at} (x) B_{yt, bt} |psi>.
+
+    alice and bob are POVM arrays `(X,)*n + (A,)*n + (d, d)` and
+    `(Y,)*n + (B,)*n + (d, d)`, m the state's matrix, and K the n-fold
+    Kronecker power of one round's kernel (X, A, Y, B).  Bob's array is
+    read in blocks of rows of its d x d elements, at most WIN_BLOCK entries
+    each.  A block is contracted with the kernel one round at a time, as a
+    real matrix (the kernel is real), and paired with the same rows of
+    m+ A m, as `pure_born_table` pairs them.  Those rows are
+    ((A m[:, rows])+) m for Hermitian A, one product over all of Alice's
+    elements; POVMFamily holds both sides Hermitian to HERMITIAN_ATOL, and
+    the real pairing differs from that of m+ A m only to second order in
+    the two sides' anti-Hermitian parts.
+    """
+    n, d = (alice.ndim - 2) // 2, m.shape[0]
+    x, a, y, b = kernel.shape
+    k1 = kernel.reshape(x * a, y * b)
+    flat_a = alice.reshape(-1, d)
+    # Bob's block with round-interleaved axes (y1, b1, ..., yn, bn, rows, d)
+    perm = [ax for i in range(n) for ax in (i, n + i)] + [2 * n, 2 * n + 1]
+    # the contracted block's (x1, a1, ..., xn, an, cols) in Alice's order
+    back = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)] + [2 * n]
+    step = max(1, WIN_BLOCK // (max(x * a, y * b) ** n * d))
+    total = 0.0
+    for lo in range(0, d, step):
+        rows = slice(lo, lo + step)
+        cols = np.ascontiguousarray(m[:, rows])
+        am = (flat_a @ cols).reshape(-1, d, cols.shape[1])
+        # conj(m+ A m) on the block's rows, Alice's elements in flat order
+        fa = np.ascontiguousarray(am.swapaxes(1, 2)).reshape(-1, d) @ m.conj()
+        t = np.ascontiguousarray(bob[..., rows, :].transpose(perm))
+        t = t.reshape(y * b, -1).view(np.float64)
+        for i in range(n):
+            # rounds before i are contracted: (x a)^i, round i, the rest
+            t = np.matmul(k1, t.reshape((x * a) ** i, y * b, -1))
+        t = t.reshape((x, a) * n + (-1,)).transpose(back)
+        total += float(fa.reshape(-1).view(np.float64) @ t.reshape(-1))
+    return total
+
+
 def win_probability(g: Game, n: int, s) -> float:
-    """Probability of winning every round, for either strategy type."""
+    """Probability of winning every round, for either strategy type.
+
+    For an entangled strategy no table is built: the all-win mass pairs the
+    POVM arrays through the n-fold power of the kernel mu(x, y) V(x, y, a, b),
+    and the total mass, by which `born_joint` normalizes, through that of
+    mu(x, y) on the answer-summed POVMs.
+    """
     if isinstance(s, DeterministicStrategy):
         xd, yd = tuple_digits(g.x_size, n), tuple_digits(g.y_size, n)
         ad = s.a_map.reshape(-1, n)
@@ -205,8 +258,15 @@ def win_probability(g: Game, n: int, s) -> float:
             won &= g.predicate[xd[:, None, i], yd[None, :, i],
                                ad[:, None, i], bd[None, :, i]]
         return float(question_weights(g, n)[won].sum())
-    joint = born_joint(g, n, s)
-    return joint.prob(win_set(g, n, range(n)))
+    _check_alphabets(g, n, s)
+    m = s.psi_matrix
+    kernel = (g.mu[:, :, None, None] * g.predicate).transpose(0, 2, 1, 3)
+    won = _kernel_mass(m, s.alice.ops, s.bob.ops, kernel)
+    answers = tuple(range(n, 2 * n))
+    total = _kernel_mass(m, s.alice.ops.sum(axis=answers, keepdims=True),
+                         s.bob.ops.sum(axis=answers, keepdims=True),
+                         g.mu[:, None, :, None])
+    return won / total
 
 
 def as_entangled(det: DeterministicStrategy, g: Game, d: int = 2,

@@ -3,7 +3,12 @@
 classical_value enumerates Alice's answer functions and solves Bob's side
 exactly per question tuple, which equals the full double enumeration.  The
 seesaw alternates three exact coordinate maximizations (state, Alice, Bob),
-each of which cannot decrease the objective.
+each of which cannot decrease the objective.  Its kernels take leading
+stack axes: `seesaw_best` ascends every restart as one stack, and each
+pairwise exchange step runs over every (restart, question) POVM still
+improving.  Every restart and every POVM keeps its own stopping rule, so a
+seed's trajectory and iteration count are those of a run alone; `seesaw`
+is a stack of one.
 """
 
 from __future__ import annotations
@@ -73,80 +78,168 @@ def _random_povm(d: int, outcomes: int, rng) -> list:
 
 
 def _value(w: np.ndarray, psi: np.ndarray, alice: np.ndarray,
-           bob: np.ndarray) -> float:
-    """Winning probability sum W[x, y, a, b] <psi| A_xa (x) B_yb |psi>."""
-    (xs, ka, d), (ys, kb) = alice.shape[:3], bob.shape[:2]
-    p = pure_born_table(psi, alice.reshape(-1, d, d), bob.reshape(-1, d, d))
-    return float(np.einsum("xyab,xayb->", w, p.reshape(xs, ka, ys, kb)))
+           bob: np.ndarray):
+    """Winning probability sum W[x, y, a, b] <psi| A_xa (x) B_yb |psi>.
+
+    psi is `(..., d * d)`, alice `(..., X, A, d, d)` and bob
+    `(..., Y, B, d, d)` with shared leading stack axes; one value per stack
+    entry, a Python float for a single strategy.
+    """
+    (xs, ka, d), (ys, kb) = alice.shape[-4:-1], bob.shape[-4:-2]
+    lead = alice.shape[:-4]
+    p = pure_born_table(psi, alice.reshape(lead + (xs * ka, d, d)),
+                        bob.reshape(lead + (ys * kb, d, d)))
+    p = p.reshape(lead + (xs, ka, ys, kb))
+    return matcore.collapse(np.einsum("xyab,...xayb->...", w, p))
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + matcore.dagger(m)) / 2
 
 
+def _objective(elems: np.ndarray, effectives: np.ndarray) -> np.ndarray:
+    """sum_a tr(E_a N_a) of every POVM in a `(N, k, d, d)` stack."""
+    return np.einsum("naij,naji->n", elems, effectives).real
+
+
 def _improve_side(effectives: np.ndarray, elements: np.ndarray,
                   tol: float) -> np.ndarray:
-    """Exact pairwise exchange ascent for one POVM under linear effectives.
+    """Exact pairwise exchange ascent for POVMs under linear effectives.
 
-    For answers (a1, a2) with combined element c, the optimal split is
+    elements and effectives are `(..., k, d, d)`: every POVM of the leading
+    stack axes ascends on its own, and a single POVM is a stack of one.  For
+    answers (a1, a2) with combined element c, the optimal split is
     c^(1/2) P c^(1/2) where P projects on the positive eigenspace of
-    c^(1/2) (n1 - n2) c^(1/2).  Sweeps in a fixed order, at most 4k of
-    them, until no pair raises sum_a tr(E_a N_a) by more than tol.
+    c^(1/2) (n1 - n2) c^(1/2).  Each POVM sweeps the pairs in a fixed
+    order, at most 4k times, until no pair raises its sum_a tr(E_a N_a) by
+    more than tol; each step is one stacked `mat_sqrt` and one stacked
+    `eigh_desc` over the POVMs still improving.  P is the product of the
+    leading (positive) canonical columns, formed for all POVMs with the
+    same number of them at once, so every step rounds as it does for a
+    POVM alone: a plain LAPACK basis gives the same P up to rounding, but
+    near-degenerate optima turn that rounding into a different ascent.
     """
-    k = elements.shape[0]
-    elems = elements.copy()
+    shape = elements.shape
+    k, d = shape[-3], shape[-1]
+    elems = elements.reshape((-1, k, d, d)).copy()
     if k == 1:
-        return elems
-
-    def objective():
-        return float(np.einsum("aij,aji->", elems, effectives).real)
-
-    current = objective()
+        return elems.reshape(shape)
+    effs = np.broadcast_to(effectives, shape).reshape(elems.shape)
+    current = _objective(elems, effs)
+    rows = np.arange(len(elems))
     for _ in range(4 * k):
-        improved = False
+        e, n, cur = elems[rows], effs[rows], current[rows]
+        improved = np.zeros(rows.size, dtype=bool)
         for a1, a2 in itertools.combinations(range(k), 2):
-            c = elems[a1] + elems[a2]
+            c = e[:, a1] + e[:, a2]
             csq = matcore.mat_sqrt(c, "combined element")
-            h = csq @ (effectives[a1] - effectives[a2]) @ csq
+            h = csq @ (n[:, a1] - n[:, a2]) @ csq
             w, v = matcore.eigh_desc(h, "exchange operator")
-            pos = v[:, w > 0.0]
-            x = pos @ pos.conj().T
+            x = np.zeros_like(h)
+            count = np.count_nonzero(w > 0.0, axis=-1)
+            for r in np.unique(count[count > 0]):
+                pos = v[count == r, :, :r]
+                x[count == r] = pos @ matcore.dagger(pos)
             e1 = _hermitian_part(csq @ x @ csq)
-            elems[a1], elems[a2] = e1, c - e1
-            new = objective()
-            if new > current + tol:
-                improved = True
-            current = new
-        if not improved:
+            e[:, a1], e[:, a2] = e1, c - e1
+            new = _objective(e, n)
+            improved |= new > cur + tol
+            cur = new
+        elems[rows], current[rows] = e, cur
+        rows = rows[improved]
+        if not rows.size:
             break
-    return elems
+    return elems.reshape(shape)
 
 
 def _bell_operator(w: np.ndarray, alice: np.ndarray,
                    bob: np.ndarray) -> np.ndarray:
-    """sum_xyab W[x, y, a, b] A_xa (x) B_yb on C^d (x) C^d, Hermitian part."""
+    """sum_xyab W[x, y, a, b] A_xa (x) B_yb on C^d (x) C^d, Hermitian part,
+    per entry of the leading stack axes."""
     d = alice.shape[-1]
-    op = np.einsum("xyab,xaij,ybkl->ikjl", w, alice, bob)
-    return _hermitian_part(op.reshape(d * d, d * d))
+    op = np.einsum("xyab,...xaij,...ybkl->...ikjl", w, alice, bob)
+    return _hermitian_part(op.reshape(op.shape[:-4] + (d * d, d * d)))
+
+
+def _state_matrix(psi: np.ndarray) -> np.ndarray:
+    """psi `(..., d * d)` as `(..., 1, 1, d, d)` matrices, broadcasting
+    against `(..., Q, K, d, d)` POVM stacks."""
+    d = math.isqrt(psi.shape[-1])
+    return psi.reshape(psi.shape[:-1] + (1, 1, d, d))
 
 
 def _alice_effectives(w: np.ndarray, psi: np.ndarray,
                       bob: np.ndarray) -> np.ndarray:
     """N[x, a] = sum_yb W[x, y, a, b] m B_yb^T m+, so that the value is
-    sum_xa tr(A_xa N[x, a]); m is psi as a d x d matrix."""
-    d = bob.shape[-1]
-    m = psi.reshape(d, d)
-    bm = m @ np.swapaxes(bob, -1, -2) @ m.conj().T
-    return _hermitian_part(np.einsum("xyab,ybij->xaij", w, bm))
+    sum_xa tr(A_xa N[x, a]); m is psi as a d x d matrix.  Leading stack
+    axes of psi and bob are kept."""
+    m = _state_matrix(psi)
+    bm = m @ np.swapaxes(bob, -1, -2) @ matcore.dagger(m)
+    return _hermitian_part(np.einsum("xyab,...ybij->...xaij", w, bm))
 
 
 def _bob_effectives(w: np.ndarray, psi: np.ndarray,
                     alice: np.ndarray) -> np.ndarray:
-    """N[y, b] = sum_xa W[x, y, a, b] (m+ A_xa m)^T."""
-    d = alice.shape[-1]
-    m = psi.reshape(d, d)
-    am = m.conj().T @ alice @ m
-    return _hermitian_part(np.einsum("xyab,xaji->ybij", w, am))
+    """N[y, b] = sum_xa W[x, y, a, b] (m+ A_xa m)^T, per stack entry."""
+    m = _state_matrix(psi)
+    am = matcore.dagger(m) @ alice @ m
+    return _hermitian_part(np.einsum("xyab,...xaji->...ybij", w, am))
+
+
+def _ascend(g: Game, d: int, seeds, max_iters: int,
+            tol: float) -> list:
+    """One seesaw ascent per seed, run as one stack over the restarts.
+
+    Each iteration makes one stacked Bell-operator decomposition, value and
+    set of effectives over the restarts still running, and each side's
+    exchange steps run over every (restart, question) still improving.  A
+    restart stops on its own rule, so its trajectory and iteration count
+    are those of a run alone.  Returns (psi, alice, bob, iterations, trace)
+    per seed.
+    """
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        alice = np.stack([_random_povm(d, g.a_size, rng)
+                          for _ in range(g.x_size)])
+        bob = np.stack([_random_povm(d, g.b_size, rng)
+                        for _ in range(g.y_size)])
+        starts.append((alice, bob, matcore.random_pure(d * d, rng)))
+    alice, bob, psi = (np.stack(part) for part in zip(*starts))
+    w = g.mu[:, :, None, None] * g.predicate
+
+    traces = [[float(v)] for v in _value(w, psi, alice, bob)]
+    iterations = np.zeros(len(traces), dtype=int)
+    live = np.arange(len(traces))
+    for it in range(max_iters):
+        if not live.size:
+            break
+        iterations[live] = it + 1
+        a, b = alice[live], bob[live]
+        # state: top eigenvector of each current bell operator
+        _, v = matcore.eigh_desc(_bell_operator(w, a, b), "bell operator")
+        p = v[:, :, 0]
+        values = [_value(w, p, a, b)]
+        a = _improve_side(_alice_effectives(w, p, b), a, tol)
+        values.append(_value(w, p, a, b))
+        b = _improve_side(_bob_effectives(w, p, a), b, tol)
+        values.append(_value(w, p, a, b))
+        alice[live], bob[live], psi[live] = a, b, p
+        running = []
+        for row, step in zip(live, zip(*values)):
+            trace = traces[row]
+            trace.extend(float(v) for v in step)
+            running.append(trace[-1] - trace[-4] >= tol)
+        live = live[np.array(running, dtype=bool)]
+    return [(psi[r], alice[r], bob[r], int(iterations[r]), traces[r])
+            for r in range(len(traces))]
+
+
+def _result(d: int, run) -> SeesawResult:
+    psi, alice, bob, iterations, trace = run
+    strat = EntangledStrategy(d, 1, psi, POVMFamily(1, alice),
+                              POVMFamily(1, bob), name="seesaw")
+    return SeesawResult(trace[-1], strat, iterations, trace)
 
 
 def seesaw(g: Game, cfg: SeesawConfig) -> SeesawResult:
@@ -155,48 +248,23 @@ def seesaw(g: Game, cfg: SeesawConfig) -> SeesawResult:
     Every update is an exact maximization of its coordinate, so the objective
     trace is nondecreasing up to rounding.  The POVMs are `(X, A, d, d)` and
     `(Y, B, d, d)` stacks, and every contraction against the predicate
-    weights W = mu * V is one einsum over all (x, y, a, b).
+    weights W = mu * V is one einsum over all (x, y, a, b).  One run is a
+    stack of one restart.
     """
-    rng = np.random.default_rng(cfg.seed)
-    d = cfg.d
-    alice = np.stack([_random_povm(d, g.a_size, rng) for _ in range(g.x_size)])
-    bob = np.stack([_random_povm(d, g.b_size, rng) for _ in range(g.y_size)])
-    psi = matcore.random_pure(d * d, rng)
-    w = g.mu[:, :, None, None] * g.predicate
-
-    trace = [_value(w, psi, alice, bob)]
-    iterations = 0
-    for it in range(cfg.max_iters):
-        iterations = it + 1
-        # state: top eigenvector of the current bell operator
-        _, v = matcore.eigh_desc(_bell_operator(w, alice, bob),
-                                 "bell operator")
-        psi = v[:, 0]
-        trace.append(_value(w, psi, alice, bob))
-
-        eff = _alice_effectives(w, psi, bob)
-        for x in range(g.x_size):
-            alice[x] = _improve_side(eff[x], alice[x], cfg.convergence_tol)
-        trace.append(_value(w, psi, alice, bob))
-
-        eff = _bob_effectives(w, psi, alice)
-        for y in range(g.y_size):
-            bob[y] = _improve_side(eff[y], bob[y], cfg.convergence_tol)
-        trace.append(_value(w, psi, alice, bob))
-
-        if trace[-1] - trace[-4] < cfg.convergence_tol:
-            break
-
-    strat = EntangledStrategy(d, 1, psi, POVMFamily(1, alice),
-                              POVMFamily(1, bob), name="seesaw")
-    return SeesawResult(trace[-1], strat, iterations, trace)
+    (run,) = _ascend(g, cfg.d, [cfg.seed], cfg.max_iters,
+                     cfg.convergence_tol)
+    return _result(cfg.d, run)
 
 
 def seesaw_best(g: Game, d: int, seeds, max_iters: int = 500) -> SeesawResult:
-    """Best seesaw run over several seeds; deterministic given the seed list."""
-    results = [seesaw(g, SeesawConfig(d=d, max_iters=max_iters, seed=int(s)))
-               for s in seeds]
-    return max(results, key=lambda r: r.value)
+    """Best seesaw run over several seeds; deterministic given the seed list.
+
+    All restarts ascend as one stack; each keeps the trajectory it has when
+    run alone, and the first of the best values wins.
+    """
+    runs = _ascend(g, d, [int(s) for s in seeds], max_iters,
+                   SeesawConfig.convergence_tol)
+    return _result(d, max(runs, key=lambda run: run[-1][-1]))
 
 
 @dataclass(frozen=True)

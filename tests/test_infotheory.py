@@ -129,6 +129,35 @@ def test_cq_kernels_take_stacks_of_states():
     assert raz[2].all() and chain[2].all()
 
 
+def test_cq_state_keeps_the_spectra_of_its_read_states(monkeypatch):
+    """cq_mutual_information reads the eigenvalues the validation computed:
+    one decomposition per cq state for the average, none for the states,
+    and the same entropies as decomposing the states again."""
+    rng = np.random.default_rng(12)
+    probs = np.array([[0.5, 0.5 - STATE_WEIGHT / 2, STATE_WEIGHT / 2],
+                      [0.2, 0.3, 0.5]])
+    states = matcore.random_density(3, rng=rng, count=6).reshape(2, 3, 3, 3)
+    cq = CQState(probs, states)
+    live = probs > STATE_WEIGHT
+    assert cq.spectra.shape == (5, 3)
+    assert np.array_equal(cq.spectra,
+                          matcore.density_spectrum(states[live])[1])
+    seen = []
+    real = matcore.density_spectrum
+
+    def counted(rho, *args, **kwargs):
+        seen.append(np.shape(rho))
+        return real(rho, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "density_spectrum", counted)
+    mi = cq_mutual_information(cq)
+    assert seen == [(2, 3, 3)]
+    h = np.zeros(probs.shape)
+    h[live] = von_neumann_entropy(states[live])
+    want = von_neumann_entropy(cq.quantum_marginal()) - (probs * h).sum(-1)
+    assert np.array_equal(mi, np.maximum(0.0, want))
+
+
 def test_cq_mutual_information_classical_copy():
     # perfectly distinguishable conditional states carry H(p) bits
     p = np.array([0.25, 0.75])

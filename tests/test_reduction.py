@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import born_table_mixed_loop
-from repgames import matcore, reduction
+from repgames import depbreak, matcore, reduction, strategy
 from repgames.corrsamp import qcs_execute, qcs_isometry
 from repgames.games import chsh, win_set
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
@@ -79,6 +79,28 @@ def test_auto_holdout_selection():
     assert shot.C == ()   # conditioning is inert for a product strategy
     report = run_reduction(cfg)
     assert report.config["C"] == []
+
+
+def test_auto_holdout_builds_one_born_table(monkeypatch):
+    """choose_C reads the Born table the dependency-breaking computer keeps
+    (its symmetrized strategy has the same output distribution)."""
+    calls = []
+    real = strategy.born_joint
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(strategy, "born_joint", counted)
+    monkeypatch.setattr(depbreak, "born_joint", counted)
+    report = run_reduction(make_config(strategy="printing", n=3, C="auto"))
+    assert calls == [3]
+    assert report.config["C"] == [0, 1]
+
+
+def test_holdout_spec_other_than_auto_is_refused():
+    with pytest.raises(ValueError, match="tuple or 'auto'"):
+        SingleShotStrategy(make_config(C="best"))
 
 
 def test_holenstein_mode_deterministic_per_seed():

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from repgames.depbreak import DepBreakComputer
-from repgames.games import chsh, fixture, win_set
+from repgames.games import Game, chsh, fixture, win_set
 from repgames import strategy
 from repgames.prob import tv_distance
-from repgames.strategy import (DeterministicStrategy, as_entangled,
-                               born_joint, load_strategy, save_strategy,
-                               strategy_fixture, symmetrize, tsirelson,
-                               win_probability)
+from repgames.strategy import (DeterministicStrategy, POVMFamily,
+                               EntangledStrategy, as_entangled, born_joint,
+                               load_strategy, save_strategy, strategy_fixture,
+                               symmetrize, tsirelson, win_probability)
 from _helpers import born_joint_loop, random_strategy
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
@@ -311,6 +311,91 @@ def test_win_probability_deterministic_chsh():
     b_map = np.zeros((2, 1), dtype=int)
     det = DeterministicStrategy(1, a_map, b_map)
     assert abs(win_probability(chsh(), 1, det) - 0.75) < 1e-12
+
+
+def table_win(g, n, s):
+    return born_joint(g, n, s).prob(win_set(g, n, range(n)))
+
+
+def lopsided():
+    """Two questions and three answers for Alice, three questions and two
+    answers for Bob, and a kernel with no symmetry between the sides."""
+    rng = np.random.default_rng(11)
+    mu = rng.random((2, 3))
+    return Game(2, 3, 3, 2, mu / mu.sum(), rng.random((2, 3, 3, 2)) < 0.5,
+                name="lopsided")
+
+
+@pytest.mark.parametrize("name", ["tsirelson", "printing", "detprod"])
+def test_win_probability_matches_the_table_on_fixtures(name):
+    g = chsh()
+    for n in range(1, 6):
+        s = strategy_fixture(name, n)
+        assert abs(win_probability(g, n, s) - table_win(g, n, s)) <= 1e-12
+
+
+@pytest.mark.parametrize("game", [chsh(), fixture("asym3"), lopsided()],
+                         ids=["chsh", "asym3", "lopsided"])
+def test_win_probability_matches_the_table_on_random_strategies(game):
+    for n in (1, 2, 3):
+        for d in (2, 3):
+            s = random_strategy(game, n, d, 100 * n + d)
+            assert abs(win_probability(game, n, s) - table_win(game, n, s)) \
+                <= 1e-12
+
+
+def test_win_probability_matches_the_table_on_embedded_answer_maps():
+    rng = np.random.default_rng(8)
+    g = fixture("asym3")
+    for n in (1, 2):
+        det = DeterministicStrategy(n, rng.integers(0, 2, (3,) * n + (n,)),
+                                    rng.integers(0, 2, (3,) * n + (n,)))
+        s = as_entangled(det, g)
+        assert abs(win_probability(g, n, s) - table_win(g, n, s)) <= 1e-12
+        assert abs(win_probability(g, n, s) - win_probability(g, n, det)) \
+            <= 1e-12
+
+
+def test_win_probability_divides_by_the_total_mass():
+    """POVMs that sum to (1 + 4e-9) I pass validation; the table is
+    normalized, so the contraction must divide by the same mass."""
+    g = lopsided()
+    s = random_strategy(g, 2, 2, 5)
+    bob = POVMFamily(2, s.bob.ops * (1 + 4e-9))
+    scaled = EntangledStrategy(s.d, 2, s.psi, s.alice, bob)
+    want = table_win(g, 2, scaled)
+    assert abs(want - table_win(g, 2, s)) <= 1e-12
+    assert abs(win_probability(g, 2, scaled) - want) <= 1e-12
+
+
+def test_win_probability_builds_no_born_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("win_probability built a Born table")
+
+    monkeypatch.setattr(strategy, "born_joint", no_table)
+    for name in ("tsirelson", "printing", "detprod"):
+        assert 0.0 < win_probability(chsh(), 3, strategy_fixture(name, 3)) < 1.0
+
+
+@pytest.mark.parametrize("block", [1, 300, 2 ** 16])
+def test_win_probability_blocks_agree(monkeypatch, block):
+    g, s = fixture("asym3"), random_strategy(fixture("asym3"), 2, 3, 9)
+    monkeypatch.setattr(strategy, "WIN_BLOCK", block)
+    assert abs(win_probability(g, 2, s) - table_win(g, 2, s)) <= 1e-12
+
+
+def test_win_probability_peak_memory_below_the_table():
+    g, s = chsh(), strategy_fixture("printing", 5)
+    assert s.d == 32
+    peaks = []
+    for run in (lambda: born_joint(g, 5, s), lambda: win_probability(g, 5, s)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0]
 
 
 def test_win_probability_uses_all_rounds():

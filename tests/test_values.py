@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import _values_oracle as oracle
 from _helpers import bell_operator
-from repgames import matcore
-from repgames.games import always_win, asym3, chsh
+from repgames import matcore, values
+from repgames.games import Game, always_win, asym3, chsh
 from repgames.strategy import POVMFamily, tsirelson, win_probability
 from repgames.values import (SeesawConfig, _alice_effectives, _bell_operator,
                              _bob_effectives, _improve_side, _random_povm,
@@ -201,6 +202,92 @@ def test_seesaw_deterministic_per_seed():
     r1 = seesaw(g, SeesawConfig(d=2, max_iters=50, seed=7))
     r2 = seesaw(g, SeesawConfig(d=2, max_iters=50, seed=7))
     assert r1.value == r2.value
+
+
+def chsh3():
+    """Three questions and answers per side, uniform questions, win iff
+    a + b = x y mod 3: a game with more than one exchange pair per POVM."""
+    pred = np.zeros((3, 3, 3, 3), dtype=bool)
+    for x, y, a, b in itertools.product(range(3), repeat=4):
+        pred[x, y, a, b] = (a + b) % 3 == (x * y) % 3
+    return Game(3, 3, 3, 3, np.full((3, 3), 1 / 9), pred, name="chsh3")
+
+
+ORACLE_GAMES = {"chsh": chsh, "asym3": asym3, "always_win": always_win,
+                "chsh3": chsh3}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(ORACLE_GAMES))
+def test_stacked_seesaw_matches_per_restart_oracle(name, d):
+    """Twenty restarts as one stack follow the trajectories of the
+    per-restart, per-question loop: the same objective traces and the same
+    iteration count per seed, and seesaw_best picks the first best seed."""
+    g = ORACLE_GAMES[name]()
+    seeds = list(range(20))
+    runs = values._ascend(g, d, seeds, 500, 1e-10)
+    want = [oracle.seesaw(g, d, seed) for seed in seeds]
+    for (psi, alice, bob, iters, trace), (value, w_iters, w_trace, w_psi,
+                                          w_alice, w_bob) in zip(runs, want):
+        assert iters == w_iters
+        assert len(trace) == len(w_trace)
+        assert np.abs(np.subtract(trace, w_trace)).max() <= 1e-12
+        assert abs(trace[-1] - value) <= 1e-12
+        assert np.abs(alice - w_alice).max() <= 1e-12
+        assert np.abs(bob - w_bob).max() <= 1e-12
+        assert np.abs(psi - w_psi).max() <= 1e-12
+    best = values.seesaw_best(g, d, seeds)
+    first = max(range(len(seeds)), key=lambda k: want[k][0])
+    assert abs(best.value - want[first][0]) <= 1e-12
+    assert best.iterations == want[first][1]
+
+
+def test_seesaw_is_a_stack_of_one():
+    g = asym3()
+    for seed in range(5):
+        res = seesaw(g, SeesawConfig(d=3, max_iters=40, seed=seed))
+        value, iters, trace, *_ = oracle.seesaw(g, 3, seed, max_iters=40)
+        assert res.iterations == iters
+        assert np.abs(np.subtract(res.objective_trace, trace)).max() <= 1e-12
+
+
+def test_seesaw_best_decomposes_once_per_stacked_iteration(monkeypatch):
+    """Tooling guard: one Bell-operator decomposition per iteration of the
+    stack, max(iterations) over 20 restarts, not one per restart."""
+    g, seeds = asym3(), range(20)
+    iters = [oracle.seesaw(g, 2, seed)[1] for seed in seeds]
+    calls = {"bell": 0, "decompositions": 0}
+    real_bell, real_eigh = values._bell_operator, matcore.eigh_desc
+
+    def bell(*args):
+        calls["bell"] += 1
+        return real_bell(*args)
+
+    def eigh_desc(h, name="matrix", *args, **kwargs):
+        calls["decompositions"] += name == "bell operator"
+        return real_eigh(h, name, *args, **kwargs)
+
+    monkeypatch.setattr(values, "_bell_operator", bell)
+    monkeypatch.setattr(matcore, "eigh_desc", eigh_desc)
+    values.seesaw_best(g, 2, seeds)
+    assert calls == {"bell": max(iters), "decompositions": max(iters)}
+    assert max(iters) < sum(iters)
+
+
+def test_stacked_improve_side_runs_each_povm_to_its_own_stop():
+    rng = np.random.default_rng(4)
+    d, k = 3, 3
+    elems = np.stack([np.stack(_random_povm(d, k, rng)) for _ in range(6)])
+    a = rng.standard_normal((6, k, d, d)) + 1j * rng.standard_normal(
+        (6, k, d, d))
+    effectives = (a + matcore.dagger(a)) / 2
+    effectives[0] = 0.0   # no pair improves: this POVM stops after a sweep
+    out = _improve_side(effectives.reshape(2, 3, k, d, d),
+                        elems.reshape(2, 3, k, d, d), 1e-12)
+    assert out.shape == (2, 3, k, d, d)
+    for row, got in enumerate(out.reshape(6, k, d, d)):
+        want = oracle.improve_side(effectives[row], elems[row], 1e-12)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_theorem1_bound_clamps_to_one():
