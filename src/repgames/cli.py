@@ -25,7 +25,8 @@ from .prob import FiniteDistribution
 from .reduction import (ReductionConfig, main_bound_compare, report_to_csv,
                         report_to_json, run_reduction)
 from .strategy import EntangledStrategy, load_strategy, strategy_fixture
-from .values import classical_value, seesaw_best, theorem1_bound
+from .values import (classical_value, max_classical_rounds, seesaw_best,
+                     theorem1_bound)
 
 GAME_FIXTURES = ("chsh", "always_win", "asym3")
 STRATEGY_FIXTURES = ("tsirelson", "printing", "detprod")
@@ -202,6 +203,12 @@ def _run_values(args) -> int:
     _require_positive("--d", args.d)
     _require_positive("--seeds", args.seeds)
     g = _load_game(args.game)
+    top = max_classical_rounds(g, args.n)
+    if top < args.n:
+        largest = (f"the largest allowed is --n {top}" if top
+                   else "even --n 1 is above it")
+        raise UsageError(f"--n {args.n} exceeds the classical enumeration "
+                         f"cap for {args.game}; {largest}")
     rows = []
     entries = []
     for k in range(1, args.n + 1):

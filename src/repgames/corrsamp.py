@@ -9,16 +9,20 @@ goes depends only on the players' rounded Schmidt spectra and the junk
 dimension, so the junk-traced outcome is built once per pair of rounded
 spectra and cached; a call with known spectra does work of the target's
 size only, whatever the junk dimension.
+
+A chi-square test checks side A's marginal against its law.  Its tail
+probability comes from `_chi2_sf`, pure `math` for any integer degrees of
+freedom, so the package needs numpy only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import matcore
 from .prob import FiniteDistribution
@@ -28,6 +32,7 @@ GRID_FLOOR = 1e-12
 MAX_STREAM_CELLS = 2 ** 18     # (u, t) pairs held by one sampling pass
 JUNK_TRACE_CACHE = 16          # spectrum pairs kept by _junk_trace, d^4 + d^2
                                # floats each
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def shared_stream_sample(p: np.ndarray, q: np.ndarray, m: int,
@@ -88,6 +93,66 @@ def _aligned_tables(p: FiniteDistribution, q: FiniteDistribution) -> tuple:
     return p.table.ravel(), q.table.ravel()
 
 
+def _stirlerr(a: float) -> float:
+    """ln Γ(a+1) − (a+½)·ln a + a − ln √(2π), the Stirling remainder."""
+    if a <= 15.0:
+        return (math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a
+                - _LN_SQRT_2PI)
+    aa = a * a
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / aa) / aa)
+                      / aa) / aa) / a
+
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    """P(χ² ≥ stat) for dof degrees of freedom: Q(dof/2, stat/2).
+
+    Q is the regularized upper incomplete gamma function, summed as the
+    series of P = 1 − Q below a+1 and as Legendre's continued fraction
+    (modified Lentz) above it.  Both carry the factor x^a e^(−x) / Γ(a+1),
+    whose logarithm is formed from the Stirling remainder and from
+    a·log1p((x−a)/a) − (x−a) (Loader 2000): it does not cancel near x = a,
+    and nothing overflows; the factor underflows only where P or Q itself
+    is below the smallest double.
+    """
+    if dof < 1:
+        raise ValueError(f"chi-square tail needs at least 1 degree of "
+                         f"freedom, got {dof}")
+    if not stat >= 0.0:
+        raise ValueError(f"chi-square statistic must be >= 0, got {stat}")
+    a, x = dof / 2, stat / 2
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    eps = sys.float_info.epsilon
+    log_factor = (a * math.log1p((x - a) / a) - (x - a) - _stirlerr(a)
+                  - 0.5 * math.log(a) - _LN_SQRT_2PI)
+    if x < a + 1.0:
+        # P = factor * sum_n x^n / ((a+1)...(a+n))
+        term = total = 1.0
+        n = 1
+        while term > eps * total:
+            term *= x / (a + n)
+            total += term
+            n += 1
+        return 1.0 - math.exp(log_factor) * total
+    # Q = a * factor / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / (x+5-a - ...)))
+    tiny = sys.float_info.min
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = frac = 1.0 / b
+    i = 1
+    while True:
+        num = i * (a - i)
+        b += 2.0
+        d = 1.0 / (num * d + b or tiny)
+        c = b + num / c or tiny
+        frac *= c * d
+        if abs(c * d - 1.0) <= eps:
+            return a * math.exp(log_factor) * frac
+        i += 1
+
+
 @dataclass
 class CorrSampleStats:
     n_runs: int
@@ -104,7 +169,13 @@ class CorrSampleStats:
 def corr_sample_experiment(p: FiniteDistribution, q: FiniteDistribution,
                            n_runs: int, seed: int,
                            max_draws: int = 10_000) -> CorrSampleStats:
-    """Agreement and marginal statistics of n_runs independent runs."""
+    """Agreement and marginal statistics of n_runs independent runs.
+
+    chi2_pvalue_a is Pearson's goodness-of-fit p-value of side A's counts
+    against p, over the support of p (dof = support size − 1), from
+    `_chi2_sf`; it is None when side A accepted nothing or p has one
+    support cell.
+    """
     pt, qt = _aligned_tables(p, q)
     size = pt.size
     a, b, agreed, failed = shared_stream_sample(
@@ -121,7 +192,7 @@ def corr_sample_experiment(p: FiniteDistribution, q: FiniteDistribution,
     if tot_a and dof > 0:
         expect = tot_a * pt[keep] / pt[keep].sum()
         stat = float(((counts_a[keep] - expect) ** 2 / expect).sum())
-        pval = float(chdtrc(dof, stat))
+        pval = _chi2_sf(dof, stat)
     return CorrSampleStats(n_runs, float(agreed.mean()),
                            float(failed.mean()), tv_a, tv_b, pval,
                            counts_a, counts_b)

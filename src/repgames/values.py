@@ -27,16 +27,33 @@ MAX_STRATEGY_PAIRS = 100_000_000
 MAX_PREDICATE_TABLE = 10_000_000
 
 
-def classical_value(g: Game, n: int) -> float:
-    """Exact optimum over deterministic strategies of the n-fold game."""
+def _classical_cap_error(g: Game, n: int) -> str | None:
+    """Why classical_value refuses the n-fold game, or None if it fits."""
     qx, qy = g.x_size ** n, g.y_size ** n
     ra, rb = g.a_size ** n, g.b_size ** n
     pairs = math.log10(ra) * qx + math.log10(rb) * qy
     if pairs > math.log10(MAX_STRATEGY_PAIRS):
-        raise ValueError("deterministic strategy pair count exceeds the cap")
+        return "deterministic strategy pair count exceeds the cap"
     if qx * qy * ra * rb > MAX_PREDICATE_TABLE:
-        raise ValueError("n-fold predicate table exceeds the cap")
+        return "n-fold predicate table exceeds the cap"
+    return None
 
+
+def max_classical_rounds(g: Game, limit: int) -> int:
+    """The largest n <= limit that classical_value accepts (0 if none)."""
+    n = 0
+    while n < limit and _classical_cap_error(g, n + 1) is None:
+        n += 1
+    return n
+
+
+def classical_value(g: Game, n: int) -> float:
+    """Exact optimum over deterministic strategies of the n-fold game."""
+    error = _classical_cap_error(g, n)
+    if error:
+        raise ValueError(error)
+    qx, qy = g.x_size ** n, g.y_size ** n
+    ra, rb = g.a_size ** n, g.b_size ** n
     w = question_weights(g, n)
     xd, yd = tuple_digits(g.x_size, n), tuple_digits(g.y_size, n)
     ad, bd = tuple_digits(g.a_size, n), tuple_digits(g.b_size, n)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from repgames import suites, values
+from repgames import cli, suites, values
 from repgames.cli import main
 from repgames.games import chsh
 from repgames.strategy import save_strategy, strategy_fixture
@@ -86,6 +86,30 @@ def test_run_values_reports_classical_points(capsys):
     assert by_n[2]["classical_value"] == 0.625
     seesaw = [e for e in payload["results"] if "seesaw_value" in e]
     assert seesaw and seesaw[0]["seesaw_value"] >= 0.85
+
+
+def test_run_values_refuses_n_above_the_classical_cap_first(capsys,
+                                                            monkeypatch):
+    def never(*_args, **_kwargs):
+        raise AssertionError("ran before the refusal")
+
+    monkeypatch.setattr(cli, "classical_value", never)
+    monkeypatch.setattr(cli, "seesaw_best", never)
+    code, out, err = run_cli(capsys, "run", "values", "--game", "asym3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--n 2" in err and "the largest allowed is --n 1" in err
+
+
+def test_run_values_asym3_one_round_prints_the_seesaw_row(capsys):
+    code, out, _err = run_cli(capsys, "run", "values", "--game", "asym3",
+                              "--n", "1", "--seeds", "2")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [e["n"] for e in results if "classical_value" in e] == [1]
+    seesaw = [e for e in results if "seesaw_value" in e]
+    assert len(seesaw) == 1 and seesaw[0]["n"] == 1
 
 
 def test_run_values_restarts_seesaw_from_seed(capsys):

@@ -202,14 +202,107 @@ def test_experiment_one_support_cell_has_no_pvalue():
     assert res.chi2_pvalue_a is None
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """scipy.stats costs about a second of import; nothing may pull it in."""
+def test_cli_import_leaves_scipy_out():
+    """The package needs numpy only; a fresh import loads no scipy module."""
     code = ("import sys; sys.path.insert(0, 'src'); import repgames.cli; "
-            "print('scipy.stats' in sys.modules)")
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-B", "-c", code], cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no module named {name!r} (blocked)")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the finder did not block scipy")
+sys.path.insert(0, "src")
+import repgames
+for info in pkgutil.iter_modules(repgames.__path__):
+    importlib.import_module("repgames." + info.name)
+from repgames.cli import main
+for argv in (["run", "corrsamp"], ["run", "bound", "--eps", "0.1"],
+             ["verify", "--suite", "matcore"]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+
+def test_package_runs_without_scipy_installed():
+    """Every module imports and three commands run with scipy unimportable."""
+    out = subprocess.run([sys.executable, "-B", "-c", WITHOUT_SCIPY],
+                         cwd=ROOT, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+
+
+def chi2_tail_reference(dof, stat):
+    """Q(dof/2, stat/2) at 40 digits, independent of corrsamp."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(mpmath.mpf(dof) / 2,
+                                     mpmath.mpf(stat) / 2, mpmath.inf,
+                                     regularized=True))
+
+
+def chi2_tail_grid(dof):
+    """Statistics across [0, 20 dof]: an even grid, the bulk of the law
+    and both sides of the series / continued-fraction switch at dof + 2."""
+    sd = math.sqrt(2.0 * dof)
+    stats = list(np.linspace(0.0, 20.0 * dof, 11)[1:])
+    stats += [dof + k * sd for k in (-3.0, -1.0, -0.25, 0.0, 1.0, 3.0)]
+    stats += [np.nextafter(dof + 2.0, 0.0), dof + 2.0, 0.01]
+    return [float(s) for s in stats if s >= 0.0]
+
+
+# at dof = stat = 2000, exp(-stat/2) underflows to 0 while the tail is 0.496
+CHI2_DOFS = sorted(set(range(1, 65)) | set(range(65, 4097, 181))
+                   | {2 ** k + j for k in range(6, 13) for j in (-1, 0, 1)}
+                   | {1999, 2000, 4096})
+
+
+def test_chi2_tail_matches_mpmath_up_to_4096_dof():
+    worst = max((abs(corrsamp._chi2_sf(dof, stat)
+                     - chi2_tail_reference(dof, stat)), dof, stat)
+                for dof in CHI2_DOFS for stat in chi2_tail_grid(dof))
+    assert worst[0] <= 1e-12, worst
+
+
+@pytest.mark.parametrize("dof", [10 ** 6, 10 ** 7])
+def test_chi2_tail_matches_mpmath_at_millions_of_dof(dof):
+    sd = math.sqrt(2.0 * dof)
+    for stat in (dof - 2 * sd, dof - 0.5 * sd, dof, dof + 2, dof + 0.5 * sd,
+                 dof + 2 * sd):
+        got = corrsamp._chi2_sf(dof, float(stat))
+        assert abs(got - chi2_tail_reference(dof, stat)) <= 1e-8, stat
+
+
+def test_chi2_tail_edges_are_exact():
+    for dof in (1, 2, 3, 10 ** 7):
+        assert corrsamp._chi2_sf(dof, 0.0) == 1.0
+        assert corrsamp._chi2_sf(dof, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("dof, stat", [(0, 1.0), (-3, 1.0), (2, -1.0),
+                                       (2, math.nan)])
+def test_chi2_tail_refuses_invalid_arguments(dof, stat):
+    with pytest.raises(ValueError) as info:
+        corrsamp._chi2_sf(dof, stat)
+    assert "\n" not in str(info.value)
 
 
 def test_embezzlement_vector_normalized_and_decreasing():

@@ -11,8 +11,8 @@ from repgames.games import Game, always_win, asym3, chsh
 from repgames.strategy import POVMFamily, tsirelson, win_probability
 from repgames.values import (SeesawConfig, _alice_effectives, _bell_operator,
                              _bob_effectives, _improve_side, _random_povm,
-                             _value, classical_value, seesaw, seesaw_best,
-                             theorem1_bound)
+                             _value, classical_value, max_classical_rounds,
+                             seesaw, seesaw_best, theorem1_bound)
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 
@@ -68,6 +68,24 @@ def test_classical_value_always_win():
     g = always_win()
     assert classical_value(g, 1) == 1.0
     assert classical_value(g, 2) == 1.0
+
+
+@pytest.mark.parametrize("game, top", [(chsh, 2), (always_win, 2),
+                                       (asym3, 1)])
+def test_max_classical_rounds_is_the_last_n_classical_value_accepts(game,
+                                                                     top):
+    g = game()
+    assert max_classical_rounds(g, 10) == top
+    assert max_classical_rounds(g, 1) == 1
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        classical_value(g, top + 1)
+
+
+def test_max_classical_rounds_stops_at_its_limit():
+    # one question and one answer per side: every n fits the caps
+    g = Game(1, 1, 1, 1, np.ones((1, 1)), np.ones((1, 1, 1, 1), dtype=bool))
+    assert max_classical_rounds(g, 7) == 7
+    assert max_classical_rounds(g, 0) == 0
 
 
 def random_povms(g, d, seed):
