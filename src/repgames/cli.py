@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -97,38 +98,22 @@ def _parse_n_grid(spec: str) -> list:
     return out
 
 
-def _emit(payload: dict, rows: list, header: list, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _csv(header: list, rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(payload: dict, csv_text: str, out: str | None) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
         Path(out + ".json").write_text(text + "\n")
-        Path(out + ".csv").write_text(buf.getvalue())
+        Path(out + ".csv").write_text(csv_text)
         print(f"wrote {out}.json and {out}.csv")
     else:
         print(text)
-
-
-def _check_rows(checks: list) -> list:
-    return [[c.name, c.trials, c.violations, repr(c.max_slack), c.details]
-            for c in checks]
-
-
-def _suite_payload(name: str, config: dict, checks: list) -> dict:
-    return {
-        "version": __version__,
-        "suite": name,
-        "config": config,
-        "checks": [{
-            "name": c.name, "trials": c.trials,
-            "violations": c.violations, "max_slack": c.max_slack,
-            "details": c.details, "ok": c.ok,
-        } for c in checks],
-        "passed": all(c.ok for c in checks),
-    }
 
 
 def cmd_verify(args) -> int:
@@ -191,10 +176,14 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError(f"unknown suite: {args.suite}")
 
-    payload = _suite_payload(args.suite, config, checks)
-    _emit(payload, _check_rows(checks),
-          ["name", "trials", "violations", "max_slack", "details"],
-          args.out)
+    payload = {"version": __version__, "suite": args.suite, "config": config,
+               "checks": [{**asdict(c), "ok": c.ok}
+                          for c in checks],
+               "passed": all(c.ok for c in checks)}
+    rows = [[c.name, c.trials, c.violations, repr(c.max_slack), c.details]
+            for c in checks]
+    _emit(payload, _csv(["name", "trials", "violations", "max_slack",
+                         "details"], rows), args.out)
     return 0 if payload["passed"] else 1
 
 
@@ -225,7 +214,8 @@ def _run_values(args) -> int:
                "config": {"game": args.game, "n": args.n, "d": args.d,
                           "seeds": args.seeds, "seed": args.seed},
                "results": entries}
-    _emit(payload, rows, ["n", "classical_value", "seesaw_value"], args.out)
+    _emit(payload, _csv(["n", "classical_value", "seesaw_value"], rows),
+          args.out)
     return 0
 
 
@@ -238,16 +228,9 @@ def _run_reduction(args) -> int:
         dprime=args.dprime, alpha=args.alpha, seed=args.seed,
         trials=args.trials, max_draws=args.max_draws)
     report = run_reduction(cfg)
-    compare = main_bound_compare(report)
     payload = json.loads(report_to_json(report))
-    payload["compare"] = compare
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out + ".json").write_text(text + "\n")
-        Path(args.out + ".csv").write_text(report_to_csv(report))
-        print(f"wrote {args.out}.json and {args.out}.csv")
-    else:
-        print(text)
+    payload["compare"] = main_bound_compare(report)
+    _emit(payload, report_to_csv(report), args.out)
     return 0
 
 
@@ -267,7 +250,7 @@ def _run_bound(args) -> int:
                "config": {"eps": args.eps, "s": args.s, "c": args.c,
                           "log_base": args.log_base, "n_grid": args.n_grid},
                "results": entries}
-    _emit(payload, rows, ["n", "raw_value", "bound_value", "vacuous"],
+    _emit(payload, _csv(["n", "raw_value", "bound_value", "vacuous"], rows),
           args.out)
     return 0
 
@@ -294,8 +277,8 @@ def _run_corrsamp(args) -> int:
                    "chi2_pvalue_a": stats.chi2_pvalue_a}}
     rows = [[stats.n_runs, repr(stats.agree_rate), repr(stats.fail_rate),
              repr(stats.tv_a), repr(stats.tv_b)]]
-    _emit(payload, rows,
-          ["runs", "agree_rate", "fail_rate", "tv_a", "tv_b"], args.out)
+    _emit(payload, _csv(["runs", "agree_rate", "fail_rate", "tv_a", "tv_b"],
+                        rows), args.out)
     return 0
 
 
@@ -391,6 +374,9 @@ def main(argv=None) -> int:
                    "embezzle": ("holenstein", "embezzle")}
         args.mode_classical, args.mode_quantum = mapping[args.mode]
     try:
+        # a --config value reaches args without argparse's int conversion
+        if not isinstance(args.seed, int) or args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_run(args)

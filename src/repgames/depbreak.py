@@ -50,6 +50,8 @@ ZERO_WEIGHT = 1e-12
 SUPPORT_MASS = 1e-12
 COARSE_SUPPORT = 1e-12  # relative eigenvalue cut of a coarse operator's support
 CONTEXT_CHUNK = 256     # contexts whose operators one stacked step gathers
+CHECK_ATOL = 1e-8       # residual a usefulness or weight check passes at
+XI_SLACK = 1e-6         # slack of the xi information bound
 # C="auto" searches holdouts of at most min(AUTO_TMAX, n) rounds; AUTO_EPS
 # only sets choose_C's threshold flag, which nothing downstream reads
 AUTO_EPS = 0.5
@@ -356,8 +358,9 @@ class UsefulnessReport:
     max_residual: float
     max_null_mass: float
 
-    def ok(self, atol: float = 1e-8) -> bool:
-        return self.max_residual <= atol and self.max_null_mass <= atol
+    def ok(self) -> bool:
+        return (self.max_residual <= CHECK_ATOL
+                and self.max_null_mass <= CHECK_ATOL)
 
 
 @dataclass
@@ -367,8 +370,9 @@ class WeightReport:
     max_abs_error: float
     max_sum_error: float
 
-    def ok(self, atol: float = 1e-8) -> bool:
-        return self.max_abs_error <= atol and self.max_sum_error <= atol
+    def ok(self) -> bool:
+        return (self.max_abs_error <= CHECK_ATOL
+                and self.max_sum_error <= CHECK_ATOL)
 
 
 @dataclass
@@ -909,8 +913,7 @@ class DepBreakComputer:
         return SampleabilityReport(coords, float(avg[0]), float(avg[1]),
                                    float(avg[2]), per, skipped_mass, max_tri)
 
-    def xi_raz_check(self, side: str = "alice",
-                     tol: float = 1e-6) -> XiRazReport:
+    def xi_raz_check(self, side: str = "alice") -> XiRazReport:
         """Average conditional mutual information between one round's
         question and the opposite player's quantum register, measured on
         the post-measurement ensemble, against the answer-volume budget.
@@ -966,7 +969,7 @@ class DepBreakComputer:
             per_coord.append(float((mass[rows] * weight[rows, held]) @ mi))
         avg_mi = float(np.mean(per_coord))
         return XiRazReport(side, avg_mi, delta, tight,
-                           bool(avg_mi <= delta + tol), tuple(per_coord))
+                           bool(avg_mi <= delta + XI_SLACK), tuple(per_coord))
 
     def skew_report(self) -> SkewReport:
         """Exact conditioning-skew distances for every free coordinate,

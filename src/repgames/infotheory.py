@@ -18,6 +18,7 @@ from .matcore import collapse, dagger
 
 SUPPORT_TOL = 1e-10
 STATE_WEIGHT = 1e-15    # conditional states with more weight are validated and read
+ENTROPY_ATOL = 1e-8     # slack of the raz-lemma and chain-rule checks
 
 
 def _entropy(w: np.ndarray) -> np.ndarray:
@@ -194,7 +195,7 @@ def _weighted_terms(probs, terms, read) -> np.ndarray:
 
 
 def raz_lemma_check(cq: CQState, shape: tuple, sigma_parts,
-                    sigma_a: np.ndarray, atol: float = 1e-8) -> tuple:
+                    sigma_a: np.ndarray) -> tuple:
     """Sum of per-coordinate informations against the product divergence.
 
     cq is classical on a tuple of coordinates with the given shape and
@@ -219,12 +220,11 @@ def raz_lemma_check(cq: CQState, shape: tuple, sigma_parts,
     read = (cq.probs > STATE_WEIGHT) & np.isfinite(rhs)[..., None]
     rho = np.where(read[..., None, None], cq.states, sigma)
     rhs = rhs + _weighted_terms(cq.probs, relative_entropy(rho, sigma), read)
-    holds = np.isinf(rhs) | (lhs <= rhs + atol)
+    holds = np.isinf(rhs) | (lhs <= rhs + ENTROPY_ATOL)
     return collapse(np.asarray(lhs, dtype=float)), collapse(rhs), collapse(holds)
 
 
-def chain_rule_check(cq_prime: CQState, cq: CQState,
-                     atol: float = 1e-8) -> tuple:
+def chain_rule_check(cq_prime: CQState, cq: CQState) -> tuple:
     """Split the cq relative entropy into classical plus conditional parts.
 
     Both states are classical on the same label set.  Returns
@@ -243,5 +243,5 @@ def chain_rule_check(cq_prime: CQState, cq: CQState,
     rhs = rhs + _weighted_terms(cq_prime.probs, terms, read)
     both = np.isfinite(lhs) & np.isfinite(rhs)
     gap = np.abs(np.where(both, lhs, 0.0) - np.where(both, rhs, 0.0))
-    holds = np.where(both, gap <= atol, np.isinf(lhs) == np.isinf(rhs))
+    holds = np.where(both, gap <= ENTROPY_ATOL, np.isinf(lhs) == np.isinf(rhs))
     return collapse(lhs), collapse(rhs), collapse(holds)

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .strategy import EntangledStrategy, pure_born_table
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
 QUANTUM_MODES = ("oracle_state", "embezzle")
+COMPARE_SLACK = 1e-8    # rounding slack of the main-bound comparison
 
 
 @dataclass
@@ -136,33 +137,25 @@ class SingleShotStrategy:
 
     # ---- dependency-breaking value bookkeeping ---------------------------
 
-    def r_dims(self, i: int) -> tuple:
-        table = self.computer.contexts(i)
-        return table.names, table.sizes
-
     def r_to_flat(self, i: int, r: tuple) -> int:
         """Flat index of r given as flat_to_r returns it."""
         omega, a_c, b_c = r
-        names, sizes = self.r_dims(i)
+        table = self.computer.contexts(i)
         return int(np.ravel_multi_index(
-            tuple(omega[nm] for nm in names[:len(omega)]) + a_c + b_c, sizes))
+            tuple(omega[nm] for nm in table.names[:len(omega)]) + a_c + b_c,
+            table.sizes))
 
     def flat_to_r(self, i: int, flat: int) -> tuple:
         """(omega, a_C, b_C) of a flat r index."""
         return self.computer.contexts(i).split(flat)
 
-    def law(self, i: int, kind: str, x: int | None = None,
+    def law(self, i: int, x: int | None = None,
             y: int | None = None) -> np.ndarray | None:
-        """Flat conditional law of r given the named evidence, or None.
-
-        kind "joint" conditions on both questions, "alice" only on x,
-        "bob" only on y; all are further conditioned on winning C.
-        """
-        key = (i, kind, x, y)
+        """Flat law of r given the questions passed (x for Alice's view, y
+        for Bob's, both for the joint one) and winning C, or None."""
+        key = (i, x, y)
         if key not in self._law_cache:
-            self._law_cache[key] = self.computer.contexts(i).law(
-                x if kind in ("joint", "alice") else None,
-                y if kind in ("joint", "bob") else None)
+            self._law_cache[key] = self.computer.contexts(i).law(x, y)
         return self._law_cache[key]
 
     # ---- per-context evaluation ------------------------------------------
@@ -229,8 +222,8 @@ class SingleShotStrategy:
         Returns flat (r_a, r_b) arrays with agreed and failed masks; every
         run fails when either side's law does not exist.
         """
-        pa = self.law(i, "alice", x=x)
-        pb = self.law(i, "bob", y=y)
+        pa = self.law(i, x=x)
+        pb = self.law(i, y=y)
         if pa is None or pb is None:
             ra, rb = np.full((2, m), -1, dtype=np.int64)
             return ra, rb, np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
@@ -244,7 +237,29 @@ def _reference_win(shot: SingleShotStrategy, i: int) -> float:
     return float((won * shot.cfg.game.predicate).sum() / won.sum())
 
 
-def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
+@dataclass
+class _Coordinate:
+    """One coordinate's score and error accounting.
+
+    bad_mass is the failed, disagreeing and invalid share of the trials,
+    or in exact mode the weight of the question pairs with no law of r and
+    of the invalid contexts; avg_err and max_err are the mean and largest
+    embezzlement error, clipped at 1.
+    Exact mode leaves stderr, trials, failures and disagreements at 0.
+    """
+    p_tilde: float
+    stderr: float = 0.0
+    trials: int = 0
+    failures: int = 0
+    disagreements: int = 0
+    invalid: int = 0
+    bad_mass: float = 0.0
+    avg_err: float = 0.0
+    max_err: float = 0.0
+    crosscheck: float = 0.0
+
+
+def _exact_coordinate(shot: SingleShotStrategy, i: int) -> _Coordinate:
     """Closed-form P-tilde for one coordinate plus error accounting.
 
     Contexts are weighted by mu(x, y) P(r | x, y, every held round won);
@@ -257,19 +272,21 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> tuple:
     invalid_mass += float(w[~valid].sum())
     invalid_count += int(valid.size - valid.sum())
     r, x, y, w, p, err = (v[valid] for v in (r, x, y, w, p, err))
-    p_tilde = float(w @ p)
-    err_acc = float(w @ np.minimum(err, 1.0))
+    err = np.minimum(err, 1.0)
     crosscheck = 0.0
     if shot.cfg.mode_quantum == "oracle_state" and p.size:
         cell = table.joint[r, x, y]
         brute = ((cell * g.predicate[x, y]).sum(axis=(1, 2))
                  / cell.sum(axis=(1, 2)))
         crosscheck = float(np.abs(p - brute).max())
-    return p_tilde, err_acc, crosscheck, invalid_mass, invalid_count
+    return _Coordinate(float(w @ p), invalid=invalid_count,
+                       bad_mass=invalid_mass, avg_err=float(w @ err),
+                       max_err=float(err.max(initial=0.0)),
+                       crosscheck=crosscheck)
 
 
 def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
-                        rng: np.random.Generator) -> dict:
+                        rng: np.random.Generator) -> _Coordinate:
     """Monte Carlo estimate for one coordinate with per-trial exact wins.
 
     Trials are drawn one question-pair group at a time, and the distinct
@@ -292,7 +309,7 @@ def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
     errs = np.zeros(trials)
     invalid = 0
     if ok.size:
-        r_size = math.prod(shot.r_dims(i)[1])
+        r_size = math.prod(shot.computer.contexts(i).sizes)
         keys, inverse = np.unique(
             (qs[ok] * r_size + ra[ok]) * r_size + rb[ok], return_inverse=True)
         q, r_pair = np.divmod(keys, r_size * r_size)
@@ -302,13 +319,16 @@ def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
         wins[ok] = p[inverse]
         errs[ok] = np.minimum(err, 1.0)[inverse]
         invalid = int(ok.size - valid[inverse].sum())
-    p_tilde = float(wins.mean())
-    stderr = float(wins.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.5
-    return {"p_tilde": p_tilde, "stderr": stderr, "trials": trials,
-            "failures": int(failed.sum()),
-            "disagreements": int((~failed & ~agreed).sum()),
-            "invalid": invalid,
-            "avg_err": float(errs.mean()), "max_err": float(errs.max())}
+    failures = int(failed.sum())
+    disagreements = int((~failed & ~agreed).sum())
+    return _Coordinate(
+        float(wins.mean()),
+        stderr=(float(wins.std(ddof=1) / np.sqrt(trials)) if trials > 1
+                else 0.5),
+        trials=trials, failures=failures, disagreements=disagreements,
+        invalid=invalid,
+        bad_mass=(failures + disagreements + invalid) / trials,
+        avg_err=float(errs.mean()), max_err=float(errs.max()))
 
 
 def run_reduction(cfg: ReductionConfig) -> ReductionReport:
@@ -320,103 +340,58 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
     """
     shot = SingleShotStrategy(cfg)
     rng = np.random.default_rng([int(cfg.seed)])
-    per = []
-    failures = disagreements = invalid = 0
-    err_avg_acc = []
-    bad_mass_acc = []
-    err_max = 0.0
-    crosscheck = 0.0
-    trials_run = 0
+    trials = max(1, cfg.trials // len(shot.free))
+    per, recs = [], []
     for i in shot.free:
         p_ref = _reference_win(shot, i)
-        if cfg.is_sampled:
-            trials_i = max(1, cfg.trials // len(shot.free))
-            stats = _sampled_coordinate(shot, i, trials_i, rng)
-            p_tilde = stats["p_tilde"]
-            stderr = stats["stderr"]
-            failures += stats["failures"]
-            disagreements += stats["disagreements"]
-            invalid += stats["invalid"]
-            err_avg_acc.append(stats["avg_err"])
-            err_max = max(err_max, stats["max_err"])
-            trials_run += stats["trials"]
-            bad_mass_acc.append(
-                (stats["failures"] + stats["disagreements"]
-                 + stats["invalid"]) / stats["trials"])
-            reported_trials = stats["trials"]
-        else:
-            p_tilde, err_acc, cc, bad_mass, bad_count = _exact_coordinate(
-                shot, i)
-            stderr = 0.0
-            err_avg_acc.append(err_acc)
-            err_max = max(err_max, err_acc)
-            crosscheck = max(crosscheck, cc)
-            bad_mass_acc.append(bad_mass)
-            invalid += bad_count
-            reported_trials = 0
-        per.append(PerCoordinate(i, p_tilde, p_ref,
-                                 abs(p_tilde - p_ref), reported_trials,
-                                 stderr))
+        rec = (_sampled_coordinate(shot, i, trials, rng) if cfg.is_sampled
+               else _exact_coordinate(shot, i))
+        per.append(PerCoordinate(i, rec.p_tilde, p_ref,
+                                 abs(rec.p_tilde - p_ref), rec.trials,
+                                 rec.stderr))
+        recs.append(rec)
         shot.computer.release(i)     # each coordinate is visited once
     avg_p_tilde = float(np.mean([p.p_tilde for p in per]))
     avg_p_ref = float(np.mean([p.p_ref for p in per]))
     stderr_avg = float(np.sqrt(np.sum([p.stderr ** 2 for p in per]))
                        / len(per))
-    avg_err = float(np.mean(err_avg_acc)) if err_avg_acc else 0.0
-    bad_rate = float(np.mean(bad_mass_acc)) if bad_mass_acc else 0.0
-    budget = avg_err + bad_rate + 3.0 * stderr_avg
+    avg_err = float(np.mean([r.avg_err for r in recs]))
+    bad_rate = float(np.mean([r.bad_mass for r in recs]))
+    # a mean exceeds the largest term only by rounding
+    max_err = max(avg_err, *(r.max_err for r in recs))
     summary = cfg.summary()
     summary["C"] = list(shot.C)   # record the resolved holdout, not "auto"
     return ReductionReport(
         summary, per, avg_p_tilde, avg_p_ref,
         abs(avg_p_tilde - avg_p_ref),
         float(np.mean([p.residual for p in per])), stderr_avg,
-        trials_run, failures, disagreements, invalid,
-        avg_err, err_max, budget, crosscheck, shot.p_win_c)
+        sum(r.trials for r in recs), sum(r.failures for r in recs),
+        sum(r.disagreements for r in recs), sum(r.invalid for r in recs),
+        avg_err, max_err, avg_err + bad_rate + 3.0 * stderr_avg,
+        max(r.crosscheck for r in recs), shot.p_win_c)
 
 
-def main_bound_compare(report: ReductionReport, eps: float | None = None,
-                       tol: float = 1e-8) -> dict:
+def main_bound_compare(report: ReductionReport,
+                       eps: float | None = None) -> dict:
     """Check the assembled value against the conditional score minus budget."""
     margin = report.avg_p_tilde - report.avg_p_ref + report.error_budget
-    out = {"pass_threshold": bool(margin >= -tol), "margin": float(margin)}
+    out = {"pass_threshold": bool(margin >= -COMPARE_SLACK),
+           "margin": float(margin)}
     if eps is not None:
         out["hypothesis_met"] = report.meets_hypothesis(eps)
     return out
 
 
 def report_to_json(report: ReductionReport) -> str:
-    payload = {
-        "version": __version__,
-        "config": report.config,
-        "per_coord": [{
-            "coord": p.coord, "p_tilde": p.p_tilde, "p_ref": p.p_ref,
-            "residual": p.residual, "trials": p.trials, "stderr": p.stderr,
-        } for p in report.per_coord],
-        "avg_p_tilde": report.avg_p_tilde,
-        "avg_p_ref": report.avg_p_ref,
-        "avg_residual": report.avg_residual,
-        "mean_abs_residual": report.mean_abs_residual,
-        "stderr": report.stderr,
-        "trials_run": report.trials_run,
-        "failures": report.failures,
-        "disagreements": report.disagreements,
-        "invalid_contexts": report.invalid_contexts,
-        "avg_embezzle_err": report.avg_embezzle_err,
-        "max_embezzle_err": report.max_embezzle_err,
-        "error_budget": report.error_budget,
-        "max_context_crosscheck": report.max_context_crosscheck,
-        "p_win_c": report.p_win_c,
-    }
+    payload = {"version": __version__, **asdict(report)}
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def report_to_csv(report: ReductionReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["coord", "p_tilde", "p_ref", "residual", "trials",
-                     "stderr"])
+    writer.writerow([f.name for f in fields(PerCoordinate)])
     for p in report.per_coord:
-        writer.writerow([p.coord, repr(p.p_tilde), repr(p.p_ref),
-                         repr(p.residual), p.trials, repr(p.stderr)])
+        writer.writerow([repr(v) if isinstance(v, float) else v
+                         for v in astuple(p)])
     return buf.getvalue()

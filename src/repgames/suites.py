@@ -24,8 +24,6 @@ FVG_ATOL = 1e-9
 PURE_ATOL = 1e-9
 PINSKER_ATOL = 1e-9
 MIN_ENTROPY_ATOL = 1e-9
-RAZ_ATOL = 1e-8
-CHAIN_ATOL = 1e-8
 GROUP_CHUNK = 1024      # trials per stack, so a sweep's memory does not grow with its trials
 
 
@@ -172,7 +170,7 @@ def sweep_raz(trials: int = 500, seed: int = 0) -> CheckResult:
         cq = _random_cq(n, s1 * s2, d, rng)
         parts = [_weights(rng, n, s1), _weights(rng, n, s2)]
         sigma_a = matcore.random_density(d, rng=rng, count=n)
-        lhs, rhs, holds = raz_lemma_check(cq, (s1, s2), parts, sigma_a, RAZ_ATOL)
+        lhs, rhs, holds = raz_lemma_check(cq, (s1, s2), parts, sigma_a)
         return _finite_gap(lhs, rhs), ~holds
     slack, bad = _draw(seed, 7, trials, [range(2, 4), range(2, 4), range(2, 5)], check)
     return _result("raz_lemma", trials, slack, bad)
@@ -182,7 +180,7 @@ def sweep_chain_rule(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Decomposition of the cq relative entropy into two stages."""
     def check(rng, n, k, d):
         cq_prime, cq = _random_cq(n, k, d, rng), _random_cq(n, k, d, rng)
-        lhs, rhs, holds = chain_rule_check(cq_prime, cq, CHAIN_ATOL)
+        lhs, rhs, holds = chain_rule_check(cq_prime, cq)
         return np.abs(_finite_gap(lhs, rhs)), ~holds
     slack, bad = _draw(seed, 8, trials, [range(2, 5), range(2, 4)], check)
     return _result("chain_rule", trials, slack, bad)

@@ -116,7 +116,7 @@ def test_criterion_07_xi_information_bound():
     for name in ("tsirelson", "printing"):
         comp = computer_for(name, 2, (1,))
         for side in ("alice", "bob"):
-            reports.append(comp.xi_raz_check(side=side, tol=1e-6))
+            reports.append(comp.xi_raz_check(side=side))
     ok = all(r.ok for r in reports)
     worst = max(r.avg_mi - r.delta for r in reports)
     record(7, "per-round information stays within the volume budget", ok,

@@ -352,6 +352,49 @@ def test_zero_work_runs_are_usage_errors(capsys, argv):
     assert err.startswith("usage error: --") and "must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "matcore", "--seed", "-1"),
+    ("run", "values", "--seed", "-2"),
+    ("run", "reduction", "--seed", "-1"),
+], ids=" ".join)
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"usage error: --seed must be at least 0, got {argv[-1]}"]
+
+
+def test_config_seed_that_is_not_an_integer_is_a_usage_error(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "run", "bound")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["usage error: --seed must be at least 0, "
+                                "got None"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "holenstein", "embezzle"])
+def test_run_reduction_report_keys_are_the_dataclass_fields(tmp_path, capsys,
+                                                            mode):
+    from dataclasses import fields
+
+    from repgames.reduction import PerCoordinate, ReductionReport
+
+    out_base = tmp_path / mode
+    code, _out, err = run_cli(capsys, "run", "reduction", "--mode", mode,
+                              "--trials", "200", "--dprime", "16",
+                              "--out", str(out_base))
+    assert code == 0, err
+    payload = json.loads((tmp_path / f"{mode}.json").read_text())
+    assert set(payload) == ({"version", "compare"}
+                            | {f.name for f in fields(ReductionReport)})
+    header = (tmp_path / f"{mode}.csv").read_text().splitlines()[0]
+    assert header.split(",") == [f.name for f in fields(PerCoordinate)]
+    assert all(set(c) == {f.name for f in fields(PerCoordinate)}
+               for c in payload["per_coord"])
+
+
 def test_invalid_game_file_exits_2(tmp_path, capsys):
     path = tmp_path / "game.txt"
     path.write_text("x_size 2\ny_size 2\na_size 2\nb_size 2\n"

@@ -565,12 +565,14 @@ def test_context_table_matches_per_context_conditionals(make_config):
                 assert np.abs(cell / cell.sum() - want.table).max() < 1e-12
         for kind in ("joint", "alice", "bob"):
             for x, y in pairs:
+                x_k = x if kind in ("joint", "alice") else None
+                y_k = y if kind in ("joint", "bob") else None
                 evidence = {}
-                if kind in ("joint", "alice"):
+                if x_k is not None:
                     evidence[round_i[0]] = x
-                if kind in ("joint", "bob"):
+                if y_k is not None:
                     evidence[round_i[1]] = y
-                got = shot.law(i, kind, x, y)
+                got = shot.law(i, x_k, y_k)
                 try:
                     want = cond.given(evidence).marginal(table.names)
                 except ZeroProbabilityEvent:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import born_table_mixed_loop
+from _helpers import born_table_mixed_loop, random_strategy
 from repgames import depbreak, matcore, reduction, strategy
 from repgames.corrsamp import qcs_execute, qcs_isometry
 from repgames.games import chsh, win_set
@@ -150,8 +150,8 @@ def test_sampled_coordinate_evaluates_each_context_once(monkeypatch):
     trials = 2000
     stats = reduction._sampled_coordinate(shot, 1, trials,
                                           np.random.default_rng(3))
-    assert stats["failures"] == 0
-    assert stats["disagreements"] > 0
+    assert stats.failures == 0
+    assert stats.disagreements > 0
     # one stacked call per coordinate, each distinct context once in it
     assert len(calls) == 1
     i, r_a, r_b, x, y = calls[0]
@@ -183,6 +183,23 @@ def test_embezzle_mode_residual_within_budget():
     assert report.max_embezzle_err >= report.avg_embezzle_err
     assert report.avg_residual <= report.error_budget + 1e-9
     assert report.invalid_contexts == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_embezzle_max_error_is_the_largest_context_error(seed):
+    """In exact mode max_embezzle_err is the largest error of a visited
+    context, not the largest per-coordinate weighted mean."""
+    g = chsh()
+    cfg = ReductionConfig(game=g, n=2, strategy=random_strategy(g, 2, 2, seed),
+                          C=(1,), mode_quantum="embezzle", dprime=256)
+    report = run_reduction(cfg)
+    shot = SingleShotStrategy(cfg)
+    r, x, y, _w, _mass, _count = depbreak.conditioned_contexts(
+        g, shot.computer.contexts(0))
+    _p, err, valid = shot.context_wins(0, r, r, x, y)
+    largest = float(np.minimum(err[valid], 1.0).max())
+    assert report.max_embezzle_err == largest
+    assert report.max_embezzle_err > report.avg_embezzle_err
 
 
 def test_embezzle_error_shrinks_with_dimension():

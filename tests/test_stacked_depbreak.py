@@ -72,14 +72,13 @@ def test_random_strategies_match_the_per_context_oracle(game, seed):
         game=g, n=2, strategy=s, C=HOLDOUTS[seed % len(HOLDOUTS)]))
     oracle = _check_against_oracle(shot.computer)
     for i in shot.free:
-        p_tilde, _err, cross, bad_mass, bad = reduction._exact_coordinate(
-            shot, i)
+        rec = reduction._exact_coordinate(shot, i)
         want = oracle.exact_coordinate(i)
-        _close(p_tilde, want[0])
-        _close(cross, want[1])
-        _close(bad_mass, want[2])
-        assert bad == want[3] == 0
-        assert cross <= 1e-8
+        _close(rec.p_tilde, want[0])
+        _close(rec.crosscheck, want[1])
+        _close(rec.bad_mass, want[2])
+        assert rec.invalid == want[3] == 0
+        assert rec.crosscheck <= 1e-8
 
 
 @pytest.mark.parametrize("C", [(1,), (0, 1)])
@@ -177,7 +176,7 @@ def test_stacked_kernels_match_their_two_d_calls():
 def test_context_win_is_the_stacked_kernel_on_one_context():
     shot = SingleShotStrategy(ReductionConfig(
         game=chsh(), n=3, strategy=strategy_fixture("printing", 3), C=(0,)))
-    law = shot.law(1, "joint", 1, 0)
+    law = shot.law(1, 1, 0)
     support = np.flatnonzero(law > depbreak.SUPPORT_MASS)
     r, rb = support[:8], support[::-1][:8].copy()
     x, y = np.full(r.size, 1), np.zeros(r.size, dtype=int)
