@@ -167,9 +167,8 @@ def cmd_verify(args) -> int:
                 f"delta={rep.delta:.6e} tight={rep.tight_bound:.6e}")]
         else:
             rep = comp.sampleability_distances()
-            ok = rep.max_triangle_slack <= 1e-9
             checks = [CheckResult(
-                "sampleability", len(rep.per_coord), 0 if ok else 1,
+                "sampleability", len(rep.per_coord), 0 if rep.ok() else 1,
                 rep.max_triangle_slack,
                 f"d_alice={rep.d_alice:.6e} d_bob={rep.d_bob:.6e} "
                 f"d_cross={rep.d_cross:.6e}")]
@@ -350,32 +349,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value parsed as its text would be on the command line."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError
+        parsed = (action.type or str)(str(value))
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError
+        return parsed
+    except ValueError:
+        wanted = ("at least 0" if action.dest == "seed"   # main's seed rule
+                  else "one of " + ", ".join(action.choices) if action.choices
+                  else {int: "an integer", float: "a number"}.get(action.type, "a string"))
+        raise UsageError(f"{action.option_strings[0]} must be {wanted}, "
+                         f"got {value}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            defaults = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        # defaults must land on the subcommand parsers: each subparser
-        # re-applies its own defaults over the shared namespace, so setting
-        # them on the top-level parser alone has no effect.
-        for sub in parser.sub_commands.values():
-            dests = {a.dest for a in sub._actions}
-            known = {k: v for k, v in defaults.items() if k in dests}
-            if known:
-                sub.set_defaults(**known)
-        args = parser.parse_args(argv)
-    if getattr(args, "mode", None):
-        mapping = {"exact": ("exact_conditional", "oracle_state"),
-                   "holenstein": ("holenstein", "oracle_state"),
-                   "embezzle": ("holenstein", "embezzle")}
-        args.mode_classical, args.mode_quantum = mapping[args.mode]
     try:
-        # a --config value reaches args without argparse's int conversion
-        if not isinstance(args.seed, int) or args.seed < 0:
+        if args.config:
+            defaults = json.loads(Path(args.config).read_text())
+            if not isinstance(defaults, dict):
+                raise ValueError("the config file must hold one JSON object")
+            # defaults must land on the subcommand parsers: each subparser
+            # re-applies its own defaults over the shared namespace, so
+            # setting them on the top-level parser alone has no effect.
+            for sub in parser.sub_commands.values():
+                sub.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
+                                    for a in sub._actions if a.dest in defaults})
+            args = parser.parse_args(argv)
+        if getattr(args, "mode", None):
+            mapping = {"exact": ("exact_conditional", "oracle_state"),
+                       "holenstein": ("holenstein", "oracle_state"),
+                       "embezzle": ("holenstein", "embezzle")}
+            args.mode_classical, args.mode_quantum = mapping[args.mode]
+        if args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         if args.command == "verify":
             return cmd_verify(args)

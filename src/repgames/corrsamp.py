@@ -28,7 +28,8 @@ from . import matcore
 from .prob import FiniteDistribution
 
 MAX_EMBEZZLE_DIM = 2 ** 24
-GRID_FLOOR = 1e-12
+GRID_FLOOR = 1e-12             # Schmidt coefficients at most this round to 0
+DEGENERATE_GAP = 1e-4          # relative gap that joins singular values into a block
 MAX_STREAM_CELLS = 2 ** 18     # (u, t) pairs held by one sampling pass
 JUNK_TRACE_CACHE = 16          # spectrum pairs kept by _junk_trace, d^4 + d^2
                                # floats each
@@ -273,8 +274,7 @@ def _grid_round(s: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _canonical_degenerate_blocks(u: np.ndarray, s: np.ndarray,
-                                 vh: np.ndarray,
-                                 rel_tol: float = 1e-4) -> tuple:
+                                 vh: np.ndarray) -> tuple:
     """Pin the factorization basis inside repeated-singular-value blocks.
 
     Within such a block the decomposition is free up to a unitary mixing,
@@ -282,16 +282,16 @@ def _canonical_degenerate_blocks(u: np.ndarray, s: np.ndarray,
     land on unrelated bases.  Diagonalizing a fixed reference observable
     (the coordinate index operator) inside each block makes the choice a
     continuous deterministic function of the input whenever the reference
-    spectrum inside the block is simple.  The grouping tolerance sits far
-    below the coefficient rounding grid, so merging near-ties perturbs the
-    factorization by less than the rounding step itself.
+    spectrum inside the block is simple.  The grouping gap, DEGENERATE_GAP
+    of the largest value, sits far below the rounding grid, so merging
+    near-ties perturbs the factorization by less than one rounding step.
     """
     d = s.size
     if d < 2:
         return u, vh
     u = u.copy()
     vh = vh.copy()
-    tol = rel_tol * float(s[0]) if float(s[0]) > 0.0 else 0.0
+    tol = DEGENERATE_GAP * float(s[0]) if float(s[0]) > 0.0 else 0.0
     ref = np.arange(u.shape[0], dtype=np.float64)
     start = 0
     for stop in range(1, d + 1):
@@ -304,7 +304,7 @@ def _canonical_degenerate_blocks(u: np.ndarray, s: np.ndarray,
             _vals, z = np.linalg.eigh(g)
             w = blk @ z
             for c in range(w.shape[1]):
-                nz = np.flatnonzero(np.abs(w[:, c]) > 1e-12)
+                nz = np.flatnonzero(np.abs(w[:, c]) > matcore.PHASE_ATOL)
                 if nz.size:
                     ph = w[nz[0], c] / abs(w[nz[0], c])
                     w[:, c] = w[:, c] / ph
@@ -331,7 +331,7 @@ def qcs_isometry(own_state: np.ndarray, d_prime: int,
     d = int(round(math.sqrt(d2)))
     if d * d != d2:
         raise ValueError("state length must be a perfect square")
-    if abs(np.linalg.norm(own_state) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(own_state) - 1.0) > matcore.NORM_ATOL:
         raise ValueError("state must be normalized")
     if d * d_prime > MAX_EMBEZZLE_DIM:
         raise ValueError("d * d_prime exceeds the structural cap")

@@ -46,16 +46,15 @@ from .strategy import (EntangledStrategy, born_joint, pure_born_table,
 ALICE = 0
 BOB = 1
 
-ZERO_WEIGHT = 1e-12
-SUPPORT_MASS = 1e-12
+ZERO_WEIGHT = 1e-12     # a conditional state's weight at most this: no state
+SUPPORT_MASS = 1e-12    # a context's probability at most this: not visited
 COARSE_SUPPORT = 1e-12  # relative eigenvalue cut of a coarse operator's support
-CONTEXT_CHUNK = 256     # contexts whose operators one stacked step gathers
 CHECK_ATOL = 1e-8       # residual a usefulness or weight check passes at
 XI_SLACK = 1e-6         # slack of the xi information bound
-# C="auto" searches holdouts of at most min(AUTO_TMAX, n) rounds; AUTO_EPS
-# only sets choose_C's threshold flag, which nothing downstream reads
-AUTO_EPS = 0.5
-AUTO_TMAX = 2
+TRIANGLE_SLACK = 1e-9   # slack of the sampleability triangle inequality
+SCORE_TIE = 1e-15       # a holdout must beat the best score by more to replace it
+CONTEXT_CHUNK = 256     # contexts whose operators one stacked step gathers
+AUTO_TMAX = 2           # C="auto" searches holdouts of at most this many rounds
 
 
 def d_name(j: int) -> str:
@@ -146,20 +145,19 @@ def _question_table(g: Game, n: int, free) -> FiniteDistribution:
 class CSelection:
     C: tuple
     score: float
-    threshold_met: bool
     evaluated: int
     skipped: int
 
 
-def choose_C(joint: FiniteDistribution, g: Game, n: int, eps: float,
+def choose_C(joint: FiniteDistribution, g: Game, n: int,
              t_max: int) -> CSelection:
     """Search all coordinate subsets of size <= t_max for the best holdout.
 
     The score of C is the average over free coordinates i of the win
     probability in round i conditioned on winning every round of C.
-    Candidates with zero probability of winning C are skipped.  Ties keep
-    the earliest candidate in (size, lexicographic) order, so the empty
-    set wins when conditioning is inert.
+    Candidates with zero probability of winning C are skipped.  Ties, scores
+    within SCORE_TIE, keep the earliest candidate in (size, lexicographic)
+    order, so the empty set wins when conditioning is inert.
     """
     if not 0 < t_max <= n:
         raise ValueError("t_max must be in [1, n]")
@@ -178,13 +176,12 @@ def choose_C(joint: FiniteDistribution, g: Game, n: int, eps: float,
                 score += joint.prob(win_set(g, n, tuple(sorted(C + (i,))))) / p_c
             score /= len(free)
             evaluated += 1
-            if best is None or score > best[0] + 1e-15:
+            if best is None or score > best[0] + SCORE_TIE:
                 best = (score, C)
     if best is None:
         raise ZeroProbabilityEvent("every candidate subset has zero win mass")
     score, C = best
-    return CSelection(C, float(score), bool(score >= 1.0 - eps / 2.0),
-                      evaluated, skipped)
+    return CSelection(C, float(score), evaluated, skipped)
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,7 @@ def _product_distance(won: np.ndarray, mu: np.ndarray, anchor: int) -> float:
 def _coarse_support(coarse: np.ndarray) -> tuple:
     """Ascending eigenpairs (w, v) of a coarse operator or stack, and the
     support mask: eigenvalues above COARSE_SUPPORT times the largest.
-    Refused as `matcore.mat_sqrt` refuses: not Hermitian within
-    HERMITIAN_ATOL, or an eigenvalue below PSD_EIG_FLOOR.
+    Refused as `matcore.mat_sqrt` refuses (`matcore.psd_eigh`).
 
     The arrays returned are read-only and the last stack's are kept:
     `DepBreakComputer` hands one coarse stack to `aligned_operators` and
@@ -243,13 +239,7 @@ def _coarse_support(coarse: np.ndarray) -> tuple:
 @functools.lru_cache(maxsize=1)
 def _support_of(data: bytes, shape: tuple) -> tuple:
     coarse = np.frombuffer(data, dtype=np.complex128).reshape(shape)
-    if not matcore.is_hermitian(coarse):
-        raise ValueError("coarse operator is not Hermitian within "
-                         f"{matcore.HERMITIAN_ATOL:g}")
-    w, v = np.linalg.eigh((coarse + matcore.dagger(coarse)) / 2)
-    if np.count_nonzero(w < matcore.PSD_EIG_FLOOR):
-        raise ValueError(f"coarse operator has eigenvalue {w.min():.3e} "
-                         f"below {matcore.PSD_EIG_FLOOR:g}")
+    w, v = matcore.psd_eigh(coarse, "coarse operator")
     keep = w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
     for a in (w, v, keep):
         a.setflags(write=False)
@@ -385,6 +375,9 @@ class SampleabilityReport:
     skipped_mass: float
     max_triangle_slack: float
 
+    def ok(self) -> bool:
+        return self.max_triangle_slack <= TRIANGLE_SLACK
+
 
 @dataclass(frozen=True)
 class XiRazReport:
@@ -513,8 +506,7 @@ class DepBreakComputer:
                 raise ValueError("C must be a tuple or 'auto'")
             # the symmetrized strategy has the input's output distribution
             self.born = born_joint(g, self.n, self.strategy)
-            C = choose_C(self.born, g, self.n, AUTO_EPS,
-                         min(AUTO_TMAX, self.n)).C
+            C = choose_C(self.born, g, self.n, min(AUTO_TMAX, self.n)).C
         self.C = tuple(sorted(int(c) for c in C))
         if any(c < 0 or c >= n for c in self.C):
             raise ValueError("C must be a subset of range(n)")

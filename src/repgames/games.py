@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .prob import Event, MAX_TABLE_ENTRIES
+from .prob import MAX_TABLE_ENTRIES, SUM_ATOL, WEIGHT_FLOOR, Event
 
 
 
@@ -72,11 +72,11 @@ def validate_game(g: Game) -> GameReport:
         rep.errors.append("alphabet sizes must be positive")
     if not np.isfinite(g.mu).all():
         rep.errors.append("mu has NaN or infinite weights")
-    elif float(g.mu.min(initial=0.0)) < -1e-12:
+    elif float(g.mu.min(initial=0.0)) < WEIGHT_FLOOR:
         rep.errors.append(f"mu has negative weight {g.mu.min():.3e}")
     total = float(g.mu.sum())
-    if abs(total - 1.0) > 1e-12:
-        rep.errors.append(f"mu sums to {total!r}, not 1 within 1e-12")
+    if abs(total - 1.0) > SUM_ATOL:
+        rep.errors.append(f"mu sums to {total!r}, not 1 within {SUM_ATOL:g}")
     for x in range(g.x_size):
         if g.mu[x, :].sum() <= 0:
             rep.warnings.append(f"question x={x} has zero probability")

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import matcore
 from .matcore import collapse, dagger
+from .prob import SUM_ATOL, WEIGHT_FLOOR, ZERO_MASS
 
-SUPPORT_TOL = 1e-10
-STATE_WEIGHT = 1e-15    # conditional states with more weight are validated and read
+SUPPORT_TOL = 1e-10     # relative eigenvalue cut of sigma's support, and leak cut
 ENTROPY_ATOL = 1e-8     # slack of the raz-lemma and chain-rule checks
 
 
@@ -39,9 +39,9 @@ def classical_relative_entropy(p: np.ndarray, q: np.ndarray):
         raise ValueError("distributions must have the same length")
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValueError("distributions must have finite weights")
-    if np.any(p < -1e-12) or np.any(q < -1e-12):
+    if np.any(p < WEIGHT_FLOOR) or np.any(q < WEIGHT_FLOOR):
         raise ValueError("negative probability mass")
-    if np.abs(np.stack([p.sum(-1), q.sum(-1)]) - 1.0).max(initial=0.0) > 1e-9:
+    if np.abs(np.stack([p.sum(-1), q.sum(-1)]) - 1.0).max(initial=0.0) > SUM_ATOL:
         raise ValueError("distributions must be normalized")
     p, q = np.clip(p, 0.0, None), np.clip(q, 0.0, None)
     mask = p > 0.0
@@ -56,7 +56,8 @@ def _validated_pair(rho, sigma):
     rho, wr, _ = matcore.density_spectrum(rho)
     _, ws, vs = matcore.density_spectrum(sigma, vectors=True)
     ws = np.maximum(ws, 0.0)
-    keep = ws > SUPPORT_TOL * np.maximum(ws.max(-1, keepdims=True), 1e-300)
+    # a validated density has trace near 1, so its largest eigenvalue is positive
+    keep = ws > SUPPORT_TOL * ws.max(-1, keepdims=True)
     return rho, wr, ws, keep, vs
 
 
@@ -107,10 +108,10 @@ class CQState:
     """Classical-quantum state: weights p_z with conditional states rho_z.
 
     probs is (..., k) and states (..., k, d, d), a stack for leading axes.
-    The states with weight above STATE_WEIGHT, the ones the kernels read,
+    The states with weight above `prob.ZERO_MASS`, the ones the kernels read,
     are validated in one call, and `spectra` keeps the eigenvalues that
     check computed: one row per such state, in the order of
-    `states[probs > STATE_WEIGHT]`.
+    `states[probs > ZERO_MASS]`.
     """
 
     probs: np.ndarray
@@ -122,9 +123,9 @@ class CQState:
         st = np.asarray(self.states, dtype=np.complex128)
         if p.ndim < 1 or st.ndim != p.ndim + 2 or st.shape[:-2] != p.shape:
             raise ValueError("probs must be (k,), states (k, d, d)")
-        if not (np.all(p >= -1e-12) and np.abs(p.sum(-1) - 1.0).max() <= 1e-9):
+        if not (np.all(p >= WEIGHT_FLOOR) and np.abs(p.sum(-1) - 1.0).max() <= SUM_ATOL):
             raise ValueError("weights must form a distribution")
-        _, w, _ = matcore.density_spectrum(st[p > STATE_WEIGHT])
+        _, w, _ = matcore.density_spectrum(st[p > ZERO_MASS])
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
         object.__setattr__(self, "states", st)
         object.__setattr__(self, "spectra", w)
@@ -156,7 +157,7 @@ class CQState:
 def cq_mutual_information(cq: CQState):
     """I(Z ; Q) of a cq state, the Holevo quantity, in bits."""
     h_z = np.zeros(cq.probs.shape)
-    h_z[cq.probs > STATE_WEIGHT] = _entropy(cq.spectra)
+    h_z[cq.probs > ZERO_MASS] = _entropy(cq.spectra)
     inner = (cq.probs * h_z).sum(-1)
     return collapse(np.maximum(0.0, von_neumann_entropy(cq.quantum_marginal()) - inner))
 
@@ -184,7 +185,7 @@ def _coordinate_cq(cq: CQState, shape: tuple, axis: int) -> CQState:
     other = tuple(len(lead) + ax for ax in range(len(shape)) if ax != axis)
     p_i = probs.sum(axis=other)
     summed = (probs[..., None, None] * states).sum(axis=other)
-    live = (p_i > STATE_WEIGHT)[..., None, None]
+    live = (p_i > ZERO_MASS)[..., None, None]
     scale = np.where(live, p_i[..., None, None], 1.0)
     return CQState(p_i, np.where(live, summed / scale, np.eye(d) / d))
 
@@ -217,7 +218,7 @@ def raz_lemma_check(cq: CQState, shape: tuple, sigma_parts,
     # sigma_a is decomposed once per cq state; unread states are swapped for
     # sigma_a itself, whose divergence from sigma_a is finite
     sigma = np.asarray(sigma_a, dtype=np.complex128)[..., None, :, :]
-    read = (cq.probs > STATE_WEIGHT) & np.isfinite(rhs)[..., None]
+    read = (cq.probs > ZERO_MASS) & np.isfinite(rhs)[..., None]
     rho = np.where(read[..., None, None], cq.states, sigma)
     rhs = rhs + _weighted_terms(cq.probs, relative_entropy(rho, sigma), read)
     holds = np.isinf(rhs) | (lhs <= rhs + ENTROPY_ATOL)
@@ -237,7 +238,7 @@ def chain_rule_check(cq_prime: CQState, cq: CQState) -> tuple:
         raise ValueError("states must share classical and quantum shapes")
     lhs = np.asarray(relative_entropy(cq_prime.density(), cq.density()))
     rhs = np.asarray(classical_relative_entropy(cq_prime.probs, cq.probs))
-    read = (cq_prime.probs > STATE_WEIGHT) & np.isfinite(rhs)[..., None]
+    read = (cq_prime.probs > ZERO_MASS) & np.isfinite(rhs)[..., None]
     terms = np.zeros(read.shape)
     terms[read] = relative_entropy(cq_prime.states[read], cq.states[read])
     rhs = rhs + _weighted_terms(cq_prime.probs, terms, read)

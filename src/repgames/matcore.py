@@ -18,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-8   # rejection threshold for operators that must be Hermitian
-PSD_EIG_FLOOR = -1e-9   # eigenvalues above this are treated as rounding and clamped to 0
-_PHASE_ATOL = 1e-12
+# README "Tolerances" lists every cut of the package, with its reason.
+HERMITIAN_ATOL = 1e-8   # largest |m - m^+| entry of an operator taken as Hermitian
+DENSITY_HERMITIAN_ATOL = 1e-10  # the same for a density matrix
+PSD_EIG_FLOOR = -1e-9   # eigenvalues above: rounding, clamped to 0; below: refused
+TRACE_ATOL = 1e-9       # largest |tr rho - 1| of a density matrix
+NORM_ATOL = 1e-9        # largest | |psi| - 1 | of a state vector
+PHASE_ATOL = 1e-12      # a unit vector's entries at most this are not its pivot
+TIE_DECIMALS = 12       # decimals of the vectors that order equal eigenvalues
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -41,12 +46,13 @@ def collapse(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
-    """True when m (every matrix of a stack) is square and Hermitian within atol."""
+def is_hermitian(m) -> bool:
+    """True when m (every matrix of a stack) is square and Hermitian within
+    HERMITIAN_ATOL."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return float(np.abs(m - dagger(m)).max(initial=0.0)) <= atol
+    return float(np.abs(m - dagger(m)).max(initial=0.0)) <= HERMITIAN_ATOL
 
 
 def frobenius(m) -> float:
@@ -59,34 +65,34 @@ def trace_norm(m):
 
 
 def _pivots(vecs: np.ndarray) -> np.ndarray:
-    """First entry above _PHASE_ATOL of every (unit) column of an (n, d, k) stack."""
+    """First entry above PHASE_ATOL of every (unit) column of an (n, d, k) stack."""
     if vecs.shape[1] == 0:
         return np.ones(vecs.shape[::2], dtype=np.complex128)
-    first = (np.abs(vecs) > _PHASE_ATOL).argmax(axis=1)
+    first = (np.abs(vecs) > PHASE_ATOL).argmax(axis=1)
     return vecs[np.arange(len(vecs))[:, None], first, np.arange(vecs.shape[2])]
 
 
 def _tie_orders(w: np.ndarray, vecs: np.ndarray) -> list:
     """(i, order) for each row i of an (n, k) w with two equal values: order
     sorts w[i] descending, exact ties by the columns of vecs[i] (interleaved
-    (re, im, ...) entries rounded to 12 decimals, compared lexicographically)."""
+    (re, im, ...) entries rounded to TIE_DECIMALS, compared lexicographically)."""
     out = []
     for i, row in enumerate(w.tolist()):
         if len(set(row)) < len(row):
-            keys = np.round(np.ascontiguousarray(vecs[i].T).view(np.float64), 12)
+            keys = np.round(np.ascontiguousarray(vecs[i].T).view(np.float64), TIE_DECIMALS)
             out.append((i, np.lexsort(np.concatenate([keys.T[::-1], -w[i][None]]))))
     return out
 
 
-def eigh_desc(h, name: str = "matrix", atol: float = HERMITIAN_ATOL):
+def eigh_desc(h, name: str = "matrix"):
     """Eigendecomposition of a Hermitian matrix (or stack) in the canonical order.
 
     Returns (values, vectors) with values descending; exact value ties are
     ordered by lexicographic comparison of the phase-normalized vectors.
     """
     h = as_complex_matrix(h, name)
-    if not is_hermitian(h, atol):
-        raise ValueError(f"{name} is not Hermitian within {atol:g}")
+    if not is_hermitian(h):
+        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_ATOL:g}")
     w, v = np.linalg.eigh((h + dagger(h)) / 2)
     shape, n = v.shape, math.prod(v.shape[:-2])
     w, v = w.reshape(n, shape[-1]), v.reshape((n,) + shape[-2:])
@@ -123,18 +129,26 @@ def svd_canonical(m):
     return u.reshape(ushape), s.reshape(ushape[:-2] + (r,)), vh.reshape(vshape)
 
 
-def mat_sqrt(p, name: str = "operator") -> np.ndarray:
-    """PSD square root of a PSD Hermitian matrix or stack (tiny negative eigenvalues clamped).
-
-    The root does not depend on the eigenbasis, so the plain LAPACK
-    decomposition serves; no canonical phase or tie order is applied.
-    """
+def psd_eigh(p, name: str = "operator") -> tuple:
+    """Plain LAPACK eigenpairs (values ascending) of a PSD Hermitian matrix
+    or stack, refused when not Hermitian within HERMITIAN_ATOL or when an
+    eigenvalue lies below PSD_EIG_FLOOR."""
     p = as_complex_matrix(p, name)
     if not is_hermitian(p):
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_ATOL:g}")
     w, v = np.linalg.eigh((p + dagger(p)) / 2)
     if np.count_nonzero(w < PSD_EIG_FLOOR):
         raise ValueError(f"{name} has eigenvalue {w.min():.3e} below {PSD_EIG_FLOOR:g}")
+    return w, v
+
+
+def mat_sqrt(p, name: str = "operator") -> np.ndarray:
+    """PSD square root of a PSD Hermitian matrix or stack (tiny negative eigenvalues clamped).
+
+    The root does not depend on the eigenbasis, so the plain LAPACK
+    decomposition serves; no canonical phase or tie order is applied.
+    """
+    w, v = psd_eigh(p, name)
     r = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ dagger(v)
     return (r + dagger(r)) / 2
 
@@ -181,23 +195,22 @@ def schmidt(psi, dims: tuple[int, int] | None = None) -> SchmidtDecomposition:
     if dl * dr != psi.size:
         raise ValueError(f"dims {dims} incompatible with state length {psi.size}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {nrm!r} is not 1 within 1e-9")
+    if abs(nrm - 1.0) > NORM_ATOL:
+        raise ValueError(f"state norm {nrm!r} is not 1 within {NORM_ATOL:g}")
     u, s, vh = svd_canonical(psi.reshape(dl, dr))
     k = min(dl, dr)
     return SchmidtDecomposition(s, u[:, :k], vh[:k, :].conj().T)
 
 
-def check_pure(psi, atol: float = 1e-9) -> np.ndarray:
+def check_pure(psi) -> np.ndarray:
     psi = as_complex_matrix(psi, "psi").reshape(-1)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > atol:
-        raise ValueError(f"state norm {nrm!r} differs from 1 by more than {atol:g}")
+    if abs(nrm - 1.0) > NORM_ATOL:
+        raise ValueError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL:g}")
     return psi
 
 
-def density_spectrum(rho, vectors: bool = False, herm_atol: float = 1e-10,
-                     eig_floor: float = PSD_EIG_FLOOR, trace_atol: float = 1e-9):
+def density_spectrum(rho, vectors: bool = False):
     """Validate a density matrix (or stack) and keep the spectrum the check computed.
 
     Returns (rho, w, v): rho as a complex array, w each matrix's eigenvalues
@@ -209,32 +222,31 @@ def density_spectrum(rho, vectors: bool = False, herm_atol: float = 1e-10,
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
     rho_h = dagger(rho)
-    if float(np.abs(rho - rho_h).max(initial=0.0)) > herm_atol:
-        raise ValueError(f"density matrix not Hermitian within {herm_atol:g}")
+    if float(np.abs(rho - rho_h).max(initial=0.0)) > DENSITY_HERMITIAN_ATOL:
+        raise ValueError(f"density matrix not Hermitian within {DENSITY_HERMITIAN_ATOL:g}")
     h = (rho + rho_h) / 2
     if vectors:
         w, v = np.linalg.eigh(h)
     else:
         w, v = np.linalg.eigvalsh(h), None
-    if np.count_nonzero(w < eig_floor):
-        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below {eig_floor:g}")
+    if np.count_nonzero(w < PSD_EIG_FLOOR):
+        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below {PSD_EIG_FLOOR:g}")
     tr = rho.trace(axis1=-2, axis2=-1).real.ravel()
-    if np.count_nonzero(np.abs(tr - 1.0) > trace_atol):
+    if np.count_nonzero(np.abs(tr - 1.0) > TRACE_ATOL):
         tr = float(tr[np.abs(tr - 1.0).argmax()])
-        raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {trace_atol:g}")
+        raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {TRACE_ATOL:g}")
     return rho, w, v
 
 
-def check_density(rho, herm_atol: float = 1e-10, eig_floor: float = PSD_EIG_FLOOR,
-                  trace_atol: float = 1e-9) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD up to clamping, unit trace)."""
-    return density_spectrum(rho, False, herm_atol, eig_floor, trace_atol)[0]
+    return density_spectrum(rho)[0]
 
 
 def trace_distance(rho, sigma):
     """(1/2) trace norm of the difference of two Hermitian operators."""
     d = as_complex_matrix(rho) - as_complex_matrix(sigma)
-    if not is_hermitian(d, 1e-8):
+    if not is_hermitian(d):
         raise ValueError("trace_distance expects Hermitian operands")
     w = np.linalg.eigvalsh((d + dagger(d)) / 2)
     return collapse(np.clip(0.5 * np.abs(w).sum(-1), 0.0, 1.0))
@@ -264,7 +276,7 @@ def metrics(rho, sigma) -> StateMetrics:
 def symmetric_purification(rho) -> np.ndarray:
     """Purification sum_k sqrt(lambda_k) |v_k>|v_k> in rho's canonical eigenbasis."""
     rho = check_density(rho)
-    w, v = eigh_desc(rho, "rho", atol=1e-8)
+    w, v = eigh_desc(rho, "rho")
     m = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.swapaxes(-1, -2)
     return _unit(m.reshape(m.shape[:-2] + (-1,)))
 

@@ -12,7 +12,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 MAX_TABLE_ENTRIES = 10_000_000
-ZERO_MASS = 1e-15
+ZERO_MASS = 1e-15       # a probability or total mass at most this is zero
+WEIGHT_FLOOR = -1e-12   # weights above this are rounding, clipped to 0; below, refused
+SUM_ATOL = 1e-12        # largest |sum - 1| of weights that form a distribution
 
 
 class ZeroProbabilityEvent(ValueError):
@@ -67,7 +69,7 @@ class FiniteDistribution:
                              f"{MAX_TABLE_ENTRIES} entry cap")
         if not np.all(np.isfinite(table)):
             raise ValueError("table contains non-finite weights")
-        if table.size and float(table.min()) < -1e-12:
+        if table.size and float(table.min()) < WEIGHT_FLOOR:
             raise ValueError(f"negative weight {table.min():.3e}")
         np.clip(table, 0.0, None, out=table)   # table is this object's copy
         mass = float(table.sum())
@@ -75,8 +77,8 @@ class FiniteDistribution:
             if mass <= ZERO_MASS:
                 raise ZeroProbabilityEvent("total mass is zero")
             table /= mass
-        elif abs(mass - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {mass!r}, not 1 within 1e-12")
+        elif abs(mass - 1.0) > SUM_ATOL:
+            raise ValueError(f"weights sum to {mass!r}, not 1 within {SUM_ATOL:g}")
         table.setflags(write=False)
         self.names = names
         self.table = table
@@ -109,14 +111,6 @@ class FiniteDistribution:
 
     def prob(self, event: Event) -> float:
         return float(self._event_weights(event).sum())
-
-    def condition(self, event: Event) -> "FiniteDistribution":
-        """Restrict to the event and renormalize; keeps the full variable list."""
-        w = self._event_weights(event)
-        mass = float(w.sum())
-        if mass <= ZERO_MASS:
-            raise ZeroProbabilityEvent(f"event over {event.names} has mass {mass:.3e}")
-        return FiniteDistribution(self.names, w / mass)
 
     def given(self, assign: Mapping[str, int]) -> "FiniteDistribution":
         """Condition on an assignment and drop the assigned variables."""
@@ -153,12 +147,3 @@ class FiniteDistribution:
         perm = tuple(self.names.index(n) for n in names)
         return FiniteDistribution(names, np.transpose(self.table, perm))
 
-
-def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Total variation distance between distributions over the same variables."""
-    if set(p.names) != set(q.names):
-        raise ValueError(f"variable mismatch: {p.names} vs {q.names}")
-    q = q.reordered(p.names)
-    if p.sizes != q.sizes:
-        raise ValueError(f"size mismatch: {p.sizes} vs {q.sizes}")
-    return float(0.5 * np.abs(p.table - q.table).sum())

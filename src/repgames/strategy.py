@@ -20,8 +20,7 @@ from .games import (Game, a_names, b_names, question_weights, tuple_digits,
                     x_names, y_names)
 from .prob import FiniteDistribution, MAX_TABLE_ENTRIES
 
-POVM_EIG_FLOOR = -1e-9
-POVM_COMPLETENESS_ATOL = 1e-8
+POVM_COMPLETENESS_ATOL = 1e-8   # largest Frobenius |sum_a E_a - 1| of a POVM
 BORN_CHUNK = 2 ** 16     # table cells one born_joint kernel call fills
 WIN_BLOCK = 2 ** 15      # POVM entries one win_probability block holds
 
@@ -68,7 +67,7 @@ class POVMFamily:
             if herm_dev > matcore.HERMITIAN_ATOL:
                 raise ValueError(f"POVM element at question {q} is not Hermitian")
             w = np.linalg.eigvalsh(flat)
-            if w.size and float(w.min()) < POVM_EIG_FLOOR:
+            if w.size and float(w.min()) < matcore.PSD_EIG_FLOOR:
                 raise ValueError(
                     f"POVM element at question {q} has eigenvalue {w.min():.3e}")
 

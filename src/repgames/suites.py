@@ -18,12 +18,7 @@ from .infotheory import (CheckResult, CQState, chain_rule_check,
                          raz_lemma_check, relative_entropy,
                          relative_min_entropy)
 
-ANDO_ATOL = 1e-9
-POWERS_ATOL = 1e-9
-FVG_ATOL = 1e-9
-PURE_ATOL = 1e-9
-PINSKER_ATOL = 1e-9
-MIN_ENTROPY_ATOL = 1e-9
+SWEEP_SLACK = 1e-9      # rounding slack of every matrix and entropy inequality
 GROUP_CHUNK = 1024      # trials per stack, so a sweep's memory does not grow with its trials
 
 
@@ -86,7 +81,7 @@ def sweep_ando(trials: int = 1000, seed: int = 0,
         rhs = np.trace(x @ sq @ _transposed(v, y) @ sq, axis1=-2, axis2=-1)
         return (np.abs(lhs - rhs),)
     (slack,) = _draw(seed, 1, trials, [range(2, dim_max + 1)], check)
-    return _result("ando_identity", trials, slack, slack > ANDO_ATOL)
+    return _result("ando_identity", trials, slack, slack > SWEEP_SLACK)
 
 
 def sweep_powers_stormer(trials: int = 1000, seed: int = 0,
@@ -96,7 +91,7 @@ def sweep_powers_stormer(trials: int = 1000, seed: int = 0,
         a, b = (matcore.random_psd(d, rng=rng, count=n) for _ in range(2))
         return np.linalg.norm(a - b, axis=(-2, -1)) ** 2, matcore.trace_norm(a @ a - b @ b)
     lhs, rhs = _draw(seed, 2, trials, [range(2, dim_max + 1)], check)
-    return _result("powers_stormer", trials, lhs - rhs, lhs > rhs + POWERS_ATOL)
+    return _result("powers_stormer", trials, lhs - rhs, lhs > rhs + SWEEP_SLACK)
 
 
 def sweep_fuchs_van_de_graaf(trials: int = 1000, seed: int = 0,
@@ -108,7 +103,7 @@ def sweep_fuchs_van_de_graaf(trials: int = 1000, seed: int = 0,
         return (np.maximum(1.0 - m.fidelity - m.trace_distance,
                            m.trace_distance - high),)
     (slack,) = _draw(seed, 3, trials, [range(2, dim_max + 1)], check)
-    return _result("fuchs_van_de_graaf", trials, slack, slack > FVG_ATOL)
+    return _result("fuchs_van_de_graaf", trials, slack, slack > SWEEP_SLACK)
 
 
 def sweep_pure_state_bound(trials: int = 1000, seed: int = 0,
@@ -121,7 +116,7 @@ def sweep_pure_state_bound(trials: int = 1000, seed: int = 0,
         return matcore.trace_norm(proj), 2.0 * np.linalg.norm(v - w, axis=-1)
     lhs, rhs = _draw(seed, 4, trials, [range(2, dim_max + 1)], check)
     return _result("pure_state_trace_bound", trials, lhs - rhs,
-                   lhs > rhs + PURE_ATOL)
+                   lhs > rhs + SWEEP_SLACK)
 
 
 def sweep_pinsker(trials: int = 1000, seed: int = 0,
@@ -137,7 +132,7 @@ def sweep_pinsker(trials: int = 1000, seed: int = 0,
         return relative_entropy(rho, sigma), 0.5 * l1 * l1
     rel, quad = _draw(seed, 5, trials, [range(2, dim_max + 1)], check)
     nat_margin = float(np.min(rel * np.log(2.0) - quad))
-    return _result("pinsker", trials, quad - rel, quad > rel + PINSKER_ATOL,
+    return _result("pinsker", trials, quad - rel, quad > rel + SWEEP_SLACK,
                    details=f"min_nat_margin={nat_margin:.6e}")
 
 
@@ -149,7 +144,7 @@ def sweep_min_entropy(trials: int = 1000, seed: int = 0,
         return relative_min_entropy(rho, sigma), relative_entropy(rho, sigma)
     s_inf, s_rel = _draw(seed, 6, trials, [range(2, dim_max + 1)], check)
     return _result("min_entropy_dominates", trials, _finite_gap(s_rel, s_inf),
-                   s_inf + MIN_ENTROPY_ATOL < s_rel)
+                   s_inf + SWEEP_SLACK < s_rel)
 
 
 def _weights(rng, n: int, size: int) -> np.ndarray:

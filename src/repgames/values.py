@@ -25,6 +25,8 @@ from .strategy import EntangledStrategy, POVMFamily, pure_born_table
 
 MAX_STRATEGY_PAIRS = 100_000_000
 MAX_PREDICATE_TABLE = 10_000_000
+SEESAW_STOP = 1e-10     # an ascent stops once an iteration gains less than this
+POVM_RIDGE = 1e-6       # added to each random POVM seed, so their sum is invertible
 
 
 def _classical_cap_error(g: Game, n: int) -> str | None:
@@ -75,7 +77,6 @@ class SeesawConfig:
     d: int = 2
     max_iters: int = 500
     seed: int = 0
-    convergence_tol: float = 1e-10
 
 
 @dataclass
@@ -87,7 +88,7 @@ class SeesawResult:
 
 
 def _random_povm(d: int, outcomes: int, rng) -> list:
-    gs = [matcore.random_psd(d, rng=rng) + 1e-6 * np.eye(d) for _ in range(outcomes)]
+    gs = [matcore.random_psd(d, rng=rng) + POVM_RIDGE * np.eye(d) for _ in range(outcomes)]
     total = sum(gs)
     w, v = matcore.eigh_desc(total, "povm normalizer")
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
@@ -268,8 +269,7 @@ def seesaw(g: Game, cfg: SeesawConfig) -> SeesawResult:
     weights W = mu * V is one einsum over all (x, y, a, b).  One run is a
     stack of one restart.
     """
-    (run,) = _ascend(g, cfg.d, [cfg.seed], cfg.max_iters,
-                     cfg.convergence_tol)
+    (run,) = _ascend(g, cfg.d, [cfg.seed], cfg.max_iters, SEESAW_STOP)
     return _result(cfg.d, run)
 
 
@@ -279,8 +279,7 @@ def seesaw_best(g: Game, d: int, seeds, max_iters: int = 500) -> SeesawResult:
     All restarts ascend as one stack; each keeps the trajectory it has when
     run alone, and the first of the best values wins.
     """
-    runs = _ascend(g, d, [int(s) for s in seeds], max_iters,
-                   SeesawConfig.convergence_tol)
+    runs = _ascend(g, d, [int(s) for s in seeds], max_iters, SEESAW_STOP)
     return _result(d, max(runs, key=lambda run: run[-1][-1]))
 
 
@@ -304,6 +303,9 @@ def theorem1_bound(epsilon: float, s_bits: float, n: int, c: float = 1.0,
     case for every desk-scale n; the calculator exists to show exactly where
     the crossover sits.
     """
+    if not all(map(math.isfinite, (epsilon, s_bits, c, log_base))):
+        raise ValueError("epsilon, s_bits, c and log_base must be finite, got "
+                         f"{epsilon!r}, {s_bits!r}, {c!r} and {log_base!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     if n < 2:

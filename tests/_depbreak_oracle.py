@@ -32,6 +32,8 @@ from repgames.games import a_names, b_names, win_set, x_names, y_names
 from repgames.infotheory import CQState, cq_mutual_information
 from repgames.prob import ZERO_MASS, ZeroProbabilityEvent
 
+from _helpers import condition
+
 
 def _product_reference(cond, mu, xn, yn, rest, anchor):
     """tv(cond(x,y,rest), mu(x,y) * P(rest | anchor, cond)); zero-mass
@@ -62,7 +64,7 @@ def skew_distances(ext, g, n, C):
     p_win_c = ext.prob(event)
     if p_win_c <= 0.0:
         raise ZeroProbabilityEvent("holdout rounds are never all won")
-    cond = ext.condition(event)
+    cond = condition(ext, event)
     m = len(free)
     delta = (math.log2(1.0 / p_win_c)
              + len(C) * math.log2(g.a_size * g.b_size)) / m

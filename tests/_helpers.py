@@ -7,7 +7,8 @@ import numpy as np
 
 from repgames import values
 from repgames.games import a_names, b_names, x_names, y_names
-from repgames.prob import Event, FiniteDistribution, _expand_to
+from repgames.prob import (ZERO_MASS, Event, FiniteDistribution,
+                           ZeroProbabilityEvent, _expand_to)
 from repgames.strategy import EntangledStrategy, POVMFamily
 
 
@@ -85,6 +86,36 @@ def intersect(e1: Event, e2: Event) -> Event:
     a = _expand_to(e1.mask, e1.names, names, sizes)
     b = _expand_to(e2.mask, e2.names, names, sizes)
     return Event(names, sizes, np.broadcast_to(a & b, sizes).copy())
+
+
+def condition(dist: FiniteDistribution, event: Event) -> FiniteDistribution:
+    """dist restricted to the event and renormalized, over all its
+    variables: the oracle for the package's conditioned tables."""
+    w = dist._event_weights(event)
+    mass = float(w.sum())
+    if mass <= ZERO_MASS:
+        raise ZeroProbabilityEvent(f"event over {event.names} has mass {mass:.3e}")
+    return FiniteDistribution(dist.names, w / mass)
+
+
+def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> float:
+    """Total variation distance between distributions over the same variables."""
+    if set(p.names) != set(q.names):
+        raise ValueError(f"variable mismatch: {p.names} vs {q.names}")
+    q = q.reordered(p.names)
+    if p.sizes != q.sizes:
+        raise ValueError(f"size mismatch: {p.sizes} vs {q.sizes}")
+    return float(0.5 * np.abs(p.table - q.table).sum())
+
+
+def is_near_density(rho) -> bool:
+    """rho is Hermitian within 1e-8, has no eigenvalue below -1e-9 and has
+    trace 1 within 1e-8: a density up to the rounding of a long contraction."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    sym = (rho + rho.conj().T) / 2
+    return bool(np.abs(rho - rho.conj().T).max() <= 1e-8
+                and np.linalg.eigvalsh(sym).min() >= -1e-9
+                and abs(np.trace(rho).real - 1.0) <= 1e-8)
 
 
 def random_strategy(game, n: int, d: int, rng) -> EntangledStrategy:

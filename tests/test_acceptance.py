@@ -10,12 +10,13 @@ import time
 import numpy as np
 
 from _criterion import record
+from _helpers import is_near_density, tv_distance
 from repgames import matcore, suites
 from repgames.corrsamp import (corr_sample_experiment, qcs_execute,
                                qcs_isometry)
 from repgames.depbreak import DepBreakComputer
 from repgames.games import chsh
-from repgames.prob import FiniteDistribution, tv_distance
+from repgames.prob import FiniteDistribution
 from repgames.reduction import ReductionConfig, run_reduction
 from repgames.strategy import strategy_fixture, win_probability
 from repgames.values import classical_value, seesaw_best, theorem1_bound
@@ -151,12 +152,7 @@ def test_criterion_09_quantum_correlated_sampling():
                          and np.array_equal(iso.rot_right, twin.rot_right))
         res = qcs_execute(iso, iso, 4)
         errs.append(res.err)
-        try:
-            matcore.check_density(res.produced_target, herm_atol=1e-8,
-                                  eig_floor=-1e-8, trace_atol=1e-8)
-        except ValueError:
-            density_ok = False
-        if not bit_identical:
+        if not (bit_identical and is_near_density(res.produced_target)):
             density_ok = False
     decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     ok = decreasing and density_ok

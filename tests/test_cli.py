@@ -374,6 +374,71 @@ def test_config_seed_that_is_not_an_integer_is_a_usage_error(tmp_path,
                                 "got None"]
 
 
+@pytest.mark.parametrize("config, argv, line", [
+    ({"trials": None}, ("verify", "--suite", "matcore"),
+     "--trials must be an integer, got None"),
+    ({"trials": 2.5}, ("verify", "--suite", "matcore"),
+     "--trials must be an integer, got 2.5"),
+    ({"trials": True}, ("verify", "--suite", "matcore"),
+     "--trials must be an integer, got True"),
+    ({"trials": [25]}, ("verify", "--suite", "matcore"),
+     "--trials must be an integer, got [25]"),
+    ({"game": {"name": "chsh"}}, ("run", "values"),
+     "--game must be a string, got {'name': 'chsh'}"),
+    ({"eps": "big"}, ("run", "bound"), "--eps must be a number, got big"),
+    ({"C": 5}, ("run", "reduction"), "coordinate 5 outside 1..2"),
+    ({"mode": "bogus"}, ("run", "reduction"),
+     "--mode must be one of exact, holenstein, embezzle, got bogus"),
+    ({"side": "carol"}, ("verify", "--suite", "xi"),
+     "--side must be one of alice, bob, got carol"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v)
+    if isinstance(v, tuple) else "")
+def test_config_value_that_the_flag_refuses_is_a_usage_error(tmp_path, capsys,
+                                                            config, argv,
+                                                            line):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"usage error: {line}"]
+
+
+def test_config_values_parse_as_their_command_line_text(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"trials": "25", "seed": 3, "C": 2,
+                               "side": "bob", "eps": 1}))
+    code, out, _err = run_cli(capsys, "--config", str(cfg), "verify",
+                              "--suite", "matcore")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["trials"], config["seed"], config["C"]) == (25, 3, "2")
+    code, out, _err = run_cli(capsys, "--config", str(cfg), "run", "bound",
+                              "--n-grid", "16")
+    assert code == 0 and json.loads(out)["config"]["eps"] == 1.0
+
+
+def test_config_file_that_is_not_an_object_is_a_config_error(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "run", "bound")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "config error: the config file must hold one JSON object"]
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--s", "--c", "--log-base"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_bound_refuses_a_non_finite_flag(capsys, flag, value):
+    argv = {"--eps": "0.5", "--s": "2", "--c": "1", "--log-base": "2"}
+    argv[flag] = value
+    code, out, err = run_cli(capsys, "run", "bound", "--n-grid", "16",
+                             *[t for kv in argv.items() for t in kv])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and "must be finite" in err
+
+
 @pytest.mark.parametrize("mode", ["exact", "holenstein", "embezzle"])
 def test_run_reduction_report_keys_are_the_dataclass_fields(tmp_path, capsys,
                                                             mode):

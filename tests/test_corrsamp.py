@@ -16,10 +16,10 @@ from repgames.corrsamp import (GRID_FLOOR, AlignmentIsometry,
                                embezzlement, qcs_execute, qcs_isometry,
                                shared_stream_sample)
 from repgames.games import chsh
-from repgames.prob import FiniteDistribution, tv_distance
+from repgames.prob import FiniteDistribution
 from repgames.strategy import strategy_fixture
 
-from _helpers import random_unitary
+from _helpers import is_near_density, random_unitary, tv_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -413,8 +413,7 @@ def test_qcs_execute_identical_inputs():
     psi = qcs_state(42)
     iso = qcs_isometry(psi, 256)
     res = qcs_execute(iso, iso, 4)
-    matcore.check_density(res.produced_target, herm_atol=1e-8,
-                          trace_atol=1e-8)
+    assert is_near_density(res.produced_target)
     assert 0.0 <= res.err <= 0.5
     assert res.ref_err is None
     # the execute error coincides with the explicit distance to own target

@@ -7,13 +7,13 @@ from repgames import matcore
 from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
                                choose_C, dep_state, extended_joint, fine_povm)
 from repgames.games import Game, always_win, asym3, chsh, win_set
-from repgames.prob import ZERO_MASS, ZeroProbabilityEvent, tv_distance
+from repgames.prob import ZERO_MASS, ZeroProbabilityEvent
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 run_reduction)
 from repgames.strategy import (DeterministicStrategy, as_entangled, born_joint,
                                pure_born_table, strategy_fixture)
 from _depbreak_oracle import skew_distances
-from _helpers import answer_bits, random_strategy
+from _helpers import answer_bits, condition, random_strategy, tv_distance
 
 PRINTING_ITEM2 = 0.04099582234676859
 PRINTING_DELTA = 2.2522279662062052
@@ -97,10 +97,9 @@ def test_choose_c_prefers_empty_set_for_product_strategies():
     g = chsh()
     s = strategy_fixture("tsirelson", 3)
     joint = born_joint(g, 3, s)
-    sel = choose_C(joint, g, 3, 0.5, 2)
+    sel = choose_C(joint, g, 3, 2)
     assert sel.C == ()
     assert abs(sel.score - np.cos(np.pi / 8) ** 2) < 1e-10
-    assert sel.threshold_met
     assert sel.evaluated == 7 and sel.skipped == 0
 
 
@@ -108,7 +107,7 @@ def test_choose_c_always_win_scores_one():
     g = always_win()
     s = strategy_fixture("detprod", 2)
     joint = born_joint(g, 2, s)
-    sel = choose_C(joint, g, 2, 0.5, 1)
+    sel = choose_C(joint, g, 2, 1)
     assert sel.C == () and sel.score == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,9 +115,9 @@ def test_choose_c_validates_t_max():
     g = chsh()
     joint = born_joint(g, 2, strategy_fixture("detprod", 2))
     with pytest.raises(ValueError):
-        choose_C(joint, g, 2, 0.5, 0)
+        choose_C(joint, g, 2, 0)
     with pytest.raises(ValueError):
-        choose_C(joint, g, 2, 0.5, 3)
+        choose_C(joint, g, 2, 3)
 
 
 @pytest.mark.parametrize("name", ["tsirelson", "detprod"])
@@ -181,7 +180,7 @@ def test_aligned_operators_factorization():
     assert np.allclose(s_op.conj().T @ s_op, coarse, atol=1e-10)
     assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
     prod = s_op @ matcore.mat_sqrt(rho)
-    assert matcore.is_hermitian(prod, atol=1e-9)
+    assert np.abs(prod - prod.conj().T).max() <= 1e-9
     assert np.linalg.eigvalsh((prod + prod.conj().T) / 2).min() > -1e-9
 
 
@@ -258,7 +257,7 @@ def test_fine_povm_family_properties():
     fam = fine_povm(s_op, parts)
     assert np.allclose(fam.sum(axis=0), np.eye(d), atol=1e-8)
     for e in fam:
-        assert matcore.is_hermitian(e, atol=1e-9)
+        assert np.abs(e - e.conj().T).max() <= 1e-9
         assert np.linalg.eigvalsh(e).min() > -1e-8
 
 
@@ -540,7 +539,7 @@ def test_context_table_matches_per_context_conditionals(make_config):
     shot = SingleShotStrategy(cfg)
     comp = shot.computer
     g, n, ext = cfg.game, cfg.n, comp.ext
-    cond = ext.condition(win_set(g, n, comp.C))
+    cond = condition(ext, win_set(g, n, comp.C))
     pairs = [(x, y) for x in range(g.x_size) for y in range(g.y_size)
              if g.mu[x, y] > 0.0]
     for i in comp.free:
@@ -596,7 +595,7 @@ def test_checks_and_exact_reduction_on_asym3():
     # conditioning on round 2 skews round 1's questions here, so p_tilde
     # is the mu-weighted conditional win and differs from p_ref
     g = cfg.game
-    cond = born_joint(g, 2, cfg.strategy).condition(win_set(g, 2, (1,)))
+    cond = condition(born_joint(g, 2, cfg.strategy), win_set(g, 2, (1,)))
     want = sum(g.mu[x, y] * float((cond.given({"x1": x, "y1": y}).marginal(
         ("a1", "b1")).table * g.predicate[x, y]).sum())
         for x in range(3) for y in range(3))

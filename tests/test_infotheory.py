@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 
 from repgames import matcore
-from repgames.infotheory import (STATE_WEIGHT, CQState, chain_rule_check,
+from repgames.infotheory import (CQState, chain_rule_check,
                                  classical_relative_entropy,
                                  cq_mutual_information,
                                  raz_lemma_check, relative_entropy,
                                  relative_min_entropy, von_neumann_entropy)
+from repgames.prob import ZERO_MASS
 from _helpers import random_unitary
 
 
@@ -93,7 +94,7 @@ def test_cq_state_validation():
 
 
 def test_cq_state_validates_every_state_the_kernels_read():
-    # a state of weight 5e-13 (above STATE_WEIGHT, below 1e-12) is read by
+    # a state of weight 5e-13 (above ZERO_MASS, below 1e-12) is read by
     # the kernels, so a bad one must be refused at construction
     bad = np.diag([2.0, -1.0]).astype(complex)
     probs = np.array([1.0 - 5e-13, 5e-13])
@@ -102,8 +103,8 @@ def test_cq_state_validates_every_state_the_kernels_read():
     assert str(err.value) == "density matrix has eigenvalue -1.000e+00 below -1e-09"
     with pytest.raises(ValueError, match="^weights must form a distribution$"):
         CQState(np.array([np.nan, 1.0]), np.stack([np.eye(2) / 2] * 2))
-    # a state with weight at or below STATE_WEIGHT is never read
-    light = CQState(np.array([1.0, STATE_WEIGHT]), np.stack([np.eye(2) / 2, bad]))
+    # a state with weight at or below ZERO_MASS is never read
+    light = CQState(np.array([1.0, ZERO_MASS]), np.stack([np.eye(2) / 2, bad]))
     assert abs(cq_mutual_information(light)) < 1e-12
 
 
@@ -134,11 +135,11 @@ def test_cq_state_keeps_the_spectra_of_its_read_states(monkeypatch):
     one decomposition per cq state for the average, none for the states,
     and the same entropies as decomposing the states again."""
     rng = np.random.default_rng(12)
-    probs = np.array([[0.5, 0.5 - STATE_WEIGHT / 2, STATE_WEIGHT / 2],
+    probs = np.array([[0.5, 0.5 - ZERO_MASS / 2, ZERO_MASS / 2],
                       [0.2, 0.3, 0.5]])
     states = matcore.random_density(3, rng=rng, count=6).reshape(2, 3, 3, 3)
     cq = CQState(probs, states)
-    live = probs > STATE_WEIGHT
+    live = probs > ZERO_MASS
     assert cq.spectra.shape == (5, 3)
     assert np.array_equal(cq.spectra,
                           matcore.density_spectrum(states[live])[1])

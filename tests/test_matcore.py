@@ -83,7 +83,7 @@ def test_polar_psd_factor_on_full_rank():
     u = matcore.polar_psd_factor(m)
     assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
     h = u @ m
-    assert matcore.is_hermitian(h, atol=1e-9)
+    assert np.abs(h - h.conj().T).max() <= 1e-9
     assert np.min(np.linalg.eigvalsh((h + h.conj().T) / 2)) > -1e-9
 
 
@@ -206,7 +206,7 @@ def _oracle_eigh_desc(h):
     v = v.copy()
     for k in range(v.shape[1]):
         col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > matcore._PHASE_ATOL)
+        nz = np.flatnonzero(np.abs(col) > matcore.PHASE_ATOL)
         if nz.size:
             piv = col[nz[0]]
             v[:, k] = col * (abs(piv) / piv)
@@ -222,7 +222,7 @@ def _oracle_svd_canonical(m):
     r = len(s)
     for k in range(min(r, u.shape[1])):
         col = u[:, k]
-        nz = np.flatnonzero(np.abs(col) > matcore._PHASE_ATOL)
+        nz = np.flatnonzero(np.abs(col) > matcore.PHASE_ATOL)
         if nz.size:
             piv = col[nz[0]]
             ph = piv / abs(piv)
@@ -260,7 +260,7 @@ def _convention_cases():
         cases.append((f"degenerate-{d}", _degenerate_blocks(d, rng)))
     for d in range(3, 13):
         # half the eigenvectors orthogonal to the first basis vector: their
-        # first entry is rounding noise below _PHASE_ATOL, so their pivot
+        # first entry is rounding noise below PHASE_ATOL, so their pivot
         # is a complex entry further down
         g = matcore.random_matrix(d, rng)
         g[0, :d // 2] = 0.0
@@ -313,9 +313,9 @@ def test_svd_canonical_matches_oracle_on_rectangles():
 def test_small_first_entry_case_uses_a_later_pivot():
     _, h = CASES[-1]
     _, v = matcore.eigh_desc(h)
-    assert np.any(np.abs(v[0]) <= matcore._PHASE_ATOL)
+    assert np.any(np.abs(v[0]) <= matcore.PHASE_ATOL)
     for col in v.T:
-        lead = col[np.flatnonzero(np.abs(col) > matcore._PHASE_ATOL)[0]]
+        lead = col[np.flatnonzero(np.abs(col) > matcore.PHASE_ATOL)[0]]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 

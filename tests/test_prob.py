@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from repgames.prob import FiniteDistribution, ZeroProbabilityEvent, tv_distance
-from _helpers import event_from_assignment, intersect
+from repgames.prob import FiniteDistribution, ZeroProbabilityEvent
+from _helpers import condition, event_from_assignment, intersect, tv_distance
 
 
 def make_pair():
@@ -40,7 +40,7 @@ def test_prob_of_assignment_event():
 def test_condition_renormalizes():
     d = make_pair()
     ev = event_from_assignment({"x": 1}, {"x": 2})
-    c = d.condition(ev)
+    c = condition(d, ev)
     assert abs(c.table.sum() - 1.0) < 1e-12
     assert np.allclose(c.marginal(("y",)).table, [0.2, 0.8])
 

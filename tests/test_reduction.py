@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import born_table_mixed_loop, random_strategy
+from _helpers import born_table_mixed_loop, condition, random_strategy
 from repgames import depbreak, matcore, reduction, strategy
 from repgames.corrsamp import qcs_execute, qcs_isometry
 from repgames.games import chsh, win_set
@@ -68,7 +68,7 @@ def test_reference_equals_brute_force_conditional():
     s = strategy_fixture("printing", 2)
     report = run_reduction(ReductionConfig(game=g, n=2, strategy=s, C=(1,)))
     joint = born_joint(g, 2, s)
-    cond = joint.condition(win_set(g, 2, (1,)))
+    cond = condition(joint, win_set(g, 2, (1,)))
     expect = cond.prob(win_set(g, 2, (0,)))
     assert abs(report.per_coord[0].p_ref - expect) < 1e-12
 

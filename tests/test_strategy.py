@@ -9,12 +9,11 @@ import pytest
 from repgames.depbreak import DepBreakComputer
 from repgames.games import Game, chsh, fixture, win_set
 from repgames import strategy
-from repgames.prob import tv_distance
 from repgames.strategy import (DeterministicStrategy, POVMFamily,
                                EntangledStrategy, as_entangled, born_joint,
                                load_strategy, save_strategy, strategy_fixture,
                                symmetrize, tsirelson, win_probability)
-from _helpers import born_joint_loop, random_strategy
+from _helpers import born_joint_loop, random_strategy, tv_distance
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 

@@ -350,3 +350,12 @@ def test_theorem1_bound_input_validation():
         theorem1_bound(0.5, 2.0, 1)
     with pytest.raises(ValueError):
         theorem1_bound(0.5, 2.0, 16, log_base=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("arg", ["epsilon", "s_bits", "c", "log_base"])
+def test_theorem1_bound_refuses_non_finite_inputs(arg, value):
+    kwargs = {"epsilon": 0.5, "s_bits": 2.0, "c": 1.0, "log_base": 2.0}
+    kwargs[arg] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        theorem1_bound(n=16, **kwargs)
