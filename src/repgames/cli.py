@@ -37,6 +37,12 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Refuse a bad argv in one line, like every other refusal."""
+        self.exit(2, f"usage error: {message}\n")
+
+
 def _require_positive(flag: str, value: int) -> None:
     """Refuse a count below one: a run over no items would pass vacuously."""
     if value < 1:
@@ -294,7 +300,7 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repgames",
         description="verification and experiment driver for repeated-game "
                     "strategy analysis")

@@ -14,15 +14,17 @@ strategies.  `extended_joint` builds the full table as a reference.
 
 The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
 is one finite variable: it is passed as a flat index into that coordinate's
-`ContextTable`.  Every aligned factor and fine POVM of a free coordinate is
-built once, as a stack over its contexts, and the walks index those stacks
-with flat arrays of contexts; the kernels take `(..., d, d)` stacks, a 2-D
-input being a stack of one.  Each stack is one product of a dense question
-law with the per-question POVM sums.  A coarse operator's support is cut
-once (COARSE_SUPPORT), and the aligned root and the fine POVM both act on
-it only, so rounding-level eigenvalues never enter a factor.  Pointer
-constraints of the one-assignment operator families are {name: value}
-dicts using the same variable names as the joint tables ("d2", "m2", ...).
+`ContextTable`.  The table's `given_won` is the one law given W_C, the event
+that every held round is won: the laws of r, the skew report and the
+reduction's reference read it.  Every aligned factor and fine POVM of a
+free coordinate is built once, as a stack over its contexts, and the walks
+index those stacks with flat arrays of contexts; the kernels take
+`(..., d, d)` stacks, a 2-D input being a stack of one.  Each stack is one
+product of a dense question law with the per-question POVM sums.  A coarse
+operator's support is cut once (COARSE_SUPPORT), and the aligned root and
+the fine POVM both act on it only, so rounding-level eigenvalues never
+enter a factor.  Pointer constraints of the one-assignment operator
+families are {name: value} dicts named as in the joint tables ("d2", ...).
 """
 
 from __future__ import annotations
@@ -141,6 +143,13 @@ def _question_table(g: Game, n: int, free) -> FiniteDistribution:
         weights.reshape((g.x_size,) * n + (g.y_size,) * n), free)
 
 
+def _require_held_won(p_win_c: float) -> float:
+    """P(W_C), refused at most ZERO_MASS: no law conditions on W_C."""
+    if p_win_c <= ZERO_MASS:
+        raise ZeroProbabilityEvent("holdout rounds are never all won")
+    return p_win_c
+
+
 @dataclass(frozen=True)
 class CSelection:
     C: tuple
@@ -155,7 +164,7 @@ def choose_C(joint: FiniteDistribution, g: Game, n: int,
 
     The score of C is the average over free coordinates i of the win
     probability in round i conditioned on winning every round of C.
-    Candidates with zero probability of winning C are skipped.  Ties, scores
+    Candidates of P(win C) at most ZERO_MASS are skipped.  Ties, scores
     within SCORE_TIE, keep the earliest candidate in (size, lexicographic)
     order, so the empty set wins when conditioning is inert.
     """
@@ -167,7 +176,7 @@ def choose_C(joint: FiniteDistribution, g: Game, n: int,
     for size in range(0, min(t_max, n - 1) + 1):
         for C in itertools.combinations(range(n), size):
             p_c = joint.prob(win_set(g, n, C))
-            if p_c <= 0.0:
+            if p_c <= ZERO_MASS:
                 skipped += 1
                 continue
             free = [i for i in range(n) if i not in C]
@@ -413,25 +422,22 @@ class ContextTable:
         return (dict(zip(self.names[:k], vals[:k])),
                 vals[k:k + self.held], vals[k + self.held:])
 
+    @functools.cached_property
+    def given_won(self) -> np.ndarray:
+        """P(r, x_i, y_i, a_i, b_i | every held round won), shaped as
+        `joint` and formed on first read (the usefulness and weight walks
+        never read it); refused by `_require_held_won`."""
+        won = self.joint * self.held_won[:, None, None, None, None]
+        return won / _require_held_won(float(won.sum()))
+
     def law(self, x: int | None = None,
             y: int | None = None) -> np.ndarray | None:
-        """Flat law of r given that every held round is won and, when set,
-        x_i = x and y_i = y.
-
-        Returns None when that evidence has conditional mass at most
-        ZERO_MASS, the cut `FiniteDistribution.given` makes; raises
-        ZeroProbabilityEvent when the held rounds are never all won.
-        """
-        won = self.joint.sum(axis=(3, 4)) * self.held_won[:, None, None]
-        total = float(won.sum())
-        if total <= ZERO_MASS:
-            raise ZeroProbabilityEvent("holdout rounds are never all won")
-        won = won / total
-        if x is not None:
-            won = won[:, x:x + 1]
-        if y is not None:
-            won = won[:, :, y:y + 1]
-        p = won.sum(axis=(1, 2))
+        """Flat law of r given W_C and, when set, x_i = x and y_i = y: a
+        marginal of `given_won`, or None when that evidence has conditional
+        mass at most ZERO_MASS, the cut `FiniteDistribution.given` makes."""
+        xs = slice(None) if x is None else slice(x, x + 1)
+        ys = slice(None) if y is None else slice(y, y + 1)
+        p = self.given_won[:, xs, ys].sum(axis=(1, 2, 3, 4))
         mass = float(p.sum())
         return p / mass if mass > ZERO_MASS else None
 
@@ -527,6 +533,14 @@ class DepBreakComputer:
         self._op_tensors = {}
         self._operators = {}
         self._via = {}
+
+    @property
+    def delta(self) -> float:
+        """(log2 1/P(W_C) + |C| log2(A B)) / m, the information budget of
+        the m free rounds; refused by `_require_held_won`."""
+        ab = self.game.a_size * self.game.b_size
+        return (math.log2(1.0 / _require_held_won(self.p_win_c))
+                + len(self.C) * math.log2(ab)) / len(self.free)
 
     @functools.cached_property
     def ext(self) -> FiniteDistribution:
@@ -920,13 +934,8 @@ class DepBreakComputer:
         g, d = self.game, self.d
         k = g.a_size if side == "alice" else g.b_size
         size = g.x_size if side == "alice" else g.y_size
-        p_win_c = self.p_win_c
-        if p_win_c <= 0.0:
-            raise ZeroProbabilityEvent("holdout rounds are never all won")
-        m = len(self.free)
-        delta = (math.log2(1.0 / p_win_c)
-                 + len(self.C) * math.log2(g.a_size * g.b_size)) / m
-        tight = len(self.C) * math.log2(k) / m
+        delta = self.delta
+        tight = len(self.C) * math.log2(k) / len(self.free)
 
         # opposite-register blocks [question tuple, held answers]
         ops = self._op_tensor(side, self.C)
@@ -969,26 +978,18 @@ class DepBreakComputer:
 
         The pointer (d_i, m_i) is a channel on (x_i, y_i), so item1 is the
         distance between P(x_i, y_i) and P(x_i, y_i | every held round
-        won).  item2 and item3 compare the law of (x_i, y_i, r) on the
-        held-won slice of `contexts(i).joint` with its product references.
+        won).  item2 and item3 compare the law of (r, x_i, y_i) given W_C,
+        `ContextTable.given_won`, with its product references.
         """
-        g = self.game
-        if self.p_win_c <= ZERO_MASS:
-            raise ZeroProbabilityEvent("holdout rounds are never all won")
-        m = len(self.free)
-        delta = (math.log2(1.0 / self.p_win_c)
-                 + len(self.C) * math.log2(g.a_size * g.b_size)) / m
+        g, delta = self.game, self.delta
         item1, item2, item3 = [], [], []
         for i in self.free:
             table = self.contexts(i)
-            joint = table.joint.sum(axis=(3, 4))        # (r, x_i, y_i)
-            won = joint[table.held_won]
-            won = won / won.sum()
-            item1.append(0.5 * float(np.abs(won.sum(axis=0)
-                                            - joint.sum(axis=0)).sum()))
+            won = table.given_won.sum(axis=(3, 4))      # (r, x_i, y_i)
+            drift = won.sum(axis=0) - table.joint.sum(axis=(3, 4)).sum(axis=0)
+            item1.append(0.5 * float(np.abs(drift).sum()))
             item2.append(_product_distance(won, g.mu, 1))
             item3.append(_product_distance(won, g.mu, 2))
         return SkewReport(self.free, tuple(item1), tuple(item2), tuple(item3),
                           float(np.mean(item1)), float(np.mean(item2)),
                           float(np.mean(item3)), delta, self.p_win_c)
-

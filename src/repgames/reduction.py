@@ -23,7 +23,6 @@ from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
 from .depbreak import (ZERO_WEIGHT, DepBreakComputer, chunks,
                        conditioned_contexts)
 from .games import Game
-from .prob import ZERO_MASS, ZeroProbabilityEvent
 from .strategy import EntangledStrategy, pure_born_table
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
@@ -130,10 +129,6 @@ class SingleShotStrategy:
         self.computer = DepBreakComputer(cfg.game, cfg.n, cfg.strategy, cfg.C)
         self.C = self.computer.C
         self.free = self.computer.free
-        self.p_win_c = float(self.computer.p_win_c)
-        if self.p_win_c <= ZERO_MASS:
-            raise ZeroProbabilityEvent("holdout rounds are never all won")
-        self._law_cache = {}
 
     # ---- dependency-breaking value bookkeeping ---------------------------
 
@@ -151,12 +146,8 @@ class SingleShotStrategy:
 
     def law(self, i: int, x: int | None = None,
             y: int | None = None) -> np.ndarray | None:
-        """Flat law of r given the questions passed (x for Alice's view, y
-        for Bob's, both for the joint one) and winning C, or None."""
-        key = (i, x, y)
-        if key not in self._law_cache:
-            self._law_cache[key] = self.computer.contexts(i).law(x, y)
-        return self._law_cache[key]
+        """`ContextTable.law` of free coordinate i."""
+        return self.computer.contexts(i).law(x, y)
 
     # ---- per-context evaluation ------------------------------------------
 
@@ -232,9 +223,8 @@ class SingleShotStrategy:
 
 def _reference_win(shot: SingleShotStrategy, i: int) -> float:
     """P(win round i | every held round won), from the context table."""
-    table = shot.computer.contexts(i)
-    won = table.joint[table.held_won]
-    return float((won * shot.cfg.game.predicate).sum() / won.sum())
+    return float((shot.computer.contexts(i).given_won
+                  * shot.cfg.game.predicate).sum())
 
 
 @dataclass
@@ -368,7 +358,7 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
         sum(r.trials for r in recs), sum(r.failures for r in recs),
         sum(r.disagreements for r in recs), sum(r.invalid for r in recs),
         avg_err, max_err, avg_err + bad_rate + 3.0 * stderr_avg,
-        max(r.crosscheck for r in recs), shot.p_win_c)
+        max(r.crosscheck for r in recs), shot.computer.p_win_c)
 
 
 def main_bound_compare(report: ReductionReport,

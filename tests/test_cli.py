@@ -197,6 +197,30 @@ def test_verify_has_no_workers_flag(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "bound", "--trials", "abc"),
+    ("run", "bound", "--c", "-inf"),
+    ("run", "bound", "--bogus", "1"),
+    ("verify",),
+], ids=" ".join)
+def test_an_argv_argparse_refuses_is_one_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("usage error: ")
+
+
+def test_help_still_prints_the_usage_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: repgames run")
+    assert len(captured.out.splitlines()) > 9
+
+
 def test_run_reduction_refuses_a_fixture_above_the_povm_cap(capsys):
     # printing at n=7 would be a (2,)*14 + (128, 128) array per side
     code, out, err = run_cli(capsys, "run", "reduction", "--strategy",

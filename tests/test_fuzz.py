@@ -73,11 +73,12 @@ def _refuse_constant(name: str):
     raise AssertionError(f"report holds {name}, which is not JSON")
 
 
-def _run(argv: list) -> tuple:
-    """Exit code and stderr of main; argparse refuses by SystemExit(2).
+def _run(argv: list) -> int:
+    """Exit code of main; argparse refuses by SystemExit(2).
 
     A run that completes prints its report, which must be strict JSON:
-    NaN or Infinity in it fails the example.
+    NaN or Infinity in it fails the example.  Every refusal, argparse's
+    included, is exactly one line on stderr.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -87,9 +88,11 @@ def _run(argv: list) -> tuple:
             code = exc.code
             assert code == 2, f"argparse exit {code!r} for {argv}"
     assert code in (0, 1, 2), f"exit {code!r} for {argv}"
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     if code in (0, 1):
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
-    return code, err.getvalue()
+    return code
 
 
 def _check_loaded_file(text: str, loader, argv_for):
@@ -101,10 +104,9 @@ def _check_loaded_file(text: str, loader, argv_for):
             loaded = loader(path)
         except ValueError:
             loaded = None
-        code, err = _run(argv_for(str(path)))
+        code = _run(argv_for(str(path)))
     if loaded is None:
-        assert code == 2
-        assert len(err.splitlines()) == 1, err
+        assert code == 2    # one line, as `_run` requires of every refusal
     return loaded
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from _helpers import born_table_mixed_loop, condition, random_strategy
 from repgames import depbreak, matcore, reduction, strategy
 from repgames.corrsamp import qcs_execute, qcs_isometry
-from repgames.games import chsh, win_set
+from repgames.games import chsh, fixture, win_set
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
                                 main_bound_compare, report_to_csv,
                                 report_to_json, run_reduction)
@@ -231,6 +232,43 @@ def test_always_win_game_is_exactly_saturated():
     assert out["pass_threshold"]
     # both sides win every trial, so only float roundoff enters the budget
     assert abs(out["margin"]) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _skew_cases() -> tuple:
+    """(case, |p_tilde_i - p_ref_i|, item1_i, error_budget +
+    max_context_crosscheck) per free coordinate of the exact oracle-state
+    reduction on random strategies: chsh and asym3, n=2, d=3, C=(1,),
+    seeds 0-19."""
+    out = []
+    for name in ("chsh", "asym3"):
+        g = fixture(name)
+        for seed in range(20):
+            cfg = ReductionConfig(game=g, n=2, C=(1,),
+                                  strategy=random_strategy(g, 2, 3, seed))
+            rep = run_reduction(cfg)
+            skew = depbreak.DepBreakComputer(g, 2, cfg.strategy,
+                                             cfg.C).skew_report()
+            assert skew.free == tuple(p.coord for p in rep.per_coord)
+            rest = rep.error_budget + rep.max_context_crosscheck
+            out += [(f"{name} seed {seed} coord {p.coord}",
+                     abs(p.p_tilde - p.p_ref), item1, rest)
+                    for p, item1 in zip(rep.per_coord, skew.item1)]
+    return tuple(out)
+
+
+def test_exact_residual_is_within_the_question_skew_and_budget():
+    """With the oracle state p_tilde_i and p_ref_i average the same
+    per-context win, under mu(x_i, y_i) and under P(x_i, y_i | every held
+    round won): their gap is at most the distance item1_i of those laws,
+    plus the skipped and invalid mass and the per-context crosscheck."""
+    assert [case for case, gap, item1, rest in _skew_cases()
+            if gap > item1 + rest] == []
+
+
+def test_without_the_skew_term_an_exact_residual_exceeds_the_budget():
+    """Negative control: the error budget alone misses the skew."""
+    assert [case for case, gap, _item1, rest in _skew_cases() if gap > rest]
 
 
 def test_main_bound_compare_margin():

@@ -12,7 +12,7 @@ import pytest
 
 from repgames import (corrsamp, depbreak, infotheory, matcore, prob,
                       reduction, strategy)
-from repgames.games import Game, validate_game
+from repgames.games import Game, chsh, validate_game
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repgames"
 
@@ -197,6 +197,44 @@ def _pivot_is_first(v):
     return matcore._pivots(vec)[0, 0] == v
 
 
+def _refuses_w_c(fn) -> bool:
+    """Whether fn() refuses because the held rounds are never all won."""
+    try:
+        fn()
+    except prob.ZeroProbabilityEvent as exc:
+        assert str(exc) == "holdout rounds are never all won"
+        return True
+    return False
+
+
+def _held_won_table(v):
+    """A context table whose one held-won context has mass v."""
+    return depbreak.ContextTable(("r",), (2,), 0,
+                                 np.array([1.0 - v, v]).reshape(2, 1, 1, 1, 1),
+                                 np.array([False, True]))
+
+
+def _p_win_c(v):
+    """chsh n=2, C=(1,) on the Tsirelson strategy, with P(W_C) set to v."""
+    comp = depbreak.DepBreakComputer(chsh(), 2,
+                                     strategy.strategy_fixture("tsirelson", 2),
+                                     (1,))
+    comp.p_win_c = v
+    return comp
+
+
+def _holdout_skipped(v):
+    """Whether choose_C skips C=(0,) on a chsh n=2 table where round 1 is
+    won with probability v and round 2 always."""
+    names = ("x1", "y1", "a1", "b1", "x2", "y2", "a2", "b2")
+    table = np.zeros((2,) * 8)
+    table[0, 0, 0, 0, 0, 0, 0, 0] = v           # both rounds won
+    table[0, 0, 0, 1, 0, 0, 0, 0] = 1.0 - v     # round 1 lost
+    sel = depbreak.choose_C(prob.FiniteDistribution(names, table), chsh(), 2, 1)
+    assert sel.C == (() if sel.skipped else (0,))
+    return sel.skipped == 1
+
+
 # (cut, tolerance, read_as_zero(v)): a value at half the tolerance must be
 # read as zero and one at twice it kept
 ZERO_CUTS = {
@@ -219,6 +257,15 @@ ZERO_CUTS = {
     "SUPPORT_MASS": (depbreak.SUPPORT_MASS, lambda v: _product_row(v) < 0.3),
     "COARSE_SUPPORT": (depbreak.COARSE_SUPPORT, lambda v: not depbreak._coarse_support(
         np.diag([1.0, v]))[2][0]),
+    # the one W_C cut: every held round is won with probability at most
+    # ZERO_MASS, so no law conditions on it
+    "held-won table": (prob.ZERO_MASS,
+                       lambda v: _refuses_w_c(_held_won_table(v).law)),
+    "skew_report P(W_C)": (prob.ZERO_MASS,
+                           lambda v: _refuses_w_c(_p_win_c(v).skew_report)),
+    "xi_raz_check P(W_C)": (prob.ZERO_MASS,
+                            lambda v: _refuses_w_c(_p_win_c(v).xi_raz_check)),
+    "choose_C P(W_C)": (prob.ZERO_MASS, _holdout_skipped),
 }
 
 
