@@ -8,7 +8,10 @@ target state (van Dam and Hayden).  Where each slot of the shared state
 goes depends only on the players' rounded Schmidt spectra and the junk
 dimension, so the junk-traced outcome is built once per pair of rounded
 spectra and cached; a call with known spectra does work of the target's
-size only, whatever the junk dimension.
+size only, whatever the junk dimension.  The build walks the junk columns
+in blocks, so past the sort of the slots it holds 4 bytes per slot and
+side; when both descriptions round to the same spectrum, each block is one
+Gram product.
 
 A chi-square test checks side A's marginal against its law.  Its tail
 probability comes from `_chi2_sf`, pure `math` for any integer degrees of
@@ -33,6 +36,7 @@ DEGENERATE_GAP = 1e-4          # relative gap that joins singular values into a 
 MAX_STREAM_CELLS = 2 ** 18     # (u, t) pairs held by one sampling pass
 JUNK_TRACE_CACHE = 16          # spectrum pairs kept by _junk_trace, d^4 + d^2
                                # floats each
+_JUNK_BLOCK = 2 ** 16          # junk columns per block of _junk_trace
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -208,7 +212,9 @@ class EmbezzlementVector:
 
 
 def _harmonic(n: int) -> float:
-    return float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
+    inv = np.arange(1, n + 1, dtype=np.float64)
+    np.divide(1.0, inv, out=inv)
+    return float(inv.sum())
 
 
 @functools.lru_cache(maxsize=16)
@@ -361,51 +367,62 @@ def _junk_trace(grid_a: bytes, grid_b: bytes, d: int, d_prime: int) -> tuple:
     """(rho, over) for the slot orders of two rounded spectra.
 
     Slot j of the shared state, coefficient 1/sqrt((j+1) H_N), goes to
-    Alice's flat slot (k_a, l_a) in her order and to Bob's (k_b, l_b) in
-    his.  Indexed by Alice's slot, Bob's destination and the coefficient
-    form the (d, d') arrays k_b, l_b, vals.  Tracing out the junk
-    registers pairs two slots when they share Alice's column l_a and Bob's
-    l_b, so block (p, q) of the reduced state rho (in the Schmidt bases) is
-    one bincount over the d' columns.  over[p, q] sums vals * junk[l_a]
-    over row p's slots with l_b == l_a and k_b == q: the weight of g[p, q]
-    in the overlap with a target paired with a fresh junk state.  Both
-    arrays are read-only and depend on the grids and d' alone.
+    Alice's slot (k_a, l_a) in her order and to Bob's (k_b, l_b) in his.
+    Tracing out the junk registers pairs two slots when they share Alice's
+    column l_a and Bob's l_b, so block (p, q) of the reduced state rho (in
+    the Schmidt bases) is a sum over Alice's d' columns: vals[p] * vals[q]
+    where l_b[p] == l_b[q], binned on (k_b[p], k_b[q]).  over[p, q] sums
+    vals * junk[l_a] over row p's slots with l_b == l_a and k_b == q: the
+    weight of g[p, q] in the overlap with a target paired with a fresh junk
+    state.  Past the slot orders only Alice's rank per slot and, for
+    different spectra, Bob's slot per rank are held at full length; the
+    columns are walked in blocks of _JUNK_BLOCK, each forming its own vals,
+    k_b and l_b.  With equal spectra Bob's slot is Alice's own, so a block
+    adds its Gram matrix vals @ vals.T to rho[p, p, q, q] and vals @ junk to
+    over's diagonal.  Both arrays are read-only and depend on the grids and
+    d' alone.
     """
     n = d * d_prime
-    rank = np.empty(n, dtype=np.int32)      # Alice's slot -> its rank j
-    rank[_slot_order(np.frombuffer(grid_a), d_prime)] = np.arange(
-        n, dtype=np.int32)
-    if grid_b == grid_a:
-        dest = np.arange(n, dtype=np.int32)
-    else:
+    h_n = _harmonic(n)
+    order = _slot_order(np.frombuffer(grid_a), d_prime)
+    rank = np.empty((d, d_prime), dtype=np.int32)   # Alice's slot -> rank j
+    rank.reshape(n)[order] = np.arange(n, dtype=np.int32)
+    del order
+    equal = grid_b == grid_a
+    if not equal:                                   # rank j -> Bob's slot
         dest = _slot_order(np.frombuffer(grid_b), d_prime).astype(np.int32)
-        dest = dest[rank]
-    k_b, l_b = np.divmod(dest.reshape(d, d_prime), d_prime)
-    del dest
-    # the elementwise steps of _embezzlement_cached, at Alice's ranks
-    vals = rank.astype(np.float64).reshape(d, d_prime)
-    del rank
-    vals += 1.0
-    vals *= _harmonic(n)
-    np.sqrt(vals, out=vals)
-    np.divide(1.0, vals, out=vals)
-
+    junk = embezzlement(d_prime).coefficients
+    pairs = np.zeros((d, d, d, d))          # rho[p, :, q, :] for p <= q
+    over = np.zeros((d, d))
+    diag = np.arange(d)
+    for lo in range(0, d_prime, _JUNK_BLOCK):
+        cols = slice(lo, min(d_prime, lo + _JUNK_BLOCK))
+        # the elementwise steps of _embezzlement_cached, at Alice's ranks
+        vals = rank[:, cols].astype(np.float64)
+        vals += 1.0
+        vals *= h_n
+        np.sqrt(vals, out=vals)
+        np.divide(1.0, vals, out=vals)
+        if equal:                       # Bob's slot is Alice's own
+            pairs[diag[:, None], diag, diag[:, None], diag] += vals @ vals.T
+            over[diag, diag] += vals @ junk[cols]
+            continue
+        k_b, l_b = np.divmod(dest[rank[:, cols]], d_prime)
+        for p in range(d):
+            for q in range(p, d):
+                w = vals[p] * vals[q] * (l_b[p] == l_b[q])
+                pairs[p, q] += np.bincount(
+                    k_b[p] * d + k_b[q], weights=w,
+                    minlength=d * d).reshape(d, d)
+            hit = l_b[p] == np.arange(cols.start, cols.stop)
+            over[p] += np.bincount(k_b[p, hit],
+                                   weights=vals[p, hit] * junk[cols][hit],
+                                   minlength=d)
     rho = np.zeros((d, d, d, d))
     for p in range(d):
         for q in range(p, d):
-            w = vals[p] * vals[q] * (l_b[p] == l_b[q])
-            block = np.bincount(k_b[p] * d + k_b[q], weights=w,
-                                minlength=d * d).reshape(d, d)
-            rho[p, :, q, :] = block
-            rho[q, :, p, :] = block.T
-    junk = embezzlement(d_prime).coefficients
-    over = np.zeros((d, d))
-    for p in range(d):
-        hit = l_b[p] == np.arange(d_prime)
-        w = vals[p, hit] * junk[hit]
-        k = k_b[p, hit]
-        for q in range(d):
-            over[p, q] = np.sum(w[k == q])
+            rho[p, :, q, :] = pairs[p, q]
+            rho[q, :, p, :] = pairs[p, q].T
     rho.flags.writeable = False
     over.flags.writeable = False
     return rho, over

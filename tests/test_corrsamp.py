@@ -560,6 +560,30 @@ def oracle_cases(d):
             "product": (product.ravel(), other)}
 
 
+def assert_qcs_matches_oracles(iso_a, iso_b, psi_a, psi_b, name=""):
+    """qcs_execute against both oracles, the per-slot overlap and the
+    error against an explicit target other than Alice's description."""
+    d = iso_a.d
+    res = qcs_execute(iso_a, iso_b, d)
+    for rho, err, overlap in (class_match_oracle(iso_a, iso_b),
+                              dense_oracle(iso_a, iso_b, psi_a)):
+        assert np.max(np.abs(res.produced_target - rho)) <= 1e-12, name
+        assert abs(res.overlap - overlap) <= 1e-12, name
+        assert_err_close(res.err, err)
+    assert_err_close(qcs_error_against(iso_a, iso_b, psi_a), res.err)
+    # an explicit target other than Alice's own description
+    _rho, err_b, _ov = dense_oracle(iso_a, iso_b, psi_b)
+    assert_err_close(qcs_error_against(iso_a, iso_b, psi_b), err_b)
+    # the per-slot sum, term for term, differs from the kernel's
+    # per-(p, q) sums by rounding only
+    assert abs(res.overlap - slot_overlap(iso_a, iso_b,
+                                          own_g(iso_a, iso_b))) <= 1e-15, name
+    ref_err = qcs_execute(iso_a, iso_b, d, psi_b).ref_err
+    assert abs(ref_err ** 2
+               - qcs_error_against(iso_a, iso_b, psi_b) ** 2) <= 1e-15, name
+    assert_err_close(ref_err, err_b)
+
+
 @pytest.mark.parametrize("dp", [1, 8, 64])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_qcs_slot_table_matches_oracles(d, dp):
@@ -568,24 +592,7 @@ def test_qcs_slot_table_matches_oracles(d, dp):
         iso_b = iso_a if psi_b is psi_a else qcs_isometry(psi_b, dp)
         if name == "product" and d > 1:
             assert np.all(iso_a.coeffs_exact[1:] < GRID_FLOOR)
-        res = qcs_execute(iso_a, iso_b, d)
-        for rho, err, overlap in (class_match_oracle(iso_a, iso_b),
-                                  dense_oracle(iso_a, iso_b, psi_a)):
-            assert np.max(np.abs(res.produced_target - rho)) <= 1e-12, name
-            assert abs(res.overlap - overlap) <= 1e-12, name
-            assert_err_close(res.err, err)
-        assert_err_close(qcs_error_against(iso_a, iso_b, psi_a), res.err)
-        # an explicit target other than Alice's own description
-        _rho, err_b, _ov = dense_oracle(iso_a, iso_b, psi_b)
-        assert_err_close(qcs_error_against(iso_a, iso_b, psi_b), err_b)
-        # the per-slot sum, term for term, differs from the kernel's
-        # per-(p, q) sums by rounding only
-        assert abs(res.overlap - slot_overlap(iso_a, iso_b,
-                                              own_g(iso_a, iso_b))) <= 1e-15
-        ref_err = qcs_execute(iso_a, iso_b, d, psi_b).ref_err
-        assert abs(ref_err ** 2
-                   - qcs_error_against(iso_a, iso_b, psi_b) ** 2) <= 1e-15
-        assert_err_close(ref_err, err_b)
+        assert_qcs_matches_oracles(iso_a, iso_b, psi_a, psi_b, name)
 
 
 def schmidt_state(spectrum, seed):
@@ -614,6 +621,7 @@ def test_qcs_overlap_weights_across_target_rows(dp):
     assert abs(res.overlap - slot_overlap(iso_a, iso_b,
                                           own_g(iso_a, iso_b))) <= 1e-15
     assert_err_close(res.ref_err, dense_oracle(iso_a, iso_b, psi_b)[1])
+
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
@@ -663,6 +671,26 @@ def test_junk_trace_shared_by_equal_grids(kernel_builds):
         assert np.max(np.abs(res.produced_target - rho)) <= 1e-12
         assert abs(res.overlap - overlap) <= 1e-12
     assert len(kernel_builds) == 1
+
+
+def test_junk_trace_ragged_blocks_match_oracles(kernel_builds, monkeypatch):
+    # a block of 5 junk columns divides no d' below, so every build walks
+    # several blocks and a short last one, on both the equal-spectra and
+    # the different-spectra path
+    monkeypatch.setattr(corrsamp, "_JUNK_BLOCK", 5)
+    cases = [(name, psi_a, psi_b, dp) for d in (2, 3, 4) for dp in (8, 64)
+             for name, (psi_a, psi_b) in oracle_cases(d).items()]
+    rows = (schmidt_state([0.85, 0.46, 0.24, 0.085], 1),
+            schmidt_state([0.70, 0.57, 0.41, 0.05], 3))
+    cases += [("across_rows", *rows, dp) for dp in (3, 8)]
+    equal = 0
+    for name, psi_a, psi_b, dp in cases:
+        iso_a = qcs_isometry(psi_a, dp)
+        iso_b = iso_a if psi_b is psi_a else qcs_isometry(psi_b, dp)
+        equal += np.array_equal(iso_a.coeffs_grid, iso_b.coeffs_grid)
+        assert_qcs_matches_oracles(iso_a, iso_b, psi_a, psi_b, name)
+    assert 0 < equal < len(cases)
+    assert len(kernel_builds) == len(cases)
 
 
 def grid_step_pair():
@@ -723,6 +751,23 @@ def test_qcs_memory_at_junk_dimension_2_20(other):
     assert peak < 160 * MiB
     assert kept < 1 * MiB
     assert res.produced_target.shape == (16, 16)
+
+
+@pytest.mark.parametrize("other", [None, 7])
+def test_junk_trace_memory_per_slot(kernel_builds, other):
+    # the slot order's argsort holds two 8-byte arrays per slot; past it
+    # only Alice's rank and, for different spectra, Bob's slot per rank
+    # stay at full length, 4 bytes a slot each: 16 and 20 bytes a slot in
+    # all, where one (d, d') float array beside the ranks reaches 32
+    dp = 2 ** 18
+    embezzlement(dp)                    # the cached junk vector is not
+                                        # the build's own memory
+    iso_a = qcs_isometry(qcs_state(42), dp)
+    iso_b = iso_a if other is None else qcs_isometry(qcs_state(other), dp)
+    _res, peak, kept = traced(lambda: qcs_execute(iso_a, iso_b, 4))
+    assert len(kernel_builds) == 1
+    assert peak <= 26 * 4 * dp
+    assert kept < 1 * MiB
 
 
 def test_embezzle_reduction_at_junk_dimension_2_20(capsys):
