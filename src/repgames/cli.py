@@ -113,7 +113,7 @@ def _csv(header: list, rows: list) -> str:
 
 
 def _emit(payload: dict, csv_text: str, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if out:
         Path(out + ".json").write_text(text + "\n")
         Path(out + ".csv").write_text(csv_text)

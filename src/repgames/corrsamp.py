@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .prob import FiniteDistribution
+from .prob import MAX_TABLE_ENTRIES, FiniteDistribution
 
 MAX_EMBEZZLE_DIM = 2 ** 24
 GRID_FLOOR = 1e-12             # Schmidt coefficients at most this round to 0
@@ -57,8 +57,9 @@ def shared_stream_sample(p: np.ndarray, q: np.ndarray, m: int,
     (-1 where a side accepted nothing within max_draws) and the masks of
     agreeing runs and of runs where either side ran out of draws.
     """
-    if m < 1:
-        raise ValueError("correlated sampling needs at least one run")
+    if not 1 <= m <= MAX_TABLE_ENTRIES:
+        raise ValueError(f"correlated sampling needs 1 to {MAX_TABLE_ENTRIES}"
+                         f" runs (the entry cap), got {m}")
     if max_draws < 1:
         raise ValueError("correlated sampling needs max_draws of at least 1")
     laws = np.stack([np.asarray(p, dtype=np.float64).ravel(),

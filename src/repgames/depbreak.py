@@ -15,16 +15,15 @@ strategies.  `extended_joint` builds the full table as a reference.
 The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
 is one finite variable: it is passed as a flat index into that coordinate's
 `ContextTable`.  The table's `given_won` is the one law given W_C, the event
-that every held round is won: the laws of r, the skew report and the
-reduction's reference read it.  Every aligned factor and fine POVM of a
-free coordinate is built once, as a stack over its contexts, and the walks
-index those stacks with flat arrays of contexts; the kernels take
+that every held round is won, over the one P(W_C) read off the Born table:
+the laws of r and the skew report read it.  Every aligned factor and fine
+POVM of a free coordinate is built once, as a stack over its contexts, and
+the walks index those stacks with flat arrays of contexts; the kernels take
 `(..., d, d)` stacks, a 2-D input being a stack of one.  Each stack is one
-product of a dense question law with the per-question POVM sums.  A coarse
-operator's support is cut once (COARSE_SUPPORT), and the aligned root and
-the fine POVM both act on it only, so rounding-level eigenvalues never
-enter a factor.  Pointer constraints of the one-assignment operator
-families are {name: value} dicts named as in the joint tables ("d2", ...).
+product of a dense question law with the per-question POVM sums.  Both
+kernels act on a coarse operator's support only (COARSE_SUPPORT), and the
+fine POVM is conjugated by the unitary of the aligned factor S = U A^(1/2).
+One-assignment pointer constraints are {name: value} dicts ("d2", ...).
 """
 
 from __future__ import annotations
@@ -214,13 +213,6 @@ class SkewReport:
     delta: float
     p_win_c: float
 
-    def ratios(self) -> tuple:
-        """Each average divided by sqrt(delta); None when delta is zero."""
-        if self.delta <= 0.0:
-            return (None, None, None)
-        root = math.sqrt(self.delta)
-        return (self.avg1 / root, self.avg2 / root, self.avg3 / root)
-
 
 def _product_distance(won: np.ndarray, mu: np.ndarray, anchor: int) -> float:
     """tv(won(r, x, y), mu(x, y) P(r | anchor question, won)) for a law
@@ -234,25 +226,12 @@ def _product_distance(won: np.ndarray, mu: np.ndarray, anchor: int) -> float:
 
 
 def _coarse_support(coarse: np.ndarray) -> tuple:
-    """Ascending eigenpairs (w, v) of a coarse operator or stack, and the
-    support mask: eigenvalues above COARSE_SUPPORT times the largest.
-    Refused as `matcore.mat_sqrt` refuses (`matcore.psd_eigh`).
-
-    The arrays returned are read-only and the last stack's are kept:
-    `DepBreakComputer` hands one coarse stack to `aligned_operators` and
-    its fine parts to `fine_povm`, and both cut the same support."""
-    coarse = matcore.as_complex_matrix(coarse, "coarse operator")
-    return _support_of(coarse.tobytes(), coarse.shape)
-
-
-@functools.lru_cache(maxsize=1)
-def _support_of(data: bytes, shape: tuple) -> tuple:
-    coarse = np.frombuffer(data, dtype=np.complex128).reshape(shape)
+    """Ascending eigenpairs (w, v) of a coarse operator or stack and its
+    support mask, eigenvalues above COARSE_SUPPORT times the largest;
+    refused as `matcore.mat_sqrt` refuses (`matcore.psd_eigh`).  Each kernel
+    decomposes its own input, so given the same bytes both cut one support."""
     w, v = matcore.psd_eigh(coarse, "coarse operator")
-    keep = w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
-    for a in (w, v, keep):
-        a.setflags(write=False)
-    return w, v, keep
+    return w, v, w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
 
 
 def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
@@ -273,32 +252,25 @@ def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
     return u @ a_half, u
 
 
-def fine_povm(s_op: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
-    """Answer measurements for the target round from aligned factors.
+def fine_povm(u: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
+    """Answer measurements for the target round from alignment unitaries.
 
-    s_op is one factor `(d, d)` or a `(..., d, d)` stack; fine_coarse has
-    shape `(..., k, d, d)` and sums, per factor, to the coarse operator that
-    produced it.  Returns `(..., k + 1, d, d)`: the k conjugated elements
-    plus a reserved null outcome completing each family to the identity.
+    u is the unitary U of `aligned_operators` for the coarse operator A, a
+    `(d, d)` or a `(..., d, d)` stack; fine_coarse `(..., k, d, d)` sums to
+    A.  Returns `(..., k + 1, d, d)`: the k elements U A^(+1/2) F_a A^(+1/2)
+    U-dagger on A's support (`_coarse_support`), and a null outcome
+    completing each family to the identity.
 
-    The conjugation by the inverse factor is evaluated in the eigenbasis of
-    the coarse operator: each element is dominated there, so dividing entry
-    (j, l) by sqrt(w_j w_l) keeps every intermediate bounded by one and the
-    result stays accurate even when the coarse operator is ill conditioned.
-    Only the coarse operator's support (`_coarse_support`) is conjugated; a
-    per-matrix keep mask zeroes the other columns.
+    The inverse roots are applied in A's eigenbasis, where each element is
+    dominated: entry (j, l) divided by sqrt(w_j w_l) stays bounded by one,
+    so the result is accurate even when A is ill conditioned.  A per-matrix
+    keep mask zeroes the columns outside the support.
     """
     k, d = fine_coarse.shape[-3], fine_coarse.shape[-1]
     w, v, keep = _coarse_support(fine_coarse.sum(axis=-3))
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     vs = v * keep[..., None, :]
-    # s_op restricted to the support equals an isometry times sqrt(coarse);
-    # renormalizing its image columns and polishing recovers that isometry
-    # without ever forming an explicit inverse.  The masked columns are
-    # zero, so they only complete the polished factor and meet zero rows
-    # of the scaled elements.
-    uu, _, vv = np.linalg.svd(s_op @ (vs * inv_sqrt[..., None, :]))
-    q = (uu @ vv)[..., None, :, :]
+    q = (u @ vs)[..., None, :, :]
     scale = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     vs = vs[..., None, :, :]
     # contiguous conjugate transposes: a strided operand makes every
@@ -342,8 +314,9 @@ class SideOperators:
 
     Indexed [omega, q, held] with omega the flat index of the coordinate's
     `omega_names`, q the side's own round-i question and held the flat
-    index of its held answers: own[omega, q, held] is the aligned factor,
-    and fine[omega, q, held] the `(k + 1, d, d)` fine POVM built from it.
+    index of its held answers: own[omega, q, held] is the aligned factor
+    S = U A^(1/2), and fine[omega, q, held] the `(k + 1, d, d)` fine POVM
+    conjugated by its unitary U.
     """
     own: np.ndarray
     fine: np.ndarray
@@ -406,14 +379,15 @@ class ContextTable:
     sizes `sizes`: omega (the other free coordinates' pointers, then the
     held questions x_C and y_C), then the held answers a_C and b_C, with
     `held` = |C|.  joint[r, x_i, y_i, a_i, b_i] is the probability of that
-    assignment (the extended table's marginal, contracted from the Born
-    table), and held_won[r] marks the contexts that win every held round.
+    assignment (contracted from the Born table), held_won[r] marks the
+    contexts that win every held round, and p_win_c is P(W_C).
     """
     names: tuple
     sizes: tuple
     held: int
     joint: np.ndarray
     held_won: np.ndarray
+    p_win_c: float
 
     def split(self, flat: int) -> tuple:
         """(omega as a {name: value} dict, a_C, b_C) of a flat r."""
@@ -424,11 +398,11 @@ class ContextTable:
 
     @functools.cached_property
     def given_won(self) -> np.ndarray:
-        """P(r, x_i, y_i, a_i, b_i | every held round won), shaped as
-        `joint` and formed on first read (the usefulness and weight walks
-        never read it); refused by `_require_held_won`."""
-        won = self.joint * self.held_won[:, None, None, None, None]
-        return won / _require_held_won(float(won.sum()))
+        """P(r, x_i, y_i, a_i, b_i | W_C): the held-won cells of `joint`
+        over `p_win_c`, formed on first read (the usefulness and weight
+        walks never read it) and refused by `_require_held_won`."""
+        return (self.joint * self.held_won[:, None, None, None, None]
+                / _require_held_won(self.p_win_c))
 
     def law(self, x: int | None = None,
             y: int | None = None) -> np.ndarray | None:
@@ -542,6 +516,12 @@ class DepBreakComputer:
         return (math.log2(1.0 / _require_held_won(self.p_win_c))
                 + len(self.C) * math.log2(ab)) / len(self.free)
 
+    def win_given_held(self, i: int) -> float:
+        """P(win round i | W_C) off the Born table, as `p_win_c` is, so a
+        round that is always won reads exactly 1."""
+        both = win_set(self.game, self.n, tuple(sorted(self.C + (i,))))
+        return self.born.prob(both) / _require_held_won(self.p_win_c)
+
     @functools.cached_property
     def ext(self) -> FiniteDistribution:
         """The extended joint table of this (game, strategy, C), built on
@@ -606,7 +586,7 @@ class DepBreakComputer:
             won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
             self._contexts[i] = ContextTable(
                 names, sizes, len(self.C),
-                t.reshape((-1,) + t.shape[len(names):]), won)
+                t.reshape((-1,) + t.shape[len(names):]), won, self.p_win_c)
         return self._contexts[i]
 
     # ---- measurement operators ------------------------------------------
@@ -680,15 +660,6 @@ class DepBreakComputer:
         """
         return self._one_assignment(side, self.C, constraints)
 
-    def fine_coarse_family(self, side: str, i: int,
-                           constraints: dict) -> np.ndarray:
-        """Like coarse_family but also resolving the answer of round i.
-
-        Output axes: held coordinates in ascending order, then round i.
-        """
-        return self._with_round_last(i, self._one_assignment(
-            side, tuple(sorted(self.C + (i,))), constraints))
-
     def aligned(self, side: str, constraints: dict, held) -> tuple:
         """Aligned factor (S, U) for one held-answer value in one context."""
         held = tuple(int(v) for v in held)
@@ -697,10 +668,11 @@ class DepBreakComputer:
 
     def fine_family(self, side: str, i: int, constraints: dict,
                     held) -> np.ndarray:
+        """Fine POVM of round i for one held-answer value in one context."""
         held = tuple(int(v) for v in held)
-        s_op, _ = self.aligned(side, constraints, held)
-        return fine_povm(s_op, self.fine_coarse_family(
-            side, i, constraints)[held])
+        fine = self._with_round_last(i, self._one_assignment(
+            side, tuple(sorted(self.C + (i,))), constraints))
+        return fine_povm(self.aligned(side, constraints, held)[1], fine[held])
 
     def operators(self, i: int) -> dict:
         """The aligned factors and fine POVMs of free coordinate i, per
@@ -727,8 +699,8 @@ class DepBreakComputer:
             side, tuple(sorted(self.C + (i,)))))).reshape(-1, k, d, d)
         # the coarse stack is the fine one summed over round i's answer, the
         # sum fine_povm forms, so both kernels cut the same support
-        s_own, _ = aligned_operators(fine.sum(axis=-3), self.rho[side])
-        fam = fine_povm(s_own, fine)
+        s_own, u_own = aligned_operators(fine.sum(axis=-3), self.rho[side])
+        fam = fine_povm(u_own, fine)
         n_held = k ** len(self.C)
         return SideOperators(s_own.reshape(n_omega, -1, n_held, d, d),
                              fam.reshape(n_omega, -1, n_held, k + 1, d, d))

@@ -23,6 +23,7 @@ from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
 from .depbreak import (ZERO_WEIGHT, DepBreakComputer, chunks,
                        conditioned_contexts)
 from .games import Game
+from .prob import MAX_TABLE_ENTRIES
 from .strategy import EntangledStrategy, pure_born_table
 
 CLASSICAL_MODES = ("exact_conditional", "holenstein")
@@ -49,9 +50,10 @@ class ReductionConfig:
             raise ValueError("unknown classical sampling mode")
         if self.mode_quantum not in QUANTUM_MODES:
             raise ValueError("unknown quantum preparation mode")
-        if self.is_sampled and (self.trials < 1 or self.max_draws < 1):
-            raise ValueError(
-                "Monte Carlo modes need at least one trial and one draw")
+        if self.is_sampled and not (1 <= self.trials <= MAX_TABLE_ENTRIES
+                                    and self.max_draws >= 1):
+            raise ValueError(f"Monte Carlo modes need 1 to {MAX_TABLE_ENTRIES}"
+                             " trials (the entry cap) and at least one draw")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be a positive finite number")
 
@@ -221,12 +223,6 @@ class SingleShotStrategy:
         return shared_stream_sample(pa, pb, m, rng, self.cfg.max_draws)
 
 
-def _reference_win(shot: SingleShotStrategy, i: int) -> float:
-    """P(win round i | every held round won), from the context table."""
-    return float((shot.computer.contexts(i).given_won
-                  * shot.cfg.game.predicate).sum())
-
-
 @dataclass
 class _Coordinate:
     """One coordinate's score and error accounting.
@@ -326,14 +322,15 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
 
     Exact classical mode enumerates every context in closed form; the
     holenstein mode runs seeded Monte Carlo trials.  Either way the
-    reference values come from the brute-force conditional table.
+    reference value of round i is P(win round i | W_C), read off the Born
+    table (`DepBreakComputer.win_given_held`).
     """
     shot = SingleShotStrategy(cfg)
     rng = np.random.default_rng([int(cfg.seed)])
     trials = max(1, cfg.trials // len(shot.free))
     per, recs = [], []
     for i in shot.free:
-        p_ref = _reference_win(shot, i)
+        p_ref = shot.computer.win_given_held(i)
         rec = (_sampled_coordinate(shot, i, trials, rng) if cfg.is_sampled
                else _exact_coordinate(shot, i))
         per.append(PerCoordinate(i, rec.p_tilde, p_ref,
@@ -374,7 +371,7 @@ def main_bound_compare(report: ReductionReport,
 
 def report_to_json(report: ReductionReport) -> str:
     payload = {"version": __version__, **asdict(report)}
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def report_to_csv(report: ReductionReport) -> str:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import matcore
 from .games import Game, question_weights, tuple_digits
+from .prob import MAX_TABLE_ENTRIES
 from .strategy import EntangledStrategy, POVMFamily, pure_born_table
 
 MAX_STRATEGY_PAIRS = 100_000_000
@@ -277,8 +278,12 @@ def seesaw_best(g: Game, d: int, seeds, max_iters: int = 500) -> SeesawResult:
     """Best seesaw run over several seeds; deterministic given the seed list.
 
     All restarts ascend as one stack; each keeps the trajectory it has when
-    run alone, and the first of the best values wins.
+    run alone, and the first of the best values wins.  A Bell stack of
+    restarts x d^4 entries above MAX_TABLE_ENTRIES is refused first.
     """
+    if len(seeds) * d ** 4 > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a Bell stack of {len(seeds)} restarts at d={d} is "
+                         f"above the {MAX_TABLE_ENTRIES} entry cap")
     runs = _ascend(g, d, [int(s) for s in seeds], max_iters, SEESAW_STOP)
     return _result(d, max(runs, key=lambda run: run[-1][-1]))
 
@@ -301,7 +306,8 @@ def theorem1_bound(epsilon: float, s_bits: float, n: int, c: float = 1.0,
 
     The bound is vacuous whenever the unclamped value is >= 1, which is the
     case for every desk-scale n; the calculator exists to show exactly where
-    the crossover sits.
+    the crossover sits.  The raw value is formed from logarithms, so every
+    n >= 2 runs, and refused when it is above the largest double.
     """
     if not all(map(math.isfinite, (epsilon, s_bits, c, log_base))):
         raise ValueError("epsilon, s_bits, c and log_base must be finite, got "
@@ -312,6 +318,12 @@ def theorem1_bound(epsilon: float, s_bits: float, n: int, c: float = 1.0,
         raise ValueError(f"n must be at least 2, got {n!r}")
     if s_bits <= 0 or c <= 0 or log_base <= 1:
         raise ValueError("s_bits and c must be positive, log_base > 1")
-    raw = c * s_bits * (math.log(n) / math.log(log_base)) / (epsilon ** 17 * n ** 0.25)
+    log_n = math.log(n)
+    try:
+        raw = math.exp(math.log(c) + math.log(s_bits) - 17 * math.log(epsilon)
+                       + math.log(log_n / math.log(log_base)) - log_n / 4)
+    except OverflowError:
+        raise ValueError(f"the raw bound at n={n} is above the largest "
+                         "double") from None
     return BoundReport(epsilon, s_bits, int(n), c, log_base, raw,
                        min(1.0, raw), raw >= 1.0)

@@ -92,14 +92,19 @@ def skew_distances(ext, g, n, C):
 
 
 class ExtendedTableComputer(DepBreakComputer):
-    """`DepBreakComputer` with its question table, P(win C) and context
-    tables read off the extended table; operators and walks unchanged."""
+    """`DepBreakComputer` with its question table, P(win C), context
+    tables and P(win round i | win C) read off the extended table;
+    operators and walks unchanged."""
 
     def __init__(self, g, n, s, C):
         super().__init__(g, n, s, C)
         self.qext = self.ext.marginal(x_names(n) + y_names(n) + tuple(
             name for j in self.free for name in (d_name(j), m_name(j))))
         self.p_win_c = self.ext.prob(win_set(g, n, self.C))
+
+    def win_given_held(self, i):
+        both = win_set(self.game, self.n, tuple(sorted(self.C + (i,))))
+        return self.ext.prob(both) / self.p_win_c
 
     def contexts(self, i):
         if i not in self._contexts:
@@ -113,7 +118,8 @@ class ExtendedTableComputer(DepBreakComputer):
             won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
             self._contexts[i] = ContextTable(
                 names, sizes, len(self.C),
-                marg.table.reshape((-1,) + marg.sizes[len(names):]), won)
+                marg.table.reshape((-1,) + marg.sizes[len(names):]), won,
+                self.p_win_c)
         return self._contexts[i]
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -461,6 +462,25 @@ def test_run_bound_refuses_a_non_finite_flag(capsys, flag, value):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "corrsamp", "--trials", "100000000000"),
+    ("run", "reduction", "--strategy", "tsirelson", "--n", "2", "--mode",
+     "holenstein", "--trials", "100000000000"),
+    ("run", "values", "--d", "100000"),
+], ids=" ".join)
+def test_a_count_above_the_entry_cap_is_refused_before_allocating(capsys,
+                                                                   argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "entry cap" in err
+    assert peak < 2 ** 24
 
 
 @pytest.mark.parametrize("mode", ["exact", "holenstein", "embezzle"])

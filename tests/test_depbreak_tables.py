@@ -89,6 +89,10 @@ def test_tables_and_laws_match_the_extended_table_path(case):
         assert np.array_equal(got.held_won, want.held_won)
         assert got.joint.shape == want.joint.shape
         assert np.abs(got.joint - want.joint).max() <= 1e-12
+        # the reference win off the Born table is the law given W_C's
+        p_ref = comp.win_given_held(i)
+        assert abs(p_ref - ref.win_given_held(i)) <= 1e-12
+        assert abs(p_ref - float((got.given_won * g.predicate).sum())) <= 1e-15
         evidence = [(None, None)] + [(x, None) for x in range(g.x_size)] + [
             (None, y) for y in range(g.y_size)] + [
             (x, y) for x in range(g.x_size) for y in range(g.y_size)]
@@ -259,14 +263,18 @@ def test_exact_reduction_peak_memory_is_below_the_extended_table():
     assert peak < 32 * 2 ** 20
 
 
-def test_fine_povm_reuses_the_support_of_the_aligned_factors():
-    """Each side's coarse stack is decomposed once: `fine_povm` reads the
-    eigenpairs `aligned_operators` computed for the same stack."""
+def test_operators_make_one_svd_per_side(monkeypatch):
+    """The fine POVMs are conjugated by the unitary `aligned_operators`
+    returns, so a coordinate's operators make one SVD per side: the polar
+    factor of the aligned stack."""
     comp = DepBreakComputer(chsh(), 3, strategy_fixture("printing", 3), (1,))
-    depbreak._support_of.cache_clear()
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     comp.operators(0)
-    info = depbreak._support_of.cache_info()
-    assert (info.hits, info.misses) == (2, 2)
-    w, v, keep = depbreak._coarse_support(
-        comp._op_tensor("alice", (0, 1))[0].sum(axis=(0, 1)))
-    assert not (w.flags.writeable or v.flags.writeable or keep.flags.writeable)
+    assert len(calls) == 2

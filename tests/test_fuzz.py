@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repgames.cli import main  # noqa: E402
@@ -173,6 +173,13 @@ COMMANDS = {
     ("run", "corrsamp"): ("--tv", "--max-draws", "--seed"),
     ("run", "bogus"): ("--n", "--seed"),
 }
+# argv that every run tries besides the drawn ones: a raw bound past the
+# largest double, and an n whose fourth root overflows a float
+EXAMPLES = {
+    ("run", "bound"): [["--eps", "1e-20"], ["--s", "1e300"], ["--c", "1e300"],
+                       ["--s", "1e300", "--c", "1e300"],
+                       ["--n-grid", "2^2000"]],
+}
 
 
 @st.composite
@@ -188,9 +195,10 @@ def flag_values(draw, names: tuple):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS), ids=" ".join)
 def test_cli_argv_never_escapes(command):
-    @settings(FUZZ, max_examples=25)
-    @given(flag_values(COMMANDS[command]))
     def check(argv):
         _run(list(command) + argv)
 
-    check()
+    for argv in EXAMPLES.get(command, ()):
+        check = example(argv)(check)
+    settings(FUZZ, max_examples=25)(given(flag_values(COMMANDS[command]))(
+        check))()

@@ -146,7 +146,7 @@ def test_stacked_kernels_match_their_two_d_calls():
     parts[5] = 0.0
     coarse = parts.sum(axis=1)
     s_ops, us = aligned_operators(coarse, rho)
-    fams = fine_povm(s_ops, parts)
+    fams = fine_povm(us, parts)
     assert fams.shape == (6, 3, 3, 3)
     psi = matcore.random_pure(9, rng=41)
     states, weights = dep_state(s_ops, s_ops[::-1], psi)
@@ -154,7 +154,7 @@ def test_stacked_kernels_match_their_two_d_calls():
     for j in range(6):
         s_op, u = aligned_operators(coarse[j], rho)
         assert np.array_equal(s_op, s_ops[j]) and np.array_equal(u, us[j])
-        assert np.abs(fine_povm(s_op, parts[j]) - fams[j]).max() <= 1e-14
+        assert np.abs(fine_povm(u, parts[j]) - fams[j]).max() <= 1e-14
         assert np.abs(fine_povm_2d(s_op, parts[j]) - fams[j]).max() <= 1e-12
         state, weight = dep_state(s_ops[j], s_ops[5 - j], psi)
         want, want_w = dep_state_2d(s_ops[j], s_ops[5 - j], psi)

@@ -208,10 +208,10 @@ def _refuses_w_c(fn) -> bool:
 
 
 def _held_won_table(v):
-    """A context table whose one held-won context has mass v."""
+    """A context table whose one held-won context has mass v, P(W_C)."""
     return depbreak.ContextTable(("r",), (2,), 0,
                                  np.array([1.0 - v, v]).reshape(2, 1, 1, 1, 1),
-                                 np.array([False, True]))
+                                 np.array([False, True]), v)
 
 
 def _p_win_c(v):
@@ -261,6 +261,8 @@ ZERO_CUTS = {
     # ZERO_MASS, so no law conditions on it
     "held-won table": (prob.ZERO_MASS,
                        lambda v: _refuses_w_c(_held_won_table(v).law)),
+    "context table P(W_C)": (
+        prob.ZERO_MASS, lambda v: _refuses_w_c(_p_win_c(v).contexts(0).law)),
     "skew_report P(W_C)": (prob.ZERO_MASS,
                            lambda v: _refuses_w_c(_p_win_c(v).skew_report)),
     "xi_raz_check P(W_C)": (prob.ZERO_MASS,
