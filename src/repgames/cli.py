@@ -12,8 +12,10 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +25,19 @@ from .corrsamp import corr_sample_experiment
 from .depbreak import DepBreakComputer
 from .games import Game, fixture, load_game
 from .prob import FiniteDistribution
-from .reduction import (ReductionConfig, main_bound_compare, report_to_csv,
-                        report_to_json, run_reduction)
+from .reduction import (PerCoordinate, ReductionConfig, main_bound_compare,
+                        run_reduction)
 from .strategy import EntangledStrategy, load_strategy, strategy_fixture
 from .values import (classical_value, max_classical_rounds, seesaw_best,
                      theorem1_bound)
 
 GAME_FIXTURES = ("chsh", "always_win", "asym3")
 STRATEGY_FIXTURES = ("tsirelson", "printing", "detprod")
+GRID_MAX_DIGITS = 4300   # Python's default cap on an int written as text
+# the (classical, quantum) sampling modes that --mode sets
+MODES = {"exact": ("exact_conditional", "oracle_state"),
+         "holenstein": ("holenstein", "oracle_state"),
+         "embezzle": ("holenstein", "embezzle")}
 
 
 class UsageError(ValueError):
@@ -86,22 +93,38 @@ def _parse_c(spec: str, n: int) -> tuple | str:
     return tuple(sorted(set(vals)))
 
 
+def _grid_int(tok: str, power: bool) -> int:
+    """One --n-grid integer, or with power the exponent k of 2^k, refused
+    before the number is formed if it has more than GRID_MAX_DIGITS digits,
+    which json cannot print."""
+    tok = tok.strip()
+    shown = ("2^" if power else "") + (tok[:32] + "..." if len(tok) > 32
+                                       else tok)
+    if not re.fullmatch(r"[+-]?[0-9]+", tok):
+        raise UsageError(f"--n-grid value {shown} is not an integer")
+    size = len(tok.lstrip("+-").lstrip("0"))
+    if power:   # 2^k has floor(k log10 2) + 1 digits
+        size = int(int(tok) * math.log10(2)) + 1 if size < 10 else math.inf
+    if size > GRID_MAX_DIGITS:
+        raise UsageError(f"--n-grid value {shown} has more than "
+                         f"{GRID_MAX_DIGITS} digits")
+    return int(tok)
+
+
 def _parse_n_grid(spec: str) -> list:
     """Grid like '2^10..2^60', a comma list, or one integer."""
     spec = spec.strip()
     if ".." in spec:
-        lo, hi = spec.split("..")
+        lo, _, hi = spec.partition("..")
         if not (lo.startswith("2^") and hi.startswith("2^")):
             raise UsageError("grid ranges must use the 2^a..2^b form")
-        a, b = int(lo[2:]), int(hi[2:])
+        a, b = _grid_int(lo[2:], True), _grid_int(hi[2:], True)
         if a > b:
             raise UsageError("empty grid range")
         return [2 ** k for k in range(a, b + 1)]
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        out.append(2 ** int(tok[2:]) if tok.startswith("2^") else int(tok))
-    return out
+    toks = [tok.strip() for tok in spec.split(",")]
+    return [2 ** _grid_int(tok[2:], True) if tok.startswith("2^")
+            else _grid_int(tok, False) for tok in toks]
 
 
 def _csv(header: list, rows: list) -> str:
@@ -233,9 +256,12 @@ def _run_reduction(args) -> int:
         dprime=args.dprime, alpha=args.alpha, seed=args.seed,
         trials=args.trials, max_draws=args.max_draws)
     report = run_reduction(cfg)
-    payload = json.loads(report_to_json(report))
-    payload["compare"] = main_bound_compare(report)
-    _emit(payload, report_to_csv(report), args.out)
+    payload = {"version": __version__, **asdict(report),
+               "compare": main_bound_compare(report)}
+    rows = [[repr(v) if isinstance(v, float) else v for v in astuple(p)]
+            for p in report.per_coord]
+    _emit(payload, _csv([f.name for f in fields(PerCoordinate)], rows),
+          args.out)
     return 0
 
 
@@ -329,13 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", default="tsirelson")
     run.add_argument("--n", type=int, default=2)
     run.add_argument("--C", default="")
-    run.add_argument("--mode", default=None,
-                     choices=("exact", "holenstein", "embezzle"),
-                     help="shorthand setting both sampling modes")
-    run.add_argument("--mode-classical", default="exact_conditional",
-                     choices=("exact_conditional", "holenstein"))
-    run.add_argument("--mode-quantum", default="oracle_state",
-                     choices=("oracle_state", "embezzle"))
+    run.add_argument("--mode", default=None, choices=tuple(MODES),
+                     help="shorthand setting both sampling modes; not "
+                          "with --mode-classical or --mode-quantum")
+    run.add_argument("--mode-classical", default=None,
+                     choices=("exact_conditional", "holenstein"),
+                     help="default exact_conditional")
+    run.add_argument("--mode-quantum", default=None,
+                     choices=("oracle_state", "embezzle"),
+                     help="default oracle_state")
     run.add_argument("--dprime", type=int, default=256)
     run.add_argument("--alpha", type=float, default=0.01)
     run.add_argument("--seed", type=int, default=0)
@@ -387,11 +415,13 @@ def main(argv=None) -> int:
                 sub.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
                                     for a in sub._actions if a.dest in defaults})
             args = parser.parse_args(argv)
-        if getattr(args, "mode", None):
-            mapping = {"exact": ("exact_conditional", "oracle_state"),
-                       "holenstein": ("holenstein", "oracle_state"),
-                       "embezzle": ("holenstein", "embezzle")}
-            args.mode_classical, args.mode_quantum = mapping[args.mode]
+        if args.command == "run":
+            if args.mode and (args.mode_classical or args.mode_quantum):
+                raise UsageError("--mode sets both sampling modes; give it "
+                                 "without --mode-classical or --mode-quantum")
+            classical, quantum = MODES[args.mode or "exact"]
+            args.mode_classical = args.mode_classical or classical
+            args.mode_quantum = args.mode_quantum or quantum
         if args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         if args.command == "verify":

@@ -9,14 +9,13 @@ materialized as a standalone object.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .prob import MAX_TABLE_ENTRIES, SUM_ATOL, WEIGHT_FLOOR, Event
-
 
 
 def x_names(n: int) -> tuple:
@@ -37,6 +36,8 @@ def b_names(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class Game:
+    """A one-round game; it refuses non-positive sizes and a mu that is
+    not a distribution.  A question of zero probability is allowed."""
     x_size: int
     y_size: int
     a_size: int
@@ -46,47 +47,25 @@ class Game:
     name: str = "custom"
 
     def __post_init__(self):
+        if min(self.x_size, self.y_size, self.a_size, self.b_size) < 1:
+            raise ValueError("alphabet sizes must be positive")
         mu = np.array(self.mu, dtype=np.float64)
         pred = np.array(self.predicate, dtype=bool)
         if mu.shape != (self.x_size, self.y_size):
             raise ValueError(f"mu shape {mu.shape} != ({self.x_size}, {self.y_size})")
         if pred.shape != (self.x_size, self.y_size, self.a_size, self.b_size):
             raise ValueError(f"predicate shape {pred.shape} is wrong")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu has NaN or infinite weights")
+        if float(mu.min()) < WEIGHT_FLOOR:
+            raise ValueError(f"mu has negative weight {mu.min():.3e}")
+        total = float(mu.sum())
+        if abs(total - 1.0) > SUM_ATOL:
+            raise ValueError(f"mu sums to {total!r}, not 1 within {SUM_ATOL:g}")
         mu.setflags(write=False)
         pred.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "predicate", pred)
-
-
-@dataclass
-class GameReport:
-    ok: bool
-    errors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-
-def validate_game(g: Game) -> GameReport:
-    """Check normalization and support; empty mu rows are warnings, not errors."""
-    rep = GameReport(ok=True)
-    if min(g.x_size, g.y_size, g.a_size, g.b_size) < 1:
-        rep.errors.append("alphabet sizes must be positive")
-    if not np.isfinite(g.mu).all():
-        rep.errors.append("mu has NaN or infinite weights")
-    elif float(g.mu.min(initial=0.0)) < WEIGHT_FLOOR:
-        rep.errors.append(f"mu has negative weight {g.mu.min():.3e}")
-    total = float(g.mu.sum())
-    if abs(total - 1.0) > SUM_ATOL:
-        rep.errors.append(f"mu sums to {total!r}, not 1 within {SUM_ATOL:g}")
-    for x in range(g.x_size):
-        if g.mu[x, :].sum() <= 0:
-            rep.warnings.append(f"question x={x} has zero probability")
-    for y in range(g.y_size):
-        if g.mu[:, y].sum() <= 0:
-            rep.warnings.append(f"question y={y} has zero probability")
-    if not g.predicate.any():
-        rep.warnings.append("predicate is identically false")
-    rep.ok = not rep.errors
-    return rep
 
 
 def tuple_digits(size: int, n: int) -> np.ndarray:
@@ -219,8 +198,8 @@ def load_game(path) -> Game:
                         dtype=bool).reshape(xs, ys, as_, bs)
     except KeyError as e:
         raise ValueError(f"game file missing field {e.args[0]!r}") from None
-    g = Game(xs, ys, as_, bs, mu, pred, name=fields.get("name", "custom"))
-    errors = validate_game(g).errors
-    if errors:
-        raise ValueError(f"invalid game file: {errors[0]}")
-    return g
+    try:
+        return Game(xs, ys, as_, bs, mu, pred,
+                    name=fields.get("name", "custom"))
+    except ValueError as e:
+        raise ValueError(f"invalid game file: {e}") from None

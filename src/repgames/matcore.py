@@ -308,9 +308,9 @@ def random_density(d: int, rank: int | None = None, rng=None, count: int | None 
     return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
 
-def random_psd(d: int, scale: float = 1.0, rng=None, count: int | None = None):
+def random_psd(d: int, rng=None, count: int | None = None):
     g = random_matrix(d, rng, count)
-    return scale * (g @ dagger(g)) / d
+    return (g @ dagger(g)) / d
 
 
 def random_matrix(d: int, rng=None, count: int | None = None) -> np.ndarray:

@@ -10,15 +10,11 @@ it is meant to reproduce.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .corrsamp import qcs_execute, qcs_isometry, shared_stream_sample
 from .depbreak import (ZERO_WEIGHT, DepBreakComputer, chunks,
                        conditioned_contexts)
@@ -76,12 +72,29 @@ class ReductionConfig:
 
 @dataclass
 class PerCoordinate:
+    """One free coordinate's score and error accounting.
+
+    p_ref is P(win round coord | W_C) and residual is |p_tilde - p_ref|.
+    bad_mass is the failed, disagreeing and invalid share of the trials,
+    or in exact mode the weight of the question pairs with no law of r and
+    of the invalid contexts; avg_err and max_err are the mean and largest
+    embezzlement error, clipped at 1; crosscheck is the largest gap between
+    a context's oracle-state win and its brute-force Born-table win.
+    Exact mode leaves trials, stderr, failures and disagreements at 0.
+    """
     coord: int
     p_tilde: float
     p_ref: float
     residual: float
-    trials: int
-    stderr: float
+    trials: int = 0
+    stderr: float = 0.0
+    failures: int = 0
+    disagreements: int = 0
+    invalid: int = 0
+    bad_mass: float = 0.0
+    avg_err: float = 0.0
+    max_err: float = 0.0
+    crosscheck: float = 0.0
 
 
 @dataclass
@@ -102,10 +115,6 @@ class ReductionReport:
     error_budget: float
     max_context_crosscheck: float
     p_win_c: float
-
-    def meets_hypothesis(self, eps: float) -> bool:
-        """Whether the conditional score clears the 1 - eps/2 threshold."""
-        return self.avg_p_ref >= 1.0 - eps / 2.0
 
 
 def _born_table_mixed(rho: np.ndarray, fa: np.ndarray,
@@ -223,29 +232,14 @@ class SingleShotStrategy:
         return shared_stream_sample(pa, pb, m, rng, self.cfg.max_draws)
 
 
-@dataclass
-class _Coordinate:
-    """One coordinate's score and error accounting.
-
-    bad_mass is the failed, disagreeing and invalid share of the trials,
-    or in exact mode the weight of the question pairs with no law of r and
-    of the invalid contexts; avg_err and max_err are the mean and largest
-    embezzlement error, clipped at 1.
-    Exact mode leaves stderr, trials, failures and disagreements at 0.
-    """
-    p_tilde: float
-    stderr: float = 0.0
-    trials: int = 0
-    failures: int = 0
-    disagreements: int = 0
-    invalid: int = 0
-    bad_mass: float = 0.0
-    avg_err: float = 0.0
-    max_err: float = 0.0
-    crosscheck: float = 0.0
+def _record(shot: SingleShotStrategy, i: int, p_tilde: float,
+            **terms) -> PerCoordinate:
+    """Coordinate i's record, scored against P(win round i | W_C)."""
+    p_ref = shot.computer.win_given_held(i)
+    return PerCoordinate(i, p_tilde, p_ref, abs(p_tilde - p_ref), **terms)
 
 
-def _exact_coordinate(shot: SingleShotStrategy, i: int) -> _Coordinate:
+def _exact_coordinate(shot: SingleShotStrategy, i: int) -> PerCoordinate:
     """Closed-form P-tilde for one coordinate plus error accounting.
 
     Contexts are weighted by mu(x, y) P(r | x, y, every held round won);
@@ -265,14 +259,13 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> _Coordinate:
         brute = ((cell * g.predicate[x, y]).sum(axis=(1, 2))
                  / cell.sum(axis=(1, 2)))
         crosscheck = float(np.abs(p - brute).max())
-    return _Coordinate(float(w @ p), invalid=invalid_count,
-                       bad_mass=invalid_mass, avg_err=float(w @ err),
-                       max_err=float(err.max(initial=0.0)),
-                       crosscheck=crosscheck)
+    return _record(shot, i, float(w @ p), invalid=invalid_count,
+                   bad_mass=invalid_mass, avg_err=float(w @ err),
+                   max_err=float(err.max(initial=0.0)), crosscheck=crosscheck)
 
 
 def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
-                        rng: np.random.Generator) -> _Coordinate:
+                        rng: np.random.Generator) -> PerCoordinate:
     """Monte Carlo estimate for one coordinate with per-trial exact wins.
 
     Trials are drawn one question-pair group at a time, and the distinct
@@ -307,8 +300,8 @@ def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
         invalid = int(ok.size - valid[inverse].sum())
     failures = int(failed.sum())
     disagreements = int((~failed & ~agreed).sum())
-    return _Coordinate(
-        float(wins.mean()),
+    return _record(
+        shot, i, float(wins.mean()),
         stderr=(float(wins.std(ddof=1) / np.sqrt(trials)) if trials > 1
                 else 0.5),
         trials=trials, failures=failures, disagreements=disagreements,
@@ -328,57 +321,34 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
     shot = SingleShotStrategy(cfg)
     rng = np.random.default_rng([int(cfg.seed)])
     trials = max(1, cfg.trials // len(shot.free))
-    per, recs = [], []
+    per = []
     for i in shot.free:
-        p_ref = shot.computer.win_given_held(i)
-        rec = (_sampled_coordinate(shot, i, trials, rng) if cfg.is_sampled
-               else _exact_coordinate(shot, i))
-        per.append(PerCoordinate(i, rec.p_tilde, p_ref,
-                                 abs(rec.p_tilde - p_ref), rec.trials,
-                                 rec.stderr))
-        recs.append(rec)
+        per.append(_sampled_coordinate(shot, i, trials, rng)
+                   if cfg.is_sampled else _exact_coordinate(shot, i))
         shot.computer.release(i)     # each coordinate is visited once
-    avg_p_tilde = float(np.mean([p.p_tilde for p in per]))
-    avg_p_ref = float(np.mean([p.p_ref for p in per]))
+
+    def mean(name: str) -> float:
+        return float(np.mean([getattr(p, name) for p in per]))
+
+    avg_p_tilde, avg_p_ref, avg_err = (mean("p_tilde"), mean("p_ref"),
+                                       mean("avg_err"))
     stderr_avg = float(np.sqrt(np.sum([p.stderr ** 2 for p in per]))
                        / len(per))
-    avg_err = float(np.mean([r.avg_err for r in recs]))
-    bad_rate = float(np.mean([r.bad_mass for r in recs]))
     # a mean exceeds the largest term only by rounding
-    max_err = max(avg_err, *(r.max_err for r in recs))
+    max_err = max(avg_err, *(p.max_err for p in per))
     summary = cfg.summary()
     summary["C"] = list(shot.C)   # record the resolved holdout, not "auto"
     return ReductionReport(
-        summary, per, avg_p_tilde, avg_p_ref,
-        abs(avg_p_tilde - avg_p_ref),
-        float(np.mean([p.residual for p in per])), stderr_avg,
-        sum(r.trials for r in recs), sum(r.failures for r in recs),
-        sum(r.disagreements for r in recs), sum(r.invalid for r in recs),
-        avg_err, max_err, avg_err + bad_rate + 3.0 * stderr_avg,
-        max(r.crosscheck for r in recs), shot.computer.p_win_c)
+        summary, per, avg_p_tilde, avg_p_ref, abs(avg_p_tilde - avg_p_ref),
+        mean("residual"), stderr_avg, sum(p.trials for p in per),
+        sum(p.failures for p in per), sum(p.disagreements for p in per),
+        sum(p.invalid for p in per), avg_err, max_err,
+        avg_err + mean("bad_mass") + 3.0 * stderr_avg,
+        max(p.crosscheck for p in per), shot.computer.p_win_c)
 
 
-def main_bound_compare(report: ReductionReport,
-                       eps: float | None = None) -> dict:
+def main_bound_compare(report: ReductionReport) -> dict:
     """Check the assembled value against the conditional score minus budget."""
     margin = report.avg_p_tilde - report.avg_p_ref + report.error_budget
-    out = {"pass_threshold": bool(margin >= -COMPARE_SLACK),
-           "margin": float(margin)}
-    if eps is not None:
-        out["hypothesis_met"] = report.meets_hypothesis(eps)
-    return out
-
-
-def report_to_json(report: ReductionReport) -> str:
-    payload = {"version": __version__, **asdict(report)}
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-
-
-def report_to_csv(report: ReductionReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f.name for f in fields(PerCoordinate)])
-    for p in report.per_coord:
-        writer.writerow([repr(v) if isinstance(v, float) else v
-                         for v in astuple(p)])
-    return buf.getvalue()
+    return {"pass_threshold": bool(margin >= -COMPARE_SLACK),
+            "margin": float(margin)}

@@ -333,7 +333,7 @@ def tsirelson(n: int) -> EntangledStrategy:
     return EntangledStrategy(d, n, m.reshape(-1), alice, bob, name="tsirelson")
 
 
-def printing(n: int, twist: float = PRINTING_TWIST) -> EntangledStrategy:
+def printing(n: int) -> EntangledStrategy:
     """Correlated variant: the parity of Bob's whole question tuple twists the
     measurement basis he uses in every round, so his round-i behavior encodes
     global information about his inputs."""
@@ -343,7 +343,7 @@ def printing(n: int, twist: float = PRINTING_TWIST) -> EntangledStrategy:
         n, d, lambda q, i: ALICE_ANGLES[q[i]]))
 
     def bob_angle(q, i):
-        return BOB_ANGLES[q[i]] + twist * (sum(q) % 2)
+        return BOB_ANGLES[q[i]] + PRINTING_TWIST * (sum(q) % 2)
 
     bob = POVMFamily(n, _product_family(n, d, bob_angle))
     return EntangledStrategy(d, n, m.reshape(-1), alice, bob, name="printing")

@@ -20,6 +20,7 @@ from .infotheory import (CheckResult, CQState, chain_rule_check,
 
 SWEEP_SLACK = 1e-9      # rounding slack of every matrix and entropy inequality
 GROUP_CHUNK = 1024      # trials per stack, so a sweep's memory does not grow with its trials
+SWEEP_DIMS = range(2, 9)   # matrix dimensions a matrix or entropy sweep draws
 
 
 def _draw(seed: int, tag: int, trials: int, ranges, check) -> list:
@@ -61,8 +62,7 @@ def _transposed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v @ (matcore.dagger(v) @ y @ v).swapaxes(-1, -2) @ matcore.dagger(v)
 
 
-def sweep_ando(trials: int = 1000, seed: int = 0,
-               dim_max: int = 8) -> CheckResult:
+def sweep_ando(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Purified two-sided expectations against the transposed trace form.
 
     For psi the symmetric purification of rho, the expectation of X (x) Y
@@ -80,47 +80,43 @@ def sweep_ando(trials: int = 1000, seed: int = 0,
         sq = matcore.mat_sqrt(rho, "density matrix")
         rhs = np.trace(x @ sq @ _transposed(v, y) @ sq, axis1=-2, axis2=-1)
         return (np.abs(lhs - rhs),)
-    (slack,) = _draw(seed, 1, trials, [range(2, dim_max + 1)], check)
+    (slack,) = _draw(seed, 1, trials, [SWEEP_DIMS], check)
     return _result("ando_identity", trials, slack, slack > SWEEP_SLACK)
 
 
-def sweep_powers_stormer(trials: int = 1000, seed: int = 0,
-                         dim_max: int = 8) -> CheckResult:
+def sweep_powers_stormer(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Frobenius gap of square roots against the trace gap of squares."""
     def check(rng, n, d):
         a, b = (matcore.random_psd(d, rng=rng, count=n) for _ in range(2))
         return np.linalg.norm(a - b, axis=(-2, -1)) ** 2, matcore.trace_norm(a @ a - b @ b)
-    lhs, rhs = _draw(seed, 2, trials, [range(2, dim_max + 1)], check)
+    lhs, rhs = _draw(seed, 2, trials, [SWEEP_DIMS], check)
     return _result("powers_stormer", trials, lhs - rhs, lhs > rhs + SWEEP_SLACK)
 
 
-def sweep_fuchs_van_de_graaf(trials: int = 1000, seed: int = 0,
-                             dim_max: int = 8) -> CheckResult:
+def sweep_fuchs_van_de_graaf(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Both fidelity bounds on the trace distance."""
     def check(rng, n, d):
         m = matcore.metrics(*_densities(rng, n, d))
         high = np.sqrt(np.maximum(0.0, 1.0 - m.fidelity ** 2))
         return (np.maximum(1.0 - m.fidelity - m.trace_distance,
                            m.trace_distance - high),)
-    (slack,) = _draw(seed, 3, trials, [range(2, dim_max + 1)], check)
+    (slack,) = _draw(seed, 3, trials, [SWEEP_DIMS], check)
     return _result("fuchs_van_de_graaf", trials, slack, slack > SWEEP_SLACK)
 
 
-def sweep_pure_state_bound(trials: int = 1000, seed: int = 0,
-                           dim_max: int = 8) -> CheckResult:
+def sweep_pure_state_bound(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Trace norm of a pure-state difference against the vector gap."""
     def check(rng, n, d):
         v, w = (matcore.random_pure(d, rng, count=n) for _ in range(2))
         proj = (v[:, :, None] * v.conj()[:, None, :]
                 - w[:, :, None] * w.conj()[:, None, :])
         return matcore.trace_norm(proj), 2.0 * np.linalg.norm(v - w, axis=-1)
-    lhs, rhs = _draw(seed, 4, trials, [range(2, dim_max + 1)], check)
+    lhs, rhs = _draw(seed, 4, trials, [SWEEP_DIMS], check)
     return _result("pure_state_trace_bound", trials, lhs - rhs,
                    lhs > rhs + SWEEP_SLACK)
 
 
-def sweep_pinsker(trials: int = 1000, seed: int = 0,
-                  dim_max: int = 8) -> CheckResult:
+def sweep_pinsker(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Half the squared trace norm against the relative entropy in bits.
 
     The nat-convention margin (relative entropy in nats minus the same
@@ -130,19 +126,18 @@ def sweep_pinsker(trials: int = 1000, seed: int = 0,
         rho, sigma = _densities(rng, n, d)
         l1 = 2.0 * matcore.trace_distance(rho, sigma)
         return relative_entropy(rho, sigma), 0.5 * l1 * l1
-    rel, quad = _draw(seed, 5, trials, [range(2, dim_max + 1)], check)
+    rel, quad = _draw(seed, 5, trials, [SWEEP_DIMS], check)
     nat_margin = float(np.min(rel * np.log(2.0) - quad))
     return _result("pinsker", trials, quad - rel, quad > rel + SWEEP_SLACK,
                    details=f"min_nat_margin={nat_margin:.6e}")
 
 
-def sweep_min_entropy(trials: int = 1000, seed: int = 0,
-                      dim_max: int = 8) -> CheckResult:
+def sweep_min_entropy(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Relative min-entropy dominates the relative entropy."""
     def check(rng, n, d):
         rho, sigma = _densities(rng, n, d)
         return relative_min_entropy(rho, sigma), relative_entropy(rho, sigma)
-    s_inf, s_rel = _draw(seed, 6, trials, [range(2, dim_max + 1)], check)
+    s_inf, s_rel = _draw(seed, 6, trials, [SWEEP_DIMS], check)
     return _result("min_entropy_dominates", trials, _finite_gap(s_rel, s_inf),
                    s_inf + SWEEP_SLACK < s_rel)
 

@@ -349,6 +349,56 @@ def test_run_mode_shorthand_sets_both_modes(capsys):
     assert payload["trials_run"] == 200
 
 
+
+@pytest.mark.parametrize("config,argv", [
+    ({}, ("--mode", "exact", "--mode-quantum", "embezzle")),
+    ({}, ("--mode-classical", "holenstein", "--mode", "holenstein")),
+    ({"mode_quantum": "embezzle"}, ("--mode", "exact")),
+    ({"mode": "embezzle"}, ("--mode-classical", "exact_conditional")),
+], ids=["flags", "flags-reversed", "config-quantum", "config-mode"])
+def test_mode_beside_a_long_mode_flag_is_refused(tmp_path, capsys, config,
+                                                 argv):
+    """--mode sets both sampling modes, so an explicit long flag beside it,
+    on the command line or in --config, is refused rather than overridden."""
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "run",
+                             "reduction", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage error: --mode sets both sampling modes; give it without "
+        "--mode-classical or --mode-quantum"]
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("2^20000", "--n-grid value 2^20000 has more than 4300 digits"),
+    ("9" * 4301, "--n-grid value " + "9" * 32 + "... has more than 4300 "
+                 "digits"),
+    ("2^1..2^100000000", "--n-grid value 2^100000000 has more than 4300 "
+                         "digits"),
+    ("2^3..2^x", "--n-grid value 2^x is not an integer"),
+    ("2^3,,4", "--n-grid value  is not an integer"),
+], ids=["power", "integer", "range", "exponent", "empty"])
+def test_an_n_grid_value_is_checked_before_it_is_formed(capsys, grid,
+                                                         message):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", "bound", "--n-grid", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"usage error: {message}"]
+    assert peak < 2 ** 20
+
+
+def test_the_largest_printable_power_runs(capsys):
+    code, out, _err = run_cli(capsys, "run", "bound", "--n-grid",
+                              "2^14284,9" + "9" * 4299)
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["results"]] == [
+        2 ** 14284, 10 ** 4300 - 1]
+
 def test_unknown_run_target(capsys):
     code, _out, err = run_cli(capsys, "run", "nonsense")
     assert code == 2

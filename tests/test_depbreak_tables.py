@@ -20,7 +20,7 @@ import pytest
 from repgames import cli, depbreak, reduction
 from repgames.depbreak import DepBreakComputer
 from repgames.games import Game, chsh, fixture, save_game
-from repgames.reduction import ReductionConfig, report_to_json, run_reduction
+from repgames.reduction import ReductionConfig, run_reduction
 from repgames.strategy import save_strategy, strategy_fixture
 from _depbreak_oracle import ExtendedTableComputer, skew_distances
 from _helpers import random_strategy
@@ -124,9 +124,9 @@ def test_exact_reduction_payload_matches_the_extended_table_path(
     game, n, C = case
     cfg = ReductionConfig(game=fixture(game), n=n,
                           strategy=computers(*case)[2], C=C)
-    got = json.loads(report_to_json(run_reduction(cfg)))
+    got = run_reduction(cfg)
     monkeypatch.setattr(reduction, "DepBreakComputer", ExtendedTableComputer)
-    want = json.loads(report_to_json(run_reduction(cfg)))
+    want = run_reduction(cfg)
     assert_close(got, want, "payload")
 
 

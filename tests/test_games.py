@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from repgames.games import (always_win, asym3, chsh, fixture, load_game,
-                            save_game, validate_game, win_set)
+from repgames.games import (Game, always_win, asym3, chsh, fixture,
+                            load_game, save_game, win_set)
+from repgames.prob import SUM_ATOL
 from repgames.strategy import born_joint, strategy_fixture
 from _helpers import (answer_bits, enumerate_tuples, event_from_assignment,
                       intersect, mu_dist, random_strategy)
@@ -21,16 +22,27 @@ def test_chsh_definition():
 
 def test_validate_fixtures():
     for name in ("chsh", "always_win", "asym3"):
-        rep = validate_game(fixture(name))
-        assert rep.ok, rep
+        g = fixture(name)
+        assert g.mu.min() >= 0.0 and abs(g.mu.sum() - 1.0) <= SUM_ATOL
 
 
 def test_validate_catches_bad_mu():
     g = chsh()
-    bad = type(g)(2, 2, 2, 2, np.array([[0.5, 0.5], [0.5, 0.5]]),
-                  g.predicate)
-    rep = validate_game(bad)
-    assert not rep.ok
+    with pytest.raises(ValueError, match="mu sums to 2.0"):
+        Game(2, 2, 2, 2, np.array([[0.5, 0.5], [0.5, 0.5]]), g.predicate)
+
+
+@pytest.mark.parametrize("sizes,mu,message", [
+    ((2, 2, 2, 2), [[np.nan, 0.5], [0.25, 0.25]], "NaN or infinite"),
+    ((2, 2, 2, 2), [[1.5, -0.5], [0.0, 0.0]], "negative weight"),
+    ((2, 0, 2, 2), np.zeros((2, 0)), "sizes must be positive"),
+], ids=["nan", "negative", "empty"])
+def test_a_game_refuses_invalid_mu_when_it_is_built(sizes, mu, message):
+    """Values, seesaw and Born tables never see a mu that is not a
+    distribution: the constructor refuses it (a mu summing to 2:
+    `test_validate_catches_bad_mu`)."""
+    with pytest.raises(ValueError, match=message):
+        Game(*sizes, mu, np.ones(sizes, dtype=bool))
 
 
 def test_fixture_unknown_name():
@@ -166,10 +178,9 @@ def test_load_game_refuses_invalid_mu(tmp_path, mu, message):
 
 
 def test_load_game_keeps_warnings_as_warnings(tmp_path):
-    # question x=1 never asked: a warning of validate_game, not an error
+    # question x=1 never asked: allowed, not an error
     g = load_game(_write_game(tmp_path / "game.txt", "1/2 1/2 0 0"))
-    rep = validate_game(g)
-    assert rep.ok and rep.warnings == ["question x=1 has zero probability"]
+    assert g.mu[1].sum() == 0.0
 
 
 @pytest.mark.parametrize("name", ["chsh", "always_win", "asym3"])

@@ -1,6 +1,9 @@
 import functools
 import json
 import math
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +12,15 @@ from _helpers import born_table_mixed_loop, condition, random_strategy
 from repgames import depbreak, matcore, reduction, strategy
 from repgames.corrsamp import qcs_execute, qcs_isometry
 from repgames.games import chsh, fixture, win_set
-from repgames.reduction import (ReductionConfig, SingleShotStrategy,
-                                main_bound_compare, report_to_csv,
-                                report_to_json, run_reduction)
+from repgames.cli import main
+from repgames.reduction import (PerCoordinate, ReductionConfig,
+                                SingleShotStrategy, main_bound_compare,
+                                run_reduction)
 from repgames.strategy import born_joint, strategy_fixture
 from repgames.values import _random_povm
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def make_config(**kw):
@@ -109,10 +114,10 @@ def test_holenstein_mode_deterministic_per_seed():
     cfg2 = make_config(mode_classical="holenstein", trials=400, seed=5)
     r1 = run_reduction(cfg1)
     r2 = run_reduction(cfg2)
-    assert report_to_json(r1) == report_to_json(r2)
+    assert asdict(r1) == asdict(r2)
     r3 = run_reduction(make_config(mode_classical="holenstein", trials=400,
                                    seed=6))
-    assert report_to_json(r3) != report_to_json(r1)
+    assert asdict(r3) != asdict(r1)
 
 
 def test_holenstein_mode_tracks_exact_value():
@@ -211,13 +216,6 @@ def test_embezzle_error_shrinks_with_dimension():
     assert large.avg_embezzle_err < small.avg_embezzle_err
 
 
-def test_meets_hypothesis_threshold():
-    report = run_reduction(make_config(strategy="tsirelson"))
-    # avg_p_ref is cos^2(pi/8) = 0.8535...; eps = 0.3 needs >= 0.85
-    assert report.meets_hypothesis(0.3)
-    assert not report.meets_hypothesis(0.2)
-
-
 def test_always_win_game_is_exactly_saturated():
     from repgames.games import always_win
     from repgames.strategy import tsirelson
@@ -273,23 +271,72 @@ def test_without_the_skew_term_an_exact_residual_exceeds_the_budget():
 
 def test_main_bound_compare_margin():
     report = run_reduction(make_config(strategy="detprod"))
-    out = main_bound_compare(report, eps=0.6)
+    out = main_bound_compare(report)
     assert out["pass_threshold"]
-    assert "hypothesis_met" in out
+    assert set(out) == {"pass_threshold", "margin"}
     assert abs(out["margin"] - (report.avg_p_tilde - report.avg_p_ref
                                 + report.error_budget)) < 1e-15
 
 
-def test_report_serialization_roundtrip():
+def test_report_serialization_roundtrip(tmp_path, capsys):
+    """The CLI writes the report's JSON and one CSV row per coordinate."""
     report = run_reduction(make_config(strategy="detprod"))
-    payload = json.loads(report_to_json(report))
+    assert main(["run", "reduction", "--strategy", "detprod",
+                 "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["avg_residual"] == report.avg_residual
     assert payload["config"]["mode_classical"] == "exact_conditional"
-    assert len(payload["per_coord"]) == 2
-    csv_text = report_to_csv(report)
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "coord,p_tilde,p_ref,residual,trials,stderr"
+    assert payload["per_coord"] == [asdict(p) for p in report.per_coord]
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    assert lines[0] == ("coord,p_tilde,p_ref,residual,trials,stderr,"
+                        "failures,disagreements,invalid,bad_mass,avg_err,"
+                        "max_err,crosscheck")
     assert len(lines) == 3
+
+
+AGGREGATE_MODES = {
+    "exact": {},
+    "holenstein": {"mode_classical": "holenstein", "trials": 600},
+    "embezzle": {"mode_classical": "holenstein", "mode_quantum": "embezzle",
+                 "trials": 300, "dprime": 32},
+    "exact+embezzle": {"mode_quantum": "embezzle", "dprime": 32},
+}
+
+
+@pytest.mark.parametrize("mode", list(AGGREGATE_MODES))
+def test_report_aggregates_are_built_from_the_per_coordinate_records(mode):
+    """Every aggregate of the report is, bit for bit, the sum, mean or
+    maximum of the per-coordinate records it summarizes."""
+    report = run_reduction(make_config(strategy="printing", n=3, C=(1,),
+                                       seed=3, **AGGREGATE_MODES[mode]))
+    per = report.per_coord
+    assert [p.coord for p in per] == [0, 2]
+    assert all(type(p) is PerCoordinate for p in per)
+    col = {f.name: [getattr(p, f.name) for p in per]
+           for f in fields(PerCoordinate)}
+    for total, name in (("trials_run", "trials"), ("failures", "failures"),
+                        ("disagreements", "disagreements"),
+                        ("invalid_contexts", "invalid")):
+        assert getattr(report, total) == sum(col[name])
+    avg_err = float(np.mean(col["avg_err"]))
+    stderr = float(np.sqrt(np.sum(np.square(col["stderr"]))) / len(per))
+    assert report.avg_embezzle_err == avg_err
+    assert report.max_embezzle_err == max(avg_err, *col["max_err"])
+    assert report.stderr == stderr
+    assert report.error_budget == (avg_err + float(np.mean(col["bad_mass"]))
+                                   + 3.0 * stderr)
+    assert report.max_context_crosscheck == max(col["crosscheck"])
+    assert report.avg_p_tilde == float(np.mean(col["p_tilde"]))
+    assert report.avg_p_ref == float(np.mean(col["p_ref"]))
+    assert report.mean_abs_residual == float(np.mean(col["residual"]))
+    if mode.startswith("exact"):
+        assert col["trials"] == col["failures"] == col["disagreements"] \
+            == [0, 0]
+    if "embezzle" in mode:
+        assert report.avg_embezzle_err > 0.0
+    else:
+        assert col["avg_err"] == col["max_err"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -308,3 +355,17 @@ def test_born_table_mixed_matches_the_kron_loop(seed):
     got = reduction._born_table_mixed(rho, fa, fb)
     assert got.shape == (3, 2)
     assert np.abs(got - born_table_mixed_loop(rho, fa, fb)).max() <= 1e-14
+
+
+def test_readme_report_table_names_every_report_field():
+    """README's `run reduction` table has a row for every field of the
+    report and of its per-coordinate record."""
+    text = README.read_text()
+    section = text[text.index("### The `run reduction` report"):]
+    rows = [line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    named = {name for cell in rows for name in re.findall(r"`([^`]+)`", cell)}
+    named |= {name.split("[]")[0] for name in named}   # per_coord itself
+    want = ({f.name for f in fields(reduction.ReductionReport)}
+            | {f"per_coord[].{f.name}" for f in fields(PerCoordinate)})
+    assert want - named == set()

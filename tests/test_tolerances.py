@@ -12,7 +12,7 @@ import pytest
 
 from repgames import (corrsamp, depbreak, infotheory, matcore, prob,
                       reduction, strategy)
-from repgames.games import Game, chsh, validate_game
+from repgames.games import Game, chsh
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repgames"
 
@@ -112,8 +112,8 @@ REFUSALS = {
                      lambda v: accepts(prob.FiniteDistribution, ("x",),
                                        [1.0 + v, -v])),
     "game weight": (-prob.WEIGHT_FLOOR,
-                    lambda v: validate_game(Game(1, 2, 1, 1, [[1.0 + v, -v]],
-                                                 np.ones((1, 2, 1, 1)))).ok),
+                    lambda v: accepts(Game, 1, 2, 1, 1, [[1.0 + v, -v]],
+                                      np.ones((1, 2, 1, 1)))),
     "divergence weight": (-prob.WEIGHT_FLOOR,
                           lambda v: accepts(infotheory.classical_relative_entropy,
                                             [1.0 + v, -v], [0.5, 0.5])),
@@ -124,8 +124,8 @@ REFUSALS = {
                   lambda v: accepts(prob.FiniteDistribution, ("x",),
                                     [0.5 + v, 0.5])),
     "game sum": (prob.SUM_ATOL,
-                 lambda v: validate_game(Game(1, 2, 1, 1, [[0.5 + v, 0.5]],
-                                              np.ones((1, 2, 1, 1)))).ok),
+                 lambda v: accepts(Game, 1, 2, 1, 1, [[0.5 + v, 0.5]],
+                                   np.ones((1, 2, 1, 1)))),
     "divergence sum": (prob.SUM_ATOL,
                        lambda v: accepts(infotheory.classical_relative_entropy,
                                          [0.5 + v, 0.5], [0.5, 0.5])),
