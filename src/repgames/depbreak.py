@@ -6,11 +6,11 @@ the two players' question tuples.  The pointer is a fixed product kernel
 P(d_j, m_j | x_j, y_j), so this module never materializes the joint table
 of questions, answers and pointers: each free coordinate's context table is
 contracted from the Born table with that kernel, and the question law the
-operators read is mu^{(x)n} times it.  From these it builds the coarse and
-fine measurement operators conditioned on partial information, the
-conditional bipartite states with their weights, and the distance and
-mutual-information diagnostics that certify the construction on explicit
-strategies.  `extended_joint` builds the full table as a reference.
+operators read is a product over the rounds of mu times it.  From these it
+builds the coarse and fine measurement operators conditioned on partial
+information, the conditional bipartite states with their weights, and the
+distance and mutual-information diagnostics that certify the construction
+on explicit strategies.  `extended_joint` builds the full table as a reference.
 
 The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
 is one finite variable: it is passed as a flat index into that coordinate's
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .games import (Game, a_names, b_names, question_weights, win_set,
-                    x_names, y_names)
+from .games import Game, a_names, b_names, win_set
 from .infotheory import CQState, cq_mutual_information
 from .prob import (MAX_TABLE_ENTRIES, ZERO_MASS, FiniteDistribution,
                    ZeroProbabilityEvent)
@@ -92,20 +91,6 @@ def _check_cells(what: str, cells: int) -> None:
                          f"{MAX_TABLE_ENTRIES} entry cap")
 
 
-def _times_pointers(g: Game, n: int, names: tuple, table: np.ndarray,
-                    free) -> FiniteDistribution:
-    """A table whose leading axes are x1..xn, y1..yn, times the pointer
-    kernel of every free round j, with (d_j, m_j) appended per round."""
-    m_size = max(g.x_size, g.y_size)
-    pointer = _pointer_kernel(g)
-    for j in free:
-        shape = [1] * table.ndim
-        shape[j], shape[n + j] = g.x_size, g.y_size
-        table = table[..., None, None] * pointer.reshape(shape + [2, m_size])
-        names += (d_name(j), m_name(j))
-    return FiniteDistribution(names, table, normalize=True)
-
-
 def extended_joint(g: Game, n: int, s: EntangledStrategy,
                    C) -> FiniteDistribution:
     """Joint table over questions, answers, and per-coordinate pointers.
@@ -124,22 +109,14 @@ def extended_joint(g: Game, n: int, s: EntangledStrategy,
                  (g.x_size * g.y_size * g.a_size * g.b_size) ** n
                  * (2 * max(g.x_size, g.y_size)) ** len(free))
     dist = born_joint(g, n, s)
-    return _times_pointers(g, n, dist.names, dist.table, free)
-
-
-def _question_table(g: Game, n: int, free) -> FiniteDistribution:
-    """Law of the question tuples and the free rounds' pointers.
-
-    mu^{(x)n} times the pointer kernel of every free round j, over
-    x1..xn, y1..yn, then (d_j, m_j) per free round; answers never enter.
-    Refused before allocating when it would exceed MAX_TABLE_ENTRIES.
-    """
-    _check_cells("question table", (g.x_size * g.y_size) ** n
-                 * (2 * max(g.x_size, g.y_size)) ** len(free))
-    weights = question_weights(g, n)
-    return _times_pointers(
-        g, n, x_names(n) + y_names(n),
-        weights.reshape((g.x_size,) * n + (g.y_size,) * n), free)
+    names, table = dist.names, dist.table
+    pointer = _pointer_kernel(g)
+    for j in free:
+        shape = [1] * table.ndim
+        shape[j], shape[n + j] = g.x_size, g.y_size
+        table = table[..., None, None] * pointer.reshape(shape + [2, -1])
+        names += (d_name(j), m_name(j))
+    return FiniteDistribution(names, table, normalize=True)
 
 
 def _require_held_won(p_win_c: float) -> float:
@@ -468,9 +445,8 @@ class DepBreakComputer:
     distribution unchanged and is required by the aligned factors.  C is a
     coordinate tuple, or "auto" for `choose_C`'s pick on the Born table.  It
     holds the Born table `born` of the symmetrized strategy, P(win C)
-    `p_win_c` read from it, and the question and pointer law `qext`; the
-    question table and each context table are refused before allocating
-    when they would exceed MAX_TABLE_ENTRIES.
+    `p_win_c` read from it; each context table and each question law is
+    refused before allocating when it would exceed MAX_TABLE_ENTRIES.
     """
 
     def __init__(self, g: Game, n: int, s: EntangledStrategy, C):
@@ -493,7 +469,12 @@ class DepBreakComputer:
         self.free = tuple(j for j in range(n) if j not in self.C)
         if not self.free:
             raise ValueError("C leaves no free coordinates")
-        self.qext = _question_table(g, self.n, self.free)
+        # the values of every question and pointer variable a law may name
+        self._sizes = dict(
+            [(x_names_at(j), g.x_size) for j in range(n)]
+            + [(y_names_at(j), g.y_size) for j in range(n)]
+            + [(nm, k) for j in self.free for nm, k in (
+                (d_name(j), 2), (m_name(j), max(g.x_size, g.y_size)))])
         if self.born is None:
             self.born = born_joint(g, self.n, self.strategy)
         self.p_win_c = self.born.prob(win_set(g, self.n, self.C))
@@ -504,7 +485,6 @@ class DepBreakComputer:
         self.rho = {"alice": (rho_a + rho_a.conj().T) / 2,
                     "bob": (rho_b + rho_b.conj().T) / 2}
         self._contexts = {}
-        self._op_tensors = {}
         self._operators = {}
         self._via = {}
 
@@ -594,41 +574,57 @@ class DepBreakComputer:
     def _op_tensor(self, side: str, kept: tuple) -> np.ndarray:
         """The side's POVMs summed over answers outside the kept coordinates,
         stacked over flat own-question tuples: (Q^n, answers of kept..., d, d)."""
-        key = (side, kept)
-        if key not in self._op_tensors:
-            fam = self.strategy.alice if side == "alice" else self.strategy.bob
-            drop = tuple(self.n + j for j in range(self.n) if j not in kept)
-            ops = fam.ops.sum(axis=drop) if drop else fam.ops
-            self._op_tensors[key] = ops.reshape((-1,) + ops.shape[self.n:])
-        return self._op_tensors[key]
+        fam = self.strategy.alice if side == "alice" else self.strategy.bob
+        drop = tuple(self.n + j for j in range(self.n) if j not in kept)
+        ops = fam.ops.sum(axis=drop) if drop else fam.ops
+        return ops.reshape((-1,) + ops.shape[self.n:])
 
     def _question_law(self, side: str, names: tuple) -> tuple:
         """P(own question tuple | names) for every assignment of names.
 
-        Returns (law, mass), read from one marginal of the question table:
-        law[k, q] is the conditional weight of the flat own-question tuple q
-        given the k-th flat assignment of names (row-major), and mass[k]
-        that assignment's probability.  Weights at most SUPPORT_MASS are
-        cut to zero, and an assignment of mass at most ZERO_MASS gets an
-        all-zero row.  A question of the side's own named in names fixes
-        that digit of q.
+        Returns (law, mass): law[k, q] is the conditional weight of the flat
+        own-question tuple q given the k-th flat assignment of names
+        (row-major), and mass[k] that assignment's probability.  Given the
+        pointers and the held questions the rounds are independent, so the
+        joint is an outer product of one factor per round: mu(x_j, y_j),
+        times the pointer kernel where round j's pointer is named, summed
+        over what is neither named nor the side's own question; a named own
+        question pins its digit of q.  Weights at most SUPPORT_MASS are cut
+        to zero, and an assignment of mass at most ZERO_MASS gets an
+        all-zero row.  Refused before allocating when the law would exceed
+        MAX_TABLE_ENTRIES.
         """
-        own = x_names(self.n) if side == "alice" else y_names(self.n)
-        rest = tuple(nm for nm in own if nm not in names)
-        sizes = tuple(self.qext.size_of(nm) for nm in names)
-        q = self.qext.size_of(own[0])
-        table = self.qext.marginal(names + rest).table
-        mass = table.reshape(math.prod(sizes), -1).sum(axis=1)
-        joint = table.reshape(sizes + tuple(q if nm in rest else 1
-                                            for nm in own))
-        for t, nm in enumerate(own):
-            if nm in names:
-                shape = [1] * joint.ndim
-                shape[names.index(nm)] = shape[len(names) + t] = q
-                joint = joint * np.eye(q).reshape(shape)
+        g, n = self.game, self.n
+        own_at = x_names_at if side == "alice" else y_names_at
+        rows = math.prod(self._sizes[nm] for nm in names)
+        q = self._sizes[own_at(0)]
+        _check_cells("question law", rows * q ** n)
+        pointer = _pointer_kernel(g)
+        joint, axes = np.ones(()), []   # q's digit of round j: axis named j
+        for j in range(n):
+            vars_j, f = [x_names_at(j), y_names_at(j)], g.mu
+            if d_name(j) in names:
+                vars_j += [d_name(j), m_name(j)]
+                f = f[:, :, None, None] * pointer
+            keep = [k for k, nm in enumerate(vars_j)
+                    if nm in names or nm == own_at(j)]
+            f = f.sum(axis=tuple(k for k in range(f.ndim) if k not in keep))
+            vars_j = [vars_j[k] for k in keep]
+            if own_at(j) in names:
+                f = f[..., None] * np.eye(q).reshape(
+                    [q if nm == own_at(j) else 1 for nm in vars_j] + [q])
+                vars_j.append(j)
+            else:
+                vars_j[vars_j.index(own_at(j))] = j
+            joint = np.multiply.outer(joint, f)
+            axes += vars_j
+        joint = np.transpose(joint, [axes.index(nm) for nm in names]
+                             + [axes.index(j) for j in range(n)])
+        joint = joint.reshape(rows, -1)
+        mass = joint.sum(axis=1)
         ok = mass > ZERO_MASS
-        law = np.where(ok[:, None], joint.reshape(mass.size, -1)
-                       / np.where(ok, mass, 1.0)[:, None], 0.0)
+        law = np.where(ok[:, None], joint / np.where(ok, mass, 1.0)[:, None],
+                       0.0)
         law[law <= SUPPORT_MASS] = 0.0
         return law, mass
 
@@ -637,7 +633,7 @@ class DepBreakComputer:
         names = tuple(constraints)
         row = np.ravel_multi_index(
             tuple(int(constraints[nm]) for nm in names),
-            tuple(self.qext.size_of(nm) for nm in names))
+            tuple(self._sizes[nm] for nm in names))
         law, mass = self._question_law(side, names)
         if mass[row] <= ZERO_MASS:
             raise ZeroProbabilityEvent(
@@ -693,7 +689,7 @@ class DepBreakComputer:
         omega = self.omega_names(i)
         own_q, k = ((x_names_at(i), self.game.a_size) if side == "alice"
                     else (y_names_at(i), self.game.b_size))
-        n_omega, d = math.prod(self.qext.size_of(nm) for nm in omega), self.d
+        n_omega, d = math.prod(self._sizes[nm] for nm in omega), self.d
         law, _ = self._question_law(side, omega + (own_q,))
         fine = self._with_round_last(i, _contract(law, self._op_tensor(
             side, tuple(sorted(self.C + (i,)))))).reshape(-1, k, d, d)
@@ -711,8 +707,8 @@ class DepBreakComputer:
         factor for that player's question m."""
         if i not in self._via:
             omega = self.omega_names(i)
-            n_omega = math.prod(self.qext.size_of(nm) for nm in omega)
-            m_size = self.qext.size_of(m_name(i))
+            n_omega = math.prod(self._sizes[nm] for nm in omega)
+            m_size = self._sizes[m_name(i)]
             out = {}
             for side, other in (("alice", BOB), ("bob", ALICE)):
                 law, _ = self._question_law(

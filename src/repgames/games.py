@@ -37,7 +37,8 @@ def b_names(n: int) -> tuple:
 @dataclass(frozen=True)
 class Game:
     """A one-round game; it refuses non-positive sizes and a mu that is
-    not a distribution.  A question of zero probability is allowed."""
+    not a distribution.  A question of zero probability is allowed, and a
+    weight between WEIGHT_FLOOR and 0 is rounding, clipped to 0."""
     x_size: int
     y_size: int
     a_size: int
@@ -62,6 +63,7 @@ class Game:
         total = float(mu.sum())
         if abs(total - 1.0) > SUM_ATOL:
             raise ValueError(f"mu sums to {total!r}, not 1 within {SUM_ATOL:g}")
+        np.clip(mu, 0.0, None, out=mu)   # rounding negatives, as in tables
         mu.setflags(write=False)
         pred.setflags(write=False)
         object.__setattr__(self, "mu", mu)

@@ -3,19 +3,21 @@
 `DepBreakComputer` builds every operator of a free coordinate once, as a
 stack over its contexts.  This module is the construction it replaced: one
 context at a time, the question law read with `FiniteDistribution.given`
-and `marginal`, the coarse operators summed in Python, every factor from
-2-D kernels with the canonical spectral convention, and dict caches keyed
-by the pointer constraints.  It applies the same support rule: a coarse
+and `marginal` of a question table taken from the extended table, the
+coarse operators summed in Python, every factor from 2-D kernels with the
+canonical spectral convention, and dict caches keyed by the pointer
+constraints.  It applies the same support rule: a coarse
 operator's eigenvalues at most `COARSE_SUPPORT` times its largest are
 outside its support, and both the aligned root and the fine conjugation
 act on the support only.  The walks below repeat the checks and the exact
 reduction over contexts with plain loops, and the xi check one omega and
 one question tuple at a time.
 
-`ExtendedTableComputer` reads its context tables, question table and
+`ExtendedTableComputer` reads its context tables, question laws and
 P(win C) off the extended table, and `skew_distances` the skew report from
 conditioned marginals of it: the path `DepBreakComputer` took before it
-contracted those tables from the Born table.
+contracted the context tables from the Born table and formed the question
+law as a product over rounds.
 """
 
 import itertools
@@ -91,16 +93,51 @@ def skew_distances(ext, g, n, C):
                       float(np.mean(item3)), delta, p_win_c)
 
 
+def question_table(comp):
+    """The law of the question tuples and the free rounds' pointers of a
+    `DepBreakComputer`, a marginal of its extended table."""
+    n = comp.n
+    return comp.ext.marginal(x_names(n) + y_names(n) + tuple(
+        name for j in comp.free for name in (d_name(j), m_name(j))))
+
+
+def reference_law(qext, n, side, names):
+    """P(own question tuple | names) for every assignment of names, as the
+    (law, mass) pair `DepBreakComputer._question_law` returns, from one
+    marginal of the question table qext: a named own question fixes its
+    digit, weights at most SUPPORT_MASS are cut and an assignment of mass
+    at most ZERO_MASS gets an all-zero row."""
+    own = x_names(n) if side == "alice" else y_names(n)
+    rest = tuple(nm for nm in own if nm not in names)
+    sizes = tuple(qext.size_of(nm) for nm in names)
+    q = qext.size_of(own[0])
+    table = qext.marginal(names + rest).table
+    mass = table.reshape(math.prod(sizes), -1).sum(axis=1)
+    joint = table.reshape(sizes + tuple(q if nm in rest else 1 for nm in own))
+    for t, nm in enumerate(own):
+        if nm in names:
+            shape = [1] * joint.ndim
+            shape[names.index(nm)] = shape[len(names) + t] = q
+            joint = joint * np.eye(q).reshape(shape)
+    ok = mass > ZERO_MASS
+    law = np.where(ok[:, None], joint.reshape(mass.size, -1)
+                   / np.where(ok, mass, 1.0)[:, None], 0.0)
+    law[law <= SUPPORT_MASS] = 0.0
+    return law, mass
+
+
 class ExtendedTableComputer(DepBreakComputer):
-    """`DepBreakComputer` with its question table, P(win C), context
-    tables and P(win round i | win C) read off the extended table;
-    operators and walks unchanged."""
+    """`DepBreakComputer` with its question laws, P(win C), context tables
+    and P(win round i | win C) read off the extended table; operators and
+    walks unchanged."""
 
     def __init__(self, g, n, s, C):
         super().__init__(g, n, s, C)
-        self.qext = self.ext.marginal(x_names(n) + y_names(n) + tuple(
-            name for j in self.free for name in (d_name(j), m_name(j))))
+        self.qext = question_table(self)
         self.p_win_c = self.ext.prob(win_set(g, n, self.C))
+
+    def _question_law(self, side, names):
+        return reference_law(self.qext, self.n, side, names)
 
     def win_given_held(self, i):
         both = win_set(self.game, self.n, tuple(sorted(self.C + (i,))))
@@ -189,11 +226,12 @@ class PerContext:
     def __init__(self, comp):
         self.comp = comp
         self.g, self.n, self.C = comp.game, comp.n, comp.C
+        self.qext = question_table(comp)
         self._cache = {}
 
     def _support(self, side, constraints):
         names = x_names(self.n) if side == "alice" else y_names(self.n)
-        cond = self.comp.qext.given(constraints)
+        cond = self.qext.given(constraints)
         remaining = [nm for nm in names if nm in cond.names]
         fixed = {nm: constraints[nm] for nm in names if nm in constraints}
         if not remaining:
@@ -390,7 +428,7 @@ class PerContext:
         held = self._sums(side, self.C)
         m_psi = self.comp.strategy.psi_matrix
         omega_full = self.comp.omega_names(None)
-        qext = self.comp.qext
+        qext = self.qext
         per_terms = {i: 0.0 for i in self.comp.free}
         omega_marg = qext.marginal(omega_full).table
         for idx in np.argwhere(omega_marg > SUPPORT_MASS):

@@ -1,12 +1,13 @@
-"""Context tables, question table and P(win C) contracted from the Born
-table, against the extended-table path they replaced.
+"""Context tables contracted from the Born table, question laws formed
+round by round and P(win C), against the extended-table path they replaced.
 
 `DepBreakComputer` never builds the extended table: these tests compare
 every table, law, report and exact reduction payload with
 `ExtendedTableComputer`, which reads them off that table, check that no
-walk calls `extended_joint`, and check the new tables' size refusals, the
-n=4, C=() runs the extended table could not reach, and the memory of an
-exact reduction.
+walk calls `extended_joint`, and check the size refusals of the context
+tables and question laws, the runs the extended table or a whole question
+table could not reach, and the memory of an exact reduction and of the
+constructor.
 """
 
 import functools
@@ -18,10 +19,12 @@ import numpy as np
 import pytest
 
 from repgames import cli, depbreak, reduction
-from repgames.depbreak import DepBreakComputer
-from repgames.games import Game, chsh, fixture, save_game
+from repgames.depbreak import (DepBreakComputer, d_name, m_name, x_names_at,
+                               y_names_at)
+from repgames.games import Game, asym3, chsh, fixture, save_game
 from repgames.reduction import ReductionConfig, run_reduction
-from repgames.strategy import save_strategy, strategy_fixture
+from repgames.strategy import (EntangledStrategy, POVMFamily, save_strategy,
+                               strategy_fixture)
 from _depbreak_oracle import ExtendedTableComputer, skew_distances
 from _helpers import random_strategy
 
@@ -75,12 +78,38 @@ def assert_close(got, want, what, tol=1e-12):
         assert abs(float(got) - float(want)) <= tol, (what, got, want)
 
 
+def assert_question_laws_match(comp, ref, tol):
+    """Every evidence tuple the walks condition a side's questions on (the
+    own question of round i, round i's pointer, and xi's whole omega):
+    the product law and its mass against the extended-table law."""
+    for side, own in (("alice", x_names_at), ("bob", y_names_at)):
+        evidence = [comp.omega_names(None)] + [
+            comp.omega_names(i) + extra for i in comp.free
+            for extra in ((own(i),), (d_name(i), m_name(i)))]
+        for names in evidence:
+            law, mass = comp._question_law(side, names)
+            law_ref, mass_ref = ref._question_law(side, names)
+            assert law.shape == law_ref.shape, (side, names)
+            assert np.abs(law - law_ref).max() <= tol, (side, names)
+            assert np.abs(mass - mass_ref).max() <= tol, (side, names)
+
+
+@pytest.mark.parametrize("C", [(), (0,), (1,), (0, 1)])
+def test_chsh_question_laws_equal_the_extended_table_path(C):
+    """A deterministic strategy's Born table holds mu^(x)n exactly, and on
+    chsh every weight is dyadic: the two laws are equal, bit for bit."""
+    s = strategy_fixture("detprod", 3)
+    assert_question_laws_match(DepBreakComputer(chsh(), 3, s, C),
+                               ExtendedTableComputer(chsh(), 3, s, C), 0.0)
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_tables_and_laws_match_the_extended_table_path(case):
     comp, ref, _s = computers(*case)
     g = comp.game
-    assert comp.qext.names == ref.qext.names
-    assert np.abs(comp.qext.table - ref.qext.table).max() <= 1e-12
+    # the extended table's question marginal carries the Born table's
+    # rounding, so laws agree to the last bits
+    assert_question_laws_match(comp, ref, 1e-15)
     assert abs(comp.p_win_c - ref.p_win_c) <= 1e-12
     for i in comp.free:
         got, want = comp.contexts(i), ref.contexts(i)
@@ -166,28 +195,65 @@ def test_no_walk_builds_the_extended_table(monkeypatch, tmp_path):
 
 
 def six_question_game():
-    """Six questions and two answers a side: at n=3 the Born table has
-    2 985 984 cells, but questions and pointers take 36^3 * 12^3."""
+    """Six questions and two answers a side, won when a xor b is the
+    parity of x + y: at n=3 the Born table has 2 985 984 cells, and a
+    whole question table would need 36^3 * 12^3."""
+    x, y, a, b = np.ix_(*(np.arange(k) for k in (6, 6, 2, 2)))
     return Game(6, 6, 2, 2, np.full((6, 6), 1.0 / 36.0),
-                np.ones((6, 6, 2, 2), dtype=bool), name="six")
+                (a ^ b) == (x + y) % 2, name="six")
 
 
-QUESTION_REFUSAL = ("question table would need 80621568 cells, above the "
-                    "10000000 entry cap")
-
-
-def test_question_table_is_refused_before_it_is_allocated(monkeypatch):
+def test_six_question_game_runs_at_n3_without_holdout(tmp_path):
+    """A whole question table would need 80 621 568 cells, above the cap;
+    each question law the walks read has at most 373 248."""
     g = six_question_game()
-    s = random_strategy(g, 3, 1, 0)
+    save_game(g, tmp_path / "six.game")
+    save_strategy(random_strategy(g, 3, 1, 0), tmp_path / "six.strategy")
+    files = ["--game", str(tmp_path / "six.game"),
+             "--strategy", str(tmp_path / "six.strategy"), "--n", "3"]
+    out = tmp_path / "reduction"
+    assert cli.main(["run", "reduction", *files, "--C", "",
+                     "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert [row["coord"] for row in report["per_coord"]] == [0, 1, 2]
+    assert report["invalid_contexts"] == 0
+    assert report["max_context_crosscheck"] <= 1e-12
+    for row in report["per_coord"]:
+        assert abs(row["p_tilde"] - row["p_ref"]) <= 1e-12
+    for suite in ("usefulness", "xi", "sampleability"):
+        assert cli.main(["verify", "--suite", suite, *files, "--C", "",
+                         "--out", str(tmp_path / suite)]) == 0
 
-    def no_born_table(*_args):
-        raise AssertionError("the Born table was built before the refusal")
 
-    monkeypatch.setattr(depbreak, "born_joint", no_born_table)
+def oversized_law_game():
+    """Alice has six questions and two answers, Bob one question and one
+    answer.  At n=4, C=() the Born table has 20 736 cells, but Alice's
+    question law given the other rounds' pointers and her own round-i
+    question has 12^3 * 6 rows of 6^4 question tuples."""
+    return Game(6, 1, 2, 1, np.full((6, 1), 1.0 / 6.0),
+                np.ones((6, 1, 2, 1), dtype=bool), name="wide")
+
+
+def uniform_strategy(g, n):
+    """d=1: every answer tuple equally likely, whatever the questions."""
+    def family(q_size, a_size):
+        return POVMFamily(n, np.full((q_size,) * n + (a_size,) * n + (1, 1),
+                                     1.0 / a_size ** n))
+    return EntangledStrategy(1, n, np.ones(1), family(g.x_size, g.a_size),
+                             family(g.y_size, g.b_size))
+
+
+LAW_REFUSAL = ("question law would need 13436928 cells, above the 10000000 "
+               "entry cap")
+
+
+def test_question_law_is_refused_before_it_is_allocated():
+    g = oversized_law_game()
+    comp = DepBreakComputer(g, 4, uniform_strategy(g, 4), ())
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"^{QUESTION_REFUSAL}$"):
-            DepBreakComputer(g, 3, s, ())
+        with pytest.raises(ValueError, match=f"^{LAW_REFUSAL}$"):
+            comp.usefulness_check()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,7 +261,7 @@ def test_question_table_is_refused_before_it_is_allocated(monkeypatch):
 
 
 def test_context_table_is_refused_before_it_is_allocated(monkeypatch):
-    # the question table has 64 cells and the context table 256
+    # the context table has 256 cells; the laws its walks read, at most 64
     monkeypatch.setattr(depbreak, "MAX_TABLE_ENTRIES", 100)
     comp = DepBreakComputer(chsh(), 2, strategy_fixture("printing", 2), (1,))
     with pytest.raises(ValueError, match=(
@@ -206,14 +272,15 @@ def test_context_table_is_refused_before_it_is_allocated(monkeypatch):
 
 def test_cli_refuses_oversized_tables_in_one_line(monkeypatch, tmp_path,
                                                   capsys):
-    g = six_question_game()
-    save_game(g, tmp_path / "six.game")
-    save_strategy(random_strategy(g, 3, 1, 0), tmp_path / "six.strategy")
-    assert cli.main(["run", "reduction", "--game", str(tmp_path / "six.game"),
-                     "--strategy", str(tmp_path / "six.strategy"),
-                     "--n", "3", "--C", ""]) == 2
+    g = oversized_law_game()
+    save_game(g, tmp_path / "wide.game")
+    save_strategy(uniform_strategy(g, 4), tmp_path / "wide.strategy")
+    assert cli.main(["verify", "--suite", "usefulness",
+                     "--game", str(tmp_path / "wide.game"),
+                     "--strategy", str(tmp_path / "wide.strategy"),
+                     "--n", "4", "--C", ""]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {QUESTION_REFUSAL}\n"
+    assert err == f"config error: {LAW_REFUSAL}\n"
     monkeypatch.setattr(depbreak, "MAX_TABLE_ENTRIES", 100)
     assert cli.main(["verify", "--suite", "usefulness", "--strategy",
                      "printing", "--n", "2", "--C", "2"]) == 2
@@ -261,6 +328,23 @@ def test_exact_reduction_peak_memory_is_below_the_extended_table():
         tracemalloc.stop()
     assert rep.max_context_crosscheck <= 1e-12
     assert peak < 32 * 2 ** 20
+
+
+def test_constructor_and_usefulness_stay_near_the_born_table():
+    """asym3 n=4, C=(): the Born table is 1 679 616 cells; a whole
+    question table would be 8 503 056.  The constructor and one
+    coordinate's usefulness check stay under three Born tables."""
+    g = asym3()
+    s = random_strategy(g, 4, 2, 0)
+    tracemalloc.start()
+    try:
+        comp = DepBreakComputer(g, 4, s, ())
+        rep = comp.usefulness_check(coords=(0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok() and rep.contexts > 0
+    assert peak < 3 * comp.born.table.nbytes
 
 
 def test_operators_make_one_svd_per_side(monkeypatch):

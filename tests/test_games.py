@@ -3,7 +3,7 @@ import pytest
 
 from repgames.games import (Game, always_win, asym3, chsh, fixture,
                             load_game, save_game, win_set)
-from repgames.prob import SUM_ATOL
+from repgames.prob import SUM_ATOL, FiniteDistribution
 from repgames.strategy import born_joint, strategy_fixture
 from _helpers import (answer_bits, enumerate_tuples, event_from_assignment,
                       intersect, mu_dist, random_strategy)
@@ -43,6 +43,15 @@ def test_a_game_refuses_invalid_mu_when_it_is_built(sizes, mu, message):
     `test_validate_catches_bad_mu`)."""
     with pytest.raises(ValueError, match=message):
         Game(*sizes, mu, np.ones(sizes, dtype=bool))
+
+
+def test_a_game_clips_a_rounding_negative_weight_as_tables_do():
+    """A weight between WEIGHT_FLOOR and 0 is rounding: the game keeps 0,
+    as `FiniteDistribution` does, so every reader of mu sees one law."""
+    mu = [[1.0 + 5e-13, -5e-13]]
+    g = Game(1, 2, 1, 1, mu, np.ones((1, 2, 1, 1), dtype=bool))
+    assert g.mu[0, 1] == 0.0 and g.mu[0, 0] == 1.0 + 5e-13
+    assert np.array_equal(g.mu, FiniteDistribution(("x", "y"), mu).table)
 
 
 def test_fixture_unknown_name():
