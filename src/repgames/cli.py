@@ -34,6 +34,7 @@ from .values import (classical_value, max_classical_rounds, seesaw_best,
 GAME_FIXTURES = ("chsh", "always_win", "asym3")
 STRATEGY_FIXTURES = ("tsirelson", "printing", "detprod")
 GRID_MAX_DIGITS = 4300   # Python's default cap on an int written as text
+GRID_MAX_POINTS = 1024   # --n-grid points in one run bound
 # the (classical, quantum) sampling modes that --mode sets
 MODES = {"exact": ("exact_conditional", "oracle_state"),
          "holenstein": ("holenstein", "oracle_state"),
@@ -111,8 +112,15 @@ def _grid_int(tok: str, power: bool) -> int:
     return int(tok)
 
 
+def _grid_points(count: int) -> None:
+    if count > GRID_MAX_POINTS:
+        raise UsageError(f"--n-grid has {count} points, more than "
+                         f"{GRID_MAX_POINTS}")
+
+
 def _parse_n_grid(spec: str) -> list:
-    """Grid like '2^10..2^60', a comma list, or one integer."""
+    """Grid like '2^10..2^60', a comma list, or one integer, of at most
+    GRID_MAX_POINTS points, counted before the list is formed."""
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
@@ -121,7 +129,9 @@ def _parse_n_grid(spec: str) -> list:
         a, b = _grid_int(lo[2:], True), _grid_int(hi[2:], True)
         if a > b:
             raise UsageError("empty grid range")
+        _grid_points(b - a + 1)
         return [2 ** k for k in range(a, b + 1)]
+    _grid_points(spec.count(",") + 1)
     toks = [tok.strip() for tok in spec.split(",")]
     return [2 ** _grid_int(tok[2:], True) if tok.startswith("2^")
             else _grid_int(tok, False) for tok in toks]

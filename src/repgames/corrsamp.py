@@ -8,10 +8,11 @@ target state (van Dam and Hayden).  Where each slot of the shared state
 goes depends only on the players' rounded Schmidt spectra and the junk
 dimension, so the junk-traced outcome is built once per pair of rounded
 spectra and cached; a call with known spectra does work of the target's
-size only, whatever the junk dimension.  The build walks the junk columns
-in blocks, so past the sort of the slots it holds 4 bytes per slot and
-side; when both descriptions round to the same spectrum, each block is one
-Gram product.
+size only, whatever the junk dimension.  Each side's slot order is a
+merge of d sorted rows, formed block by block, and the build then walks
+the junk columns in blocks, so it holds 4 bytes per slot and side and no
+array of all slots besides; when both descriptions round to the same
+spectrum, each column block is one Gram product.
 
 A chi-square test checks side A's marginal against its law.  Its tail
 probability comes from `_chi2_sf`, pure `math` for any integer degrees of
@@ -37,6 +38,8 @@ MAX_STREAM_CELLS = 2 ** 18     # (u, t) pairs held by one sampling pass
 JUNK_TRACE_CACHE = 16          # spectrum pairs kept by _junk_trace, d^4 + d^2
                                # floats each
 _JUNK_BLOCK = 2 ** 16          # junk columns per block of _junk_trace
+_SLOT_BLOCK = 2 ** 16          # slots per block of the slot-order merge
+_HARMONIC_LEAF = 2 ** 16       # terms per numpy sum in _harmonic
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -213,15 +216,28 @@ class EmbezzlementVector:
 
 
 def _harmonic(n: int) -> float:
-    inv = np.arange(1, n + 1, dtype=np.float64)
-    np.divide(1.0, inv, out=inv)
-    return float(inv.sum())
+    """H_n = sum of 1/j for j = 1..n, bit for bit the sum numpy forms of
+    the n-length array: the same pairwise split (halve, round down to a
+    multiple of 8) down to leaves of at most _HARMONIC_LEAF terms, each
+    summed by numpy, so no n-length array is built."""
+    def part(lo: int, size: int) -> float:
+        if size <= _HARMONIC_LEAF:
+            inv = np.arange(lo + 1, lo + size + 1, dtype=np.float64)
+            np.divide(1.0, inv, out=inv)
+            return float(inv.sum())
+        half = size // 2
+        half -= half % 8
+        return part(lo, half) + part(lo + half, size - half)
+
+    return part(0, n)
 
 
 @functools.lru_cache(maxsize=16)
 def _embezzlement_cached(n: int) -> np.ndarray:
-    j = np.arange(1, n + 1, dtype=np.float64)
-    c = 1.0 / np.sqrt(j * _harmonic(n))
+    c = np.arange(1, n + 1, dtype=np.float64)
+    c *= _harmonic(n)
+    np.sqrt(c, out=c)
+    np.divide(1.0, c, out=c)
     c.flags.writeable = False
     return c
 
@@ -257,15 +273,77 @@ class AlignmentIsometry:
     def perm(self) -> np.ndarray:
         """perm[j] is the flat (target k, junk l) slot that the j-th largest
         embezzlement coefficient is routed to."""
-        return _slot_order(self.coeffs_grid, self.d_prime)
+        return np.concatenate([slots for _j, slots in
+                               _slot_blocks(self.coeffs_grid, self.d_prime)])
 
 
-def _slot_order(grid: np.ndarray, d_prime: int) -> np.ndarray:
-    """Flat slots k * d' + l by decreasing grid[k] * junk[l]; the stable
-    sort breaks ties by (k, l)."""
-    tau = np.multiply.outer(grid, embezzlement(d_prime).coefficients).ravel()
-    np.negative(tau, out=tau)
-    return np.argsort(tau, kind="stable")
+def _counts_above(grid: np.ndarray, junk: np.ndarray,
+                  cuts: np.ndarray) -> np.ndarray:
+    """counts[i, k]: how many junk indices l have grid[k] * junk[l] > cuts[i].
+
+    Each row's products do not increase with l, so the count ends a
+    prefix; bisection finds it by comparing the very products that
+    np.multiply.outer forms.
+    """
+    lo = np.zeros((cuts.size, grid.size), dtype=np.int64)
+    hi = np.full_like(lo, junk.size)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        above = grid * junk[np.minimum(mid, junk.size - 1)] > cuts[:, None]
+        lo = np.where(open_ & above, mid + 1, lo)
+        hi = np.where(open_ & ~above, mid, hi)
+    return lo
+
+
+def _slot_blocks(grid: np.ndarray, d_prime: int):
+    """Yield (j, slots): the flat slots k * d' + l of ranks j, j+1, ... in
+    the stable order by decreasing grid[k] * junk[l], ties by flat index.
+
+    Row k does not increase in l, so the order merges d sorted rows.  The
+    value range is cut at the products every _SLOT_BLOCK // d columns of
+    every positive row, coalesced so that a block holds about _SLOT_BLOCK
+    slots; between two cuts each row's share is a contiguous range of l.
+    A block concatenates its ranges in k order and stable-sorts them alone,
+    which breaks ties as one sort of all slots would.  The slots of value 0
+    (rows whose grid is 0) tie and come last, in flat order, with no sort.
+    """
+    d = grid.size
+    junk = embezzlement(d_prime).coefficients
+    step = max(1, _SLOT_BLOCK // d)
+    # a repeated cut only adds an empty block, which is skipped
+    cuts = np.sort(np.multiply.outer(grid[grid > 0], junk[step - 1::step]),
+                   axis=None)
+    cuts = np.append(cuts[::-1], 0.0)
+    counts = _counts_above(grid, junk, cuts)
+    total = counts.sum(axis=1)
+    lower = np.zeros(d, dtype=np.int64)
+    j = 0
+    i = -1
+    while i < cuts.size - 1:
+        # the last cut that keeps the block within _SLOT_BLOCK slots, or
+        # the next cut if none does
+        i = max(i + 1, int(np.searchsorted(total, j + _SLOT_BLOCK,
+                                           "right")) - 1)
+        upper = counts[i]
+        rows = np.flatnonzero(upper > lower)
+        if rows.size == 0:
+            continue
+        # -(g * x) == (-g) * x exactly, so these are the negated products
+        neg = np.concatenate([junk[lower[k]:upper[k]] * -grid[k]
+                              for k in rows])
+        slots = np.argsort(neg, kind="stable")
+        # a slot's place in the block plus its row's offset is its flat index
+        sizes = upper[rows] - lower[rows]
+        slots += np.repeat(rows * d_prime + lower[rows] - np.cumsum(sizes)
+                           + sizes, sizes)[slots]
+        yield j, slots
+        j = int(total[i])
+        lower = counts[i]
+    for k in range(d):
+        for lo in range(int(lower[k]), d_prime, _SLOT_BLOCK):
+            cols = np.arange(lo, min(d_prime, lo + _SLOT_BLOCK))
+            yield j, k * d_prime + cols
+            j += cols.size
 
 
 def _grid_round(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -375,23 +453,26 @@ def _junk_trace(grid_a: bytes, grid_b: bytes, d: int, d_prime: int) -> tuple:
     where l_b[p] == l_b[q], binned on (k_b[p], k_b[q]).  over[p, q] sums
     vals * junk[l_a] over row p's slots with l_b == l_a and k_b == q: the
     weight of g[p, q] in the overlap with a target paired with a fresh junk
-    state.  Past the slot orders only Alice's rank per slot and, for
-    different spectra, Bob's slot per rank are held at full length; the
-    columns are walked in blocks of _JUNK_BLOCK, each forming its own vals,
-    k_b and l_b.  With equal spectra Bob's slot is Alice's own, so a block
-    adds its Gram matrix vals @ vals.T to rho[p, p, q, q] and vals @ junk to
-    over's diagonal.  Both arrays are read-only and depend on the grids and
+    state.  Only Alice's rank per slot and, for different spectra, Bob's
+    slot per rank are held at full length, each written block by block as
+    `_slot_blocks` merges the slot order; the columns are then walked in
+    blocks of _JUNK_BLOCK, each forming its own vals, k_b and l_b.  With
+    equal spectra Bob's slot is Alice's own, so a block adds its Gram
+    matrix vals @ vals.T to rho[p, p, q, q] and vals @ junk to over's
+    diagonal.  Both arrays are read-only and depend on the grids and
     d' alone.
     """
     n = d * d_prime
     h_n = _harmonic(n)
-    order = _slot_order(np.frombuffer(grid_a), d_prime)
     rank = np.empty((d, d_prime), dtype=np.int32)   # Alice's slot -> rank j
-    rank.reshape(n)[order] = np.arange(n, dtype=np.int32)
-    del order
+    flat = rank.reshape(n)
+    for j, slots in _slot_blocks(np.frombuffer(grid_a), d_prime):
+        flat[slots] = np.arange(j, j + slots.size, dtype=np.int32)
     equal = grid_b == grid_a
     if not equal:                                   # rank j -> Bob's slot
-        dest = _slot_order(np.frombuffer(grid_b), d_prime).astype(np.int32)
+        dest = np.empty(n, dtype=np.int32)
+        for j, slots in _slot_blocks(np.frombuffer(grid_b), d_prime):
+            dest[j:j + slots.size] = slots
     junk = embezzlement(d_prime).coefficients
     pairs = np.zeros((d, d, d, d))          # rho[p, :, q, :] for p <= q
     over = np.zeros((d, d))

@@ -259,8 +259,11 @@ def _exact_coordinate(shot: SingleShotStrategy, i: int) -> PerCoordinate:
         brute = ((cell * g.predicate[x, y]).sum(axis=(1, 2))
                  / cell.sum(axis=(1, 2)))
         crosscheck = float(np.abs(p - brute).max())
-    return _record(shot, i, float(w @ p), invalid=invalid_count,
-                   bad_mass=invalid_mass, avg_err=float(w @ err),
+    # the weights' total is not renormalised, so its rounding can carry
+    # the weighted mean of probabilities past 1; clip it as p is clipped
+    return _record(shot, i, float(np.clip(w @ p, 0.0, 1.0)),
+                   invalid=invalid_count, bad_mass=invalid_mass,
+                   avg_err=float(w @ err),
                    max_err=float(err.max(initial=0.0)), crosscheck=crosscheck)
 
 

@@ -392,6 +392,35 @@ def test_an_n_grid_value_is_checked_before_it_is_formed(capsys, grid,
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("grid,points", [
+    ("2^1..2^14284", 14284),
+    (",".join(["2^3"] * 1025), 1025),
+    ("7," * 10 ** 6 + "7", 10 ** 6 + 1),
+], ids=["range", "list", "long_list"])
+def test_an_n_grid_over_the_point_cap_is_refused_before_it_is_formed(
+        capsys, grid, points):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", "bound", "--n-grid", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"usage error: --n-grid has {points} points, more than "
+        f"{cli.GRID_MAX_POINTS}"]
+    # the grid text itself is the only allocation of its size
+    assert peak < len(grid) + 2 ** 20
+
+
+def test_an_n_grid_at_the_point_cap_runs(capsys):
+    cap = cli.GRID_MAX_POINTS
+    for grid in (f"2^1..2^{cap}", ",".join(["16"] * cap)):
+        code, out, _err = run_cli(capsys, "run", "bound", "--n-grid", grid)
+        assert code == 0
+        assert len(json.loads(out)["results"]) == cap
+
+
 def test_the_largest_printable_power_runs(capsys):
     code, out, _err = run_cli(capsys, "run", "bound", "--n-grid",
                               "2^14284,9" + "9" * 4299)

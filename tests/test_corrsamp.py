@@ -676,8 +676,9 @@ def test_junk_trace_shared_by_equal_grids(kernel_builds):
 def test_junk_trace_ragged_blocks_match_oracles(kernel_builds, monkeypatch):
     # a block of 5 junk columns divides no d' below, so every build walks
     # several blocks and a short last one, on both the equal-spectra and
-    # the different-spectra path
+    # the different-spectra path; slot-order blocks of 7 are ragged too
     monkeypatch.setattr(corrsamp, "_JUNK_BLOCK", 5)
+    monkeypatch.setattr(corrsamp, "_SLOT_BLOCK", 7)
     cases = [(name, psi_a, psi_b, dp) for d in (2, 3, 4) for dp in (8, 64)
              for name, (psi_a, psi_b) in oracle_cases(d).items()]
     rows = (schmidt_state([0.85, 0.46, 0.24, 0.085], 1),
@@ -735,6 +736,94 @@ def traced(call):
     return out, peak - before, now - before
 
 
+def slot_order_oracle(grid, d_prime):
+    """Flat slots k * d' + l by decreasing grid[k] * junk[l], from one
+    stable argsort of all d * d' products: ties break by (k, l)."""
+    tau = np.multiply.outer(grid, embezzlement(d_prime).coefficients).ravel()
+    np.negative(tau, out=tau)
+    return np.argsort(tau, kind="stable")
+
+
+def walked_order(grid, d_prime):
+    """The slot order read from `_slot_blocks`, checking that each block
+    starts at the rank where the previous one ended."""
+    parts, at = [], 0
+    for j, slots in corrsamp._slot_blocks(np.asarray(grid, dtype=float),
+                                          d_prime):
+        assert j == at and slots.size > 0
+        parts.append(slots)
+        at += slots.size
+    assert at == len(grid) * d_prime
+    return np.concatenate(parts)
+
+
+def oracle_grids(d, d_prime, seed):
+    """Rounded spectra of random and maximally entangled states, and grids
+    with tied rows, a zero row and rows a power of 1.01 apart."""
+    rng = np.random.default_rng(seed)
+    grids = {"random": qcs_isometry(qcs_state(seed, d=d), d_prime)
+             .coeffs_grid,
+             "equal": np.full(d, 1.0 / math.sqrt(d)),
+             "unsorted": rng.random(d) + 0.1,
+             "powers": 1.01 ** -rng.integers(0, 40, d).astype(float)}
+    tied = rng.random(d) + 0.1
+    tied[-1] = tied[0]
+    grids["tied"] = tied
+    zero = rng.random(d) + 0.1
+    zero[d // 2] = 0.0
+    grids["zero_row"] = zero
+    return grids
+
+
+@pytest.mark.parametrize("dp", [1, 2, 3, 7, 64, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_slot_blocks_match_argsort_oracle(d, dp):
+    for name, grid in oracle_grids(d, dp, 10 * d + dp).items():
+        assert np.array_equal(walked_order(grid, dp),
+                              slot_order_oracle(grid, dp)), name
+    psi = qcs_state(d + dp, d=d)
+    iso = qcs_isometry(psi, dp)
+    assert iso.perm.dtype == np.int64
+    assert np.array_equal(iso.perm, slot_order_oracle(iso.coeffs_grid, dp))
+
+
+@pytest.mark.parametrize("dp", [10 ** 4 + 1, 40805])
+def test_slot_blocks_match_oracle_on_ties_at_large_junk_dimension(dp):
+    # rows a power of 1.01 apart: junk[l] * 1.01^m meets junk[l'] where
+    # (l' + 1) / (l + 1) = 1.0201^m, and past d' = 2 * 10^4 some of these
+    # products of different rows coincide bit for bit
+    grid = 1.01 ** -np.arange(6.0)
+    grid /= np.linalg.norm(grid)
+    tau = np.multiply.outer(grid, embezzlement(dp).coefficients).ravel()
+    assert (np.unique(tau).size < tau.size) == (dp > 2 * 10 ** 4)
+    for g in (grid, np.insert(grid, 2, grid[4]), np.insert(grid, 3, 0.0)):
+        assert np.array_equal(walked_order(g, dp), slot_order_oracle(g, dp))
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_slot_blocks_ragged_blocks_match_oracle(monkeypatch, block):
+    # blocks far below the row length, and of sizes dividing nothing, so
+    # that the cuts fall inside every row and the blocks are ragged
+    monkeypatch.setattr(corrsamp, "_SLOT_BLOCK", block)
+    for d in (1, 3, 4, 8):
+        for dp in (7, 64, 1000):
+            for name, grid in oracle_grids(d, dp, d * dp).items():
+                assert np.array_equal(walked_order(grid, dp),
+                                      slot_order_oracle(grid, dp)), name
+    iso = qcs_isometry(qcs_state(3), 500)
+    assert np.array_equal(iso.perm, slot_order_oracle(iso.coeffs_grid, 500))
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 129, 2 ** 16, 2 ** 16 + 1,
+                               10 ** 6 + 9, 3 * 2 ** 20, 2 ** 22 + 5])
+def test_harmonic_is_the_n_length_sum_bit_for_bit(n):
+    # at 10^6 + 9 a split rounds a half down by 4 or more: splitting at a
+    # multiple of 4 instead of 8 changes the sum there
+    inv = np.arange(1, n + 1, dtype=np.float64)
+    np.divide(1.0, inv, out=inv)
+    assert corrsamp._harmonic(n) == float(inv.sum())
+
+
 @pytest.mark.parametrize("other", [None, 7])
 def test_qcs_memory_at_junk_dimension_2_20(other):
     dp = 2 ** 20
@@ -748,17 +837,17 @@ def test_qcs_memory_at_junk_dimension_2_20(other):
     iso_b = iso_a if other is None else qcs_isometry(qcs_state(other), dp)
     corrsamp._junk_trace.cache_clear()
     res, peak, kept = traced(lambda: qcs_execute(iso_a, iso_b, 4))
-    assert peak < 160 * MiB
+    assert peak < 48 * MiB
     assert kept < 1 * MiB
     assert res.produced_target.shape == (16, 16)
 
 
 @pytest.mark.parametrize("other", [None, 7])
 def test_junk_trace_memory_per_slot(kernel_builds, other):
-    # the slot order's argsort holds two 8-byte arrays per slot; past it
     # only Alice's rank and, for different spectra, Bob's slot per rank
-    # stay at full length, 4 bytes a slot each: 16 and 20 bytes a slot in
-    # all, where one (d, d') float array beside the ranks reaches 32
+    # stay at full length, 4 bytes a slot each, beside blocks of the slot
+    # merge and of the junk columns; one sort key of all slots, 8 bytes a
+    # slot, and its argsort would pass 18
     dp = 2 ** 18
     embezzlement(dp)                    # the cached junk vector is not
                                         # the build's own memory
@@ -766,7 +855,7 @@ def test_junk_trace_memory_per_slot(kernel_builds, other):
     iso_b = iso_a if other is None else qcs_isometry(qcs_state(other), dp)
     _res, peak, kept = traced(lambda: qcs_execute(iso_a, iso_b, 4))
     assert len(kernel_builds) == 1
-    assert peak <= 26 * 4 * dp
+    assert peak <= 18 * 4 * dp
     assert kept < 1 * MiB
 
 

@@ -232,6 +232,23 @@ def test_always_win_game_is_exactly_saturated():
     assert abs(out["margin"]) < 1e-12
 
 
+def test_exact_p_tilde_stays_a_probability():
+    # six questions a side, every answer wins: thousands of contexts of
+    # weight mu * P(r | x, y, W_C) whose unrenormalised total rounds above
+    # 1, so the weighted mean read 1.000000000000003 before it was clipped
+    from repgames.games import Game
+
+    g = Game(6, 6, 2, 2, np.full((6, 6), 1 / 36), np.ones((6, 6, 2, 2)),
+             name="always6")
+    report = run_reduction(ReductionConfig(
+        game=g, n=3, strategy=random_strategy(g, 3, 1, 0), C=()))
+    assert len(report.per_coord) == 3
+    for p in report.per_coord:
+        assert 0.0 <= p.p_tilde <= 1.0
+        assert p.residual <= report.max_context_crosscheck
+    assert report.avg_p_tilde <= 1.0
+
+
 @functools.lru_cache(maxsize=None)
 def _skew_cases() -> tuple:
     """(case, |p_tilde_i - p_ref_i|, item1_i, error_budget +
