@@ -16,13 +16,16 @@ The dependency-breaking value r = (omega, a_C, b_C) of a free coordinate
 is one finite variable: it is passed as a flat index into that coordinate's
 `ContextTable`.  The table's `given_won` is the one law given W_C, the event
 that every held round is won, over the one P(W_C) read off the Born table:
-the laws of r and the skew report read it.  Every aligned factor and fine
-POVM of a free coordinate is built once, as a stack over its contexts, and
-the walks index those stacks with flat arrays of contexts; the kernels take
-`(..., d, d)` stacks, a 2-D input being a stack of one.  Each stack is one
-product of a dense question law with the per-question POVM sums.  Both
-kernels act on a coarse operator's support only (COARSE_SUPPORT), and the
-fine POVM is conjugated by the unitary of the aligned factor S = U A^(1/2).
+the laws of r, the skew report and the reduction's question skew read it.
+Every aligned factor and fine POVM of a free coordinate is kept as a stack
+over its contexts, and the walks index those stacks with flat arrays of
+contexts; the kernels take `(..., d, d)` stacks, a 2-D input being a stack
+of one.  Each stack is the product of a dense question law with the
+per-question POVM sums.  The stacks are built, and the walks gathered, in
+blocks of at most CHUNK_ENTRIES d x d entries (`chunks`); the kernels work
+per matrix, so a stack does not depend on the block size.  Both kernels act
+on a coarse operator's support only (COARSE_SUPPORT), and the fine POVM is
+conjugated by the unitary of the aligned factor S = U A^(1/2).
 One-assignment pointer constraints are {name: value} dicts ("d2", ...).
 """
 
@@ -53,7 +56,7 @@ CHECK_ATOL = 1e-8       # residual a usefulness or weight check passes at
 XI_SLACK = 1e-6         # slack of the xi information bound
 TRIANGLE_SLACK = 1e-9   # slack of the sampleability triangle inequality
 SCORE_TIE = 1e-15       # a holdout must beat the best score by more to replace it
-CONTEXT_CHUNK = 256     # contexts whose operators one stacked step gathers
+CHUNK_ENTRIES = 2 ** 14  # d x d entries one block builds or gathers per stack
 AUTO_TMAX = 2           # C="auto" searches holdouts of at most this many rounds
 
 
@@ -392,6 +395,13 @@ class ContextTable:
         mass = float(p.sum())
         return p / mass if mass > ZERO_MASS else None
 
+    def question_skew(self) -> float:
+        """Total variation between P(x_i, y_i) and P(x_i, y_i | W_C), the
+        skew report's item1 of this coordinate."""
+        drift = (self.given_won.sum(axis=(3, 4)).sum(axis=0)
+                 - self.joint.sum(axis=(3, 4)).sum(axis=0))
+        return 0.5 * float(np.abs(drift).sum())
+
 
 def _contract(law: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """law @ ops for a complex (Q, ...) stack, as one real einsum over its
@@ -402,11 +412,12 @@ def _contract(law: np.ndarray, ops: np.ndarray) -> np.ndarray:
                      ops.view(np.float64)).view(np.complex128)
 
 
-def chunks(total: int, per_row: int = 1) -> list:
-    """Slices covering range(total) rows, each row holding per_row
-    contexts, so that a slice gathers at most CONTEXT_CHUNK contexts (and
-    at least one row)."""
-    step = max(1, CONTEXT_CHUNK // per_row)
+def chunks(total: int, entries: int) -> list:
+    """Slices covering range(total) rows, each row holding `entries` matrix
+    entries (its contexts times d * d), so that a slice builds or gathers at
+    most CHUNK_ENTRIES entries per stack, and at least one row: at d = 8 a
+    walk's block is 256 contexts, at d = 16 it is 64."""
+    step = max(1, CHUNK_ENTRIES // entries)
     return [slice(lo, min(total, lo + step)) for lo in range(0, total, step)]
 
 
@@ -690,15 +701,20 @@ class DepBreakComputer:
         own_q, k = ((x_names_at(i), self.game.a_size) if side == "alice"
                     else (y_names_at(i), self.game.b_size))
         n_omega, d = math.prod(self._sizes[nm] for nm in omega), self.d
-        law, _ = self._question_law(side, omega + (own_q,))
-        fine = self._with_round_last(i, _contract(law, self._op_tensor(
-            side, tuple(sorted(self.C + (i,)))))).reshape(-1, k, d, d)
-        # the coarse stack is the fine one summed over round i's answer, the
-        # sum fine_povm forms, so both kernels cut the same support
-        s_own, u_own = aligned_operators(fine.sum(axis=-3), self.rho[side])
-        fam = fine_povm(u_own, fine)
         n_held = k ** len(self.C)
-        return SideOperators(s_own.reshape(n_omega, -1, n_held, d, d),
+        law, _ = self._question_law(side, omega + (own_q,))
+        ops = self._op_tensor(side, tuple(sorted(self.C + (i,))))
+        own = np.empty((len(law), n_held, d, d), dtype=np.complex128)
+        fam = np.empty((len(law), n_held, k + 1, d, d), dtype=np.complex128)
+        for part in chunks(len(law), n_held * d * d):
+            fine = self._with_round_last(i, _contract(law[part], ops)).reshape(
+                -1, k, d, d)
+            # the coarse stack is the fine one summed over round i's answer,
+            # the sum fine_povm forms, so both kernels cut the same support
+            s_own, u_own = aligned_operators(fine.sum(axis=-3), self.rho[side])
+            own[part] = s_own.reshape(-1, n_held, d, d)
+            fam[part] = fine_povm(u_own, fine).reshape(-1, n_held, k + 1, d, d)
+        return SideOperators(own.reshape(n_omega, -1, n_held, d, d),
                              fam.reshape(n_omega, -1, n_held, k + 1, d, d))
 
     def via_factors(self, i: int) -> dict:
@@ -707,18 +723,23 @@ class DepBreakComputer:
         factor for that player's question m."""
         if i not in self._via:
             omega = self.omega_names(i)
-            n_omega = math.prod(self._sizes[nm] for nm in omega)
+            n_omega, d = math.prod(self._sizes[nm] for nm in omega), self.d
             m_size = self._sizes[m_name(i)]
             out = {}
             for side, other in (("alice", BOB), ("bob", ALICE)):
                 law, _ = self._question_law(
                     side, omega + (d_name(i), m_name(i)))
                 law = law.reshape(n_omega, 2, m_size, -1)[:, other]
-                coarse = _contract(law.reshape(-1, law.shape[-1]),
-                                   self._op_tensor(side, self.C))
-                s_via, _ = aligned_operators(
-                    coarse.reshape(-1, self.d, self.d), self.rho[side])
-                out[side] = s_via.reshape(n_omega, m_size, -1, self.d, self.d)
+                law = law.reshape(-1, law.shape[-1])
+                ops = self._op_tensor(side, self.C)
+                n_held = math.prod(ops.shape[1:-2])
+                via = np.empty((len(law), n_held, d, d), dtype=np.complex128)
+                for part in chunks(len(law), n_held * d * d):
+                    s_via, _ = aligned_operators(
+                        _contract(law[part], ops).reshape(-1, d, d),
+                        self.rho[side])
+                    via[part] = s_via.reshape(-1, n_held, d, d)
+                out[side] = via.reshape(n_omega, m_size, -1, d, d)
             self._via[i] = out
         return self._via[i]
 
@@ -796,7 +817,7 @@ class DepBreakComputer:
             joint = self.contexts(i).joint
             support = joint.sum(axis=(1, 2, 3, 4)) > SUPPORT_MASS
             r, x, y = self._contexts_by_pair(np.flatnonzero(support))
-            for part in chunks(r.size):
+            for part in chunks(r.size, self.d ** 2):
                 rc, xc, yc = r[part], x[part], y[part]
                 cell = joint[rc, xc, yc]
                 mass = cell.sum(axis=(1, 2))
@@ -838,7 +859,7 @@ class DepBreakComputer:
             omega, x, y, cell, mass = omega[ok], x[ok], y[ok], cell[ok], mass[ok]
             held = cell.sum(axis=(3, 4)).reshape(len(mass), -1) / mass[:, None]
             r = omega[:, None] * (n_a * n_b) + np.arange(n_a * n_b)
-            for part in chunks(len(mass), n_a * n_b):
+            for part in chunks(len(mass), n_a * n_b * self.d ** 2):
                 _st, w = self.state_for(i, r[part], x[part, None],
                                         y[part, None])
                 max_err = max(max_err, float(np.abs(w - held[part]).max()))
@@ -863,7 +884,7 @@ class DepBreakComputer:
             skipped_mass += lost
             acc = np.zeros(3)
             mass = 0.0
-            for part in chunks(r.size):
+            for part in chunks(r.size, self.d ** 2):
                 variants = self.state_variants(i, r[part], x[part], y[part])
                 present = np.logical_and.reduce(
                     [v[1] > ZERO_WEIGHT for v in variants.values()])
@@ -954,8 +975,7 @@ class DepBreakComputer:
         for i in self.free:
             table = self.contexts(i)
             won = table.given_won.sum(axis=(3, 4))      # (r, x_i, y_i)
-            drift = won.sum(axis=0) - table.joint.sum(axis=(3, 4)).sum(axis=0)
-            item1.append(0.5 * float(np.abs(drift).sum()))
+            item1.append(table.question_skew())
             item2.append(_product_distance(won, g.mu, 1))
             item3.append(_product_distance(won, g.mu, 2))
         return SkewReport(self.free, tuple(item1), tuple(item2), tuple(item3),

@@ -80,7 +80,10 @@ class PerCoordinate:
     of the invalid contexts; avg_err and max_err are the mean and largest
     embezzlement error, clipped at 1; crosscheck is the largest gap between
     a context's oracle-state win and its brute-force Born-table win.
-    Exact mode leaves trials, stderr, failures and disagreements at 0.
+    item1 is the total variation between P(x_i, y_i) and P(x_i, y_i | W_C)
+    (`ContextTable.question_skew`): exact mode weights the contexts by the
+    first law and p_ref by the second.  Exact mode leaves trials, stderr,
+    failures and disagreements at 0.
     """
     coord: int
     p_tilde: float
@@ -95,6 +98,7 @@ class PerCoordinate:
     avg_err: float = 0.0
     max_err: float = 0.0
     crosscheck: float = 0.0
+    item1: float = 0.0
 
 
 @dataclass
@@ -177,15 +181,15 @@ class SingleShotStrategy:
 
         The reference state comes from r_a, Alice's fine family from r_a
         and Bob's from r_b; they are read from the coordinate's operator
-        stacks a chunk of contexts at a time.  An invalid context (no
-        reference state, or no one-sided state to embezzle) reports
-        p = err = 0.
+        stacks a block of contexts at a time (`depbreak.chunks`).  An
+        invalid context (no reference state, or no one-sided state to
+        embezzle) reports p = err = 0.
         """
         g, comp = self.cfg.game, self.computer
         p = np.zeros(r_a.size)
         err = np.zeros(r_a.size)
         valid = np.zeros(r_a.size, dtype=bool)
-        for part in chunks(r_a.size):
+        for part in chunks(r_a.size, comp.d ** 2):
             ra, rb, xs, ys = r_a[part], r_b[part], x[part], y[part]
             ref, weight = comp.state_for(i, ra, xs, ys)
             ok = weight > ZERO_WEIGHT
@@ -234,9 +238,11 @@ class SingleShotStrategy:
 
 def _record(shot: SingleShotStrategy, i: int, p_tilde: float,
             **terms) -> PerCoordinate:
-    """Coordinate i's record, scored against P(win round i | W_C)."""
+    """Coordinate i's record, scored against P(win round i | W_C), with
+    the question skew of its context table."""
     p_ref = shot.computer.win_given_held(i)
-    return PerCoordinate(i, p_tilde, p_ref, abs(p_tilde - p_ref), **terms)
+    return PerCoordinate(i, p_tilde, p_ref, abs(p_tilde - p_ref), **terms,
+                         item1=shot.computer.contexts(i).question_skew())
 
 
 def _exact_coordinate(shot: SingleShotStrategy, i: int) -> PerCoordinate:
@@ -319,7 +325,10 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
     Exact classical mode enumerates every context in closed form; the
     holenstein mode runs seeded Monte Carlo trials.  Either way the
     reference value of round i is P(win round i | W_C), read off the Born
-    table (`DepBreakComputer.win_given_held`).
+    table (`DepBreakComputer.win_given_held`).  The error budget sums the
+    mean embezzlement error, the mean bad mass and three standard errors;
+    exact mode, which weights the contexts by mu(x_i, y_i) where p_ref
+    weights them by P(x_i, y_i | W_C), adds the mean question skew item1.
     """
     shot = SingleShotStrategy(cfg)
     rng = np.random.default_rng([int(cfg.seed)])
@@ -346,7 +355,8 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
         mean("residual"), stderr_avg, sum(p.trials for p in per),
         sum(p.failures for p in per), sum(p.disagreements for p in per),
         sum(p.invalid for p in per), avg_err, max_err,
-        avg_err + mean("bad_mass") + 3.0 * stderr_avg,
+        avg_err + mean("bad_mass") + 3.0 * stderr_avg
+        + (0.0 if cfg.is_sampled else mean("item1")),
         max(p.crosscheck for p in per), shot.computer.p_win_c)
 
 

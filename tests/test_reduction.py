@@ -249,26 +249,32 @@ def test_exact_p_tilde_stays_a_probability():
     assert report.avg_p_tilde <= 1.0
 
 
-@functools.lru_cache(maxsize=None)
-def _skew_cases() -> tuple:
-    """(case, |p_tilde_i - p_ref_i|, item1_i, error_budget +
-    max_context_crosscheck) per free coordinate of the exact oracle-state
-    reduction on random strategies: chsh and asym3, n=2, d=3, C=(1,),
-    seeds 0-19."""
-    out = []
+def _random_exact_reports():
+    """(case, config, report) of the exact oracle-state reduction on random
+    strategies: chsh and asym3, n=2, d=3, C=(1,), seeds 0-19."""
     for name in ("chsh", "asym3"):
         g = fixture(name)
         for seed in range(20):
             cfg = ReductionConfig(game=g, n=2, C=(1,),
                                   strategy=random_strategy(g, 2, 3, seed))
-            rep = run_reduction(cfg)
-            skew = depbreak.DepBreakComputer(g, 2, cfg.strategy,
-                                             cfg.C).skew_report()
-            assert skew.free == tuple(p.coord for p in rep.per_coord)
-            rest = rep.error_budget + rep.max_context_crosscheck
-            out += [(f"{name} seed {seed} coord {p.coord}",
-                     abs(p.p_tilde - p.p_ref), item1, rest)
-                    for p, item1 in zip(rep.per_coord, skew.item1)]
+            yield f"{name} seed {seed}", cfg, run_reduction(cfg)
+
+
+@functools.lru_cache(maxsize=None)
+def _skew_cases() -> tuple:
+    """(case, |p_tilde_i - p_ref_i|, item1_i, the budget's other terms +
+    max_context_crosscheck, compare margin) per free coordinate of
+    `_random_exact_reports`; each record's item1 is the skew report's."""
+    out = []
+    for case, cfg, rep in _random_exact_reports():
+        skew = depbreak.DepBreakComputer(cfg.game, 2, cfg.strategy,
+                                         cfg.C).skew_report()
+        assert skew.free == tuple(p.coord for p in rep.per_coord)
+        assert tuple(p.item1 for p in rep.per_coord) == skew.item1
+        margin = main_bound_compare(rep)["margin"]
+        out += [(f"{case} coord {p.coord}", abs(p.p_tilde - p.p_ref),
+                 p.item1, p.avg_err + p.bad_mass + rep.max_context_crosscheck,
+                 margin) for p in rep.per_coord]
     return tuple(out)
 
 
@@ -277,13 +283,48 @@ def test_exact_residual_is_within_the_question_skew_and_budget():
     per-context win, under mu(x_i, y_i) and under P(x_i, y_i | every held
     round won): their gap is at most the distance item1_i of those laws,
     plus the skipped and invalid mass and the per-context crosscheck."""
-    assert [case for case, gap, item1, rest in _skew_cases()
+    assert [case for case, gap, item1, rest, _m in _skew_cases()
             if gap > item1 + rest] == []
 
 
 def test_without_the_skew_term_an_exact_residual_exceeds_the_budget():
-    """Negative control: the error budget alone misses the skew."""
-    assert [case for case, gap, _item1, rest in _skew_cases() if gap > rest]
+    """Negative control: the budget's other terms alone miss the skew."""
+    assert [case for case, gap, _item1, rest, _m in _skew_cases()
+            if gap > rest]
+
+
+def test_exact_budget_holds_on_random_strategies():
+    """With the mean question skew in the exact-mode budget, the main-bound
+    comparison passes on all 40 random strategies (18 failed without it,
+    the worst margin -1.54e-3)."""
+    assert [case for case, *_rest, margin in _skew_cases()
+            if margin < -reduction.COMPARE_SLACK] == []
+
+
+def _bob_answers_the_next_question(orig):
+    def fine_families(self, i, r_a, r_b, x_i, y_i):
+        return orig(self, i, r_a, r_b, x_i, (y_i + 1) % self.game.y_size)
+    return fine_families
+
+
+def _alice_reads_the_next_context(orig):
+    def fine_families(self, i, r_a, r_b, x_i, y_i):
+        size = self.contexts(i).joint.shape[0]
+        return orig(self, i, (r_a + 1) % size, r_b, x_i, y_i)
+    return fine_families
+
+
+@pytest.mark.parametrize("broken, fails", [
+    (_bob_answers_the_next_question, 7), (_alice_reads_the_next_context, 8)])
+def test_exact_budget_catches_a_broken_reduction(monkeypatch, broken, fails):
+    """The skew term does not hide a broken measurement: Bob measuring for
+    question (y + 1) mod Y, or Alice measuring with the fine family of
+    context r + 1, fails the comparison on some of the 40 strategies."""
+    monkeypatch.setattr(depbreak.DepBreakComputer, "fine_families",
+                        broken(depbreak.DepBreakComputer.fine_families))
+    failed = [case for case, _cfg, rep in _random_exact_reports()
+              if not main_bound_compare(rep)["pass_threshold"]]
+    assert len(failed) == fails, failed
 
 
 def test_main_bound_compare_margin():
@@ -308,7 +349,7 @@ def test_report_serialization_roundtrip(tmp_path, capsys):
     lines = (tmp_path / "r.csv").read_text().splitlines()
     assert lines[0] == ("coord,p_tilde,p_ref,residual,trials,stderr,"
                         "failures,disagreements,invalid,bad_mass,avg_err,"
-                        "max_err,crosscheck")
+                        "max_err,crosscheck,item1")
     assert len(lines) == 3
 
 
@@ -341,8 +382,9 @@ def test_report_aggregates_are_built_from_the_per_coordinate_records(mode):
     assert report.avg_embezzle_err == avg_err
     assert report.max_embezzle_err == max(avg_err, *col["max_err"])
     assert report.stderr == stderr
+    skew = float(np.mean(col["item1"])) if mode.startswith("exact") else 0.0
     assert report.error_budget == (avg_err + float(np.mean(col["bad_mass"]))
-                                   + 3.0 * stderr)
+                                   + 3.0 * stderr + skew)
     assert report.max_context_crosscheck == max(col["crosscheck"])
     assert report.avg_p_tilde == float(np.mean(col["p_tilde"]))
     assert report.avg_p_ref == float(np.mean(col["p_ref"]))

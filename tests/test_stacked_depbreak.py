@@ -99,9 +99,9 @@ def test_question_weights_at_the_support_cut_match_the_oracle(C):
 
 
 def test_stacked_calls_per_coordinate_and_side(monkeypatch):
-    """aligned_operators runs twice per coordinate and side (own factors,
-    and via factors once a walk needs them) and fine_povm once, whatever
-    the number of contexts."""
+    """aligned_operators runs twice per block of a coordinate and side (own
+    factors, and via factors once a walk needs them) and fine_povm once;
+    at d = 8 every stack of these holdouts fits one block."""
     calls = {"aligned": 0, "fine": 0}
 
     def counted(key, fn):
