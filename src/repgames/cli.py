@@ -38,7 +38,10 @@ GRID_MAX_POINTS = 1024   # --n-grid points in one run bound
 # the (classical, quantum) sampling modes that --mode sets
 MODES = {"exact": ("exact_conditional", "oracle_state"),
          "holenstein": ("holenstein", "oracle_state"),
-         "embezzle": ("holenstein", "embezzle")}
+         "embezzle": ("holenstein", "embezzle"),
+         "exact-embezzle": ("exact_conditional", "embezzle")}
+SUITES = ("matcore", "entropy", "all", "usefulness", "skew", "xi",
+          "sampleability")
 
 
 class UsageError(ValueError):
@@ -162,16 +165,13 @@ def cmd_verify(args) -> int:
     config = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
               "game": args.game, "strategy": args.strategy, "n": args.n,
               "C": args.C}
-    checks = []
     if args.suite == "matcore":
         checks = suites.run_matrix_suite(args.trials, args.seed)
     elif args.suite == "entropy":
-        checks = suites.run_entropy_suite(args.trials, args.seed,
-                                          min(args.trials, 500))
+        checks = suites.run_entropy_suite(args.trials, args.seed)
     elif args.suite == "all":
-        checks = suites.run_all(args.trials, args.seed,
-                                min(args.trials, 500))
-    elif args.suite in ("usefulness", "skew", "xi", "sampleability"):
+        checks = suites.run_all(args.trials, args.seed)
+    else:
         g = _load_game(args.game)
         s = _load_strategy(args.strategy, args.n)
         c_spec = _parse_c(args.C, args.n)
@@ -191,10 +191,8 @@ def cmd_verify(args) -> int:
             ]
         elif args.suite == "skew":
             rep = comp.skew_report()
-            bounded = all(0.0 <= v <= 1.0 for v in
-                          (rep.avg1, rep.avg2, rep.avg3))
             checks = [CheckResult(
-                "skew_distances", len(rep.free), 0 if bounded else 1,
+                "skew_distances", len(rep.free), 0 if rep.ok() else 1,
                 max(rep.avg1, rep.avg2, rep.avg3),
                 f"avg1={rep.avg1:.6e} avg2={rep.avg2:.6e} "
                 f"avg3={rep.avg3:.6e} delta={rep.delta:.6e}")]
@@ -202,7 +200,7 @@ def cmd_verify(args) -> int:
             rep = comp.xi_raz_check(side=args.side)
             checks = [CheckResult(
                 "xi_information_bound", len(rep.per_coord),
-                0 if rep.ok else 1, rep.avg_mi,
+                0 if rep.ok() else 1, rep.avg_mi,
                 f"delta={rep.delta:.6e} tight={rep.tight_bound:.6e}")]
         else:
             rep = comp.sampleability_distances()
@@ -211,8 +209,6 @@ def cmd_verify(args) -> int:
                 rep.max_triangle_slack,
                 f"d_alice={rep.d_alice:.6e} d_bob={rep.d_bob:.6e} "
                 f"d_cross={rep.d_cross:.6e}")]
-    else:
-        raise UsageError(f"unknown suite: {args.suite}")
 
     payload = {"version": __version__, "suite": args.suite, "config": config,
                "checks": [{**asdict(c), "ok": c.ok}
@@ -260,9 +256,10 @@ def _run_values(args) -> int:
 def _run_reduction(args) -> int:
     g = _load_game(args.game)
     s = _load_strategy(args.strategy, args.n)
+    mode_classical, mode_quantum = MODES[args.mode]
     cfg = ReductionConfig(
         game=g, n=args.n, strategy=s, C=_parse_c(args.C, args.n),
-        mode_classical=args.mode_classical, mode_quantum=args.mode_quantum,
+        mode_classical=mode_classical, mode_quantum=mode_quantum,
         dprime=args.dprime, alpha=args.alpha, seed=args.seed,
         trials=args.trials, max_draws=args.max_draws)
     report = run_reduction(cfg)
@@ -323,16 +320,8 @@ def _run_corrsamp(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    if args.target == "values":
-        return _run_values(args)
-    if args.target == "reduction":
-        return _run_reduction(args)
-    if args.target == "bound":
-        return _run_bound(args)
-    if args.target == "corrsamp":
-        return _run_corrsamp(args)
-    raise UsageError(f"unknown run target: {args.target}")
+RUN_TARGETS = {"values": _run_values, "reduction": _run_reduction,
+               "bound": _run_bound, "corrsamp": _run_corrsamp}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run an assertion suite")
-    ver.add_argument("--suite", required=True,
-                     help="matcore | entropy | all | usefulness | skew | "
-                          "xi | sampleability")
+    ver.add_argument("--suite", required=True, choices=SUITES)
     ver.add_argument("--trials", type=int, default=1000)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--game", default="chsh")
@@ -359,21 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", default=None)
 
     run = sub.add_parser("run", help="run an experiment and emit reports")
-    run.add_argument("target",
-                     help="values | reduction | bound | corrsamp")
+    run.add_argument("target", choices=tuple(RUN_TARGETS))
     run.add_argument("--game", default="chsh")
     run.add_argument("--strategy", default="tsirelson")
     run.add_argument("--n", type=int, default=2)
     run.add_argument("--C", default="")
-    run.add_argument("--mode", default=None, choices=tuple(MODES),
-                     help="shorthand setting both sampling modes; not "
-                          "with --mode-classical or --mode-quantum")
-    run.add_argument("--mode-classical", default=None,
-                     choices=("exact_conditional", "holenstein"),
-                     help="default exact_conditional")
-    run.add_argument("--mode-quantum", default=None,
-                     choices=("oracle_state", "embezzle"),
-                     help="default oracle_state")
+    run.add_argument("--mode", default="exact", choices=tuple(MODES),
+                     help="sampling modes (classical, quantum): " + "; ".join(
+                         f"{k} = {c}, {q}" for k, (c, q) in MODES.items()))
     run.add_argument("--dprime", type=int, default=256)
     run.add_argument("--alpha", type=float, default=0.01)
     run.add_argument("--seed", type=int, default=0)
@@ -418,6 +398,13 @@ def main(argv=None) -> int:
             defaults = json.loads(Path(args.config).read_text())
             if not isinstance(defaults, dict):
                 raise ValueError("the config file must hold one JSON object")
+            flags = {a.dest for sub in parser.sub_commands.values()
+                     for a in sub._actions
+                     if a.option_strings and a.dest != "help"}
+            unknown = sorted(set(defaults) - flags)
+            if unknown:
+                raise UsageError("--config key names no flag of verify or "
+                                 "run: " + ", ".join(map(repr, unknown)))
             # defaults must land on the subcommand parsers: each subparser
             # re-applies its own defaults over the shared namespace, so
             # setting them on the top-level parser alone has no effect.
@@ -425,18 +412,11 @@ def main(argv=None) -> int:
                 sub.set_defaults(**{a.dest: _config_value(a, defaults[a.dest])
                                     for a in sub._actions if a.dest in defaults})
             args = parser.parse_args(argv)
-        if args.command == "run":
-            if args.mode and (args.mode_classical or args.mode_quantum):
-                raise UsageError("--mode sets both sampling modes; give it "
-                                 "without --mode-classical or --mode-quantum")
-            classical, quantum = MODES[args.mode or "exact"]
-            args.mode_classical = args.mode_classical or classical
-            args.mode_quantum = args.mode_quantum or quantum
         if args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         if args.command == "verify":
             return cmd_verify(args)
-        return cmd_run(args)
+        return RUN_TARGETS[args.target](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

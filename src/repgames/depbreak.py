@@ -193,6 +193,10 @@ class SkewReport:
     delta: float
     p_win_c: float
 
+    def ok(self) -> bool:
+        """Each averaged distance is a total variation, so lies in [0, 1]."""
+        return all(0.0 <= v <= 1.0 for v in (self.avg1, self.avg2, self.avg3))
+
 
 def _product_distance(won: np.ndarray, mu: np.ndarray, anchor: int) -> float:
     """tv(won(r, x, y), mu(x, y) P(r | anchor question, won)) for a law
@@ -347,8 +351,10 @@ class XiRazReport:
     avg_mi: float
     delta: float
     tight_bound: float
-    ok: bool
     per_coord: tuple
+
+    def ok(self) -> bool:
+        return self.avg_mi <= self.delta + XI_SLACK
 
 
 @dataclass(frozen=True)
@@ -958,8 +964,7 @@ class DepBreakComputer:
                 probs / probs.sum(axis=1, keepdims=True), states))
             per_coord.append(float((mass[rows] * weight[rows, held]) @ mi))
         avg_mi = float(np.mean(per_coord))
-        return XiRazReport(side, avg_mi, delta, tight,
-                           bool(avg_mi <= delta + XI_SLACK), tuple(per_coord))
+        return XiRazReport(side, avg_mi, delta, tight, tuple(per_coord))
 
     def skew_report(self) -> SkewReport:
         """Exact conditioning-skew distances for every free coordinate,

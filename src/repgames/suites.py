@@ -21,6 +21,7 @@ from .infotheory import (CheckResult, CQState, chain_rule_check,
 SWEEP_SLACK = 1e-9      # rounding slack of every matrix and entropy inequality
 GROUP_CHUNK = 1024      # trials per stack, so a sweep's memory does not grow with its trials
 SWEEP_DIMS = range(2, 9)   # matrix dimensions a matrix or entropy sweep draws
+RAZ_TRIALS = 500        # the entropy suite's cap on the raz sweep's trials
 
 
 def _draw(seed: int, tag: int, trials: int, ranges, check) -> list:
@@ -176,31 +177,17 @@ def sweep_chain_rule(trials: int = 1000, seed: int = 0) -> CheckResult:
     return _result("chain_rule", trials, slack, bad)
 
 
-SWEEPS = {
-    "ando": sweep_ando,
-    "powers_stormer": sweep_powers_stormer,
-    "fuchs_van_de_graaf": sweep_fuchs_van_de_graaf,
-    "pure_state_bound": sweep_pure_state_bound,
-    "pinsker": sweep_pinsker,
-    "min_entropy": sweep_min_entropy,
-    "raz": sweep_raz,
-    "chain_rule": sweep_chain_rule,
-}
-
-
 def run_matrix_suite(trials: int = 1000, seed: int = 0) -> list:
     return [sweep_ando(trials, seed), sweep_powers_stormer(trials, seed),
             sweep_fuchs_van_de_graaf(trials, seed),
             sweep_pure_state_bound(trials, seed)]
 
 
-def run_entropy_suite(trials: int = 1000, seed: int = 0,
-                      raz_trials: int = 500) -> list:
+def run_entropy_suite(trials: int = 1000, seed: int = 0) -> list:
     return [sweep_pinsker(trials, seed), sweep_min_entropy(trials, seed),
-            sweep_raz(raz_trials, seed), sweep_chain_rule(trials, seed)]
+            sweep_raz(min(trials, RAZ_TRIALS), seed),
+            sweep_chain_rule(trials, seed)]
 
 
-def run_all(trials: int = 1000, seed: int = 0,
-            raz_trials: int = 500) -> list:
-    return run_matrix_suite(trials, seed) + run_entropy_suite(
-        trials, seed, raz_trials)
+def run_all(trials: int = 1000, seed: int = 0) -> list:
+    return run_matrix_suite(trials, seed) + run_entropy_suite(trials, seed)

@@ -1,16 +1,34 @@
+import itertools
 import json
+import re
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from repgames import cli, suites, values
+from repgames import __version__, cli, suites, values
 from repgames.cli import main
 from repgames.games import chsh
+from repgames.reduction import (CLASSICAL_MODES, QUANTUM_MODES,
+                                ReductionConfig, main_bound_compare,
+                                run_reduction)
 from repgames.strategy import save_strategy, strategy_fixture
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def refused(capsys, *argv):
+    """Exit code, stdout and stderr of a refusal, whether main returns 2 or
+    argparse exits with it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -32,7 +50,7 @@ def test_verify_entropy_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert ([c["name"] for c in payload["checks"]]
-            == [c.name for c in suites.run_entropy_suite(1, 0, 1)])
+            == [c.name for c in suites.run_entropy_suite(1, 0)])
     assert payload["passed"]
 
 
@@ -64,9 +82,11 @@ def test_verify_xi_suite_both_sides(capsys):
 
 
 def test_verify_unknown_suite_usage_error(capsys):
-    code, _out, err = run_cli(capsys, "verify", "--suite", "bogus")
-    assert code == 2
-    assert "usage error" in err
+    code, out, err = refused(capsys, "verify", "--suite", "bogus")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage error: argument --suite: invalid choice: 'bogus' (choose from "
+        + ", ".join(map(repr, cli.SUITES)) + ")"]
 
 
 def test_verify_rejects_out_of_range_holdout(capsys):
@@ -350,24 +370,81 @@ def test_run_mode_shorthand_sets_both_modes(capsys):
 
 
 
-@pytest.mark.parametrize("config,argv", [
-    ({}, ("--mode", "exact", "--mode-quantum", "embezzle")),
-    ({}, ("--mode-classical", "holenstein", "--mode", "holenstein")),
-    ({"mode_quantum": "embezzle"}, ("--mode", "exact")),
-    ({"mode": "embezzle"}, ("--mode-classical", "exact_conditional")),
+@pytest.mark.parametrize("config,argv,line", [
+    ({}, ("--mode", "exact", "--mode-quantum", "embezzle"),
+     "unrecognized arguments: --mode-quantum embezzle"),
+    ({}, ("--mode-classical", "holenstein", "--mode", "holenstein"),
+     "unrecognized arguments: --mode-classical holenstein"),
+    ({"mode_quantum": "embezzle"}, ("--mode", "exact"),
+     "--config key names no flag of verify or run: 'mode_quantum'"),
+    ({"mode": "embezzle"}, ("--mode-classical", "exact_conditional"),
+     "unrecognized arguments: --mode-classical exact_conditional"),
 ], ids=["flags", "flags-reversed", "config-quantum", "config-mode"])
 def test_mode_beside_a_long_mode_flag_is_refused(tmp_path, capsys, config,
-                                                 argv):
-    """--mode sets both sampling modes, so an explicit long flag beside it,
-    on the command line or in --config, is refused rather than overridden."""
+                                                 argv, line):
+    """--mode alone names the sampling-mode pair, so a long mode flag
+    beside it, on the command line or in --config, is refused in one line
+    rather than overridden or ignored."""
     cfg = tmp_path / "conf.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "--config", str(cfg), "run",
+    code, out, err = refused(capsys, "--config", str(cfg), "run",
                              "reduction", *argv)
     assert code == 2 and out == ""
-    assert err.splitlines() == [
-        "usage error: --mode sets both sampling modes; give it without "
-        "--mode-classical or --mode-quantum"]
+    assert err.splitlines() == [f"usage error: {line}"]
+
+
+def test_the_modes_name_each_sampling_mode_pair_once():
+    pairs = set(itertools.product(CLASSICAL_MODES, QUANTUM_MODES))
+    assert set(cli.MODES.values()) == pairs
+    assert len(cli.MODES) == len(pairs)
+
+
+@pytest.mark.parametrize("mode", sorted(cli.MODES))
+def test_each_mode_reports_a_direct_run_of_its_pair(capsys, mode):
+    code, out, _err = run_cli(capsys, "run", "reduction", "--strategy",
+                              "printing", "--n", "2", "--C", "2", "--mode",
+                              mode, "--trials", "200", "--dprime", "16")
+    assert code == 0
+    classical, quantum = cli.MODES[mode]
+    report = run_reduction(ReductionConfig(
+        game=chsh(), n=2, strategy=strategy_fixture("printing", 2), C=(1,),
+        mode_classical=classical, mode_quantum=quantum, trials=200,
+        dprime=16))
+    direct = {"version": __version__, **asdict(report),
+              "compare": main_bound_compare(report)}
+    assert json.loads(out) == json.loads(json.dumps(direct))
+
+
+@pytest.mark.parametrize("config", [
+    {"trails": 5}, {"mode_classical": "holenstein"},
+    {"mode_quantum": "embezzle"}, {"target": "bound"}, {"help": True},
+    {"trials": 5, "trails": 5, "Seed": 1},
+], ids=lambda c: ",".join(c))
+def test_an_unknown_config_key_is_refused(tmp_path, capsys, config):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    names = ", ".join(repr(k) for k in sorted(config) if k != "trials")
+    for argv in (("verify", "--suite", "matcore"), ("run", "bound")):
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"usage error: --config key names no flag of verify or run: "
+            f"{names}"]
+
+
+def _flags_in(text: str) -> set:
+    return set(re.findall(r"(?<![\w-])--[A-Za-z][A-Za-z-]*", text))
+
+
+def test_readme_command_line_names_every_flag_and_no_other():
+    parser = cli.build_parser()
+    defined = {flag for p in (parser, *parser.sub_commands.values())
+               for action in p._actions for flag in action.option_strings
+               if flag.startswith("--")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## Command line\n(.*?)(?=^## |\Z)", readme,
+                        re.M | re.S).group(1)
+    assert _flags_in(section) == defined
 
 
 @pytest.mark.parametrize("grid,message", [
@@ -429,9 +506,11 @@ def test_the_largest_printable_power_runs(capsys):
         2 ** 14284, 10 ** 4300 - 1]
 
 def test_unknown_run_target(capsys):
-    code, _out, err = run_cli(capsys, "run", "nonsense")
-    assert code == 2
-    assert "unknown run target" in err
+    code, out, err = refused(capsys, "run", "nonsense")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage error: argument target: invalid choice: 'nonsense' (choose "
+        "from 'values', 'reduction', 'bound', 'corrsamp')"]
 
 
 def test_missing_game_file(capsys):
@@ -492,7 +571,8 @@ def test_config_seed_that_is_not_an_integer_is_a_usage_error(tmp_path,
     ({"eps": "big"}, ("run", "bound"), "--eps must be a number, got big"),
     ({"C": 5}, ("run", "reduction"), "coordinate 5 outside 1..2"),
     ({"mode": "bogus"}, ("run", "reduction"),
-     "--mode must be one of exact, holenstein, embezzle, got bogus"),
+     "--mode must be one of exact, holenstein, embezzle, exact-embezzle, "
+     "got bogus"),
     ({"side": "carol"}, ("verify", "--suite", "xi"),
      "--side must be one of alice, bob, got carol"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v)

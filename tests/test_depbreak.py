@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repgames import matcore
-from repgames.depbreak import (ALICE, BOB, DepBreakComputer, aligned_operators,
-                               choose_C, dep_state, extended_joint, fine_povm)
+from repgames.depbreak import (ALICE, BOB, DepBreakComputer, SkewReport,
+                               aligned_operators, choose_C, dep_state,
+                               extended_joint, fine_povm)
 from repgames.games import Game, always_win, asym3, chsh, win_set
 from repgames.prob import ZERO_MASS, ZeroProbabilityEvent
 from repgames.reduction import (ReductionConfig, SingleShotStrategy,
@@ -150,6 +151,15 @@ def test_skew_distances_printing_regression_values():
     assert rep.avg1 < 1e-12 and rep.avg3 < 1e-12
     assert abs(rep.delta - PRINTING_DELTA) < 1e-10
     assert abs(rep.p_win_c - PRINTING_P_WIN_C) < 1e-10
+
+
+@pytest.mark.parametrize("avgs,ok", [
+    ((0.0, 0.0, 0.0), True), ((1.0, 0.5, 0.0), True),
+    ((0.0, -1e-300, 0.0), False), ((0.0, 0.0, 1.0 + 2 ** -52), False),
+    ((float("nan"), 0.0, 0.0), False)])
+def test_skew_report_passes_averages_inside_the_unit_interval(avgs, ok):
+    rep = SkewReport((1,), (0.0,), (0.0,), (0.0,), *avgs, 0.0, 1.0)
+    assert rep.ok() is ok
 
 
 def test_skew_delta_charges_the_answer_bits_of_each_held_round():
@@ -526,11 +536,11 @@ def test_sampleability_distances_vanish_for_product_strategy():
 
 def test_xi_raz_check_printing(printing_computer):
     rep_b = printing_computer.xi_raz_check(side="bob")
-    assert rep_b.ok
+    assert rep_b.ok()
     assert abs(rep_b.avg_mi - PRINTING_XI_BOB) < 1e-10
     assert abs(rep_b.delta - PRINTING_DELTA) < 1e-10
     rep_a = printing_computer.xi_raz_check(side="alice")
-    assert rep_a.ok
+    assert rep_a.ok()
     assert rep_a.avg_mi < 1e-10   # Alice's fixture angles are question-blind
     with pytest.raises(ValueError):
         printing_computer.xi_raz_check(side="center")

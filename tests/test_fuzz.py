@@ -135,7 +135,8 @@ FLAGS = {
     "--C": st.sampled_from(["", "none", "1", "2", "3", "0", "1,2", "auto",
                             "x", "1,,2"]),
     "--side": st.sampled_from(["alice", "bob", "carol"]),
-    "--mode": st.sampled_from(["exact", "holenstein", "embezzle", "bogus"]),
+    "--mode": st.sampled_from(["exact", "holenstein", "embezzle",
+                               "exact-embezzle", "bogus"]),
     "--max-draws": COUNTS,
     "--dprime": st.sampled_from(["-1", "0", "1", "2", "4"]),
     "--alpha": st.sampled_from(["0", "-1", "0.01", "0.5", "x", "nan",

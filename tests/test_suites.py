@@ -49,14 +49,20 @@ def test_matrix_suite_composition():
     assert all(c.ok for c in checks)
 
 
-def test_entropy_suite_composition():
-    checks = suites.run_entropy_suite(trials=10, seed=0, raz_trials=5)
+def test_entropy_suite_composition(monkeypatch):
+    checks = suites.run_entropy_suite(trials=10, seed=0)
     assert len(checks) == 4
     assert all(c.ok for c in checks)
+    assert [c.trials for c in checks] == [10] * 4
+    monkeypatch.setattr(suites, "RAZ_TRIALS", 3)
+    checks = suites.run_entropy_suite(trials=10, seed=0)
+    assert [(c.name, c.trials) for c in checks] == [
+        ("pinsker", 10), ("min_entropy_dominates", 10), ("raz_lemma", 3),
+        ("chain_rule", 10)]
 
 
 def test_run_all_concatenates():
-    checks = suites.run_all(trials=10, seed=0, raz_trials=5)
+    checks = suites.run_all(trials=10, seed=0)
     assert len(checks) == 8
     assert all(c.ok for c in checks)
 
@@ -96,7 +102,7 @@ MUTATIONS = {
 def test_sweep_counts_violations_of_a_wrong_kernel(name, monkeypatch):
     owner, attr, wrong = MUTATIONS[name]
     monkeypatch.setattr(owner, attr, wrong)
-    res = suites.SWEEPS[name](trials=40, seed=0)
+    res = getattr(suites, f"sweep_{name}")(trials=40, seed=0)
     assert res.trials == 40
     assert res.violations > 0, res
 
@@ -122,7 +128,7 @@ def test_benchmark_size_suite_decomposes_per_group(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(matcore, "density_spectrum", counted)
-    checks = suites.run_all(3500, 7, 500)
+    checks = suites.run_all(3500, 7)
     assert [c.trials for c in checks] == [3500] * 6 + [500, 3500]
     assert all(c.violations == 0 for c in checks), checks
     assert len(calls) < 1000

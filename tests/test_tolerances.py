@@ -142,6 +142,9 @@ REFUSALS = {
                      lambda v: depbreak.WeightReport((), 1, v, 0.0).ok()),
     "weight sum error": (depbreak.CHECK_ATOL,
                          lambda v: depbreak.WeightReport((), 1, 0.0, v).ok()),
+    "xi information bound": (depbreak.XI_SLACK,
+                             lambda v: depbreak.XiRazReport(
+                                 "alice", v, 0.0, 0.0, ()).ok()),
     "sampleability triangle": (depbreak.TRIANGLE_SLACK,
                                lambda v: depbreak.SampleabilityReport(
                                    (), 0.0, 0.0, 0.0, {}, 0.0, v).ok()),
