@@ -417,11 +417,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return RUN_TARGETS[args.target](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # escape C0, DEL and C1, so a name the user gave stays on one line
+        kind = "usage" if isinstance(exc, UsageError) else "config"
+        text = re.sub(r"[\x00-\x1f\x7f-\x9f]",
+                      lambda m: f"\\x{ord(m.group()):02x}", str(exc))
+        print(f"{kind} error: {text}", file=sys.stderr)
         return 2
 
 

@@ -23,9 +23,10 @@ contexts; the kernels take `(..., d, d)` stacks, a 2-D input being a stack
 of one.  Each stack is the product of a dense question law with the
 per-question POVM sums.  The stacks are built, and the walks gathered, in
 blocks of at most CHUNK_ENTRIES d x d entries (`chunks`); the kernels work
-per matrix, so a stack does not depend on the block size.  Both kernels act
-on a coarse operator's support only (COARSE_SUPPORT), and the fine POVM is
-conjugated by the unitary of the aligned factor S = U A^(1/2).
+per matrix, so a stack does not depend on the block size.  `fine_povm`
+builds a context's aligned factor S = U A^(1/2) and its fine POVM,
+conjugated by U, from one decomposition of the coarse operator A, on A's
+support only (COARSE_SUPPORT).
 One-assignment pointer constraints are {name: value} dicts ("d2", ...).
 """
 
@@ -212,8 +213,7 @@ def _product_distance(won: np.ndarray, mu: np.ndarray, anchor: int) -> float:
 def _coarse_support(coarse: np.ndarray) -> tuple:
     """Ascending eigenpairs (w, v) of a coarse operator or stack and its
     support mask, eigenvalues above COARSE_SUPPORT times the largest;
-    refused as `matcore.mat_sqrt` refuses (`matcore.psd_eigh`).  Each kernel
-    decomposes its own input, so given the same bytes both cut one support."""
+    refused as `matcore.mat_sqrt` refuses (`matcore.psd_eigh`)."""
     w, v = matcore.psd_eigh(coarse, "coarse operator")
     return w, v, w > COARSE_SUPPORT * np.maximum(w[..., -1:], 0.0)
 
@@ -221,11 +221,12 @@ def _coarse_support(coarse: np.ndarray) -> tuple:
 def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
     """Factor S = U A^(1/2) with U unitary chosen so S sqrt(rho) is PSD.
 
-    coarse is one operator or a `(..., d, d)` stack of them; returns (S, U)
-    of the same shape.  The root is taken on the coarse operator's support
-    (`_coarse_support`), so S-dagger-S is the coarse operator projected on
-    it; the PSD alignment makes states built from S comparable across
-    contexts without a floating phase.
+    coarse is one operator or a `(..., d, d)` stack of them; returns
+    (S, U, support), S and U of the same shape and support the
+    `_coarse_support` triple (w, v, keep) the root was taken on, so
+    S-dagger-S is the coarse operator projected on that support.  The PSD
+    alignment makes states built from S comparable across contexts without
+    a floating phase.
     """
     w, v, keep = _coarse_support(coarse)
     root = np.sqrt(np.where(keep, w, 0.0))
@@ -233,17 +234,17 @@ def aligned_operators(coarse: np.ndarray, rho: np.ndarray) -> tuple:
     a_half = (a_half + matcore.dagger(a_half)) / 2
     sqrt_rho = matcore.mat_sqrt(rho, "reduced state")
     u = matcore.polar_psd_factor(a_half @ sqrt_rho)
-    return u @ a_half, u
+    return u @ a_half, u, (w, v, keep)
 
 
-def fine_povm(u: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
-    """Answer measurements for the target round from alignment unitaries.
+def fine_povm(fine_coarse: np.ndarray, rho: np.ndarray) -> tuple:
+    """Aligned factor and answer measurements of one coarse operator.
 
-    u is the unitary U of `aligned_operators` for the coarse operator A, a
-    `(d, d)` or a `(..., d, d)` stack; fine_coarse `(..., k, d, d)` sums to
-    A.  Returns `(..., k + 1, d, d)`: the k elements U A^(+1/2) F_a A^(+1/2)
-    U-dagger on A's support (`_coarse_support`), and a null outcome
-    completing each family to the identity.
+    fine_coarse `(..., k, d, d)` sums over its answers to A.  Returns
+    (S, F) from one `aligned_operators` call on A: S = U A^(1/2), and F
+    `(..., k + 1, d, d)`, the k elements U A^(+1/2) F_a A^(+1/2) U-dagger
+    on the support S was cut on, and a null outcome completing each family
+    to the identity.
 
     The inverse roots are applied in A's eigenbasis, where each element is
     dominated: entry (j, l) divided by sqrt(w_j w_l) stays bounded by one,
@@ -251,7 +252,7 @@ def fine_povm(u: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
     keep mask zeroes the columns outside the support.
     """
     k, d = fine_coarse.shape[-3], fine_coarse.shape[-1]
-    w, v, keep = _coarse_support(fine_coarse.sum(axis=-3))
+    s, u, (w, v, keep) = aligned_operators(fine_coarse.sum(axis=-3), rho)
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
     vs = v * keep[..., None, :]
     q = (u @ vs)[..., None, :, :]
@@ -269,7 +270,7 @@ def fine_povm(u: np.ndarray, fine_coarse: np.ndarray) -> np.ndarray:
     rest = np.eye(d) - elements.sum(axis=-3)
     np.add(rest, matcore.dagger(rest), out=null)
     null /= 2
-    return out
+    return s, out
 
 
 def dep_state(s_op: np.ndarray, t_op: np.ndarray, psi: np.ndarray) -> tuple:
@@ -496,11 +497,10 @@ class DepBreakComputer:
             self.born = born_joint(g, self.n, self.strategy)
         self.p_win_c = self.born.prob(win_set(g, self.n, self.C))
 
+        # the symmetrized state gives both players this reduced state
         m = self.strategy.psi_matrix
-        rho_a = m @ m.conj().T
-        rho_b = np.conj(m.conj().T @ m)
-        self.rho = {"alice": (rho_a + rho_a.conj().T) / 2,
-                    "bob": (rho_b + rho_b.conj().T) / 2}
+        rho = m @ m.conj().T
+        self.rho = (rho + rho.conj().T) / 2
         self._contexts = {}
         self._operators = {}
         self._via = {}
@@ -590,11 +590,16 @@ class DepBreakComputer:
 
     def _op_tensor(self, side: str, kept: tuple) -> np.ndarray:
         """The side's POVMs summed over answers outside the kept coordinates,
-        stacked over flat own-question tuples: (Q^n, answers of kept..., d, d)."""
+        stacked over flat own-question tuples: (Q^n, answers of kept in the
+        order of kept..., d, d)."""
         fam = self.strategy.alice if side == "alice" else self.strategy.bob
-        drop = tuple(self.n + j for j in range(self.n) if j not in kept)
+        n, held = self.n, sorted(kept)
+        drop = tuple(n + j for j in range(n) if j not in kept)
         ops = fam.ops.sum(axis=drop) if drop else fam.ops
-        return ops.reshape((-1,) + ops.shape[self.n:])
+        # contiguous once here, not on each block's contraction
+        ops = np.ascontiguousarray(np.moveaxis(
+            ops, [n + held.index(j) for j in kept], range(n, n + len(kept))))
+        return ops.reshape((-1,) + ops.shape[n:])
 
     def _question_law(self, side: str, names: tuple) -> tuple:
         """P(own question tuple | names) for every assignment of names.
@@ -657,14 +662,6 @@ class DepBreakComputer:
                 f"assignment {dict(constraints)} has mass {mass[row]:.3e}")
         return _contract(law[row:row + 1], self._op_tensor(side, kept))[0]
 
-    def _with_round_last(self, i: int, ops: np.ndarray) -> np.ndarray:
-        """Answer axes of sorted(C + (i,)) reordered: held, then round i."""
-        kept = tuple(sorted(self.C + (i,)))
-        lead = ops.ndim - len(kept) - 2
-        perm = [lead + kept.index(c) for c in self.C] + [lead + kept.index(i)]
-        return np.transpose(ops, list(range(lead)) + perm
-                            + [ops.ndim - 2, ops.ndim - 1])
-
     def coarse_family(self, side: str, constraints: dict) -> np.ndarray:
         """Held-round answer POVM averaged over the unknown questions.
 
@@ -677,15 +674,15 @@ class DepBreakComputer:
         """Aligned factor (S, U) for one held-answer value in one context."""
         held = tuple(int(v) for v in held)
         return aligned_operators(self.coarse_family(side, constraints)[held],
-                                 self.rho[side])
+                                 self.rho)[:2]
 
     def fine_family(self, side: str, i: int, constraints: dict,
                     held) -> np.ndarray:
-        """Fine POVM of round i for one held-answer value in one context."""
+        """Fine POVM of round i for one held-answer value in one context:
+        the construction of `operators(i)` on a stack of one."""
         held = tuple(int(v) for v in held)
-        fine = self._with_round_last(i, self._one_assignment(
-            side, tuple(sorted(self.C + (i,))), constraints))
-        return fine_povm(self.aligned(side, constraints, held)[1], fine[held])
+        fine = self._one_assignment(side, self.C + (i,), constraints)[held]
+        return fine_povm(fine, self.rho)[1]
 
     def operators(self, i: int) -> dict:
         """The aligned factors and fine POVMs of free coordinate i, per
@@ -709,17 +706,14 @@ class DepBreakComputer:
         n_omega, d = math.prod(self._sizes[nm] for nm in omega), self.d
         n_held = k ** len(self.C)
         law, _ = self._question_law(side, omega + (own_q,))
-        ops = self._op_tensor(side, tuple(sorted(self.C + (i,))))
+        ops = self._op_tensor(side, self.C + (i,))
         own = np.empty((len(law), n_held, d, d), dtype=np.complex128)
         fam = np.empty((len(law), n_held, k + 1, d, d), dtype=np.complex128)
         for part in chunks(len(law), n_held * d * d):
-            fine = self._with_round_last(i, _contract(law[part], ops)).reshape(
-                -1, k, d, d)
-            # the coarse stack is the fine one summed over round i's answer,
-            # the sum fine_povm forms, so both kernels cut the same support
-            s_own, u_own = aligned_operators(fine.sum(axis=-3), self.rho[side])
-            own[part] = s_own.reshape(-1, n_held, d, d)
-            fam[part] = fine_povm(u_own, fine).reshape(-1, n_held, k + 1, d, d)
+            fine = _contract(law[part], ops).reshape(-1, k, d, d)
+            # no result stays bound into the next block, beside its temporaries
+            own[part], fam[part] = (a.reshape((-1, n_held) + a.shape[1:])
+                                    for a in fine_povm(fine, self.rho))
         return SideOperators(own.reshape(n_omega, -1, n_held, d, d),
                              fam.reshape(n_omega, -1, n_held, k + 1, d, d))
 
@@ -741,9 +735,8 @@ class DepBreakComputer:
                 n_held = math.prod(ops.shape[1:-2])
                 via = np.empty((len(law), n_held, d, d), dtype=np.complex128)
                 for part in chunks(len(law), n_held * d * d):
-                    s_via, _ = aligned_operators(
-                        _contract(law[part], ops).reshape(-1, d, d),
-                        self.rho[side])
+                    s_via, *_ = aligned_operators(
+                        _contract(law[part], ops).reshape(-1, d, d), self.rho)
                     via[part] = s_via.reshape(-1, n_held, d, d)
                 out[side] = via.reshape(n_omega, m_size, -1, d, d)
             self._via[i] = out

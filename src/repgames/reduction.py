@@ -81,9 +81,10 @@ class PerCoordinate:
     embezzlement error, clipped at 1; crosscheck is the largest gap between
     a context's oracle-state win and its brute-force Born-table win.
     item1 is the total variation between P(x_i, y_i) and P(x_i, y_i | W_C)
-    (`ContextTable.question_skew`): exact mode weights the contexts by the
-    first law and p_ref by the second.  Exact mode leaves trials, stderr,
-    failures and disagreements at 0.
+    (`ContextTable.question_skew`): every mode takes (x_i, y_i) from the
+    first law, exactly or by sampling, and p_ref weights them by the
+    second.  Exact mode leaves trials, stderr, failures and disagreements
+    at 0.
     """
     coord: int
     p_tilde: float
@@ -326,9 +327,9 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
     holenstein mode runs seeded Monte Carlo trials.  Either way the
     reference value of round i is P(win round i | W_C), read off the Born
     table (`DepBreakComputer.win_given_held`).  The error budget sums the
-    mean embezzlement error, the mean bad mass and three standard errors;
-    exact mode, which weights the contexts by mu(x_i, y_i) where p_ref
-    weights them by P(x_i, y_i | W_C), adds the mean question skew item1.
+    mean embezzlement error, the mean bad mass, three standard errors and
+    the mean question skew item1: every mode weights or draws (x_i, y_i)
+    by mu where p_ref weights them by P(x_i, y_i | W_C).
     """
     shot = SingleShotStrategy(cfg)
     rng = np.random.default_rng([int(cfg.seed)])
@@ -355,8 +356,7 @@ def run_reduction(cfg: ReductionConfig) -> ReductionReport:
         mean("residual"), stderr_avg, sum(p.trials for p in per),
         sum(p.failures for p in per), sum(p.disagreements for p in per),
         sum(p.invalid for p in per), avg_err, max_err,
-        avg_err + mean("bad_mass") + 3.0 * stderr_avg
-        + (0.0 if cfg.is_sampled else mean("item1")),
+        avg_err + mean("bad_mass") + 3.0 * stderr_avg + mean("item1"),
         max(p.crosscheck for p in per), shot.computer.p_win_c)
 
 

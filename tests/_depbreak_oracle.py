@@ -269,7 +269,7 @@ class PerContext:
         key = ("aligned", side, tuple(sorted(constraints.items())), held)
         if key not in self._cache:
             self._cache[key] = aligned_operators(
-                self.coarse(side, constraints)[held], self.comp.rho[side])[0]
+                self.coarse(side, constraints)[held], self.comp.rho)[0]
         return self._cache[key]
 
     def fine(self, side, i, constraints, held):

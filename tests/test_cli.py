@@ -393,6 +393,25 @@ def test_mode_beside_a_long_mode_flag_is_refused(tmp_path, capsys, config,
     assert err.splitlines() == [f"usage error: {line}"]
 
 
+@pytest.mark.parametrize("config,argv,line", [
+    ({}, ("run", "values", "--game", "a\nb"),
+     "usage error: unknown game fixture or missing file: a\\x0ab"),
+    ({}, ("run", "reduction", "--strategy", "x\ry"),
+     "usage error: unknown strategy fixture or missing file: x\\x0dy"),
+    ({"game": "a\nb"}, ("run", "values"),
+     "usage error: unknown game fixture or missing file: a\\x0ab"),
+], ids=["game", "strategy", "config-game"])
+def test_a_name_with_a_line_break_is_refused_on_one_line(tmp_path, capsys,
+                                                         config, argv, line):
+    """A control character in a name the user gave is escaped, so the
+    refusal that quotes it stays one line."""
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = refused(capsys, "--config", str(cfg), *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [line]
+
+
 def test_the_modes_name_each_sampling_mode_pair_once():
     pairs = set(itertools.product(CLASSICAL_MODES, QUANTUM_MODES))
     assert set(cli.MODES.values()) == pairs

@@ -184,7 +184,7 @@ def test_aligned_operators_factorization():
     coarse = matcore.random_psd(3, rng=rng)
     coarse = coarse / np.linalg.eigvalsh(coarse).max()
     rho = matcore.random_density(3, rng=rng)
-    s_op, u = aligned_operators(coarse, rho)
+    s_op, u, _ = aligned_operators(coarse, rho)
     assert np.allclose(s_op.conj().T @ s_op, coarse, atol=1e-10)
     assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
     prod = s_op @ matcore.mat_sqrt(rho)
@@ -203,7 +203,7 @@ def test_coarse_operator_refusals_keep_mat_sqrt_messages():
         aligned_operators(parts.sum(axis=0), rho)
     with pytest.raises(ValueError, match=(
             "^coarse operator has eigenvalue -5.000e-01 below -1e-09$")):
-        fine_povm(np.eye(2), parts)
+        fine_povm(parts, rho)
     with pytest.raises(ValueError, match=(
             "^coarse operator contains NaN or Inf entries$")):
         aligned_operators(np.diag([np.nan, 1.0]), rho)
@@ -214,8 +214,8 @@ def test_aligned_operators_deterministic():
     coarse = matcore.random_psd(2, rng=rng)
     coarse = coarse / np.linalg.eigvalsh(coarse).max()
     rho = matcore.random_density(2, rng=rng)
-    s1, _ = aligned_operators(coarse, rho)
-    s2, _ = aligned_operators(coarse.copy(), rho.copy())
+    s1, *_ = aligned_operators(coarse, rho)
+    s2, *_ = aligned_operators(coarse.copy(), rho.copy())
     assert np.array_equal(s1, s2)
 
 
@@ -234,8 +234,7 @@ def test_fine_povm_matches_pinv_conjugation_when_well_conditioned():
     parts = parts / np.linalg.eigvalsh(coarse).max()
     coarse = parts.sum(axis=0)
     rho = matcore.random_density(d, rng=rng)
-    s_op, u = aligned_operators(coarse, rho)
-    fam = fine_povm(u, parts)
+    s_op, fam = fine_povm(parts, rho)
     oracle = fine_povm_oracle(s_op, parts)
     assert fam.shape == (k + 1, d, d)
     assert np.abs(fam[:k] - oracle).max() < 1e-9
@@ -262,8 +261,8 @@ def test_fine_povm_is_accurate_on_an_ill_conditioned_coarse_operator(cond):
     within 1e-15 times A's condition number."""
     mpmath = pytest.importorskip("mpmath")
     parts, rho = _ill_conditioned_parts(cond)
-    _s, u = aligned_operators(parts.sum(axis=0), rho)
-    got = fine_povm(u, parts)[:-1]
+    _s, u, _ = aligned_operators(parts.sum(axis=0), rho)
+    got = fine_povm(parts, rho)[1][:-1]
     with mpmath.workdps(40):
         mp = mpmath.mp
         fs = [mp.matrix(f.tolist()) for f in parts]
@@ -296,8 +295,7 @@ def test_fine_povm_family_properties():
     parts = parts / np.linalg.eigvalsh(coarse).max()
     coarse = parts.sum(axis=0)
     rho = matcore.random_density(d, rng=rng)
-    _s_op, u = aligned_operators(coarse, rho)
-    fam = fine_povm(u, parts)
+    _s_op, fam = fine_povm(parts, rho)
     assert np.allclose(fam.sum(axis=0), np.eye(d), atol=1e-8)
     for e in fam:
         assert np.abs(e - e.conj().T).max() <= 1e-9
@@ -310,8 +308,9 @@ def test_fine_povm_rank_deficient_support():
     d = 2
     parts = np.stack([np.diag([0.6, 0.0]).astype(complex),
                       np.diag([0.4, 0.0]).astype(complex)])
-    # the factor sqrt(coarse) is already aligned: its unitary is the identity
-    fam = fine_povm(np.eye(d), parts)
+    # for the maximally mixed state the factor sqrt(coarse) is already
+    # aligned on the support
+    fam = fine_povm(parts, np.eye(d) / d)[1]
     assert np.allclose(fam.sum(axis=0), np.eye(d), atol=1e-10)
     assert abs(fam[2][1, 1] - 1.0) < 1e-10
 
@@ -339,7 +338,7 @@ def test_dep_state_zero_weight_marks_absent():
 def test_aligned_operators_identity_coarse():
     rng = np.random.default_rng(5)
     rho = matcore.random_density(3, rng=rng)
-    s_op, u = aligned_operators(np.eye(3, dtype=complex), rho)
+    s_op, u, _ = aligned_operators(np.eye(3, dtype=complex), rho)
     # sqrt(rho) is already PSD, so no rotation is needed
     assert np.allclose(s_op, np.eye(3), atol=1e-10)
     assert np.allclose(u, np.eye(3), atol=1e-10)
@@ -350,7 +349,7 @@ def test_fine_povm_single_full_rank_answer():
     d = 3
     coarse = matcore.random_psd(d, rng=rng)
     coarse = coarse / (np.linalg.eigvalsh(coarse).max() * 2.0)
-    fam = fine_povm(np.eye(d), coarse[None])
+    fam = fine_povm(coarse[None], np.eye(d) / d)[1]
     # one answer carrying the whole coarse operator conjugates to identity
     assert np.allclose(fam[0], np.eye(d), atol=1e-9)
     assert np.abs(fam[1]).max() < 1e-9

@@ -52,10 +52,9 @@ def _whole_side(comp, side, i):
     own_q, k = ((x_names_at(i), comp.game.a_size) if side == "alice"
                 else (y_names_at(i), comp.game.b_size))
     law, _ = comp._question_law(side, comp.omega_names(i) + (own_q,))
-    fine = comp._with_round_last(i, depbreak._contract(law, comp._op_tensor(
-        side, tuple(sorted(comp.C + (i,)))))).reshape(-1, k, comp.d, comp.d)
-    s_own, u_own = aligned_operators(fine.sum(axis=-3), comp.rho[side])
-    return s_own, fine_povm(u_own, fine)
+    fine = depbreak._contract(law, comp._op_tensor(
+        side, comp.C + (i,))).reshape(-1, k, comp.d, comp.d)
+    return fine_povm(fine, comp.rho)
 
 
 def _whole_via(comp, side, i):
@@ -68,7 +67,7 @@ def _whole_via(comp, side, i):
     coarse = depbreak._contract(law.reshape(-1, law.shape[-1]),
                                 comp._op_tensor(side, comp.C))
     return aligned_operators(coarse.reshape(-1, comp.d, comp.d),
-                             comp.rho[side])[0]
+                             comp.rho)[0]
 
 
 @pytest.mark.parametrize("budget", sorted(BUDGETS))

@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repgames import cli, depbreak, reduction
+from repgames import cli, depbreak, matcore, reduction
 from repgames.depbreak import (DepBreakComputer, d_name, m_name, x_names_at,
                                y_names_at)
 from repgames.games import Game, asym3, chsh, fixture, save_game
@@ -362,3 +362,23 @@ def test_operators_make_one_svd_per_side(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     comp.operators(0)
     assert len(calls) == 2
+
+
+def test_operators_decompose_each_coarse_operator_once(monkeypatch):
+    """`fine_povm` takes a context's aligned factor and its fine POVM from
+    one eigendecomposition of the coarse operator: printing n=3, C=(1,)
+    has 64 own coarse operators per side at coordinate 0, and 128 are
+    decomposed."""
+    comp = DepBreakComputer(chsh(), 3, strategy_fixture("printing", 3), (1,))
+    rows = []
+    psd_eigh = matcore.psd_eigh
+
+    def counted(p, name="operator"):
+        if name == "coarse operator":
+            rows.append(math.prod(np.shape(p)[:-2]))
+        return psd_eigh(p, name)
+
+    monkeypatch.setattr(matcore, "psd_eigh", counted)
+    ops = comp.operators(0)
+    assert sum(rows) == 128 == sum(ops[side].own.size // comp.d ** 2
+                                   for side in ("alice", "bob"))

@@ -13,15 +13,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repgames.cli import main  # noqa: E402
-from repgames.games import fixture, load_game, save_game  # noqa: E402
-from repgames.strategy import (load_strategy, save_strategy,  # noqa: E402
-                               strategy_fixture)
+from repgames.cli import main
+from repgames.games import fixture, load_game, save_game
+from repgames.strategy import load_strategy, save_strategy, strategy_fixture
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None,
@@ -124,13 +121,18 @@ def test_strategy_files_run_or_exit_2(text):
 
 
 COUNTS = st.sampled_from(["-1", "0", "1", "2", "x", ""])
+# a name holding control characters is quoted in its refusal, which must
+# still be one line
+CONTROL_NAME = st.text(st.characters(categories=("Cc",)), min_size=1,
+                       max_size=3).map(lambda c: f"no{c}name")
 SMALL = st.sampled_from(["-1", "0", "1", "2"])
 FLAGS = {
     "--trials": SMALL,
     "--seed": COUNTS,
-    "--game": st.sampled_from(["chsh", "asym3", "always_win", "nogame"]),
+    "--game": st.sampled_from(["chsh", "asym3", "always_win", "nogame"])
+    | CONTROL_NAME,
     "--strategy": st.sampled_from(["tsirelson", "printing", "detprod",
-                                   "nostrategy"]),
+                                   "nostrategy"]) | CONTROL_NAME,
     "--n": SMALL,
     "--C": st.sampled_from(["", "none", "1", "2", "3", "0", "1,2", "auto",
                             "x", "1,,2"]),
@@ -172,8 +174,11 @@ COMMANDS = {
     ("run", "bogus"): ("--n", "--seed"),
 }
 # argv that every run tries besides the drawn ones: a raw bound past the
-# largest double, and an n whose fourth root overflows a float
+# largest double, an n whose fourth root overflows a float, and names
+# holding line breaks
 EXAMPLES = {
+    ("run", "values"): [["--game", "no\nname"]],
+    ("run", "reduction"): [["--strategy", "no\r\x85name"]],
     ("run", "bound"): [["--eps", "1e-20"], ["--s", "1e300"], ["--c", "1e300"],
                        ["--s", "1e300", "--c", "1e300"],
                        ["--n-grid", "2^2000"]],

@@ -249,24 +249,26 @@ def test_exact_p_tilde_stays_a_probability():
     assert report.avg_p_tilde <= 1.0
 
 
-def _random_exact_reports():
-    """(case, config, report) of the exact oracle-state reduction on random
-    strategies: chsh and asym3, n=2, d=3, C=(1,), seeds 0-19."""
+def _random_reports(**mode):
+    """(case, config, report) of the oracle-state reduction on random
+    strategies: chsh and asym3, n=2, d=3, C=(1,), seeds 0-19; exact unless
+    mode sets other `ReductionConfig` fields."""
     for name in ("chsh", "asym3"):
         g = fixture(name)
         for seed in range(20):
             cfg = ReductionConfig(game=g, n=2, C=(1,),
-                                  strategy=random_strategy(g, 2, 3, seed))
+                                  strategy=random_strategy(g, 2, 3, seed),
+                                  **mode)
             yield f"{name} seed {seed}", cfg, run_reduction(cfg)
 
 
 @functools.lru_cache(maxsize=None)
 def _skew_cases() -> tuple:
     """(case, |p_tilde_i - p_ref_i|, item1_i, the budget's other terms +
-    max_context_crosscheck, compare margin) per free coordinate of
-    `_random_exact_reports`; each record's item1 is the skew report's."""
+    max_context_crosscheck, compare margin) per free coordinate of the
+    exact `_random_reports`; each record's item1 is the skew report's."""
     out = []
-    for case, cfg, rep in _random_exact_reports():
+    for case, cfg, rep in _random_reports():
         skew = depbreak.DepBreakComputer(cfg.game, 2, cfg.strategy,
                                          cfg.C).skew_report()
         assert skew.free == tuple(p.coord for p in rep.per_coord)
@@ -301,6 +303,20 @@ def test_exact_budget_holds_on_random_strategies():
             if margin < -reduction.COMPARE_SLACK] == []
 
 
+def test_sampled_budget_adds_the_question_skew():
+    """Holenstein mode draws (x_i, y_i) from mu, as exact mode weights
+    them, so its budget adds the mean item1 too; with it all 40 random
+    strategies pass the comparison at 20 000 trials."""
+    for case, _cfg, rep in _random_reports(mode_classical="holenstein",
+                                           trials=20_000):
+        per = rep.per_coord
+        rest = (rep.avg_embezzle_err + float(np.mean([p.bad_mass for p in per]))
+                + 3.0 * rep.stderr)
+        assert rep.error_budget == rest + float(np.mean(
+            [p.item1 for p in per])), case
+        assert main_bound_compare(rep)["pass_threshold"], case
+
+
 def _bob_answers_the_next_question(orig):
     def fine_families(self, i, r_a, r_b, x_i, y_i):
         return orig(self, i, r_a, r_b, x_i, (y_i + 1) % self.game.y_size)
@@ -322,7 +338,7 @@ def test_exact_budget_catches_a_broken_reduction(monkeypatch, broken, fails):
     context r + 1, fails the comparison on some of the 40 strategies."""
     monkeypatch.setattr(depbreak.DepBreakComputer, "fine_families",
                         broken(depbreak.DepBreakComputer.fine_families))
-    failed = [case for case, _cfg, rep in _random_exact_reports()
+    failed = [case for case, _cfg, rep in _random_reports()
               if not main_bound_compare(rep)["pass_threshold"]]
     assert len(failed) == fails, failed
 
@@ -382,7 +398,7 @@ def test_report_aggregates_are_built_from_the_per_coordinate_records(mode):
     assert report.avg_embezzle_err == avg_err
     assert report.max_embezzle_err == max(avg_err, *col["max_err"])
     assert report.stderr == stderr
-    skew = float(np.mean(col["item1"])) if mode.startswith("exact") else 0.0
+    skew = float(np.mean(col["item1"]))
     assert report.error_budget == (avg_err + float(np.mean(col["bad_mass"]))
                                    + 3.0 * stderr + skew)
     assert report.max_context_crosscheck == max(col["crosscheck"])

@@ -19,8 +19,9 @@ from _depbreak_oracle import pure_born_table as pure_born_table_2d
 from _helpers import random_strategy
 from repgames import depbreak, matcore, reduction
 from repgames.depbreak import (DepBreakComputer, aligned_operators, dep_state,
-                               fine_povm)
+                               fine_povm, x_names_at, y_names_at)
 from repgames.games import Game, asym3, chsh
+from repgames.prob import ZeroProbabilityEvent
 from repgames.reduction import ReductionConfig, SingleShotStrategy
 from repgames.strategy import pure_born_table, strategy_fixture
 
@@ -145,16 +146,17 @@ def test_stacked_kernels_match_their_two_d_calls():
     parts[4] = np.diag([0.6, 0.0, 0.0]), np.diag([0.4, 0.0, 0.0])
     parts[5] = 0.0
     coarse = parts.sum(axis=1)
-    s_ops, us = aligned_operators(coarse, rho)
-    fams = fine_povm(us, parts)
+    s_ops, us, _ = aligned_operators(coarse, rho)
+    s_fine, fams = fine_povm(parts, rho)
+    assert np.array_equal(s_fine, s_ops)
     assert fams.shape == (6, 3, 3, 3)
     psi = matcore.random_pure(9, rng=41)
     states, weights = dep_state(s_ops, s_ops[::-1], psi)
     tables = pure_born_table(states, fams, fams[::-1])
     for j in range(6):
-        s_op, u = aligned_operators(coarse[j], rho)
+        s_op, u, _ = aligned_operators(coarse[j], rho)
         assert np.array_equal(s_op, s_ops[j]) and np.array_equal(u, us[j])
-        assert np.abs(fine_povm(u, parts[j]) - fams[j]).max() <= 1e-14
+        assert np.abs(fine_povm(parts[j], rho)[1] - fams[j]).max() <= 1e-14
         assert np.abs(fine_povm_2d(s_op, parts[j]) - fams[j]).max() <= 1e-12
         state, weight = dep_state(s_ops[j], s_ops[5 - j], psi)
         want, want_w = dep_state_2d(s_ops[j], s_ops[5 - j], psi)
@@ -192,3 +194,38 @@ def test_context_win_is_the_stacked_kernel_on_one_context():
             1, int(r[k]), int(rb[k]), 1, 0))
         _close(p[k], float(np.clip(table[:2, :2][win].sum(), 0.0, 1.0)))
     assert valid.all() and not err.any() and (r != rb).any()
+
+
+ONE_CONTEXT_CASES = (("printing", 3, (1,)), ("printing", 4, (0,)),
+                     ("asym3", 2, (1,)))
+
+
+@pytest.mark.parametrize("case", ONE_CONTEXT_CASES,
+                         ids=lambda c: f"{c[0]}{c[1]}{c[2]}")
+def test_one_context_fine_family_equals_the_stacks(case):
+    """`fine_family` is the construction of `operators(i)` on a stack of
+    one, so every context's family equals the stacked one bit for bit; a
+    context of no mass is refused there and is the null outcome alone in
+    the stack."""
+    name, n, C = case
+    if name == "asym3":
+        g = asym3()
+        s = random_strategy(g, n, 3, 0)
+    else:
+        g, s = chsh(), strategy_fixture(name, n)
+    comp = DepBreakComputer(g, n, s, C)
+    for i in comp.free:
+        names = comp.omega_names(i)
+        sizes = tuple(comp._sizes[nm] for nm in names)
+        for side, own_q, k in (("alice", x_names_at(i), g.a_size),
+                               ("bob", y_names_at(i), g.b_size)):
+            fine = comp.operators(i)[side].fine
+            for w, q, h in np.ndindex(fine.shape[:3]):
+                omega = dict(zip(names, np.unravel_index(w, sizes)))
+                held = np.unravel_index(h, (k,) * len(C))
+                try:
+                    got = comp.fine_family(side, i, {**omega, own_q: q}, held)
+                except ZeroProbabilityEvent:
+                    assert not fine[w, q, h, :-1].any()
+                    continue
+                assert np.array_equal(got, fine[w, q, h])
