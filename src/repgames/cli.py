@@ -48,6 +48,12 @@ class UsageError(ValueError):
     pass
 
 
+def _escaped(match) -> str:
+    """A matched character as repr writes it: \\xNN or \\uNNNN."""
+    c = ord(match.group())
+    return f"\\x{c:02x}" if c < 0x100 else f"\\u{c:04x}"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """Refuse a bad argv in one line, like every other refusal."""
@@ -418,10 +424,12 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         return RUN_TARGETS[args.target](args)
     except (ValueError, OSError) as exc:
-        # escape C0, DEL and C1, so a name the user gave stays on one line
+        # escape C0, DEL, C1 and the two Unicode line and paragraph
+        # separators, every character str.splitlines() splits at, so a name
+        # the user gave stays on one line
         kind = "usage" if isinstance(exc, UsageError) else "config"
-        text = re.sub(r"[\x00-\x1f\x7f-\x9f]",
-                      lambda m: f"\\x{ord(m.group()):02x}", str(exc))
+        text = re.sub(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]", _escaped,
+                      str(exc))
         print(f"{kind} error: {text}", file=sys.stderr)
         return 2
 

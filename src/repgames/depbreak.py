@@ -412,8 +412,10 @@ class ContextTable:
 
 def _contract(law: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """law @ ops for a complex (Q, ...) stack, as one real einsum over its
-    float view: a BLAS product of this size wakes the BLAS thread pool,
-    whose idle spin after each call costs more CPU than the product."""
+    float view.  The einsum sums each row in the same order however many
+    rows law holds, so a walk's rows are bit-identical at every block
+    budget, and the one-context `fine_family` equals the stacks; a BLAS
+    product gives other bits for a one-row block than for a many-row one."""
     ops = np.ascontiguousarray(ops, dtype=np.complex128)
     return np.einsum("nq,q...->n...", law,
                      ops.view(np.float64)).view(np.complex128)

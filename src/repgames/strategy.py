@@ -159,6 +159,30 @@ def pure_born_table(state: np.ndarray, fa: np.ndarray,
     return rows @ np.swapaxes(cols, -1, -2)
 
 
+def _hermitian_rows(ops: np.ndarray, paired: bool = False) -> np.ndarray:
+    """Twice the Hermitian part H of each operator of a `(..., d, d)` stack,
+    as `(..., d * d)` real rows: Re H on and above the diagonal, Im H below.
+
+    With paired=True a row is weighted 1/4 on the diagonal, 1/2 above it
+    and -1/2 below, so that for Hermitian X and Y the dot product of
+    _hermitian_rows(X) and _hermitian_rows(Y, paired=True) is
+    Re sum_ij X_ij Y_ij, the pairing of `pure_born_table`, read from d * d
+    reals a side instead of 2 d * d.  On near-Hermitian X and Y the two
+    pairings differ only to second order in the anti-Hermitian parts, since
+    Re sum_ij H_ij K_ij is zero for Hermitian H and anti-Hermitian K.
+    """
+    d = ops.shape[-1]
+    below = np.tri(d, k=-1, dtype=bool)
+    re, im = ops.real, ops.imag
+    rows = re + re.swapaxes(-1, -2)
+    np.copyto(rows, im - im.swapaxes(-1, -2), where=below)
+    if paired:
+        weight = np.where(below, -0.5, 0.5)
+        np.fill_diagonal(weight, 0.25)
+        rows *= weight
+    return rows.reshape(ops.shape[:-2] + (d * d,))
+
+
 def _check_alphabets(g: Game, n: int, s: EntangledStrategy) -> None:
     if s.n != n:
         raise ValueError(f"strategy is for n={s.n}, requested n={n}")
@@ -171,28 +195,38 @@ def _check_alphabets(g: Game, n: int, s: EntangledStrategy) -> None:
 def born_joint(g: Game, n: int, s: EntangledStrategy) -> FiniteDistribution:
     """Exact joint distribution of questions and answers for the n-fold game.
 
-    Both POVM arrays are read as flat (question, answer) stacks; Alice's
-    question tuples are walked in chunks of at most BORN_CHUNK table cells,
-    each one `pure_born_table` call against every Bob row.
+    Both POVM arrays are read as flat (question, answer) stacks and paired
+    as `pure_born_table` pairs them, through Hermitian-packed rows
+    (`_hermitian_rows`), so the real GEMM's inner dimension is d * d, not
+    2 d * d.  Bob's rows are packed once, in blocks of BORN_CHUNK entries;
+    Alice's question tuples are walked in chunks of at most BORN_CHUNK
+    table cells, each chunk's rows of m+ A m packed and multiplied against
+    every Bob row.
     """
     _check_alphabets(g, n, s)
     entries = (g.x_size * g.y_size * g.a_size * g.b_size) ** n
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"joint table of {entries} entries exceeds the cap")
-    d = s.d
+    d, m = s.d, s.psi_matrix
     nx, ny = g.x_size ** n, g.y_size ** n
     ka, kb = g.a_size ** n, g.b_size ** n
     alice = s.alice.ops.reshape(nx * ka, d, d)
     bob = s.bob.ops.reshape(ny * kb, d, d)
+    cols = np.empty((bob.shape[0], d * d))
+    ops_step = max(1, BORN_CHUNK // (d * d))
+    for lo in range(0, bob.shape[0], ops_step):
+        cols[lo:lo + ops_step] = _hermitian_rows(bob[lo:lo + ops_step],
+                                                 paired=True)
     weights = question_weights(g, n)[:, :, None, None]
     table = np.empty((nx, ny, ka, kb))
     step = max(1, BORN_CHUNK // (ka * bob.shape[0]))
     for lo in range(0, nx, step):
         block = table[lo:lo + step]
-        p = pure_born_table(s.psi, alice[lo * ka:(lo + step) * ka], bob)
-        p = p.reshape(block.shape[0], ka, ny, kb)
+        inner = matcore.dagger(m) @ alice[lo * ka:(lo + step) * ka] @ m
+        p = (_hermitian_rows(inner) @ cols.T).reshape(block.shape[0], ka, ny, kb)
         np.multiply(p.transpose(0, 2, 1, 3), weights[lo:lo + step], out=block)
         np.clip(block, 0.0, None, out=block)
+    del cols     # not held beside the normalized copy of the table
     shape = ((g.x_size,) * n + (g.y_size,) * n + (g.a_size,) * n + (g.b_size,) * n)
     names = x_names(n) + y_names(n) + a_names(n) + b_names(n)
     return FiniteDistribution(names, table.reshape(shape), normalize=True)

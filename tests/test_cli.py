@@ -400,7 +400,9 @@ def test_mode_beside_a_long_mode_flag_is_refused(tmp_path, capsys, config,
      "usage error: unknown strategy fixture or missing file: x\\x0dy"),
     ({"game": "a\nb"}, ("run", "values"),
      "usage error: unknown game fixture or missing file: a\\x0ab"),
-], ids=["game", "strategy", "config-game"])
+    ({}, ("run", "values", "--game", "a\u2028b\u2029c"),
+     "usage error: unknown game fixture or missing file: a\\u2028b\\u2029c"),
+], ids=["game", "strategy", "config-game", "unicode-separators"])
 def test_a_name_with_a_line_break_is_refused_on_one_line(tmp_path, capsys,
                                                          config, argv, line):
     """A control character in a name the user gave is escaped, so the

@@ -121,10 +121,10 @@ def test_strategy_files_run_or_exit_2(text):
 
 
 COUNTS = st.sampled_from(["-1", "0", "1", "2", "x", ""])
-# a name holding control characters is quoted in its refusal, which must
-# still be one line
-CONTROL_NAME = st.text(st.characters(categories=("Cc",)), min_size=1,
-                       max_size=3).map(lambda c: f"no{c}name")
+# a name holding control characters or the Unicode line and paragraph
+# separators is quoted in its refusal, which must still be one line
+CONTROL_NAME = st.text(st.characters(categories=("Cc", "Zl", "Zp")),
+                       min_size=1, max_size=3).map(lambda c: f"no{c}name")
 SMALL = st.sampled_from(["-1", "0", "1", "2"])
 FLAGS = {
     "--trials": SMALL,
@@ -177,8 +177,9 @@ COMMANDS = {
 # largest double, an n whose fourth root overflows a float, and names
 # holding line breaks
 EXAMPLES = {
-    ("run", "values"): [["--game", "no\nname"]],
-    ("run", "reduction"): [["--strategy", "no\r\x85name"]],
+    ("run", "values"): [["--game", "no\nname"], ["--game", "no\u2028name"]],
+    ("run", "reduction"): [["--strategy", "no\r\x85name"],
+                           ["--strategy", "no\u2029name"]],
     ("run", "bound"): [["--eps", "1e-20"], ["--s", "1e300"], ["--c", "1e300"],
                        ["--s", "1e300", "--c", "1e300"],
                        ["--n-grid", "2^2000"]],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repgames.depbreak import DepBreakComputer
-from repgames.games import Game, chsh, fixture, win_set
+from repgames.games import Game, chsh, fixture, question_weights, win_set
 from repgames import strategy
 from repgames.strategy import (DeterministicStrategy, POVMFamily,
                                EntangledStrategy, as_entangled, born_joint,
@@ -134,6 +134,73 @@ def test_born_joint_peak_memory_at_most_three_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * out.table.nbytes
+
+
+def random_operators(rng, count, d, hermitian=True):
+    """count (d, d) operators of norm about 1, Hermitian or anti-Hermitian."""
+    z = (rng.standard_normal((count, d, d))
+         + 1j * rng.standard_normal((count, d, d))) / (2 * d)
+    sign = 1 if hermitian else -1
+    return z + sign * z.conj().swapaxes(1, 2)
+
+
+def packed_pairing(x, y):
+    return strategy._hermitian_rows(x) @ strategy._hermitian_rows(
+        y, paired=True).T
+
+
+def complex_pairing(x, y):
+    """Re sum_ij X_ij Y_ij, as `pure_born_table` pairs its two sides."""
+    return np.einsum("aij,bij->ab", x, y).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_packed_rows_pair_hermitian_stacks_as_the_complex_rows(d):
+    rng = np.random.default_rng(d)
+    x, y = random_operators(rng, 7, d), random_operators(rng, 5, d)
+    assert np.abs(packed_pairing(x, y) - complex_pairing(x, y)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_packed_pairing_differs_only_to_second_order_off_hermitian(d):
+    # an anti-Hermitian part of 1e-8 moves the pairing by about 1e-16, where
+    # packing the raw entries instead of the Hermitian part moves it by 1e-8
+    rng = np.random.default_rng(10 + d)
+    x = random_operators(rng, 7, d) + 1e-8 * random_operators(rng, 7, d, False)
+    y = random_operators(rng, 5, d) + 1e-8 * random_operators(rng, 5, d, False)
+    assert np.abs(packed_pairing(x, y) - complex_pairing(x, y)).max() <= 1e-14
+
+
+def complex_paired_table(g, n, s):
+    """`born_joint`'s table with one `pure_born_table` call on the whole
+    flat stacks, which pairs interleaved (re, im) rows."""
+    nx, ny, ka, kb = g.x_size ** n, g.y_size ** n, g.a_size ** n, g.b_size ** n
+    p = strategy.pure_born_table(s.psi, s.alice.ops.reshape(nx * ka, s.d, s.d),
+                                 s.bob.ops.reshape(ny * kb, s.d, s.d))
+    p = p.reshape(nx, ka, ny, kb).transpose(0, 2, 1, 3)
+    p = np.clip(p * question_weights(g, n)[:, :, None, None], 0.0, None)
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("name", ["tsirelson", "printing", "detprod"])
+def test_born_joint_equals_the_complex_paired_table_on_fixtures(name):
+    g = chsh()
+    for n in range(1, 6):
+        s = strategy_fixture(name, n)
+        got = born_joint(g, n, s).table
+        want = complex_paired_table(g, n, s)
+        assert np.abs(got.reshape(want.shape) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("game", [chsh(), fixture("asym3")],
+                         ids=["chsh", "asym3"])
+def test_born_joint_equals_the_complex_paired_table_at_d3(game):
+    for seed in range(5):
+        for n in (1, 2):
+            s = random_strategy(game, n, 3, seed)
+            got = born_joint(game, n, s).table
+            want = complex_paired_table(game, n, s)
+            assert np.abs(got.reshape(want.shape) - want).max() <= 1e-12
 
 
 def kron_product_family(n, d, angle_for):
