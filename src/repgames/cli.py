@@ -96,10 +96,14 @@ def _parse_c(spec: str, n: int) -> tuple | str:
         return ()
     vals = []
     for tok in spec.split(","):
-        v = int(tok)
-        if v < 1 or v > n:
-            raise UsageError(f"coordinate {v} outside 1..{n}")
-        vals.append(v - 1)
+        tok = tok.strip()
+        shown = tok[:32] + "..." if len(tok) > 32 else tok
+        if not re.fullmatch(r"[+-]?[0-9]+", tok):
+            raise UsageError(f"--C value {shown} is not an integer")
+        # a coordinate of more than 32 digits is out of range, not formed
+        if len(tok.lstrip("+-").lstrip("0")) > 32 or not 1 <= int(tok) <= n:
+            raise UsageError(f"coordinate {shown} outside 1..{n}")
+        vals.append(int(tok) - 1)
     return tuple(sorted(set(vals)))
 
 

@@ -579,10 +579,8 @@ class DepBreakComputer:
                              b_names(n)[i])
             t = np.transpose(t, [axes.index(nm) for nm in order])
             sizes = t.shape[:len(names)]
-            # the held variables are r's trailing axes, grouped by kind
-            held = win_set(g, n, self.C)
-            perm = [4 * k + v for v in range(4) for k in range(len(self.C))]
-            won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
+            # the held variables are r's trailing axes, in win_set's order
+            won = np.broadcast_to(win_set(g, n, self.C).mask, sizes).ravel()
             self._contexts[i] = ContextTable(
                 names, sizes, len(self.C),
                 t.reshape((-1,) + t.shape[len(names):]), won, self.p_win_c)

@@ -2,13 +2,14 @@
 
 A game is a question distribution mu over (x, y) plus a winning predicate
 V[x, y, a, b].  Repetition is handled through index arithmetic on per-round
-variables named x1..xn, y1..yn, a1..an, b1..bn; the n-fold predicate is never
-materialized as a standalone object.
+variables named x1..xn, y1..yn, a1..an, b1..bn; the n-fold predicate exists
+only as the mask of `win_set`, laid out as the Born table is.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -87,7 +88,8 @@ def question_weights(g: Game, n: int) -> np.ndarray:
 
 
 def win_set(g: Game, n: int, coords) -> Event:
-    """Event 'every round in coords is won', over that round's four variables.
+    """Event 'every round in coords is won', laid out kind-major as the Born
+    table is: x_C..., y_C..., a_C..., b_C... with C sorted.
 
     Coordinates are 0-based; variable names stay 1-based (round j maps to
     x{j+1}, y{j+1}, a{j+1}, b{j+1}).
@@ -96,21 +98,17 @@ def win_set(g: Game, n: int, coords) -> Event:
     for i in coords:
         if not 0 <= i < n:
             raise ValueError(f"coordinate {i} outside 0..{n - 1}")
-    if not coords:
-        return Event((), (), np.array(True))
-    names, sizes = [], []
-    for i in coords:
-        names += [f"x{i + 1}", f"y{i + 1}", f"a{i + 1}", f"b{i + 1}"]
-        sizes += [g.x_size, g.y_size, g.a_size, g.b_size]
-    if int(np.prod(sizes)) > MAX_TABLE_ENTRIES:
+    m = len(coords)
+    names = tuple(f"{kind}{i + 1}" for kind in "xyab" for i in coords)
+    sizes = tuple(size for size in g.predicate.shape for _ in coords)
+    if math.prod(sizes) > MAX_TABLE_ENTRIES:
         raise ValueError("win event mask exceeds the table entry cap")
     mask = np.array(True)
-    for k in range(len(coords)):
-        shape = [1] * (4 * len(coords))
-        shape[4 * k: 4 * k + 4] = [g.x_size, g.y_size, g.a_size, g.b_size]
+    for k in range(m):      # round k's x, y, a, b axes are k, m+k, 2m+k, 3m+k
+        shape = [1] * (4 * m)
+        shape[k::m] = g.predicate.shape
         mask = mask & g.predicate.reshape(shape)
-    mask = np.broadcast_to(mask, tuple(sizes)).copy()
-    return Event(tuple(names), tuple(sizes), mask)
+    return Event(names, sizes, mask)
 
 
 # ---------------------------------------------------------------------------

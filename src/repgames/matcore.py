@@ -259,20 +259,6 @@ def fidelity(rho, sigma):
     return collapse(np.clip(trace_norm(a @ b), 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class StateMetrics:         # arrays, one entry per pair, for stacks
-    trace_distance: float
-    fidelity: float
-
-
-def metrics(rho, sigma) -> StateMetrics:
-    rho = as_complex_matrix(rho, "rho")
-    sigma = as_complex_matrix(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    return StateMetrics(trace_distance(rho, sigma), fidelity(rho, sigma))
-
-
 def symmetric_purification(rho) -> np.ndarray:
     """Purification sum_k sqrt(lambda_k) |v_k>|v_k> in rho's canonical eigenbasis."""
     rho = check_density(rho)

@@ -52,6 +52,8 @@ class ReductionConfig:
                              " trials (the entry cap) and at least one draw")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be a positive finite number")
+        if self.dprime < 1:
+            raise ValueError(f"dprime must be at least 1, got {self.dprime}")
 
     @property
     def is_sampled(self) -> bool:

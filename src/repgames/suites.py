@@ -97,10 +97,11 @@ def sweep_powers_stormer(trials: int = 1000, seed: int = 0) -> CheckResult:
 def sweep_fuchs_van_de_graaf(trials: int = 1000, seed: int = 0) -> CheckResult:
     """Both fidelity bounds on the trace distance."""
     def check(rng, n, d):
-        m = matcore.metrics(*_densities(rng, n, d))
-        high = np.sqrt(np.maximum(0.0, 1.0 - m.fidelity ** 2))
-        return (np.maximum(1.0 - m.fidelity - m.trace_distance,
-                           m.trace_distance - high),)
+        rho, sigma = _densities(rng, n, d)
+        td = matcore.trace_distance(rho, sigma)
+        fid = matcore.fidelity(rho, sigma)
+        high = np.sqrt(np.maximum(0.0, 1.0 - fid ** 2))
+        return (np.maximum(1.0 - fid - td, td - high),)
     (slack,) = _draw(seed, 3, trials, [SWEEP_DIMS], check)
     return _result("fuchs_van_de_graaf", trials, slack, slack > SWEEP_SLACK)
 

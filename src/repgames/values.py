@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .games import Game, question_weights, tuple_digits
+from .games import Game, question_weights, win_set
 from .prob import MAX_TABLE_ENTRIES
 from .strategy import EntangledStrategy, POVMFamily, pure_born_table
 
 MAX_STRATEGY_PAIRS = 100_000_000
-MAX_PREDICATE_TABLE = 10_000_000
 SEESAW_STOP = 1e-10     # an ascent stops once an iteration gains less than this
 POVM_RIDGE = 1e-6       # added to each random POVM seed, so their sum is invertible
 
@@ -37,7 +36,7 @@ def _classical_cap_error(g: Game, n: int) -> str | None:
     pairs = math.log10(ra) * qx + math.log10(rb) * qy
     if pairs > math.log10(MAX_STRATEGY_PAIRS):
         return "deterministic strategy pair count exceeds the cap"
-    if qx * qy * ra * rb > MAX_PREDICATE_TABLE:
+    if qx * qy * ra * rb > MAX_TABLE_ENTRIES:
         return "n-fold predicate table exceeds the cap"
     return None
 
@@ -58,11 +57,7 @@ def classical_value(g: Game, n: int) -> float:
     qx, qy = g.x_size ** n, g.y_size ** n
     ra, rb = g.a_size ** n, g.b_size ** n
     w = question_weights(g, n)
-    xd, yd = tuple_digits(g.x_size, n), tuple_digits(g.y_size, n)
-    ad, bd = tuple_digits(g.a_size, n), tuple_digits(g.b_size, n)
-    vn = np.ones((qx, qy, ra, rb), dtype=bool)
-    for i in range(n):
-        vn &= g.predicate[np.ix_(xd[:, i], yd[:, i], ad[:, i], bd[:, i])]
+    vn = win_set(g, n, range(n)).mask.reshape(qx, qy, ra, rb)
 
     best = 0.0
     for fa in itertools.product(range(ra), repeat=qx):

@@ -129,7 +129,9 @@ def reference_law(qext, n, side, names):
 class ExtendedTableComputer(DepBreakComputer):
     """`DepBreakComputer` with its question laws, P(win C), context tables
     and P(win round i | win C) read off the extended table; operators and
-    walks unchanged."""
+    walks unchanged.  A context's held_won is the predicate of each held
+    round read at r's own index digits, so it checks the layout of
+    `win_set` rather than repeating it."""
 
     def __init__(self, g, n, s, C):
         super().__init__(g, n, s, C)
@@ -150,9 +152,14 @@ class ExtendedTableComputer(DepBreakComputer):
                 x_names_at(i), y_names_at(i), a_names(self.n)[i],
                 b_names(self.n)[i]))
             sizes = marg.sizes[:len(names)]
-            held = win_set(self.game, self.n, self.C)
-            perm = [4 * t + v for v in range(4) for t in range(len(self.C))]
-            won = np.broadcast_to(held.mask.transpose(perm), sizes).ravel()
+            # V of each held round read at r's own digits, not from win_set
+            digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+            won = np.ones(math.prod(sizes), dtype=bool)
+            for c in self.C:
+                x, y, a, b = (digits[names.index(nm)] for nm in (
+                    x_names_at(c), y_names_at(c), a_names(self.n)[c],
+                    b_names(self.n)[c]))
+                won &= self.game.predicate[x, y, a, b]
             self._contexts[i] = ContextTable(
                 names, sizes, len(self.C),
                 marg.table.reshape((-1,) + marg.sizes[len(names):]), won,

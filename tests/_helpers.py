@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from repgames import values
-from repgames.games import a_names, b_names, x_names, y_names
+from repgames.games import Game, a_names, b_names, x_names, y_names
 from repgames.prob import (ZERO_MASS, Event, FiniteDistribution,
                            ZeroProbabilityEvent, _expand_to)
 from repgames.strategy import EntangledStrategy, POVMFamily
@@ -189,3 +189,12 @@ def born_table_mixed_loop(rho, fa, fb) -> np.ndarray:
         for b in range(fb.shape[0]):
             out[a, b] = float(np.real(np.trace(np.kron(fa[a], fb[b]) @ rho)))
     return out
+
+
+def lopsided():
+    """Two questions and three answers for Alice, three questions and two
+    answers for Bob, and a kernel with no symmetry between the sides."""
+    rng = np.random.default_rng(11)
+    mu = rng.random((2, 3))
+    return Game(2, 3, 3, 2, mu / mu.sum(), rng.random((2, 3, 3, 2)) < 0.5,
+                name="lopsided")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repgames import __version__, cli, suites, values
+from repgames import __version__, cli, reduction, suites, values
 from repgames.cli import main
 from repgames.games import chsh
 from repgames.reduction import (CLASSICAL_MODES, QUANTUM_MODES,
@@ -208,6 +208,39 @@ def test_run_reduction_refuses_bad_alpha(capsys, alpha):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "embezzle"])
+def test_run_reduction_refuses_dprime_below_one_before_any_work(
+        capsys, monkeypatch, mode):
+    def built(*args, **kwargs):
+        raise AssertionError("DepBreakComputer built before the refusal")
+
+    monkeypatch.setattr(reduction, "DepBreakComputer", built)
+    code, out, err = run_cli(capsys, "run", "reduction", "--mode", mode,
+                             "--n", "2", "--C", "2", "--dprime", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["config error: dprime must be at least 1, "
+                                "got 0"]
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (("--C", "x"), None, "--C value x is not an integer"),
+    (("--C", "1,,2"), None, "--C value  is not an integer"),
+    ((), {"C": "x"}, "--C value x is not an integer"),
+    (("--C", "9" * 5000), None, "coordinate " + "9" * 32 + "... outside 1..2"),
+], ids=["flag", "empty-token", "config", "too-long"])
+def test_a_bad_c_token_is_a_usage_error_that_quotes_it(
+        tmp_path, capsys, argv, config, line):
+    prefix = ()
+    if config is not None:
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(config))
+        prefix = ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *prefix, "run", "reduction", "--n", "2",
+                             *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"usage error: {line}"]
 
 
 def test_verify_has_no_workers_flag(capsys):

@@ -21,23 +21,28 @@ import pytest
 from repgames import cli, depbreak, matcore, reduction
 from repgames.depbreak import (DepBreakComputer, d_name, m_name, x_names_at,
                                y_names_at)
-from repgames.games import Game, asym3, chsh, fixture, save_game
+from repgames.games import Game, asym3, chsh, save_game
 from repgames.reduction import ReductionConfig, run_reduction
 from repgames.strategy import (EntangledStrategy, POVMFamily, save_strategy,
                                strategy_fixture)
 from _depbreak_oracle import ExtendedTableComputer, skew_distances
-from _helpers import random_strategy
+from _helpers import lopsided, random_strategy
 
 TSIRELSON = math.cos(math.pi / 8) ** 2
 
+GAMES = {"chsh": chsh, "asym3": asym3, "lopsided": lopsided}
+
 # asym3 at n=3 with C=() is left out: its extended table would need
-# 10 077 696 cells, above the entry cap, so there is no reference
+# 10 077 696 cells, above the entry cap, so there is no reference.
+# lopsided (X=2, Y=3, A=3, B=2) shows an x/y or a/b swap in a layout that
+# the square chsh and asym3 hide; at n=3, C=(0, 1) its extended table has
+# 279 936 cells
 CASES = [(game, n, C)
          for game in ("chsh", "asym3")
          for n, holdouts in ((2, ((), (0,), (1,))),
                              (3, ((), (0,), (1,), (0, 1))))
          for C in holdouts
-         if (game, n, C) != ("asym3", 3, ())]
+         if (game, n, C) != ("asym3", 3, ())] + [("lopsided", 3, (0, 1))]
 
 
 def case_id(case):
@@ -49,7 +54,7 @@ def case_id(case):
 def computers(game, n, C):
     """(contracted, extended-table) computers on one seeded random
     strategy, d=2, whose shared state is not maximally entangled."""
-    g = fixture(game)
+    g = GAMES[game]()
     s = random_strategy(g, n, 2, 1300 + 10 * n + len(C) + sum(C))
     return (DepBreakComputer(g, n, s, C), ExtendedTableComputer(g, n, s, C),
             s)
@@ -151,7 +156,7 @@ def test_reports_match_the_extended_table_path(case):
 def test_exact_reduction_payload_matches_the_extended_table_path(
         case, monkeypatch):
     game, n, C = case
-    cfg = ReductionConfig(game=fixture(game), n=n,
+    cfg = ReductionConfig(game=GAMES[game](), n=n,
                           strategy=computers(*case)[2], C=C)
     got = run_reduction(cfg)
     monkeypatch.setattr(reduction, "DepBreakComputer", ExtendedTableComputer)

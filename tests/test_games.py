@@ -146,6 +146,26 @@ def test_win_set_two_round_cell_count():
     assert int(ev.mask.sum()) == 8 * 8
 
 
+def test_win_set_is_kind_major_in_the_born_tables_order():
+    ev = win_set(chsh(), 3, (2, 0))
+    assert ev.names == ("x1", "x3", "y1", "y3", "a1", "a3", "b1", "b3")
+    v = chsh().predicate
+    assert np.array_equal(ev.mask, np.einsum("ikmo,jlnp->ijklmnop", v, v))
+
+
+def test_win_set_lays_out_unequal_alphabets_by_kind():
+    """X, Y, A and B all differ, so no two kinds can trade places."""
+    rng = np.random.default_rng(3)
+    mu = rng.random((2, 3))
+    g = Game(2, 3, 4, 5, mu / mu.sum(), rng.random((2, 3, 4, 5)) < 0.5)
+    ev = win_set(g, 2, (0, 1))
+    assert ev.sizes == (2, 2, 3, 3, 4, 4, 5, 5)
+    v = g.predicate
+    assert np.array_equal(ev.mask, np.einsum("ikmo,jlnp->ijklmnop", v, v))
+    born = born_joint(g, 2, random_strategy(g, 2, 2, 0))
+    assert (ev.names, ev.sizes) == (born.names, born.sizes)
+
+
 def test_save_load_roundtrip(tmp_path):
     g = asym3()
     path = tmp_path / "game.txt"

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from repgames.depbreak import DepBreakComputer
-from repgames.games import Game, chsh, fixture, question_weights, win_set
+from repgames.games import chsh, fixture, question_weights, win_set
 from repgames import strategy
 from repgames.strategy import (DeterministicStrategy, POVMFamily,
                                EntangledStrategy, as_entangled, born_joint,
                                load_strategy, save_strategy, strategy_fixture,
                                symmetrize, tsirelson, win_probability)
-from _helpers import born_joint_loop, random_strategy, tv_distance
+from _helpers import born_joint_loop, lopsided, random_strategy, tv_distance
 
 TSIRELSON_VALUE = math.cos(math.pi / 8) ** 2
 
@@ -381,15 +381,6 @@ def test_win_probability_deterministic_chsh():
 
 def table_win(g, n, s):
     return born_joint(g, n, s).prob(win_set(g, n, range(n)))
-
-
-def lopsided():
-    """Two questions and three answers for Alice, three questions and two
-    answers for Bob, and a kernel with no symmetry between the sides."""
-    rng = np.random.default_rng(11)
-    mu = rng.random((2, 3))
-    return Game(2, 3, 3, 2, mu / mu.sum(), rng.random((2, 3, 3, 2)) < 0.5,
-                name="lopsided")
 
 
 @pytest.mark.parametrize("name", ["tsirelson", "printing", "detprod"])

@@ -58,6 +58,49 @@ def test_classical_value_matches_enumeration_oracle():
                                                    abs=1e-12)
 
 
+def pair_enumeration(g, n):
+    """The largest value over every pair of answer functions, each pair
+    scored: one-hot answer tables on both sides around the n-fold table
+    mu(x, y) V(x, y, a, b), built cell by cell from the one-round game."""
+    xs, ys = (list(itertools.product(range(k), repeat=n))
+              for k in (g.x_size, g.y_size))
+    as_, bs = (list(itertools.product(range(k), repeat=n))
+               for k in (g.a_size, g.b_size))
+    table = np.zeros((len(xs), len(as_), len(ys), len(bs)))
+    for (i, x), (j, y), (k, a), (m, b) in itertools.product(
+            enumerate(xs), enumerate(ys), enumerate(as_), enumerate(bs)):
+        if all(g.predicate[x[t], y[t], a[t], b[t]] for t in range(n)):
+            table[i, k, j, m] = math.prod(g.mu[x[t], y[t]] for t in range(n))
+
+    def one_hot(funcs, answers):
+        out = np.zeros((len(funcs), funcs.shape[1], answers))
+        np.put_along_axis(out, funcs[:, :, None], 1.0, axis=2)
+        return out.reshape(len(funcs), -1)
+
+    def functions(questions, answers):
+        return np.indices((answers,) * questions).reshape(questions, -1).T
+
+    alice = one_hot(functions(len(xs), len(as_)), len(as_))
+    left = alice @ table.reshape(alice.shape[1], -1)    # (Alice's, y b)
+    bob = functions(len(ys), len(bs))
+    best = 0.0
+    for start in range(0, len(bob), 1 << 14):
+        block = one_hot(bob[start:start + (1 << 14)], len(bs))
+        best = max(best, float((left @ block.T).max()))
+    return best
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 2, 2), (2, 2, 3, 2)],
+                         ids=["x-ne-y", "a-ne-b"])
+def test_classical_value_matches_pair_enumeration_at_two_rounds(sizes):
+    """Unequal alphabets, so an x/y or a/b swap in the n-fold predicate's
+    layout would move the value."""
+    rng = np.random.default_rng(sum(sizes))
+    mu = rng.random(sizes[:2])
+    g = Game(*sizes, mu / mu.sum(), rng.random(sizes) < 0.5)
+    assert abs(classical_value(g, 2) - pair_enumeration(g, 2)) <= 1e-15
+
+
 def test_classical_value_chsh_exact():
     g = chsh()
     assert classical_value(g, 1) == 0.75
