@@ -51,10 +51,13 @@ def shared_stream_sample(p: np.ndarray, q: np.ndarray, m: int,
     Each run reads its own stream of pairs (u, t), u uniform over the
     support and t uniform in [0, 1).  Alice accepts the first pair with
     t < p[u], Bob the first with t < q[u]; they agree when both accept the
-    same pair.  Every pass draws a block of pairs for each run still open
-    and finds each side's first accepting pair with argmax, so its cost is
-    a few numpy calls whatever m is.  Runs that closed are dropped, and a
-    pass holds at most MAX_STREAM_CELLS pairs.
+    same pair.  Every pass draws a block of pairs for each run still open,
+    in ascending run order, so its cost is a few numpy calls whatever m is.
+    Each side keeps one waiting flag per open run; its accepting pairs are
+    listed flat, in stream order, and a waiting run closes at the first
+    one in its row.  Only the runs that close are written to the (2, m)
+    state, the runs where both sides accepted are dropped along with their
+    flags, and a pass holds at most MAX_STREAM_CELLS pairs.
 
     Returns (a, b, agreed, failed): the flat element each side accepted
     (-1 where a side accepted nothing within max_draws) and the masks of
@@ -75,21 +78,29 @@ def shared_stream_sample(p: np.ndarray, q: np.ndarray, m: int,
     pos = np.full((2, m), -1, dtype=np.int64)    # its position in the stream
     for lo in range(0, m, MAX_STREAM_CELLS):
         rows = np.arange(lo, min(m, lo + MAX_STREAM_CELLS))
+        waiting = [np.ones(rows.size, dtype=bool) for _ in laws]
         drawn = 0
         while rows.size and drawn < max_draws:
             width = min(block, max_draws - drawn,
                         max(1, MAX_STREAM_CELLS // rows.size))
             u = rng.integers(0, size, size=(rows.size, width))
             t = rng.random((rows.size, width))
-            for side in (0, 1):
-                hits = t < laws[side][u]
-                first = hits.argmax(axis=1)
-                new = (pos[side, rows] < 0) & hits[np.arange(rows.size),
-                                                   first]
-                pos[side, rows[new]] = drawn + first[new]
-                elem[side, rows[new]] = u[new, first[new]]
+            for side, law in enumerate(laws):
+                # accepting cells in stream order; a waiting side accepts
+                # the first one in its row
+                cell = np.flatnonzero(t < law.take(u))
+                row = cell // width
+                close = waiting[side][row]
+                close[1:] &= row[1:] != row[:-1]
+                close = np.flatnonzero(close)
+                cell, row = cell[close], row[close]
+                waiting[side][row] = False
+                run = rows[row]
+                pos[side][run] = drawn + cell % width
+                elem[side][run] = u.ravel()[cell]
             drawn += width
-            rows = rows[(pos[:, rows] < 0).any(axis=0)]
+            still = np.flatnonzero(waiting[0] | waiting[1])
+            rows, waiting = rows[still], [w[still] for w in waiting]
     failed = (pos < 0).any(axis=0)
     agreed = ~failed & (pos[0] == pos[1])
     return elem[0], elem[1], agreed, failed

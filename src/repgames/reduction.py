@@ -46,10 +46,12 @@ class ReductionConfig:
             raise ValueError("unknown classical sampling mode")
         if self.mode_quantum not in QUANTUM_MODES:
             raise ValueError("unknown quantum preparation mode")
-        if self.is_sampled and not (1 <= self.trials <= MAX_TABLE_ENTRIES
-                                    and self.max_draws >= 1):
+        if self.is_sampled and not 1 <= self.trials <= MAX_TABLE_ENTRIES:
             raise ValueError(f"Monte Carlo modes need 1 to {MAX_TABLE_ENTRIES}"
-                             " trials (the entry cap) and at least one draw")
+                             f" trials (the entry cap), got {self.trials}")
+        if self.max_draws < 1:
+            raise ValueError(f"max_draws must be at least 1, got "
+                             f"{self.max_draws}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be a positive finite number")
         if self.dprime < 1:
@@ -290,7 +292,8 @@ def _sampled_coordinate(shot: SingleShotStrategy, i: int, trials: int,
     rb = np.empty(trials, dtype=np.int64)
     agreed = np.empty(trials, dtype=bool)
     failed = np.empty(trials, dtype=bool)
-    for q in np.unique(qs):
+    # the question pairs drawn, ascending (np.unique would import numpy.ma)
+    for q in np.flatnonzero(np.bincount(qs)):
         rows = np.flatnonzero(qs == q)
         x, y = divmod(int(q), g.y_size)
         ra[rows], rb[rows], agreed[rows], failed[rows] = shot.sample_r_pair(

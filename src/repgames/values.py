@@ -151,7 +151,9 @@ def _improve_side(effectives: np.ndarray, elements: np.ndarray,
             w, v = matcore.eigh_desc(h, "exchange operator")
             x = np.zeros_like(h)
             count = np.count_nonzero(w > 0.0, axis=-1)
-            for r in np.unique(count[count > 0]):
+            # the positive ranks present, ascending (np.unique would
+            # import numpy.ma)
+            for r in np.flatnonzero(np.bincount(count)[1:]) + 1:
                 pos = v[count == r, :, :r]
                 x[count == r] = pos @ matcore.dagger(pos)
             e1 = _hermitian_part(csq @ x @ csq)

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 
-from repgames import values
+from repgames import corrsamp, values
 from repgames.games import Game, a_names, b_names, x_names, y_names
-from repgames.prob import (ZERO_MASS, Event, FiniteDistribution,
-                           ZeroProbabilityEvent, _expand_to)
+from repgames.prob import (MAX_TABLE_ENTRIES, ZERO_MASS, Event,
+                           FiniteDistribution, ZeroProbabilityEvent,
+                           _expand_to)
 from repgames.strategy import EntangledStrategy, POVMFamily
 
 
@@ -198,3 +199,46 @@ def lopsided():
     mu = rng.random((2, 3))
     return Game(2, 3, 3, 2, mu / mu.sum(), rng.random((2, 3, 3, 2)) < 0.5,
                 name="lopsided")
+
+
+def shared_stream_reference(p: np.ndarray, q: np.ndarray, m: int,
+                            rng: np.random.Generator,
+                            max_draws: int = 10_000) -> tuple:
+    """`corrsamp.shared_stream_sample` as first written: each pass finds a
+    side's first accepting pair with argmax over the block and updates the
+    (2, m) state with 2-D gathers.  It draws the same stream in the same
+    calls, so every output must equal the kernel's bit for bit; it reads
+    `corrsamp.MAX_STREAM_CELLS` at call time, as the kernel does."""
+    if not 1 <= m <= MAX_TABLE_ENTRIES:
+        raise ValueError(f"correlated sampling needs 1 to {MAX_TABLE_ENTRIES}"
+                         f" runs (the entry cap), got {m}")
+    if max_draws < 1:
+        raise ValueError("correlated sampling needs max_draws of at least 1")
+    laws = np.stack([np.asarray(p, dtype=np.float64).ravel(),
+                     np.asarray(q, dtype=np.float64).ravel()])
+    size = laws.shape[1]
+    # a side accepts a pair with probability sum(p) / size = 1 / size, so a
+    # block of two support sizes closes most runs in the first pass
+    block = max(16, 2 * size)
+    elem = np.full((2, m), -1, dtype=np.int64)   # accepted element per side
+    pos = np.full((2, m), -1, dtype=np.int64)    # its position in the stream
+    for lo in range(0, m, corrsamp.MAX_STREAM_CELLS):
+        rows = np.arange(lo, min(m, lo + corrsamp.MAX_STREAM_CELLS))
+        drawn = 0
+        while rows.size and drawn < max_draws:
+            width = min(block, max_draws - drawn,
+                        max(1, corrsamp.MAX_STREAM_CELLS // rows.size))
+            u = rng.integers(0, size, size=(rows.size, width))
+            t = rng.random((rows.size, width))
+            for side in (0, 1):
+                hits = t < laws[side][u]
+                first = hits.argmax(axis=1)
+                new = (pos[side, rows] < 0) & hits[np.arange(rows.size),
+                                                   first]
+                pos[side, rows[new]] = drawn + first[new]
+                elem[side, rows[new]] = u[new, first[new]]
+            drawn += width
+            rows = rows[(pos[:, rows] < 0).any(axis=0)]
+    failed = (pos < 0).any(axis=0)
+    agreed = ~failed & (pos[0] == pos[1])
+    return elem[0], elem[1], agreed, failed

@@ -224,6 +224,28 @@ def test_run_reduction_refuses_dprime_below_one_before_any_work(
                                 "got 0"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "holenstein"])
+def test_run_reduction_refuses_max_draws_below_one_in_every_mode(
+        capsys, monkeypatch, mode):
+    def built(*args, **kwargs):
+        raise AssertionError("DepBreakComputer built before the refusal")
+
+    monkeypatch.setattr(reduction, "DepBreakComputer", built)
+    code, out, err = run_cli(capsys, "run", "reduction", "--mode", mode,
+                             "--n", "2", "--max-draws", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["config error: max_draws must be at least 1,"
+                                " got 0"]
+
+
+def test_run_reduction_trials_refusal_names_trials_alone(capsys):
+    code, out, err = run_cli(capsys, "run", "reduction", "--mode",
+                             "holenstein", "--n", "2", "--trials", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["config error: Monte Carlo modes need 1 to "
+                                "10000000 trials (the entry cap), got 0"]
+
+
 @pytest.mark.parametrize("argv, config, line", [
     (("--C", "x"), None, "--C value x is not an integer"),
     (("--C", "1,,2"), None, "--C value  is not an integer"),

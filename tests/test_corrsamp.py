@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import subprocess
@@ -19,7 +20,8 @@ from repgames.games import chsh
 from repgames.prob import FiniteDistribution
 from repgames.strategy import strategy_fixture
 
-from _helpers import is_near_density, random_unitary, tv_distance
+from _helpers import (is_near_density, random_unitary,
+                      shared_stream_reference, tv_distance)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -154,6 +156,93 @@ def test_shared_stream_marginals_and_disagreement_rate():
     assert abs((1.0 - agreed.mean()) - want) <= 5.0 * sigma
 
 
+def stream_laws(size, kind, seed):
+    """A pair of laws on `size` cells: both dense, both with zero cells, or
+    on disjoint supports (two cells at least)."""
+    rng = np.random.default_rng([size, seed])
+    p, q = rng.random((2, size)) + 0.01
+    if kind == "zeros":
+        p[rng.random(size) < 0.4] = 0.0
+        q[rng.random(size) < 0.4] = 0.0
+        p[0] = q[-1] = 1.0
+    elif kind == "disjoint":
+        p[size // 2:] = 0.0
+        q[:size // 2] = 0.0
+    return p / p.sum(), q / q.sum()
+
+
+STREAM_CASES = [(size, kind) for size in (1, 2, 4, 64, 300)
+                for kind in ("dense", "zeros", "disjoint")
+                if size > 1 or kind != "disjoint"]
+
+
+def assert_same_draws(p, q, m, seed, max_draws):
+    got = shared_stream_sample(p, q, m, np.random.default_rng(seed),
+                               max_draws)
+    want = shared_stream_reference(p, q, m, np.random.default_rng(seed),
+                                   max_draws)
+    for name, g, w in zip(("a", "b", "agreed", "failed"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("size, kind", STREAM_CASES)
+def test_shared_stream_equals_the_argmax_reference(size, kind):
+    """Same stream, same calls: every output equals the reference's bit for
+    bit, whatever the runs, the draw budget or the laws' supports."""
+    p, q = stream_laws(size, kind, seed=0)
+    for seed, (m, max_draws) in enumerate(itertools.product(
+            (1, 2, 17, 1000, 70_000), (1, 2, 3, 10_000))):
+        assert_same_draws(p, q, m, seed, max_draws)
+
+
+@pytest.mark.parametrize("cells", [16, 100])
+@pytest.mark.parametrize("size, kind", STREAM_CASES)
+def test_shared_stream_equals_the_reference_over_small_passes(
+        monkeypatch, cells, size, kind):
+    """A pass cap of 16 or 100 pairs, read by both samplers, runs several
+    chunks, width-1 passes and a last pass cut to max_draws - drawn."""
+    monkeypatch.setattr(corrsamp, "MAX_STREAM_CELLS", cells)
+    p, q = stream_laws(size, kind, seed=1)
+    for seed, (m, max_draws) in enumerate(itertools.product(
+            (1, cells - 1, cells, cells + 1, 3 * cells + 5),
+            (1, 2, 3, 10_000))):
+        assert_same_draws(p, q, m, seed, max_draws)
+
+
+def test_shared_stream_equals_the_reference_when_a_side_never_accepts():
+    """Bob's law has no mass, so every run stays open for max_draws and
+    fails; Alice's side still closes at her first accepting pair."""
+    p, q = np.ones(1), np.zeros(1)
+    for seed, (m, max_draws) in enumerate(itertools.product(
+            (1, 17, 1000), (1, 2, 3, 10_000))):
+        assert_same_draws(p, q, m, seed, max_draws)
+
+
+# 8-byte words per pair that a pass may hold, by the design: the pair (u
+# and t, two), the law values it is compared with (one), and at most a
+# dozen index or mask arrays over the pass's pairs, open runs or accepting
+# cells (at most one word per pair each)
+STREAM_PASS_WORDS = 16
+
+
+@pytest.mark.parametrize("sampler", [shared_stream_sample,
+                                     shared_stream_reference],
+                         ids=["kernel", "reference"])
+@pytest.mark.parametrize("laws", [([1.0], [1.0]),
+                                  ([0.25] * 4, [0.1, 0.4, 0.25, 0.25])],
+                         ids=["every-pair-accepts", "four-cells"])
+def test_a_pass_holds_a_bounded_multiple_of_the_stream_cells(sampler, laws):
+    """At m = MAX_STREAM_CELLS + 1 (two chunks) the peak above the (2, m)
+    element and position arrays stays under a fixed number of 8-byte words
+    per pair a pass holds; a kernel that drew all runs' blocks at once
+    would hold 32 (m runs of 16 pairs, two words each)."""
+    cells = corrsamp.MAX_STREAM_CELLS
+    m = cells + 1
+    p, q = (np.asarray(law) for law in laws)
+    _, peak, _ = traced(lambda: sampler(p, q, m, np.random.default_rng(0)))
+    assert peak - 2 * 2 * m * 8 < STREAM_PASS_WORDS * cells * 8
+
+
 def test_experiment_identical_laws_full_agreement():
     p, _ = biased_pair(0.0)
     stats = corr_sample_experiment(p, p, 2000, seed=0)
@@ -209,6 +298,31 @@ def test_cli_import_leaves_scipy_out():
             "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-B", "-c", code], cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+FRESH_RUNS = """
+import contextlib, io, sys
+sys.path.insert(0, "src")
+from repgames.cli import main
+for argv in (["run", "reduction", "--mode", "holenstein", "--n", "2",
+              "--trials", "400"], ["run", "values"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+print(sorted(m for m in sys.modules
+             if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_sampled_reduction_and_seesaw_leave_numpy_ma_out():
+    """np.unique's first call imports numpy.ma, 15-25 ms in a fresh
+    process; the sampled reduction and the seesaw list the values present
+    without it."""
+    out = subprocess.run([sys.executable, "-B", "-c", FRESH_RUNS], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
