@@ -18,15 +18,16 @@ is one finite variable: it is passed as a flat index into that coordinate's
 that every held round is won, over the one P(W_C) read off the Born table:
 the laws of r, the skew report and the reduction's question skew read it.
 Every aligned factor and fine POVM of a free coordinate is kept as a stack
-over its contexts, and the walks index those stacks with flat arrays of
-contexts; the kernels take `(..., d, d)` stacks, a 2-D input being a stack
-of one.  Each stack is the product of a dense question law with the
-per-question POVM sums.  The stacks are built, and the walks gathered, in
-blocks of at most CHUNK_ENTRIES d x d entries (`chunks`); the kernels work
-per matrix, so a stack does not depend on the block size.  `fine_povm`
-builds a context's aligned factor S = U A^(1/2) and its fine POVM,
-conjugated by U, from one decomposition of the coarse operator A, on A's
-support only (COARSE_SUPPORT).
+over its contexts, and one gather reads those stacks with flat arrays of
+contexts, each player from their own part of r; the kernels take
+`(..., d, d)` stacks, a 2-D input being a stack of one.  Each stack is the
+product of a dense question law with the per-question POVM sums.  The
+stacks are built, and the walks gathered, in blocks of at most
+CHUNK_ENTRIES d x d entries (`chunks`); the kernels work per matrix, so a
+stack does not depend on the block size.  `fine_povm` builds a context's
+aligned factor S = U A^(1/2) and its fine POVM, conjugated by U, from one
+decomposition of the coarse operator A, on A's support only
+(COARSE_SUPPORT).
 One-assignment pointer constraints are {name: value} dicts ("d2", ...).
 """
 
@@ -483,7 +484,7 @@ class DepBreakComputer:
             # the symmetrized strategy has the input's output distribution
             self.born = born_joint(g, self.n, self.strategy)
             C = choose_C(self.born, g, self.n, min(AUTO_TMAX, self.n)).C
-        self.C = tuple(sorted(int(c) for c in C))
+        self.C = tuple(sorted({int(c) for c in C}))
         if any(c < 0 or c >= n for c in self.C):
             raise ValueError("C must be a subset of range(n)")
         self.free = tuple(j for j in range(n) if j not in self.C)
@@ -531,6 +532,11 @@ class DepBreakComputer:
     # ---- variable bookkeeping -------------------------------------------
 
     def omega_names(self, exclude: int | None = None) -> tuple:
+        """The pointers of the free rounds but exclude, then the held
+        questions; an exclude that is not free is refused, naming it."""
+        if exclude is not None and exclude not in self.free:
+            raise ValueError(f"coordinate {exclude} is not free; the free "
+                             f"coordinates are {self.free}")
         names = []
         for j in self.free:
             if j != exclude:
@@ -556,6 +562,7 @@ class DepBreakComputer:
         """
         if i not in self._contexts:
             g, n = self.game, self.n
+            names = self.r_names(i)
             others = [j for j in self.free if j != i]
             _check_cells(f"context table of coordinate {i}",
                          (2 * max(g.x_size, g.y_size)) ** len(others)
@@ -574,7 +581,6 @@ class DepBreakComputer:
                 axes = [nm for nm in axes if nm not in (x_names_at(j),
                                                         y_names_at(j))]
                 axes += [d_name(j), m_name(j)]
-            names = self.r_names(i)
             order = names + (x_names_at(i), y_names_at(i), a_names(n)[i],
                              b_names(n)[i])
             t = np.transpose(t, [axes.index(nm) for nm in order])
@@ -742,52 +748,43 @@ class DepBreakComputer:
             self._via[i] = out
         return self._via[i]
 
-    def _context_parts(self, r) -> tuple:
-        """(omega, a_C, b_C) flat indices of flat r (an int or an array)."""
+    def _gather(self, i: int, side: str, stack: str, r, q) -> np.ndarray:
+        """The one reader of free coordinate i's stacks: Alice reads flat
+        r's (omega, a_C), Bob (omega, b_C).  stack "own" is the side's
+        aligned factor and "fine" its fine POVM at its own question q;
+        "via" is its aligned factor when round i's pointer names the other
+        player with question q.  r and q broadcast as arrays of contexts."""
         n_b = self.game.b_size ** len(self.C)
-        n_ab = self.game.a_size ** len(self.C) * n_b
-        omega, held = divmod(r, n_ab)
-        a_c, b_c = divmod(held, n_b)
-        return omega, a_c, b_c
+        omega, held = divmod(r, self.game.a_size ** len(self.C) * n_b)
+        held = held // n_b if side == "alice" else held % n_b
+        ops = (self.via_factors(i)[side] if stack == "via"
+               else getattr(self.operators(i)[side], stack))
+        return ops[omega, q, held]
 
     def fine_families(self, i: int, r_a, r_b, x_i, y_i) -> tuple:
-        """Alice's fine family from her flat r_a, Bob's from his r_b.
-
-        Arguments are ints or broadcastable arrays of contexts; arrays give
-        `(..., k + 1, d, d)` stacks.
-        """
-        ops = self.operators(i)
-        w_a, a_c, _ = self._context_parts(r_a)
-        w_b, _, b_c = self._context_parts(r_b)
-        return ops["alice"].fine[w_a, x_i, a_c], ops["bob"].fine[w_b, y_i, b_c]
+        """Alice's fine family from her flat r_a, Bob's from his r_b;
+        arrays of contexts give `(..., k + 1, d, d)` stacks."""
+        return (self._gather(i, "alice", "fine", r_a, x_i),
+                self._gather(i, "bob", "fine", r_b, y_i))
 
     # ---- states ----------------------------------------------------------
 
     def state_for(self, i: int, r, x_i, y_i) -> tuple:
         """Dependency-breaking state and weight for (flat r, x_i, y_i);
         arrays of contexts give `dep_state`'s stacked form."""
-        ops = self.operators(i)
-        omega, a_c, b_c = self._context_parts(r)
-        return dep_state(ops["alice"].own[omega, x_i, a_c],
-                         ops["bob"].own[omega, y_i, b_c], self.strategy.psi)
+        return dep_state(self._gather(i, "alice", "own", r, x_i),
+                         self._gather(i, "bob", "own", r, y_i),
+                         self.strategy.psi)
 
-    def state_variants(self, i: int, r, x_i, y_i) -> dict:
-        """The target state plus the two one-sided approximations.
-
-        "xy": both players pin their own question of round i.
-        "x":  round i's pointer set to Alice's question; Bob averages y_i.
-        "y":  round i's pointer set to Bob's question; Alice averages x_i.
-        Values are (state, weight) pairs, stacked for arrays of contexts;
-        r is a flat index.
-        """
-        ops, via = self.operators(i), self.via_factors(i)
-        omega, a_c, b_c = self._context_parts(r)
-        s_own = ops["alice"].own[omega, x_i, a_c]
-        t_own = ops["bob"].own[omega, y_i, b_c]
-        psi = self.strategy.psi
-        return {"xy": dep_state(s_own, t_own, psi),
-                "x": dep_state(s_own, via["bob"][omega, x_i, b_c], psi),
-                "y": dep_state(via["alice"][omega, y_i, a_c], t_own, psi)}
+    def description(self, i: int, side: str, r, q) -> tuple:
+        """One player's description of the conditional state, from their
+        own context (flat r, own round-i question q): the player's own
+        factor at q with the other's via factor at q, round i's pointer
+        naming the player.  `dep_state`'s (state, weight), stacked for
+        arrays."""
+        return dep_state(*(self._gather(i, p, "own" if p == side else "via",
+                                        r, q) for p in ("alice", "bob")),
+                         self.strategy.psi)
 
     # ---- checks ----------------------------------------------------------
 
@@ -884,13 +881,15 @@ class DepBreakComputer:
             acc = np.zeros(3)
             mass = 0.0
             for part in chunks(r.size, self.d ** 2):
-                variants = self.state_variants(i, r[part], x[part], y[part])
+                rc, xc, yc = r[part], x[part], y[part]
+                states = (self.state_for(i, rc, xc, yc),
+                          self.description(i, "alice", rc, xc),
+                          self.description(i, "bob", rc, yc))
                 present = np.logical_and.reduce(
-                    [v[1] > ZERO_WEIGHT for v in variants.values()])
+                    [weight > ZERO_WEIGHT for _st, weight in states])
                 wp = w[part]
                 skipped_mass += float(wp[~present].sum())
-                s_xy, s_x, s_y = (variants[k][0][present]
-                                  for k in ("xy", "x", "y"))
+                s_xy, s_x, s_y = (st[present] for st, _w in states)
                 dist = np.stack([np.linalg.norm(s_xy - s_y, axis=1),
                                  np.linalg.norm(s_xy - s_x, axis=1),
                                  np.linalg.norm(s_x - s_y, axis=1)], axis=1)

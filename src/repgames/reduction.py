@@ -184,11 +184,11 @@ class SingleShotStrategy:
         """(win probability, embezzlement error, valid) arrays for the
         contexts (r_a[k], r_b[k], x[k], y[k]) of coordinate i.
 
-        The reference state comes from r_a, Alice's fine family from r_a
-        and Bob's from r_b; they are read from the coordinate's operator
-        stacks a block of contexts at a time (`depbreak.chunks`).  An
-        invalid context (no reference state, or no one-sided state to
-        embezzle) reports p = err = 0.
+        The reference state comes from r_a, Alice's fine family and
+        embezzle description from (r_a, x_i), Bob's from (r_b, y_i), read
+        from the coordinate's operator stacks a block of contexts at a time
+        (`depbreak.chunks`).  An invalid context (no reference state, or no
+        one-sided state to embezzle) reports p = err = 0.
         """
         g, comp = self.cfg.game, self.computer
         p = np.zeros(r_a.size)
@@ -201,8 +201,8 @@ class SingleShotStrategy:
             fa, fb = comp.fine_families(i, ra, rb, xs, ys)
             errs = np.zeros(ok.size)
             if self.cfg.mode_quantum == "embezzle":
-                state_a, w_a = comp.state_variants(i, ra, xs, ys)["x"]
-                state_b, w_b = comp.state_variants(i, rb, xs, ys)["y"]
+                state_a, w_a = comp.description(i, "alice", ra, xs)
+                state_b, w_b = comp.description(i, "bob", rb, ys)
                 ok &= (w_a > ZERO_WEIGHT) & (w_b > ZERO_WEIGHT)
                 tables = np.zeros(fa.shape[:2] + fb.shape[1:2])
                 for k in np.flatnonzero(ok).tolist():

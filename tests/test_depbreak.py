@@ -658,3 +658,28 @@ def test_operators_are_built_once_per_coordinate(printing_computer):
     assert np.abs(comp.via_factors(0)["bob"][1, 1, 1] - s_op).max() <= 1e-12
     with pytest.raises(ZeroProbabilityEvent):
         comp.coarse_family("alice", {"d1": ALICE, "m1": 1, "x1": 0})
+
+
+def test_repeated_holdout_coordinates_count_once():
+    """C = (0, 0) is C = (0,), as in `win_set` and `extended_joint`."""
+    s = strategy_fixture("printing", 3)
+    twice = DepBreakComputer(chsh(), 3, s, (0, 0))
+    once = DepBreakComputer(chsh(), 3, s, (0,))
+    assert (twice.C, twice.free) == ((0,), (1, 2))
+    assert twice.p_win_c == once.p_win_c
+    assert twice.usefulness_check() == once.usefulness_check()
+    assert (run_reduction(ReductionConfig(chsh(), 3, s, C=(0, 0)))
+            == run_reduction(ReductionConfig(chsh(), 3, s, C=(0,))))
+
+
+@pytest.mark.parametrize("coord", [0, 7, -1])
+def test_a_coordinate_that_is_not_free_is_refused_by_name(coord):
+    comp = DepBreakComputer(chsh(), 3, strategy_fixture("printing", 3), (0,))
+    msg = f"coordinate {coord} is not free; the free coordinates are (1, 2)"
+    for read in (comp.contexts, comp.operators, comp.via_factors,
+                 lambda i: comp.usefulness_check((i,)),
+                 lambda i: comp.weight_check((1, i)),
+                 lambda i: comp.sampleability_distances((i,))):
+        with pytest.raises(ValueError) as err:
+            read(coord)
+        assert str(err.value) == msg
